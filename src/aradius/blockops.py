@@ -2,7 +2,8 @@
 
 The doubled space carries the weight ``diag(A, A)``; the helpers here
 assemble the block shapes the bound checkers quantify over and build the
-matching doubled context without re-factorizing.
+matching doubled context without re-factorizing.  They serve the audit
+and callers: the checkers build the block of reduced blocks directly.
 """
 
 from __future__ import annotations
@@ -106,4 +107,6 @@ def dsum_context(ctx: SemiInnerContext, k: int = 2) -> SemiInnerContext:
         range_proj=_frozen(np.kron(eye, ctx.range_proj)),
         rank=k * ctx.rank,
         rank_tol=ctx.rank_tol,
+        v_r=_frozen(np.kron(eye, ctx.v_r)),
+        sqrt_lam=_frozen(np.tile(ctx.sqrt_lam, k)),
     )

@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("kind", choices=("adjoint", "seminorm", "radius", "abs_power"))
     c.add_argument("a_file", help="weight matrix JSON file")
     c.add_argument("t_file", help="operator matrix JSON file")
-    c.add_argument("--tol", type=float, default=1e-8)
+    c.add_argument("--tol", type=float, default=1e-8, help="accepted; changes no result")
     c.add_argument("--rank-tol", type=float, default=1e-10)
     c.add_argument("--power", type=float, default=1.0, help="exponent for abs_power")
 
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--mu", type=float, default=0.5)
     k.add_argument("--lam", type=float, default=0.5)
     k.add_argument("--p", type=float, default=2.0)
-    k.add_argument("--tol", type=float, default=None)
+    k.add_argument("--tol", type=float, default=None, help="accepted; changes no result")
     k.add_argument("--rank-tol", type=float, default=1e-10)
 
     f = sub.add_parser("fuzz", help="run randomized soundness campaigns")
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--scale", type=float, default=1.0)
     f.add_argument("--rank", type=int, default=None)
     f.add_argument("--randomize-params", action="store_true")
-    f.add_argument("--tol", type=float, default=None)
+    f.add_argument("--tol", type=float, default=None, help="accepted; changes no result")
     f.add_argument("--out", default=None, help="write report array to this file")
 
     sub.add_parser("audit", help="recompute the worked-example catalog")

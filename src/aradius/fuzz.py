@@ -254,7 +254,9 @@ def run_campaign(
     Returns one :class:`CampaignReport` per id, in input order.  A trial
     whose hypotheses fail is skipped (counted, never a violation).  With
     ``randomize_params`` the bound parameters are redrawn per trial from
-    each id's admissible ranges instead of using ``params``.
+    each id's admissible ranges instead of using ``params``.  ``tol`` is
+    passed through and stored with persisted cases; it changes no result,
+    because the radius kernel does not use it.
     """
     if isinstance(ids, str):
         ids = [ids]

@@ -44,7 +44,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blockops import BlockSpec, assemble, dsum_context
 from .linalg import (
     DomainError,
     as_matrix,
@@ -55,8 +54,7 @@ from .linalg import (
 )
 from .semihilbert import (
     SemiInnerContext,
-    a_adjoint,
-    a_numerical_radius,
+    is_a_positive,
     op_seminorm,
     preserves_kernel,
     reduce,
@@ -202,31 +200,47 @@ def _chi(alpha: complex, beta: float) -> tuple[float, float, float, float]:
     return chi1, chi2, chi3, chi4
 
 
-# -- reduced-picture evaluation helpers ----------------------------------
+# -- reduced-coordinate factors -----------------------------------------
 
 
-def _t(ctx: SemiInnerContext, m: np.ndarray) -> np.ndarray:
-    return reduce(ctx, m).tilde
+class _Factors:
+    """A reduced operand ``T~ = U S V*`` with its SVD, computed once.
+
+    ``abs_pow(p) = |T~|^p = V S^p V*`` and ``adj_abs_pow(p) = |T~*|^p =
+    U S^p U*`` follow the ``0^p = 0`` convention of
+    :func:`aradius.linalg.psd_power`; ``S[0]`` is the seminorm of ``T``.
+    """
+
+    def __init__(self, t: np.ndarray):
+        self.t = t
+        self.u, self.s, self.vh = np.linalg.svd(t)
+
+    @property
+    def norm(self) -> float:
+        return float(self.s[0])
+
+    def _spow(self, p: float) -> np.ndarray:
+        return np.power(self.s, p, out=np.zeros_like(self.s), where=self.s > 0.0)
+
+    def norm_pow(self, p: float) -> float:
+        """``|| |T~|^p || = || |T~*|^p ||``."""
+        return float(self._spow(p)[0])
+
+    def abs_pow(self, p: float) -> np.ndarray:
+        return (self.vh.conj().T * self._spow(p)) @ self.vh
+
+    def adj_abs_pow(self, p: float) -> np.ndarray:
+        return (self.u * self._spow(p)) @ self.u.conj().T
 
 
-def _pow_red(ctx: SemiInnerContext, base: np.ndarray, r: float) -> np.ndarray:
-    """``base ** r`` for an A-positive ambient ``base``, in reduced coordinates."""
-    t = _t(ctx, base)
-    return psd_power(0.5 * (t + t.conj().T), r)
+def _antidiag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    zero = np.zeros_like(x)
+    return np.block([[zero, x], [y, zero]])
 
 
-def _abs_pow_red(ctx: SemiInnerContext, m: np.ndarray, s: float) -> np.ndarray:
-    """``|M|_A ** s`` in reduced coordinates."""
-    t = _t(ctx, m)
-    return psd_power(t.conj().T @ t, 0.5 * s)
-
-
-def _policy_tol(scale: float) -> float:
-    return 1e-8 * max(1.0, scale)
-
-
-def _hyp_kernel(ctx: SemiInnerContext, mats: Sequence[np.ndarray]) -> bool:
-    return all(preserves_kernel(ctx, m) for m in mats)
+def _reduce_vector(ctx: SemiInnerContext, v: np.ndarray) -> np.ndarray:
+    """``Lambda^{1/2} V_r* v``, whose Euclidean norm is ``||v||_A``."""
+    return ctx.sqrt_lam * (ctx.v_r.conj().T @ v)
 
 
 # -- scalar lemmas -------------------------------------------------------
@@ -422,7 +436,8 @@ def check_mixed_schwarz(
     ``<|T|_A^(2 lam) x, x>_A ** (1/2)`` and
     ``<|T^#|_A^(2 (1-lam)) y, y>_A ** (1/2)``.  The displayed hypothesis
     asks ``T`` to commute with the weight; when it does not (or when an
-    operand moves ``ker A``), the report is advisory.
+    operand moves ``ker A``), the report is advisory.  ``tol`` changes no
+    result.
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainViolation("lam must lie in [0, 1]")
@@ -434,11 +449,10 @@ def check_mixed_schwarz(
     comm_ok = comm <= 1e-8 * (1.0 + spectral_norm(ctx.a) * spectral_norm(mat))
     hyp = comm_ok and preserves_kernel(ctx, mat)
     lhs = abs(semi_inner(ctx, mat @ xv, yv))
-    tt = _t(ctx, mat)
-    xr = ctx.a_half @ xv
-    yr = ctx.a_half @ yv
-    q1 = max(float(np.vdot(xr, psd_power(tt.conj().T @ tt, lam) @ xr).real), 0.0)
-    q2 = max(float(np.vdot(yr, psd_power(tt @ tt.conj().T, 1.0 - lam) @ yr).real), 0.0)
+    tt = _Factors(reduce(ctx, mat))
+    xr, yr = _reduce_vector(ctx, xv), _reduce_vector(ctx, yv)
+    q1 = max(float(np.vdot(xr, tt.abs_pow(2.0 * lam) @ xr).real), 0.0)
+    q2 = max(float(np.vdot(yr, tt.adj_abs_pow(2.0 * (1.0 - lam)) @ yr).real), 0.0)
     rhs = math.sqrt(q1) * math.sqrt(q2)
     inter = {"commutator": comm, "q_x": q1, "q_y": q2}
     return _report("mixed_schwarz", lhs, rhs, inter, hyp, params)
@@ -455,16 +469,14 @@ def check_holder_mccarthy(ctx: SemiInnerContext, t, x, r: float) -> BoundReport:
         raise DomainViolation("r must be nonnegative")
     mat = as_matrix(t, square=True)
     xv = as_vector(x, dim=ctx.dim)
-    from .semihilbert import is_a_positive
-
     if not is_a_positive(ctx, mat):
         raise NotAPositive("operator is not A-positive")
     nx = vec_seminorm(ctx, xv)
     if abs(nx - 1.0) > 1e-10:
         raise NotUnitVector(f"vector has seminorm {nx!r}, expected 1")
-    tt = _t(ctx, mat)
+    tt = reduce(ctx, mat)
     sym = 0.5 * (tt + tt.conj().T)
-    xr = ctx.a_half @ xv
+    xr = _reduce_vector(ctx, xv)
     base = max(float(np.vdot(xr, sym @ xr).real), 0.0)
     powered = float(np.vdot(xr, psd_power(sym, r) @ xr).real)
     if r >= 1.0:
@@ -477,8 +489,12 @@ def check_holder_mccarthy(ctx: SemiInnerContext, t, x, r: float) -> BoundReport:
 
 # -- anti-diagonal block bounds ------------------------------------------
 
+# Every operator checker takes the reduced operands (``_Factors`` by name)
+# and the parameters.  The block radius of ``[[0, X], [Y, 0]]`` over
+# ``diag(A, A)`` is the classical radius of ``[[0, X~], [Y~, 0]]``.
 
-def _m_thm_2_7(ctx, ctx2, ops, params, tol):
+
+def _m_thm_2_7(ops, params):
     # The Schwarz/AM-GM argument behind this bound produces four power
     # terms, two per off-diagonal corner: |X|^{2l} and |Y^#|^{2(1-l)}
     # weighted by the lower component, plus |Y|^{2l} and |X^#|^{2(1-l)}
@@ -487,13 +503,12 @@ def _m_thm_2_7(ctx, ctx2, ops, params, tol):
     # value is the maximum over both pairings; the two-term half-sum is
     # still reported under ``rhs_as_displayed``.  Both agree at l = 1/2.
     x, y = ops["X"], ops["Y"]
-    adj_x, adj_y = a_adjoint(ctx, x), a_adjoint(ctx, y)
     lam = params.lam
-    n1 = spectral_norm(_pow_red(ctx, adj_x @ x, lam))
-    n2 = spectral_norm(_pow_red(ctx, y @ adj_y, 1.0 - lam))
-    n3 = spectral_norm(_pow_red(ctx, adj_y @ y, lam))
-    n4 = spectral_norm(_pow_red(ctx, x @ adj_x, 1.0 - lam))
-    lhs = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)), tol)
+    n1 = x.norm_pow(2.0 * lam)
+    n2 = y.norm_pow(2.0 * (1.0 - lam))
+    n3 = y.norm_pow(2.0 * lam)
+    n4 = x.norm_pow(2.0 * (1.0 - lam))
+    lhs = classical_numerical_radius(_antidiag(x.t, y.t))
     rhs = 0.5 * max(n1 + n2, n3 + n4)
     inter = {
         "norm_abs_x_pow": n1,
@@ -505,12 +520,11 @@ def _m_thm_2_7(ctx, ctx2, ops, params, tol):
     return lhs, rhs, inter
 
 
-def _m_thm_2_8(ctx, ctx2, ops, params, tol):
+def _m_thm_2_8(ops, params):
     x, y = ops["X"], ops["Y"]
-    lam_star, bound = optimize_refined_alpha_bound(ctx, x, y)
-    u = op_seminorm(ctx, x)
-    v = op_seminorm(ctx, a_adjoint(ctx, y))
-    lhs = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)), tol)
+    u, v = x.norm, y.norm
+    lam_star, bound = _refined_alpha_min(u, v)
+    lhs = classical_numerical_radius(_antidiag(x.t, y.t))
     # Minimizing the four-term family over l lands at l = 1/2 (each
     # pairing is convex in l and the two swap under l <-> 1-l), so the
     # optimized certified bound is the plain half-sum of seminorms.  The
@@ -528,48 +542,36 @@ def _m_thm_2_8(ctx, ctx2, ops, params, tol):
     return lhs, rhs, inter
 
 
-def _radius_pair_bound(ctx, ctx2, ops, params, tol, r, lam):
+def _radius_pair_bound(ops, r, lam):
     """Shared body of the interpolated radius-pair bounds."""
     x, y = ops["X"], ops["Y"]
-    adj_x, adj_y = a_adjoint(ctx, x), a_adjoint(ctx, y)
-    s1 = _pow_red(ctx, adj_x @ x, r * lam) + _pow_red(ctx, y @ adj_y, r * (1.0 - lam))
-    s2 = _pow_red(ctx, adj_y @ y, r * lam) + _pow_red(ctx, x @ adj_x, r * (1.0 - lam))
-    w1 = classical_numerical_radius(s1, tol)
-    w2 = classical_numerical_radius(s2, tol)
-    w_block = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)), tol)
+    s1 = x.abs_pow(2.0 * r * lam) + y.adj_abs_pow(2.0 * r * (1.0 - lam))
+    s2 = y.abs_pow(2.0 * r * lam) + x.adj_abs_pow(2.0 * r * (1.0 - lam))
+    w1 = classical_numerical_radius(s1)
+    w2 = classical_numerical_radius(s2)
+    w_block = classical_numerical_radius(_antidiag(x.t, y.t))
     lhs = w_block**r
     rhs = 2.0 ** (r - 2.0) * math.sqrt(w1) * math.sqrt(w2)
-    # Audit: the same display read with plain (unweighted) radii of the
-    # pulled-back operators.
-    pull = lambda s: ctx.a_half_pinv @ s @ ctx.a_half
-    w1a = classical_numerical_radius(pull(s1), tol)
-    w2a = classical_numerical_radius(pull(s2), tol)
-    inter = {
-        "radius_sum_1": w1,
-        "radius_sum_2": w2,
-        "block_radius": w_block,
-        "rhs_ambient_reading": 2.0 ** (r - 2.0) * math.sqrt(w1a) * math.sqrt(w2a),
-    }
+    inter = {"radius_sum_1": w1, "radius_sum_2": w2, "block_radius": w_block}
     return lhs, rhs, inter
 
 
-def _m_thm_2_10(ctx, ctx2, ops, params, tol):
-    return _radius_pair_bound(ctx, ctx2, ops, params, tol, params.r, params.lam)
+def _m_thm_2_10(ops, params):
+    return _radius_pair_bound(ops, params.r, params.lam)
 
 
-def _m_rem_2_12(ctx, ctx2, ops, params, tol):
-    return _radius_pair_bound(ctx, ctx2, ops, params, tol, 1.0, 0.5)
+def _m_rem_2_12(ops, params):
+    return _radius_pair_bound(ops, 1.0, 0.5)
 
 
-def _m_moby_a1(ctx, ctx2, ops, params, tol):
+def _m_moby_a1(ops, params):
     x, y = ops["X"], ops["Y"]
-    adj_x, adj_y = a_adjoint(ctx, x), a_adjoint(ctx, y)
     d1, d2 = _delta_pair(params.alpha, params.beta)
-    m1 = spectral_norm(_t(ctx, adj_x @ x + y @ adj_y))
-    m2 = spectral_norm(_t(ctx, x @ adj_x + adj_y @ y))
-    w_xy = a_numerical_radius(ctx, x @ y, tol)
-    w_yx = a_numerical_radius(ctx, y @ x, tol)
-    lhs = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)), tol) ** 4
+    m1 = spectral_norm(x.abs_pow(2.0) + y.adj_abs_pow(2.0))
+    m2 = spectral_norm(x.adj_abs_pow(2.0) + y.abs_pow(2.0))
+    w_xy = classical_numerical_radius(x.t @ y.t)
+    w_yx = classical_numerical_radius(y.t @ x.t)
+    lhs = classical_numerical_radius(_antidiag(x.t, y.t)) ** 4
     rhs = 0.25 * d1 * max(m1**2, m2**2) + d2 * max(w_xy**2, w_yx**2)
     inter = {
         "delta_1": d1,
@@ -582,87 +584,74 @@ def _m_moby_a1(ctx, ctx2, ops, params, tol):
     return lhs, rhs, inter
 
 
-def _power_sum_norms(ctx, x, y, r):
+def _power_sum_norms(x, y, r):
     """The pair ||(Y#Y)^r + (XX#)^r||_A and ||(X#X)^r + (YY#)^r||_A."""
-    adj_x, adj_y = a_adjoint(ctx, x), a_adjoint(ctx, y)
-    lam_r = spectral_norm(_pow_red(ctx, adj_y @ y, r) + _pow_red(ctx, x @ adj_x, r))
-    mu_r = spectral_norm(_pow_red(ctx, adj_x @ x, r) + _pow_red(ctx, y @ adj_y, r))
+    lam_r = spectral_norm(y.abs_pow(2.0 * r) + x.adj_abs_pow(2.0 * r))
+    mu_r = spectral_norm(x.abs_pow(2.0 * r) + y.adj_abs_pow(2.0 * r))
     return lam_r, mu_r
 
 
-def _m_ramadan1(ctx, ctx2, ops, params, tol):
+def _power_sum_core(ops, r):
+    """The power-sum pair, both cross radii and the block radius."""
     x, y = ops["X"], ops["Y"]
+    lam_r, mu_r = _power_sum_norms(x, y, r)
+    w_xy = classical_numerical_radius(x.t @ y.t)
+    w_yx = classical_numerical_radius(y.t @ x.t)
+    w_block = classical_numerical_radius(_antidiag(x.t, y.t))
+    inter = {
+        "power_sum_1": lam_r,
+        "power_sum_2": mu_r,
+        "radius_xy": w_xy,
+        "radius_yx": w_yx,
+    }
+    return lam_r, mu_r, w_xy, w_yx, w_block, inter
+
+
+def _m_ramadan1(ops, params):
     be, r = params.beta, params.r
-    lam_r, mu_r = _power_sum_norms(ctx, x, y, r)
-    w_xy = a_numerical_radius(ctx, x @ y, tol)
-    w_yx = a_numerical_radius(ctx, y @ x, tol)
-    lhs = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)), tol) ** (4.0 * r)
+    lam_r, mu_r, w_xy, w_yx, w_block, inter = _power_sum_core(ops, r)
+    lhs = w_block ** (4.0 * r)
     rhs = (2.0 * be + 1.0) / (16.0 * (be + 1.0)) * max(lam_r**2, mu_r**2) + (
         2.0 * be + 3.0
     ) / (8.0 * (be + 1.0)) * max(lam_r, mu_r) * max(w_xy**r, w_yx**r)
-    inter = {
-        "power_sum_1": lam_r,
-        "power_sum_2": mu_r,
-        "radius_xy": w_xy,
-        "radius_yx": w_yx,
-    }
     return lhs, rhs, inter
 
 
-def _m_thm_beta(ctx, ctx2, ops, params, tol):
-    x, y = ops["X"], ops["Y"]
+def _m_thm_beta(ops, params):
     be, r = params.beta, params.r
-    lam_r, mu_r = _power_sum_norms(ctx, x, y, r)
-    w_xy = a_numerical_radius(ctx, x @ y, tol)
-    w_yx = a_numerical_radius(ctx, y @ x, tol)
-    lhs = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)), tol) ** (4.0 * r)
+    lam_r, mu_r, w_xy, w_yx, w_block, inter = _power_sum_core(ops, r)
+    lhs = w_block ** (4.0 * r)
     rhs = (2.0 * be + 1.0) / (8.0 * (be + 1.0)) * max(lam_r**2, mu_r**2) + max(
         w_xy ** (2.0 * r), w_yx ** (2.0 * r)
     ) / (2.0 * (be + 1.0))
-    inter = {
-        "power_sum_1": lam_r,
-        "power_sum_2": mu_r,
-        "radius_xy": w_xy,
-        "radius_yx": w_yx,
-    }
     return lhs, rhs, inter
 
 
-def _m_thm_alpha(ctx, ctx2, ops, params, tol):
-    x, y = ops["X"], ops["Y"]
+def _m_thm_alpha(ops, params):
     al, r = params.alpha, params.r
-    lam_r, mu_r = _power_sum_norms(ctx, x, y, r)
-    w_xy = a_numerical_radius(ctx, x @ y, tol)
-    w_yx = a_numerical_radius(ctx, y @ x, tol)
+    lam_r, mu_r, w_xy, w_yx, w_block, inter = _power_sum_core(ops, r)
     c1 = 2.0 ** (r - 2.0) * _max1(abs(al - 1.0) ** r) / abs(al) ** r
     c2 = 2.0 ** (r - 1.0) / abs(al) ** r
-    lhs = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)), tol) ** (2.0 * r)
+    lhs = w_block ** (2.0 * r)
     rhs = c1 * max(lam_r, mu_r) + c2 * max(w_xy**r, w_yx**r)
-    inter = {
-        "power_sum_1": lam_r,
-        "power_sum_2": mu_r,
-        "radius_xy": w_xy,
-        "radius_yx": w_yx,
-    }
     return lhs, rhs, inter
 
 
-def _m_thm_2_16(ctx, ctx2, ops, params, tol):
+def _m_thm_2_16(ops, params):
     x, y = ops["X"], ops["Y"]
     be, r, lam, p, q = params.beta, params.r, params.lam, params.p, params.q
     if p * r < 2.0 - 1e-12 or q * r < 2.0 - 1e-12:
         raise DomainViolation("this bound requires p*r >= 2 and q*r >= 2")
-    adj_x, adj_y = a_adjoint(ctx, x), a_adjoint(ctx, y)
-    lam_r, delta_r = _power_sum_norms(ctx, x, y, r)
+    lam_r, delta_r = _power_sum_norms(x, y, r)
+    # |XY|^s and |Y#X#|^s = |(XY)*|^s share the SVD of X~Y~ (likewise YX).
+    xy, yx = _Factors(x.t @ y.t), _Factors(y.t @ x.t)
     rho = spectral_norm(
-        _abs_pow_red(ctx, x @ y, lam * p * r) / p
-        + _abs_pow_red(ctx, adj_y @ adj_x, (1.0 - lam) * q * r) / q
+        xy.abs_pow(lam * p * r) / p + xy.adj_abs_pow((1.0 - lam) * q * r) / q
     )
     sigma = spectral_norm(
-        _abs_pow_red(ctx, y @ x, lam * p * r) / p
-        + _abs_pow_red(ctx, adj_x @ adj_y, (1.0 - lam) * q * r) / q
+        yx.abs_pow(lam * p * r) / p + yx.adj_abs_pow((1.0 - lam) * q * r) / q
     )
-    lhs = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)), tol) ** (4.0 * r)
+    lhs = classical_numerical_radius(_antidiag(x.t, y.t)) ** (4.0 * r)
     g1 = (2.0 * be + 1.0) / (be + 1.0)
     g2 = (2.0 * be + 3.0) / (be + 1.0)
     rhs = g1 / 16.0 * max(lam_r**2, delta_r**2) + g2 / 8.0 * max(lam_r, delta_r) * max(
@@ -678,22 +667,20 @@ def _m_thm_2_16(ctx, ctx2, ops, params, tol):
     return lhs, rhs, inter
 
 
-def _kz_core(ctx, ctx2, ops, tol):
+def _kz_core(ops):
     f, x, y, k = ops["F"], ops["X"], ops["Y"], ops["K"]
-    adj_f, adj_k = a_adjoint(ctx, f), a_adjoint(ctx, k)
-    adj_x, adj_y = a_adjoint(ctx, x), a_adjoint(ctx, y)
-    a_val = spectral_norm(_pow_red(ctx, adj_f @ f, 2.0) + _pow_red(ctx, x @ adj_x, 2.0))
-    b_val = spectral_norm(_pow_red(ctx, adj_k @ k, 2.0) + _pow_red(ctx, y @ adj_y, 2.0))
-    c_val = spectral_norm(_t(ctx, adj_f @ f + x @ adj_x))
-    d_val = spectral_norm(_t(ctx, adj_k @ k + y @ adj_y))
-    w_r = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x @ k, y @ f)), tol)
-    w_full = a_numerical_radius(ctx2, assemble(BlockSpec.full(f, x, y, k)), tol)
+    a_val = spectral_norm(f.abs_pow(4.0) + x.adj_abs_pow(4.0))
+    b_val = spectral_norm(k.abs_pow(4.0) + y.adj_abs_pow(4.0))
+    c_val = spectral_norm(f.abs_pow(2.0) + x.adj_abs_pow(2.0))
+    d_val = spectral_norm(k.abs_pow(2.0) + y.adj_abs_pow(2.0))
+    w_r = classical_numerical_radius(_antidiag(x.t @ k.t, y.t @ f.t))
+    w_full = classical_numerical_radius(np.block([[f.t, x.t], [y.t, k.t]]))
     return a_val, b_val, c_val, d_val, w_r, w_full
 
 
-def _m_kz(ctx, ctx2, ops, params, tol):
+def _m_kz(ops, params):
     chi1, chi2, _, _ = _chi(params.alpha, params.beta)
-    a_val, b_val, c_val, d_val, w_r, w_full = _kz_core(ctx, ctx2, ops, tol)
+    a_val, b_val, c_val, d_val, w_r, w_full = _kz_core(ops)
     lhs = w_full**4
     rhs = (
         (2.0 + 4.0 * chi1) * max(a_val, b_val)
@@ -713,10 +700,10 @@ def _m_kz(ctx, ctx2, ops, params, tol):
     return lhs, rhs, inter
 
 
-def _m_modified_kz(ctx, ctx2, ops, params, tol):
+def _m_modified_kz(ops, params):
     chi1, chi2, chi3, chi4 = _chi(params.alpha, params.beta)
     mu = params.mu
-    a_val, b_val, c_val, d_val, w_r, w_full = _kz_core(ctx, ctx2, ops, tol)
+    a_val, b_val, c_val, d_val, w_r, w_full = _kz_core(ops)
     lhs = w_full**4
     rhs = (
         (2.0 + 2.0 * chi1 + 2.0 * chi3) * max(a_val, b_val)
@@ -740,27 +727,29 @@ def _m_modified_kz(ctx, ctx2, ops, params, tol):
 # -- single-operator corollaries -----------------------------------------
 
 
-def _single_core(ctx, m, r, tol):
-    adj_m = a_adjoint(ctx, m)
-    n_r = spectral_norm(_pow_red(ctx, adj_m @ m, r) + _pow_red(ctx, m @ adj_m, r))
-    w_sq = a_numerical_radius(ctx, m @ m, tol)
-    w_m = a_numerical_radius(ctx, m, tol)
+def _abs_sum_norm(m, s):
+    """``|| |M~|^s + |M~*|^s ||``: the seminorm of ``(M#M)^(s/2) + (MM#)^(s/2)``."""
+    return spectral_norm(m.abs_pow(s) + m.adj_abs_pow(s))
+
+
+def _single_core(m, r):
+    n_r = _abs_sum_norm(m, 2.0 * r)
+    w_sq = classical_numerical_radius(m.t @ m.t)
+    w_m = classical_numerical_radius(m.t)
     return n_r, w_sq, w_m
 
 
-def _s_moby_a2(ctx, ops, params, tol):
-    m = ops["M"]
+def _s_moby_a2(ops, params):
     d1, d2 = _delta_pair(params.alpha, params.beta)
-    n1, w_sq, w_m = _single_core(ctx, m, 1.0, tol)
+    n1, w_sq, w_m = _single_core(ops["M"], 1.0)
     lhs = w_m**4
     rhs = 0.25 * d1 * n1**2 + d2 * w_sq**2
     return lhs, rhs, {"delta_1": d1, "delta_2": d2, "norm_sum": n1, "radius_sq": w_sq}
 
 
-def _s_ramadan1_cor(ctx, ops, params, tol):
-    m = ops["M"]
+def _s_ramadan1_cor(ops, params):
     be, r = params.beta, params.r
-    n_r, w_sq, w_m = _single_core(ctx, m, r, tol)
+    n_r, w_sq, w_m = _single_core(ops["M"], r)
     lhs = w_m ** (4.0 * r)
     rhs = (2.0 * be + 1.0) / (16.0 * (be + 1.0)) * n_r**2 + (2.0 * be + 3.0) / (
         8.0 * (be + 1.0)
@@ -768,10 +757,9 @@ def _s_ramadan1_cor(ctx, ops, params, tol):
     return lhs, rhs, {"power_sum": n_r, "radius_sq": w_sq}
 
 
-def _s_mohd1(ctx, ops, params, tol):
-    m = ops["M"]
+def _s_mohd1(ops, params):
     be, r = params.beta, params.r
-    n_r, w_sq, w_m = _single_core(ctx, m, r, tol)
+    n_r, w_sq, w_m = _single_core(ops["M"], r)
     lhs = w_m ** (4.0 * r)
     rhs = (2.0 * be + 1.0) / (8.0 * (be + 1.0)) * n_r**2 + w_sq ** (2.0 * r) / (
         2.0 * (be + 1.0)
@@ -780,29 +768,24 @@ def _s_mohd1(ctx, ops, params, tol):
     return lhs, rhs, inter
 
 
-def _s_alpha_cor(ctx, ops, params, tol):
+def _s_alpha_cor(ops, params):
     m = ops["M"]
     al, r = params.alpha, params.r
-    n_r, w_sq, w_m = _single_core(ctx, m, r, tol)
+    n_r, w_sq, w_m = _single_core(m, r)
     c1 = 2.0 ** (r - 2.0) * _max1(abs(al - 1.0) ** r) / abs(al) ** r
     c2 = 2.0 ** (r - 1.0) / abs(al) ** r
     lhs = w_m ** (2.0 * r)
     rhs = c1 * n_r + c2 * w_sq**r
-    n1 = n_r if r == 1.0 else _single_core(ctx, m, 1.0, tol)[0]
+    n1 = _abs_sum_norm(m, 2.0)
     inter = {"power_sum": n_r, "radius_sq": w_sq, "half_norm_bound": 0.5 * n1}
     return lhs, rhs, inter
 
 
-def _s_college1(ctx, ops, params, tol):
+def _s_college1(ops, params):
     m = ops["M"]
     chi1, chi2, _, _ = _chi(params.alpha, params.beta)
-    adj_m = a_adjoint(ctx, m)
-    quart = spectral_norm(
-        _pow_red(ctx, adj_m @ m, 2.0) + _pow_red(ctx, m @ adj_m, 2.0)
-    )
-    quad = spectral_norm(_t(ctx, adj_m @ m + m @ adj_m))
-    w_sq = a_numerical_radius(ctx, m @ m, tol)
-    w_m = a_numerical_radius(ctx, m, tol)
+    quart = _abs_sum_norm(m, 4.0)
+    quad, w_sq, w_m = _single_core(m, 1.0)
     lhs = w_m**4
     rhs = (
         (1.0 + 2.0 * chi1) / 8.0 * quart
@@ -822,17 +805,12 @@ def _s_college1(ctx, ops, params, tol):
     return lhs, rhs, inter
 
 
-def _s_modified_kz_cor(ctx, ops, params, tol):
+def _s_modified_kz_cor(ops, params):
     m = ops["M"]
     chi1, chi2, chi3, chi4 = _chi(params.alpha, params.beta)
     mu = params.mu
-    adj_m = a_adjoint(ctx, m)
-    quart = spectral_norm(
-        _pow_red(ctx, adj_m @ m, 2.0) + _pow_red(ctx, m @ adj_m, 2.0)
-    )
-    quad = spectral_norm(_t(ctx, adj_m @ m + m @ adj_m))
-    w_sq = a_numerical_radius(ctx, m @ m, tol)
-    w_m = a_numerical_radius(ctx, m, tol)
+    quart = _abs_sum_norm(m, 4.0)
+    quad, w_sq, w_m = _single_core(m, 1.0)
     lhs = w_m**4
     rhs = (
         (1.0 + chi1 + chi3) / 8.0 * quart
@@ -854,71 +832,60 @@ def _s_modified_kz_cor(ctx, ops, params, tol):
 # -- product bounds -------------------------------------------------------
 
 
-def _prod_core(ctx, ctx2, ops, r, tol):
+def _prod_core(ops, r):
     t1, t2, s1, s2 = ops["T1"], ops["T2"], ops["S1"], ops["S2"]
-    tt = assemble(BlockSpec.antidiag(t1, t2))
-    ss = assemble(BlockSpec.antidiag(s1, s2))
-    w_prod = a_numerical_radius(ctx2, a_adjoint(ctx2, ss) @ tt, tol)
-    adj = lambda m: a_adjoint(ctx, m)
-    phi = spectral_norm(
-        _pow_red(ctx, adj(t2) @ t2, 2.0 * r) + _pow_red(ctx, adj(s2) @ s2, 2.0 * r)
-    )
-    psi = spectral_norm(
-        _pow_red(ctx, adj(t1) @ t1, 2.0 * r) + _pow_red(ctx, adj(s1) @ s1, 2.0 * r)
-    )
-    w2 = a_numerical_radius(ctx, adj(s2) @ s2 @ adj(t2) @ t2, tol)
-    w1 = a_numerical_radius(ctx, adj(s1) @ s1 @ adj(t1) @ t1, tol)
-    return w_prod, phi, psi, w2, w1
+    ss, tt = _antidiag(s1.t, s2.t), _antidiag(t1.t, t2.t)
+    w_prod = classical_numerical_radius(ss.conj().T @ tt)
+    phi = spectral_norm(t2.abs_pow(4.0 * r) + s2.abs_pow(4.0 * r))
+    psi = spectral_norm(t1.abs_pow(4.0 * r) + s1.abs_pow(4.0 * r))
+    w2 = classical_numerical_radius(s2.abs_pow(2.0) @ t2.abs_pow(2.0))
+    w1 = classical_numerical_radius(s1.abs_pow(2.0) @ t1.abs_pow(2.0))
+    inter = {
+        "power_sum_2": phi,
+        "power_sum_1": psi,
+        "radius_grams_2": w2,
+        "radius_grams_1": w1,
+        "radius_product": w_prod,
+    }
+    return w_prod, phi, psi, w2, w1, inter
 
 
-def _p_prod1(ctx, ctx2, ops, params, tol):
+def _p_prod1(ops, params):
     be, r = params.beta, params.r
-    w_prod, phi, psi, w2, w1 = _prod_core(ctx, ctx2, ops, r, tol)
+    w_prod, phi, psi, w2, w1, inter = _prod_core(ops, r)
     lhs = w_prod ** (4.0 * r)
     rhs = (1.0 + 2.0 * be) / (16.0 * (be + 1.0)) * max(phi**2, psi**2) + (
         3.0 + 2.0 * be
     ) / (8.0 * (be + 1.0)) * max(phi, psi) * max(w2**r, w1**r)
-    inter = {
-        "power_sum_2": phi,
-        "power_sum_1": psi,
-        "radius_grams_2": w2,
-        "radius_grams_1": w1,
-        "radius_product": w_prod,
-    }
     return lhs, rhs, inter
 
 
-def _p_prod2(ctx, ctx2, ops, params, tol):
+def _p_prod2(ops, params):
     be, r = params.beta, params.r
-    w_prod, phi, psi, w2, w1 = _prod_core(ctx, ctx2, ops, r, tol)
+    w_prod, phi, psi, w2, w1, inter = _prod_core(ops, r)
     lhs = w_prod ** (4.0 * r)
     rhs = (1.0 + 2.0 * be) / (8.0 * (be + 1.0)) * max(phi**2, psi**2) + max(
         w2 ** (2.0 * r), w1 ** (2.0 * r)
     ) / (2.0 * (be + 1.0))
-    inter = {
-        "power_sum_2": phi,
-        "power_sum_1": psi,
-        "radius_grams_2": w2,
-        "radius_grams_1": w1,
-        "radius_product": w_prod,
-    }
     return lhs, rhs, inter
 
 
-def _pair_core(ctx, ops, r, tol):
+def _pair_core(ops, r):
     f, k = ops["F"], ops["K"]
-    adj_f, adj_k = a_adjoint(ctx, f), a_adjoint(ctx, k)
-    n2r = spectral_norm(
-        _pow_red(ctx, adj_f @ f, 2.0 * r) + _pow_red(ctx, adj_k @ k, 2.0 * r)
-    )
-    w_pair = a_numerical_radius(ctx, adj_k @ f, tol)
-    w_gram = a_numerical_radius(ctx, adj_k @ k @ adj_f @ f, tol)
-    return n2r, w_pair, w_gram
+    n2r = spectral_norm(f.abs_pow(4.0 * r) + k.abs_pow(4.0 * r))
+    w_pair = classical_numerical_radius(k.t.conj().T @ f.t)
+    return n2r, w_pair
 
 
-def _p_cor_prod(ctx, ctx2, ops, params, tol):
+def _gram_radius(ops):
+    """Radius of ``K#K F#F``."""
+    return classical_numerical_radius(ops["K"].abs_pow(2.0) @ ops["F"].abs_pow(2.0))
+
+
+def _p_cor_prod(ops, params):
     be, r = params.beta, params.r
-    n2r, w_pair, w_gram = _pair_core(ctx, ops, r, tol)
+    n2r, w_pair = _pair_core(ops, r)
+    w_gram = _gram_radius(ops)
     lhs = w_pair ** (4.0 * r)
     rhs = (1.0 + 2.0 * be) / (16.0 * (be + 1.0)) * n2r**2 + (3.0 + 2.0 * be) / (
         8.0 * (be + 1.0)
@@ -926,9 +893,10 @@ def _p_cor_prod(ctx, ctx2, ops, params, tol):
     return lhs, rhs, {"power_sum": n2r, "radius_gram": w_gram}
 
 
-def _p_cor_prod_a(ctx, ctx2, ops, params, tol):
+def _p_cor_prod_a(ops, params):
     be, r = params.beta, params.r
-    n2r, w_pair, w_gram = _pair_core(ctx, ops, r, tol)
+    n2r, w_pair = _pair_core(ops, r)
+    w_gram = _gram_radius(ops)
     lhs = w_pair ** (4.0 * r)
     rhs = (1.0 + 2.0 * be) / (8.0 * (be + 1.0)) * n2r**2 + w_gram ** (2.0 * r) / (
         2.0 * (be + 1.0)
@@ -936,9 +904,9 @@ def _p_cor_prod_a(ctx, ctx2, ops, params, tol):
     return lhs, rhs, {"power_sum": n2r, "radius_gram": w_gram}
 
 
-def _p_power_2r(ctx, ctx2, ops, params, tol):
+def _p_power_2r(ops, params):
     r = params.r
-    n2r, w_pair, _ = _pair_core(ctx, ops, r, tol)
+    n2r, w_pair = _pair_core(ops, r)
     lhs = w_pair ** (2.0 * r)
     rhs = 0.5 * n2r
     return lhs, rhs, {"power_sum": n2r}
@@ -1022,7 +990,7 @@ def registry_entry(inequality_id: str) -> RegistryEntry:
         raise UnknownId(f"unknown inequality id {inequality_id!r}") from None
 
 
-def _run_operator_bound(ctx, iid, kind, ops_in, params, tol):
+def _run_operator_bound(ctx, iid, kind, ops_in, params):
     entry = registry_entry(iid)
     if entry.kind != kind:
         raise UnknownId(f"{iid!r} is not a {kind} bound")
@@ -1036,15 +1004,16 @@ def _run_operator_bound(ctx, iid, kind, ops_in, params, tol):
             raise DomainViolation(
                 f"operand {name!r} must match the weight dimension {ctx.dim}"
             )
-    hyp = _hyp_kernel(ctx, list(mats.values()))
-    scale = max(spectral_norm(_t(ctx, m)) for m in mats.values())
-    tol = tol if tol is not None else _policy_tol(scale)
-    ctx2 = dsum_context(ctx, 2)
-    if kind == "single":
-        lhs, rhs, inter = entry.fn(ctx, mats, params, tol)
-    else:
-        lhs, rhs, inter = entry.fn(ctx, ctx2, mats, params, tol)
-    inter = {"scale": scale, **inter}
+    # Every operator display hypothesizes that its operands map ker(A)
+    # into itself; under it the reduction of a product is the product of
+    # the reductions, which the formulas rely on.
+    hyp = all(preserves_kernel(ctx, m) for m in mats.values())
+    # A rank-zero weight reduces every operand to the empty matrix; a 1x1
+    # zero stands in for it, so every formula takes its zero value.
+    empty = np.zeros((1, 1), dtype=np.complex128)
+    ops = {n: _Factors(reduce(ctx, m) if ctx.rank else empty) for n, m in mats.items()}
+    lhs, rhs, inter = entry.fn(ops, params)
+    inter = {"scale": max(f.norm for f in ops.values()), **inter}
     return _report(iid, lhs, rhs, inter, hyp, params)
 
 
@@ -1059,10 +1028,12 @@ def check_matrix_bound(
 
     ``blocks`` supplies the named blocks the id needs (``X``/``Y``, plus
     ``F``/``K`` for the full-matrix bounds).  The left side is the
-    appropriate power of the doubled-weight radius of the assembled
-    block matrix; the right side follows the registered display.
+    appropriate power of the radius of the block matrix over
+    ``diag(A, A)``, evaluated as the classical radius of the block of
+    reduced blocks; the right side follows the registered display.
+    ``tol`` changes no result: the radius kernel does not use it.
     """
-    return _run_operator_bound(ctx, inequality_id, "matrix", blocks, params, tol)
+    return _run_operator_bound(ctx, inequality_id, "matrix", blocks, params)
 
 
 def check_single_operator_bound(
@@ -1072,8 +1043,8 @@ def check_single_operator_bound(
     params: BoundParams | None = None,
     tol: float | None = None,
 ) -> BoundReport:
-    """Evaluate a single-operator radius bound on ``M``."""
-    return _run_operator_bound(ctx, inequality_id, "single", {"M": m}, params, tol)
+    """Evaluate a single-operator radius bound on ``M``; ``tol`` changes no result."""
+    return _run_operator_bound(ctx, inequality_id, "single", {"M": m}, params)
 
 
 def check_product_bound(
@@ -1083,8 +1054,8 @@ def check_product_bound(
     params: BoundParams | None = None,
     tol: float | None = None,
 ) -> BoundReport:
-    """Evaluate an operator-product radius bound."""
-    return _run_operator_bound(ctx, inequality_id, "product", operators, params, tol)
+    """Evaluate an operator-product radius bound; ``tol`` changes no result."""
+    return _run_operator_bound(ctx, inequality_id, "product", operators, params)
 
 
 def evaluate_bound(
@@ -1100,7 +1071,9 @@ def evaluate_bound(
     blocks for operator bounds, ``a``/``b``/``e`` for vector lemmas,
     ``values`` for scalar lemmas, ``T``/``x``/``y`` (plus scalar ``r``
     for the power form) for the pointwise lemmas.  Scalar lemmas accept
-    ``ctx=None``; everything else requires a context.
+    ``ctx=None``; everything else requires a context.  ``tol`` is kept
+    for callers and persisted cases but changes no result: the radius
+    kernel does not use it.
     """
     entry = registry_entry(inequality_id)
     if entry.kind == "scalar":
@@ -1156,9 +1129,13 @@ def optimize_refined_alpha_bound(
     minimum; equal norms short-circuit to ``t = 1/2`` exactly.  If either
     seminorm vanishes the objective degenerates and the better endpoint
     is returned (any fixed ``t`` still yields a valid bound).
+    ``||Y^#||_A = ||Y||_A``, because ``Y^#`` reduces to ``Y~*``.
     """
-    u = op_seminorm(ctx, x)
-    v = op_seminorm(ctx, a_adjoint(ctx, y))
+    return _refined_alpha_min(op_seminorm(ctx, x), op_seminorm(ctx, y))
+
+
+def _refined_alpha_min(u: float, v: float) -> tuple[float, float]:
+    """Minimizer and minimum of ``(u^(2 t) + v^(2 (1-t))) / 2`` on ``[0, 1]``."""
 
     def f(t: float) -> float:
         return 0.5 * (u ** (2.0 * t) + v ** (2.0 * (1.0 - t)))
@@ -1200,7 +1177,7 @@ def optimize_params(
     Only parameters the id actually consumes are swept.  For ``mohd1``
     the right side is monotone in ``beta`` (nondecreasing toward the
     ``beta -> inf`` limit), so only the endpoints of the beta range are
-    evaluated.
+    evaluated.  ``tol`` changes no result.
     """
     entry = registry_entry(inequality_id)
     if entry.kind not in ("matrix", "single", "product"):
@@ -1223,7 +1200,7 @@ def optimize_params(
     best: BoundReport | None = None
     for combo in _cartesian(*(axes[n] for n in names)) if names else [()]:
         params = BoundParams(**dict(zip(names, combo)))
-        rep = _run_operator_bound(ctx, inequality_id, entry.kind, operands, params, tol)
+        rep = _run_operator_bound(ctx, inequality_id, entry.kind, operands, params)
         if best is None or rep.rhs < best.rhs:
             best = rep
     return best

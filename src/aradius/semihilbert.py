@@ -6,12 +6,17 @@ seminorm ``||x||_A``, and for operators the distinguished adjoint
 ``T^# = pinv(A) T* A``, the operator seminorm, and the A-numerical
 radius.
 
-Every weighted quantity is evaluated through one similarity reduction:
-``T ~> P A^{1/2} T pinv(A^{1/2}) P`` with ``P`` the orthogonal projection
-onto ``ran(A)``.  On that subspace the weighted seminorm and radius of
-``T`` agree with the classical spectral norm and numerical radius of the
-reduced matrix, which keeps all downstream checkers on a single
-well-understood code path.
+Every weighted quantity is evaluated through one similarity reduction.
+With ``A = V_r Lambda V_r*`` restricted to its ``r`` kept eigenpairs,
+``T~ = Lambda^{1/2} V_r* T V_r Lambda^{-1/2}`` is the ``r x r`` matrix of
+``A^{1/2} T pinv(A^{1/2})`` on ``ran(A)``.  The weighted seminorm and
+radius of ``T`` are the classical spectral norm and numerical radius of
+``T~``.  The reduction of ``T^#`` is ``T~*``, and those of ``T^# T`` and
+``T T^#`` are ``T~* T~`` and ``T~ T~*``, with no hypothesis.  When the
+left factor maps ``ker(A)`` into itself, the reduction of ``S T`` is
+``S~ T~``; and a block matrix over ``diag(A, A)`` reduces to the block
+matrix of the reduced blocks.  So downstream checkers work on ``r x r``
+matrices only.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ class SemiInnerContext:
     range_proj : orthogonal projection onto ``ran(a)``
     rank : numerical rank used for all truncations
     rank_tol : relative eigenvalue cutoff that produced ``rank``
+    v_r : ``n x rank`` orthonormal eigenvectors of the kept eigenvalues
+    sqrt_lam : square roots of the kept eigenvalues, matching ``v_r``
     """
 
     a: np.ndarray
@@ -64,17 +71,12 @@ class SemiInnerContext:
     range_proj: np.ndarray
     rank: int
     rank_tol: float
+    v_r: np.ndarray
+    sqrt_lam: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
-
-
-@dataclass(frozen=True)
-class ReducedOperator:
-    """Similarity reduction of an operator onto ``ran(A)``."""
-
-    tilde: np.ndarray
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -131,6 +133,8 @@ def make_context(a, rank_tol: float = 1e-10, max_dim: int = DIM_CAP) -> SemiInne
         range_proj=_frozen(proj),
         rank=rank,
         rank_tol=rank_tol,
+        v_r=_frozen(vr),
+        sqrt_lam=_frozen(np.sqrt(lam)),
     )
 
 
@@ -156,23 +160,27 @@ def a_adjoint(ctx: SemiInnerContext, t) -> np.ndarray:
     return ctx.a_pinv @ mat.conj().T @ ctx.a
 
 
-def reduce(ctx: SemiInnerContext, t) -> ReducedOperator:
-    """Similarity reduction ``P A^{1/2} T pinv(A^{1/2}) P`` onto ``ran(A)``."""
+def reduce(ctx: SemiInnerContext, t) -> np.ndarray:
+    """The ``rank x rank`` reduction ``Lambda^{1/2} V_r* T V_r Lambda^{-1/2}``."""
     mat = as_matrix(t, square=True)
     _check_dim(ctx, mat)
-    p = ctx.range_proj
-    tilde = p @ (ctx.a_half @ mat @ ctx.a_half_pinv) @ p
-    return ReducedOperator(tilde=tilde)
+    lam_half = ctx.sqrt_lam
+    return lam_half[:, None] * (ctx.v_r.conj().T @ mat @ ctx.v_r) / lam_half
 
 
 def op_seminorm(ctx: SemiInnerContext, t) -> float:
     """Operator seminorm: the supremum of ``||Tx||_A / ||x||_A`` over ``ran(A)``."""
-    return spectral_norm(reduce(ctx, t).tilde)
+    tilde = reduce(ctx, t)
+    return spectral_norm(tilde) if ctx.rank else 0.0
 
 
 def a_numerical_radius(ctx: SemiInnerContext, t, tol: float = 1e-8) -> float:
-    """A-numerical radius, computed as the classical radius of the reduction."""
-    return classical_numerical_radius(reduce(ctx, t).tilde, tol=tol)
+    """A-numerical radius: the classical radius of the reduction.
+
+    ``tol`` must be positive and changes no result.
+    """
+    tilde = reduce(ctx, t)
+    return classical_numerical_radius(tilde, tol=tol) if ctx.rank else 0.0
 
 
 def a_numerical_radius_lower(
@@ -180,30 +188,27 @@ def a_numerical_radius_lower(
 ) -> float:
     """Sampled lower bound for the A-numerical radius.
 
-    Draws ``samples`` complex Gaussian vectors, projects them onto
-    ``ran(A)``, normalizes in the seminorm and maximizes ``|<Tx, x>_A|``.
-    Deterministic for a fixed seed.
+    Draws ``samples`` complex Gaussian vectors ``g``, maps each to
+    ``y = Lambda^{1/2} V_r* g`` (so ``|y| = ||g||_A``) and maximizes
+    ``|y* T~ y| / |y|^2``, which is ``|<Tx, x>_A| / ||x||_A^2`` for ``x`` the
+    projection of ``g`` onto ``ran(A)``.  Deterministic for a fixed seed.
     """
     if ctx.rank == 0:
         raise DegenerateContext("weight has rank zero")
     if samples < 1:
         raise ValueError("samples must be positive")
-    mat = as_matrix(t, square=True)
-    _check_dim(ctx, mat)
+    tilde = reduce(ctx, t)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, ctx.dim)) + 1j * rng.standard_normal(
         (samples, ctx.dim)
     )
-    x = g @ ctx.range_proj.T
-    half = x @ ctx.a_half.T
-    norms_sq = np.sum(np.abs(half) ** 2, axis=1).real
+    y = (g @ ctx.v_r.conj()) * ctx.sqrt_lam
+    norms_sq = np.sum(np.abs(y) ** 2, axis=1)
     keep = norms_sq > 1e-24 * max(1.0, float(norms_sq.max(initial=0.0)))
     if not np.any(keep):
         raise DegenerateContext("no sample survived seminorm normalization")
-    x = x[keep]
-    norms_sq = norms_sq[keep]
-    z = x @ (ctx.a @ mat).T
-    quad = np.abs(np.sum(np.conj(x) * z, axis=1)) / norms_sq
+    y = y[keep]
+    quad = np.abs(np.sum(np.conj(y) * (y @ tilde.T), axis=1)) / norms_sq[keep]
     return float(np.max(quad))
 
 
@@ -217,9 +222,12 @@ def a_abs_power(ctx: SemiInnerContext, t, p: float) -> np.ndarray:
     """
     if p < 0.0:
         raise ValueError("power must be nonnegative")
-    tilde = reduce(ctx, t).tilde
+    tilde = reduce(ctx, t)
+    if not ctx.rank:
+        return np.zeros((ctx.dim, ctx.dim), dtype=np.complex128)
     powered = psd_power(tilde.conj().T @ tilde, 0.5 * p)
-    return ctx.a_half_pinv @ powered @ ctx.a_half
+    lam_half = ctx.sqrt_lam
+    return (ctx.v_r / lam_half) @ powered @ (lam_half[:, None] * ctx.v_r.conj().T)
 
 
 def is_a_selfadjoint(ctx: SemiInnerContext, t, tol: float = 1e-8) -> bool:

@@ -99,7 +99,7 @@ def test_criterion_2_diagonal_sharpness():
     w = a_numerical_radius(ctx2, block, 1e-10)
     assert w <= 2.0 + 1e-8
     # two independent oracles agree on the radius itself
-    tilde = reduce(ctx2, block).tilde
+    tilde = reduce(ctx2, block)
     w_oracle = oracle_radius(tilde)
     assert abs(w - w_oracle) <= 1e-6
     assert abs(w - 1.5) <= 1e-6 and abs(w_oracle - 1.5) <= 1e-6

@@ -8,9 +8,11 @@ from aradius import (
     DimensionMismatch,
     a_numerical_radius,
     assemble,
+    classical_numerical_radius,
     dsum_context,
     make_context,
     op_seminorm,
+    reduce,
 )
 
 from conftest import cgauss, random_context
@@ -114,3 +116,46 @@ def test_block_radius_symmetric_splits(rng):
     )
     got = a_numerical_radius(ctx2, assemble(BlockSpec.symmetric(x, y)))
     assert got == pytest.approx(expected, abs=1e-7 * (1 + expected))
+
+
+# --------------------------------------------------------------------------
+# reduced coordinates: a block over diag(A, A) reduces blockwise
+
+
+@pytest.mark.parametrize("kind", ["antidiag", "full"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_of_reduced_blocks_matches_doubled_context(rng, kind, n):
+    for rank in range(1, n + 1):
+        ctx = random_context(rng, n, rank)
+        # kernel-preserving blocks, as every block checker hypothesizes
+        f, x, y, k = (cgauss(rng, n, n) @ ctx.range_proj for _ in range(4))
+        spec = BlockSpec.antidiag(x, y) if kind == "antidiag" else BlockSpec.full(f, x, y, k)
+        red = {name: reduce(ctx, m) for name, m in spec.blocks.items()}
+        if kind == "antidiag":
+            zero = np.zeros((rank, rank))
+            block = np.block([[zero, red["X"]], [red["Y"], zero]])
+        else:
+            block = np.block([[red["F"], red["X"]], [red["Y"], red["K"]]])
+        expected = a_numerical_radius(dsum_context(ctx, 2), assemble(spec))
+        got = classical_numerical_radius(block)
+        assert got == pytest.approx(expected, rel=1e-10, abs=1e-12), rank
+
+
+def test_antidiag_radius_two_sided_norm_formula(rng):
+    # w([[0, X], [Y, 0]]) = max_t ||e^{it} X + e^{-it} Y*|| / 2 (Hirzallah,
+    # Kittaneh and Shebrawi); the norm is Lipschitz in t with constant
+    # ||X|| + ||Y||, so a grid of spacing d misses the maximum by at most
+    # (||X|| + ||Y||) d / 2.
+    grid = 2**16
+    d = 2.0 * np.pi / grid
+    phase = np.exp(1j * d * np.arange(grid))[:, None, None]
+    for n, rank in ((2, 1), (3, 2), (3, 3), (4, 2)):
+        ctx = random_context(rng, n, rank)
+        x, y = (cgauss(rng, n, n) @ ctx.range_proj for _ in range(2))
+        w = a_numerical_radius(dsum_context(ctx, 2), assemble(BlockSpec.antidiag(x, y)))
+        xt, yt = reduce(ctx, x), reduce(ctx, y)
+        stack = phase * xt + np.conj(phase) * yt.conj().T
+        grid_max = float(np.max(np.linalg.svd(stack, compute_uv=False)[:, 0]))
+        slack = (op_seminorm(ctx, x) + op_seminorm(ctx, y)) * d / 2.0
+        assert grid_max <= 2.0 * w * (1.0 + 1e-12)
+        assert 2.0 * w <= grid_max + slack

@@ -184,6 +184,16 @@ def test_stability_report_zero_samples():
     assert rep.rhs > 0.0
 
 
+def test_stability_report_zero_samples_skips_sampled_radius():
+    spec = EllipticSpec(n_points=8)
+    bare = stability_report(spec, samples=0).intermediates
+    full = stability_report(spec, samples=50).intermediates
+    assert "radius_inverse_sampled" not in bare
+    assert "radius_inverse_sampled" in full
+    for key in ("radius_inverse", "seminorm_inverse", "half_sum_bound"):
+        assert bare[key] == full[key]
+
+
 # --------------------------------------------------------------------------
 # preconditioners
 

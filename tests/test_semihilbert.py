@@ -73,6 +73,8 @@ def test_zero_weight_context():
     assert ctx.rank == 0
     assert vec_seminorm(ctx, [1.0, 2.0, 3.0]) == 0.0
     assert op_seminorm(ctx, np.ones((3, 3))) == 0.0
+    assert a_numerical_radius(ctx, np.ones((3, 3))) == 0.0
+    assert np.array_equal(a_abs_power(ctx, np.ones((3, 3)), 1.5), np.zeros((3, 3)))
 
 
 def test_context_factors_read_only(identity_ctx):
@@ -134,8 +136,8 @@ def test_double_adjoint_is_range_compression(rng):
 def test_reduce_of_adjoint_is_conjugate_transpose(rng):
     ctx = random_context(rng, 3, rank=2)
     t = cgauss(rng, 3, 3)
-    left = reduce(ctx, a_adjoint(ctx, t)).tilde
-    right = reduce(ctx, t).tilde.conj().T
+    left = reduce(ctx, a_adjoint(ctx, t))
+    right = reduce(ctx, t).conj().T
     assert np.allclose(left, right, atol=1e-9)
 
 
@@ -143,13 +145,37 @@ def test_reduce_multiplicative_on_gram_products(rng):
     ctx = random_context(rng, 4, rank=3)
     y = cgauss(rng, 4, 4)
     ys = a_adjoint(ctx, y)
-    yt = reduce(ctx, y).tilde
+    yt = reduce(ctx, y)
     assert np.allclose(
-        reduce(ctx, ys @ y).tilde, yt.conj().T @ yt, atol=1e-8
+        reduce(ctx, ys @ y), yt.conj().T @ yt, atol=1e-8
     )
     assert np.allclose(
-        reduce(ctx, y @ ys).tilde, yt @ yt.conj().T, atol=1e-8
+        reduce(ctx, y @ ys), yt @ yt.conj().T, atol=1e-8
     )
+
+
+def test_reduce_is_rank_by_rank(rng):
+    for rank in (1, 2, 4):
+        ctx = random_context(rng, 4, rank)
+        assert reduce(ctx, cgauss(rng, 4, 4)).shape == (rank, rank)
+
+
+def test_reduction_identities_on_rank_deficient_weights(rng):
+    for n, rank in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3)):
+        ctx = random_context(rng, n, rank)
+        # adjoint identities need no hypothesis: X and Y move ker(A)
+        x, y = cgauss(rng, n, n), cgauss(rng, n, n)
+        xs = a_adjoint(ctx, x)
+        xt, yt = reduce(ctx, x), reduce(ctx, y)
+        assert np.allclose(reduce(ctx, xs), xt.conj().T, atol=1e-9)
+        assert np.allclose(reduce(ctx, xs @ x), xt.conj().T @ xt, atol=1e-8)
+        assert np.allclose(reduce(ctx, x @ xs), xt @ xt.conj().T, atol=1e-8)
+        # products reduce multiplicatively once the left factor keeps ker(A)
+        xk = x - ctx.range_proj @ x @ (np.eye(n) - ctx.range_proj)
+        assert preserves_kernel(ctx, xk)
+        assert np.allclose(reduce(ctx, xk @ y), reduce(ctx, xk) @ yt, atol=1e-8)
+        # ... and not in general
+        assert not np.allclose(reduce(ctx, x @ y), xt @ yt, atol=1e-6)
 
 
 def test_op_seminorm_is_sup_over_vectors(rng):
@@ -167,7 +193,7 @@ def test_op_seminorm_is_sup_over_vectors(rng):
 def test_identity_weight_reduces_to_classics(rng):
     ctx = make_context(np.eye(4))
     t = cgauss(rng, 4, 4)
-    assert np.allclose(reduce(ctx, t).tilde, t, atol=1e-12)
+    assert np.allclose(reduce(ctx, t), t, atol=1e-12)
     assert np.allclose(a_adjoint(ctx, t), t.conj().T, atol=1e-12)
     assert op_seminorm(ctx, t) == pytest.approx(np.linalg.norm(t, 2), abs=1e-10)
     assert a_numerical_radius(ctx, t) == pytest.approx(
@@ -223,9 +249,9 @@ def test_radius_phase_invariance(rng):
 def test_a_abs_power_squares_to_gram(rng):
     ctx = random_context(rng, 3, rank=2)
     t = cgauss(rng, 3, 3)
-    tt = reduce(ctx, t).tilde
+    tt = reduce(ctx, t)
     # the pullback reduces back to the Gram of the reduction
-    left = reduce(ctx, a_abs_power(ctx, t, 2.0)).tilde
+    left = reduce(ctx, a_abs_power(ctx, t, 2.0))
     assert np.allclose(left, tt.conj().T @ tt, atol=1e-8)
     # power 1 squares to power 2 in the pulled-back picture
     one = a_abs_power(ctx, t, 1.0)
@@ -264,7 +290,7 @@ def test_a_positive_powers_match_reduced_spectral_calculus(rng):
     ctx = random_context(rng, 3, rank=2)
     t = cgauss(rng, 3, 3)
     gram = a_adjoint(ctx, t) @ t  # A-positive by construction
-    red = reduce(ctx, gram).tilde
+    red = reduce(ctx, gram)
     sym = 0.5 * (red + red.conj().T)
     assert np.allclose(
         psd_power(sym, 0.5) @ psd_power(sym, 0.5), sym, atol=1e-8
