@@ -3,8 +3,10 @@
 
 Sweeps every registered inequality over dims x weight kinds with
 per-trial randomized parameters, tabulates violations and sharpest
-relative slacks, and optionally writes the raw campaign reports (JSON)
-for later replay.  Exit status 1 when any violation was found.
+relative slacks next to each id's wall time per trial, and optionally
+writes the raw campaign reports (JSON) for later replay.  The timings are
+printed only: the raw reports are the same on every run.  Exit status 1
+when any violation was found.
 """
 
 import argparse
@@ -33,16 +35,19 @@ def main():
     args = parse_args()
     ids = list(registry_ids())
     combos = [(d, kind) for d in args.dims for kind in args.a_kinds]
-    totals = {iid: {"trials": 0, "violations": 0, "skipped": 0, "min": None}
+    totals = {iid: {"trials": 0, "violations": 0, "skipped": 0, "min": None,
+                     "seconds": 0.0}
               for iid in ids}
     raw = []
     start = time.perf_counter()
     for j, (dim, kind) in enumerate(combos):
         gen = GenSpec(dim=dim, a_kind=kind, seed=args.seed + 17 * dim + j)
-        reports = run_campaign(ids, gen, args.trials_per_combo,
-                               randomize_params=not args.fixed_params)
-        for rep in reports:
-            box = totals[rep.inequality_id]
+        for iid in ids:
+            tick = time.perf_counter()
+            rep = run_campaign(iid, gen, args.trials_per_combo,
+                               randomize_params=not args.fixed_params)[0]
+            box = totals[iid]
+            box["seconds"] += time.perf_counter() - tick
             box["trials"] += rep.trials
             box["violations"] += rep.violations
             box["skipped"] += rep.skipped
@@ -53,13 +58,14 @@ def main():
     elapsed = time.perf_counter() - start
 
     width = max(len(i) for i in ids)
-    print(f"{'id'.ljust(width)}  trials  viol  skip  min rel slack")
-    print("-" * (width + 38))
+    print(f"{'id'.ljust(width)}  trials  viol  skip  min rel slack  ms/trial")
+    print("-" * (width + 48))
     for iid in ids:
         box = totals[iid]
         min_s = "n/a" if box["min"] is None else f"{box['min']:+.3e}"
+        ms = 1e3 * box["seconds"] / box["trials"]
         print(f"{iid.ljust(width)}  {box['trials']:6d}  {box['violations']:4d}"
-              f"  {box['skipped']:4d}  {min_s}")
+              f"  {box['skipped']:4d}  {min_s:>13}  {ms:8.3f}")
     n_viol = sum(b["violations"] for b in totals.values())
     n_trials = sum(b["trials"] for b in totals.values())
     print(f"\n{n_trials} trials over {len(combos)} cells in {elapsed:.1f}s; "

@@ -102,8 +102,6 @@ def dsum_context(ctx: SemiInnerContext, k: int = 2) -> SemiInnerContext:
     return SemiInnerContext(
         a=_frozen(np.kron(eye, ctx.a)),
         a_pinv=_frozen(np.kron(eye, ctx.a_pinv)),
-        a_half=_frozen(np.kron(eye, ctx.a_half)),
-        a_half_pinv=_frozen(np.kron(eye, ctx.a_half_pinv)),
         range_proj=_frozen(np.kron(eye, ctx.range_proj)),
         rank=k * ctx.rank,
         rank_tol=ctx.rank_tol,

@@ -10,6 +10,13 @@ so reruns — serial or parallel — agree byte for byte.
 A campaign never hides a negative result: each violating trial's full
 inputs are serialized into the report for replay, and the sharpest
 (minimal relative slack) satisfying trial is persisted the same way.
+
+Operator bounds are evaluated in chunks of at most ``_CHUNK`` trials,
+batched by weight rank through
+:func:`aradius.inequalities.evaluate_operator_bounds`; lemmas and the
+pointwise bounds are evaluated one trial at a time.  Neither changes a
+result: draws come from each trial's own streams, a batched report is
+bitwise the trial's own, and accounting runs in trial order.
 """
 
 from __future__ import annotations
@@ -22,10 +29,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .inequalities import (
+    OPERATOR_KINDS,
     BoundParams,
     BoundReport,
     DomainViolation,
     evaluate_bound,
+    evaluate_operator_bounds,
     registry_entry,
 )
 from .linalg import DIM_CAP, spectral_norm
@@ -92,6 +101,9 @@ class CampaignReport:
 
 
 _MAX_PERSISTED_VIOLATIONS = 25
+
+#: Most trials of one operator id drawn and evaluated together.
+_CHUNK = 32
 
 
 def _cgauss(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -187,7 +199,7 @@ def _draw_params(rng: np.random.Generator, iid: str) -> BoundParams:
 def _draw_operands(ctx, spec: GenSpec, entry, iid: str, op_seeds, rng):
     t_kind = _T_KIND_OVERRIDES.get(iid, spec.t_kind)
     operands: dict = {}
-    if entry.kind in ("matrix", "single", "product"):
+    if entry.kind in OPERATOR_KINDS:
         for i, name in enumerate(entry.operands):
             ospec = replace(spec, seed=int(op_seeds[i]), t_kind=t_kind)
             operands[name] = gen_operator(ctx, ospec)
@@ -241,6 +253,33 @@ def _crc(iid: str) -> int:
     return zlib.crc32(iid.encode("utf-8")) & 0x7FFFFFFF
 
 
+def _draw_trial(gen: GenSpec, entry, iid: str, k: int, params, randomize_params):
+    """Weight, operands and parameters of trial ``k``, from its own streams."""
+    seeds = np.random.SeedSequence(gen.seed, spawn_key=(_crc(iid), k)).generate_state(8)
+    ctx = gen_context(replace(gen, seed=int(seeds[0])))
+    rng = _rng(gen.seed, _crc(iid), k, 999)
+    trial_params = (
+        _draw_params(rng, iid) if randomize_params else (params or BoundParams())
+    )
+    operands = _draw_operands(ctx, gen, entry, iid, seeds[1:], rng)
+    return ctx, operands, trial_params
+
+
+def _evaluate_chunk(entry, iid: str, draws, tol) -> list[BoundReport]:
+    """Reports of the drawn trials, in order; operator bounds batched by rank."""
+    if entry.kind not in OPERATOR_KINDS:
+        return [evaluate_bound(ctx, iid, ops, prm, tol) for ctx, ops, prm in draws]
+    by_rank: dict[int, list[int]] = {}
+    for i, (ctx, _, _) in enumerate(draws):
+        by_rank.setdefault(ctx.rank, []).append(i)
+    reports: list = [None] * len(draws)
+    for idx in by_rank.values():
+        ctxs, ops, prms = zip(*(draws[i] for i in idx))
+        for i, rep in zip(idx, evaluate_operator_bounds(ctxs, iid, ops, prms)):
+            reports[i] = rep
+    return reports
+
+
 def run_campaign(
     ids: Sequence[str] | str,
     gen: GenSpec,
@@ -272,37 +311,26 @@ def run_campaign(
         min_slack = None
         sharpest = None
         violation_cases: list = []
-        for k in range(trials):
-            seeds = np.random.SeedSequence(
-                gen.seed, spawn_key=(_crc(iid), k)
-            ).generate_state(8)
-            ctx = gen_context(replace(gen, seed=int(seeds[0])))
-            rng = _rng(gen.seed, _crc(iid), k, 999)
-            trial_params = (
-                _draw_params(rng, iid)
-                if randomize_params
-                else (params or BoundParams())
-            )
-            operands = _draw_operands(ctx, gen, entry, iid, seeds[1:], rng)
-            rep = evaluate_bound(ctx, iid, operands, trial_params, tol)
-            if not rep.hypotheses_ok:
-                skipped += 1
-                continue
-            counted += 1
-            slack_sum += rep.rel_slack
-            if min_slack is None or rep.rel_slack < min_slack:
-                min_slack = rep.rel_slack
-                sharpest = _serialize_case(
-                    iid, k, gen, ctx, operands, trial_params, rep, tol
-                )
-            if rep.violated:
-                violations += 1
-                if len(violation_cases) < _MAX_PERSISTED_VIOLATIONS:
-                    violation_cases.append(
-                        _serialize_case(
-                            iid, k, gen, ctx, operands, trial_params, rep, tol
+        for start in range(0, trials, _CHUNK):
+            ks = range(start, min(start + _CHUNK, trials))
+            draws = [
+                _draw_trial(gen, entry, iid, k, params, randomize_params) for k in ks
+            ]
+            for k, draw, rep in zip(ks, draws, _evaluate_chunk(entry, iid, draws, tol)):
+                if not rep.hypotheses_ok:
+                    skipped += 1
+                    continue
+                counted += 1
+                slack_sum += rep.rel_slack
+                if min_slack is None or rep.rel_slack < min_slack:
+                    min_slack = rep.rel_slack
+                    sharpest = _serialize_case(iid, k, gen, *draw, rep, tol)
+                if rep.violated:
+                    violations += 1
+                    if len(violation_cases) < _MAX_PERSISTED_VIOLATIONS:
+                        violation_cases.append(
+                            _serialize_case(iid, k, gen, *draw, rep, tol)
                         )
-                    )
         reports.append(
             CampaignReport(
                 inequality_id=iid,

@@ -32,14 +32,24 @@ as-printed right side is kept in the report intermediates under
 Hypothesis failures (an operand that moves ``ker(A)``, a commutator that
 is not small where one is required) never raise: the report is flagged
 ``hypotheses_ok=False`` and callers treat it as advisory.
+
+Trial axis: the 25 operator bounds (matrix, single-operator and product
+kinds) are evaluated by :func:`evaluate_operator_bounds` on a batch of
+trials whose weights share dimension and rank.  Reduced operands,
+parameters and every intermediate carry a leading trial axis, so each
+radius, SVD and norm of a formula is one stacked numpy call per batch.
+The single-trial entry points (:func:`check_matrix_bound`,
+:func:`check_single_operator_bound`, :func:`check_product_bound`,
+:func:`evaluate_bound`) are batches of one through the same code, and a
+trial's report does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product as _cartesian
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -59,11 +69,15 @@ from .semihilbert import (
     preserves_kernel,
     reduce,
     semi_inner,
+    stack_contexts,
     vec_seminorm,
 )
 
 #: Reports with relative slack at or above this floor count as satisfied.
 VIOLATION_RTOL = -1e-8
+
+#: Registry kinds of the operator bounds, which evaluate in batches.
+OPERATOR_KINDS = ("matrix", "single", "product")
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -176,11 +190,11 @@ def _report(iid, lhs, rhs, intermediates, hypotheses_ok, params) -> BoundReport:
 # -- coefficient helpers ------------------------------------------------
 
 
-def _max1(v: float) -> float:
-    return max(1.0, v)
+def _max1(v):
+    return np.maximum(1.0, v)
 
 
-def _delta_pair(alpha: complex, beta: float) -> tuple[float, float]:
+def _delta_pair(alpha, beta):
     aa = abs(alpha) ** 2
     m2 = _max1(abs(alpha - 1.0) ** 2)
     d1 = (2.0 * (beta + 1.0) * m2 + 2.0 * beta) / (aa * (beta + 1.0))
@@ -188,7 +202,7 @@ def _delta_pair(alpha: complex, beta: float) -> tuple[float, float]:
     return d1, d2
 
 
-def _chi(alpha: complex, beta: float) -> tuple[float, float, float, float]:
+def _chi(alpha, beta):
     aa = abs(alpha) ** 2
     m1 = _max1(abs(alpha - 1.0))
     m2 = _max1(abs(alpha - 1.0) ** 2)
@@ -204,33 +218,54 @@ def _chi(alpha: complex, beta: float) -> tuple[float, float, float, float]:
 
 
 class _Factors:
-    """A reduced operand ``T~ = U S V*`` with its SVD, computed once.
+    """A stack ``(k, r, r)`` of reduced operands ``T~ = U S V*`` with their SVDs.
 
     ``abs_pow(p) = |T~|^p = V S^p V*`` and ``adj_abs_pow(p) = |T~*|^p =
     U S^p U*`` follow the ``0^p = 0`` convention of
-    :func:`aradius.linalg.psd_power`; ``S[0]`` is the seminorm of ``T``.
+    :func:`aradius.linalg.psd_power`; ``S[:, 0]`` is the seminorm of each
+    trial's ``T``.  An exponent is a scalar or one value per trial.
     """
 
-    def __init__(self, t: np.ndarray):
-        self.t = t
-        self.u, self.s, self.vh = np.linalg.svd(t)
+    def __init__(self, t, u, s, vh):
+        self.t, self.u, self.s, self.vh = t, u, s, vh
+
+    @classmethod
+    def of(cls, t: np.ndarray) -> "_Factors":
+        return cls(t, *np.linalg.svd(t))
+
+    def split(self, parts: int) -> list["_Factors"]:
+        """The stack cut into ``parts`` consecutive stacks of equal length."""
+        size = len(self.t) // parts
+        cuts = [slice(j * size, (j + 1) * size) for j in range(parts)]
+        return [_Factors(self.t[c], self.u[c], self.s[c], self.vh[c]) for c in cuts]
 
     @property
-    def norm(self) -> float:
-        return float(self.s[0])
+    def norm(self) -> np.ndarray:
+        return self.s[:, 0]
 
-    def _spow(self, p: float) -> np.ndarray:
+    def _spow(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=np.float64)[..., None]
         return np.power(self.s, p, out=np.zeros_like(self.s), where=self.s > 0.0)
 
-    def norm_pow(self, p: float) -> float:
+    def norm_pow(self, p) -> np.ndarray:
         """``|| |T~|^p || = || |T~*|^p ||``."""
-        return float(self._spow(p)[0])
+        return self._spow(p)[:, 0]
 
-    def abs_pow(self, p: float) -> np.ndarray:
-        return (self.vh.conj().T * self._spow(p)) @ self.vh
+    def abs_pow(self, p) -> np.ndarray:
+        return (_adj(self.vh) * self._spow(p)[:, None, :]) @ self.vh
 
-    def adj_abs_pow(self, p: float) -> np.ndarray:
-        return (self.u * self._spow(p)) @ self.u.conj().T
+    def adj_abs_pow(self, p) -> np.ndarray:
+        return (self.u * self._spow(p)[:, None, :]) @ _adj(self.u)
+
+
+def _adj(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _each(fn, *stacks):
+    """``fn`` of each of several equal-shape stacks, in one stacked call."""
+    return np.split(fn(np.concatenate(stacks)), len(stacks))
 
 
 def _antidiag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -449,10 +484,10 @@ def check_mixed_schwarz(
     comm_ok = comm <= 1e-8 * (1.0 + spectral_norm(ctx.a) * spectral_norm(mat))
     hyp = comm_ok and preserves_kernel(ctx, mat)
     lhs = abs(semi_inner(ctx, mat @ xv, yv))
-    tt = _Factors(reduce(ctx, mat))
+    tt = _Factors.of(reduce(ctx, mat)[None])
     xr, yr = _reduce_vector(ctx, xv), _reduce_vector(ctx, yv)
-    q1 = max(float(np.vdot(xr, tt.abs_pow(2.0 * lam) @ xr).real), 0.0)
-    q2 = max(float(np.vdot(yr, tt.adj_abs_pow(2.0 * (1.0 - lam)) @ yr).real), 0.0)
+    q1 = max(float(np.vdot(xr, tt.abs_pow(2.0 * lam)[0] @ xr).real), 0.0)
+    q2 = max(float(np.vdot(yr, tt.adj_abs_pow(2.0 * (1.0 - lam))[0] @ yr).real), 0.0)
     rhs = math.sqrt(q1) * math.sqrt(q2)
     inter = {"commutator": comm, "q_x": q1, "q_y": q2}
     return _report("mixed_schwarz", lhs, rhs, inter, hyp, params)
@@ -509,7 +544,7 @@ def _m_thm_2_7(ops, params):
     n3 = y.norm_pow(2.0 * lam)
     n4 = x.norm_pow(2.0 * (1.0 - lam))
     lhs = classical_numerical_radius(_antidiag(x.t, y.t))
-    rhs = 0.5 * max(n1 + n2, n3 + n4)
+    rhs = 0.5 * np.maximum(n1 + n2, n3 + n4)
     inter = {
         "norm_abs_x_pow": n1,
         "norm_abs_yadj_pow": n2,
@@ -523,7 +558,9 @@ def _m_thm_2_7(ops, params):
 def _m_thm_2_8(ops, params):
     x, y = ops["X"], ops["Y"]
     u, v = x.norm, y.norm
-    lam_star, bound = _refined_alpha_min(u, v)
+    lam_star, bound = np.array(
+        [_refined_alpha_min(a, b) for a, b in zip(u.tolist(), v.tolist())]
+    ).T
     lhs = classical_numerical_radius(_antidiag(x.t, y.t))
     # Minimizing the four-term family over l lands at l = 1/2 (each
     # pairing is convex in l and the two swap under l <-> 1-l), so the
@@ -536,7 +573,7 @@ def _m_thm_2_8(ops, params):
         "lam_star": lam_star,
         "seminorm_x": u,
         "seminorm_yadj": v,
-        "degenerate": float(min(u, v) == 0.0),
+        "degenerate": np.minimum(u, v) == 0.0,
         "rhs_as_displayed": bound,
     }
     return lhs, rhs, inter
@@ -547,11 +584,10 @@ def _radius_pair_bound(ops, r, lam):
     x, y = ops["X"], ops["Y"]
     s1 = x.abs_pow(2.0 * r * lam) + y.adj_abs_pow(2.0 * r * (1.0 - lam))
     s2 = y.abs_pow(2.0 * r * lam) + x.adj_abs_pow(2.0 * r * (1.0 - lam))
-    w1 = classical_numerical_radius(s1)
-    w2 = classical_numerical_radius(s2)
+    w1, w2 = _each(classical_numerical_radius, s1, s2)
     w_block = classical_numerical_radius(_antidiag(x.t, y.t))
     lhs = w_block**r
-    rhs = 2.0 ** (r - 2.0) * math.sqrt(w1) * math.sqrt(w2)
+    rhs = 2.0 ** (r - 2.0) * np.sqrt(w1) * np.sqrt(w2)
     inter = {"radius_sum_1": w1, "radius_sum_2": w2, "block_radius": w_block}
     return lhs, rhs, inter
 
@@ -567,12 +603,14 @@ def _m_rem_2_12(ops, params):
 def _m_moby_a1(ops, params):
     x, y = ops["X"], ops["Y"]
     d1, d2 = _delta_pair(params.alpha, params.beta)
-    m1 = spectral_norm(x.abs_pow(2.0) + y.adj_abs_pow(2.0))
-    m2 = spectral_norm(x.adj_abs_pow(2.0) + y.abs_pow(2.0))
-    w_xy = classical_numerical_radius(x.t @ y.t)
-    w_yx = classical_numerical_radius(y.t @ x.t)
+    m1, m2 = _each(
+        spectral_norm,
+        x.abs_pow(2.0) + y.adj_abs_pow(2.0),
+        x.adj_abs_pow(2.0) + y.abs_pow(2.0),
+    )
+    w_xy, w_yx = _each(classical_numerical_radius, x.t @ y.t, y.t @ x.t)
     lhs = classical_numerical_radius(_antidiag(x.t, y.t)) ** 4
-    rhs = 0.25 * d1 * max(m1**2, m2**2) + d2 * max(w_xy**2, w_yx**2)
+    rhs = 0.25 * d1 * np.maximum(m1**2, m2**2) + d2 * np.maximum(w_xy**2, w_yx**2)
     inter = {
         "delta_1": d1,
         "delta_2": d2,
@@ -586,17 +624,18 @@ def _m_moby_a1(ops, params):
 
 def _power_sum_norms(x, y, r):
     """The pair ||(Y#Y)^r + (XX#)^r||_A and ||(X#X)^r + (YY#)^r||_A."""
-    lam_r = spectral_norm(y.abs_pow(2.0 * r) + x.adj_abs_pow(2.0 * r))
-    mu_r = spectral_norm(x.abs_pow(2.0 * r) + y.adj_abs_pow(2.0 * r))
-    return lam_r, mu_r
+    return _each(
+        spectral_norm,
+        y.abs_pow(2.0 * r) + x.adj_abs_pow(2.0 * r),
+        x.abs_pow(2.0 * r) + y.adj_abs_pow(2.0 * r),
+    )
 
 
 def _power_sum_core(ops, r):
     """The power-sum pair, both cross radii and the block radius."""
     x, y = ops["X"], ops["Y"]
     lam_r, mu_r = _power_sum_norms(x, y, r)
-    w_xy = classical_numerical_radius(x.t @ y.t)
-    w_yx = classical_numerical_radius(y.t @ x.t)
+    w_xy, w_yx = _each(classical_numerical_radius, x.t @ y.t, y.t @ x.t)
     w_block = classical_numerical_radius(_antidiag(x.t, y.t))
     inter = {
         "power_sum_1": lam_r,
@@ -611,9 +650,9 @@ def _m_ramadan1(ops, params):
     be, r = params.beta, params.r
     lam_r, mu_r, w_xy, w_yx, w_block, inter = _power_sum_core(ops, r)
     lhs = w_block ** (4.0 * r)
-    rhs = (2.0 * be + 1.0) / (16.0 * (be + 1.0)) * max(lam_r**2, mu_r**2) + (
+    rhs = (2.0 * be + 1.0) / (16.0 * (be + 1.0)) * np.maximum(lam_r**2, mu_r**2) + (
         2.0 * be + 3.0
-    ) / (8.0 * (be + 1.0)) * max(lam_r, mu_r) * max(w_xy**r, w_yx**r)
+    ) / (8.0 * (be + 1.0)) * np.maximum(lam_r, mu_r) * np.maximum(w_xy**r, w_yx**r)
     return lhs, rhs, inter
 
 
@@ -621,9 +660,9 @@ def _m_thm_beta(ops, params):
     be, r = params.beta, params.r
     lam_r, mu_r, w_xy, w_yx, w_block, inter = _power_sum_core(ops, r)
     lhs = w_block ** (4.0 * r)
-    rhs = (2.0 * be + 1.0) / (8.0 * (be + 1.0)) * max(lam_r**2, mu_r**2) + max(
-        w_xy ** (2.0 * r), w_yx ** (2.0 * r)
-    ) / (2.0 * (be + 1.0))
+    rhs = (2.0 * be + 1.0) / (8.0 * (be + 1.0)) * np.maximum(
+        lam_r**2, mu_r**2
+    ) + np.maximum(w_xy ** (2.0 * r), w_yx ** (2.0 * r)) / (2.0 * (be + 1.0))
     return lhs, rhs, inter
 
 
@@ -633,30 +672,30 @@ def _m_thm_alpha(ops, params):
     c1 = 2.0 ** (r - 2.0) * _max1(abs(al - 1.0) ** r) / abs(al) ** r
     c2 = 2.0 ** (r - 1.0) / abs(al) ** r
     lhs = w_block ** (2.0 * r)
-    rhs = c1 * max(lam_r, mu_r) + c2 * max(w_xy**r, w_yx**r)
+    rhs = c1 * np.maximum(lam_r, mu_r) + c2 * np.maximum(w_xy**r, w_yx**r)
     return lhs, rhs, inter
 
 
 def _m_thm_2_16(ops, params):
     x, y = ops["X"], ops["Y"]
     be, r, lam, p, q = params.beta, params.r, params.lam, params.p, params.q
-    if p * r < 2.0 - 1e-12 or q * r < 2.0 - 1e-12:
+    if np.any((p * r < 2.0 - 1e-12) | (q * r < 2.0 - 1e-12)):
         raise DomainViolation("this bound requires p*r >= 2 and q*r >= 2")
     lam_r, delta_r = _power_sum_norms(x, y, r)
     # |XY|^s and |Y#X#|^s = |(XY)*|^s share the SVD of X~Y~ (likewise YX).
-    xy, yx = _Factors(x.t @ y.t), _Factors(y.t @ x.t)
-    rho = spectral_norm(
-        xy.abs_pow(lam * p * r) / p + xy.adj_abs_pow((1.0 - lam) * q * r) / q
-    )
-    sigma = spectral_norm(
-        yx.abs_pow(lam * p * r) / p + yx.adj_abs_pow((1.0 - lam) * q * r) / q
+    xy, yx = _Factors.of(np.concatenate([x.t @ y.t, y.t @ x.t])).split(2)
+    pm, qm = p[:, None, None], q[:, None, None]
+    rho, sigma = _each(
+        spectral_norm,
+        xy.abs_pow(lam * p * r) / pm + xy.adj_abs_pow((1.0 - lam) * q * r) / qm,
+        yx.abs_pow(lam * p * r) / pm + yx.adj_abs_pow((1.0 - lam) * q * r) / qm,
     )
     lhs = classical_numerical_radius(_antidiag(x.t, y.t)) ** (4.0 * r)
     g1 = (2.0 * be + 1.0) / (be + 1.0)
     g2 = (2.0 * be + 3.0) / (be + 1.0)
-    rhs = g1 / 16.0 * max(lam_r**2, delta_r**2) + g2 / 8.0 * max(lam_r, delta_r) * max(
-        rho, sigma
-    )
+    rhs = g1 / 16.0 * np.maximum(lam_r**2, delta_r**2) + g2 / 8.0 * np.maximum(
+        lam_r, delta_r
+    ) * np.maximum(rho, sigma)
     inter = {
         "power_sum_1": lam_r,
         "power_sum_2": delta_r,
@@ -669,12 +708,18 @@ def _m_thm_2_16(ops, params):
 
 def _kz_core(ops):
     f, x, y, k = ops["F"], ops["X"], ops["Y"], ops["K"]
-    a_val = spectral_norm(f.abs_pow(4.0) + x.adj_abs_pow(4.0))
-    b_val = spectral_norm(k.abs_pow(4.0) + y.adj_abs_pow(4.0))
-    c_val = spectral_norm(f.abs_pow(2.0) + x.adj_abs_pow(2.0))
-    d_val = spectral_norm(k.abs_pow(2.0) + y.adj_abs_pow(2.0))
-    w_r = classical_numerical_radius(_antidiag(x.t @ k.t, y.t @ f.t))
-    w_full = classical_numerical_radius(np.block([[f.t, x.t], [y.t, k.t]]))
+    a_val, b_val, c_val, d_val = _each(
+        spectral_norm,
+        f.abs_pow(4.0) + x.adj_abs_pow(4.0),
+        k.abs_pow(4.0) + y.adj_abs_pow(4.0),
+        f.abs_pow(2.0) + x.adj_abs_pow(2.0),
+        k.abs_pow(2.0) + y.adj_abs_pow(2.0),
+    )
+    w_r, w_full = _each(
+        classical_numerical_radius,
+        _antidiag(x.t @ k.t, y.t @ f.t),
+        np.block([[f.t, x.t], [y.t, k.t]]),
+    )
     return a_val, b_val, c_val, d_val, w_r, w_full
 
 
@@ -683,8 +728,8 @@ def _m_kz(ops, params):
     a_val, b_val, c_val, d_val, w_r, w_full = _kz_core(ops)
     lhs = w_full**4
     rhs = (
-        (2.0 + 4.0 * chi1) * max(a_val, b_val)
-        + 4.0 * chi2 * max(c_val, d_val) * w_r
+        (2.0 + 4.0 * chi1) * np.maximum(a_val, b_val)
+        + 4.0 * chi2 * np.maximum(c_val, d_val) * w_r
         + 4.0 * w_r**2
     )
     inter = {
@@ -706,8 +751,8 @@ def _m_modified_kz(ops, params):
     a_val, b_val, c_val, d_val, w_r, w_full = _kz_core(ops)
     lhs = w_full**4
     rhs = (
-        (2.0 + 2.0 * chi1 + 2.0 * chi3) * max(a_val, b_val)
-        + (2.0 * chi2 + 2.0 * mu * chi4) * max(c_val, d_val) * w_r
+        (2.0 + 2.0 * chi1 + 2.0 * chi3) * np.maximum(a_val, b_val)
+        + (2.0 * chi2 + 2.0 * mu * chi4) * np.maximum(c_val, d_val) * w_r
         + (4.0 + 4.0 * (1.0 - mu) * chi4) * w_r**2
     )
     inter = {
@@ -734,8 +779,7 @@ def _abs_sum_norm(m, s):
 
 def _single_core(m, r):
     n_r = _abs_sum_norm(m, 2.0 * r)
-    w_sq = classical_numerical_radius(m.t @ m.t)
-    w_m = classical_numerical_radius(m.t)
+    w_sq, w_m = _each(classical_numerical_radius, m.t @ m.t, m.t)
     return n_r, w_sq, w_m
 
 
@@ -835,11 +879,17 @@ def _s_modified_kz_cor(ops, params):
 def _prod_core(ops, r):
     t1, t2, s1, s2 = ops["T1"], ops["T2"], ops["S1"], ops["S2"]
     ss, tt = _antidiag(s1.t, s2.t), _antidiag(t1.t, t2.t)
-    w_prod = classical_numerical_radius(ss.conj().T @ tt)
-    phi = spectral_norm(t2.abs_pow(4.0 * r) + s2.abs_pow(4.0 * r))
-    psi = spectral_norm(t1.abs_pow(4.0 * r) + s1.abs_pow(4.0 * r))
-    w2 = classical_numerical_radius(s2.abs_pow(2.0) @ t2.abs_pow(2.0))
-    w1 = classical_numerical_radius(s1.abs_pow(2.0) @ t1.abs_pow(2.0))
+    w_prod = classical_numerical_radius(_adj(ss) @ tt)
+    phi, psi = _each(
+        spectral_norm,
+        t2.abs_pow(4.0 * r) + s2.abs_pow(4.0 * r),
+        t1.abs_pow(4.0 * r) + s1.abs_pow(4.0 * r),
+    )
+    w2, w1 = _each(
+        classical_numerical_radius,
+        s2.abs_pow(2.0) @ t2.abs_pow(2.0),
+        s1.abs_pow(2.0) @ t1.abs_pow(2.0),
+    )
     inter = {
         "power_sum_2": phi,
         "power_sum_1": psi,
@@ -854,9 +904,9 @@ def _p_prod1(ops, params):
     be, r = params.beta, params.r
     w_prod, phi, psi, w2, w1, inter = _prod_core(ops, r)
     lhs = w_prod ** (4.0 * r)
-    rhs = (1.0 + 2.0 * be) / (16.0 * (be + 1.0)) * max(phi**2, psi**2) + (
+    rhs = (1.0 + 2.0 * be) / (16.0 * (be + 1.0)) * np.maximum(phi**2, psi**2) + (
         3.0 + 2.0 * be
-    ) / (8.0 * (be + 1.0)) * max(phi, psi) * max(w2**r, w1**r)
+    ) / (8.0 * (be + 1.0)) * np.maximum(phi, psi) * np.maximum(w2**r, w1**r)
     return lhs, rhs, inter
 
 
@@ -864,28 +914,27 @@ def _p_prod2(ops, params):
     be, r = params.beta, params.r
     w_prod, phi, psi, w2, w1, inter = _prod_core(ops, r)
     lhs = w_prod ** (4.0 * r)
-    rhs = (1.0 + 2.0 * be) / (8.0 * (be + 1.0)) * max(phi**2, psi**2) + max(
-        w2 ** (2.0 * r), w1 ** (2.0 * r)
-    ) / (2.0 * (be + 1.0))
+    rhs = (1.0 + 2.0 * be) / (8.0 * (be + 1.0)) * np.maximum(
+        phi**2, psi**2
+    ) + np.maximum(w2 ** (2.0 * r), w1 ** (2.0 * r)) / (2.0 * (be + 1.0))
     return lhs, rhs, inter
 
 
-def _pair_core(ops, r):
+def _pair_core(ops, r, *more):
+    """``|| |F~|^4r + |K~|^4r ||``, then the radii of ``K~* F~`` and of ``more``."""
     f, k = ops["F"], ops["K"]
     n2r = spectral_norm(f.abs_pow(4.0 * r) + k.abs_pow(4.0 * r))
-    w_pair = classical_numerical_radius(k.t.conj().T @ f.t)
-    return n2r, w_pair
+    return n2r, *_each(classical_numerical_radius, _adj(k.t) @ f.t, *more)
 
 
-def _gram_radius(ops):
-    """Radius of ``K#K F#F``."""
-    return classical_numerical_radius(ops["K"].abs_pow(2.0) @ ops["F"].abs_pow(2.0))
+def _gram(ops):
+    """The reduction of ``K#K F#F``."""
+    return ops["K"].abs_pow(2.0) @ ops["F"].abs_pow(2.0)
 
 
 def _p_cor_prod(ops, params):
     be, r = params.beta, params.r
-    n2r, w_pair = _pair_core(ops, r)
-    w_gram = _gram_radius(ops)
+    n2r, w_pair, w_gram = _pair_core(ops, r, _gram(ops))
     lhs = w_pair ** (4.0 * r)
     rhs = (1.0 + 2.0 * be) / (16.0 * (be + 1.0)) * n2r**2 + (3.0 + 2.0 * be) / (
         8.0 * (be + 1.0)
@@ -895,8 +944,7 @@ def _p_cor_prod(ops, params):
 
 def _p_cor_prod_a(ops, params):
     be, r = params.beta, params.r
-    n2r, w_pair = _pair_core(ops, r)
-    w_gram = _gram_radius(ops)
+    n2r, w_pair, w_gram = _pair_core(ops, r, _gram(ops))
     lhs = w_pair ** (4.0 * r)
     rhs = (1.0 + 2.0 * be) / (8.0 * (be + 1.0)) * n2r**2 + w_gram ** (2.0 * r) / (
         2.0 * (be + 1.0)
@@ -994,27 +1042,68 @@ def _run_operator_bound(ctx, iid, kind, ops_in, params):
     entry = registry_entry(iid)
     if entry.kind != kind:
         raise UnknownId(f"{iid!r} is not a {kind} bound")
-    params = params or BoundParams()
-    mats = {}
-    for name in entry.operands:
-        if name not in ops_in:
-            raise DomainViolation(f"{iid!r} requires operand {name!r}")
-        mats[name] = as_matrix(ops_in[name], square=True)
-        if mats[name].shape[0] != ctx.dim:
+    return evaluate_operator_bounds([ctx], iid, [ops_in], [params])[0]
+
+
+def evaluate_operator_bounds(
+    ctxs: Sequence[SemiInnerContext],
+    inequality_id: str,
+    operands: Sequence[Mapping[str, np.ndarray]],
+    params: Sequence[BoundParams | None],
+) -> list[BoundReport]:
+    """Evaluate one operator bound on a batch of trials, one report each.
+
+    Trial ``i`` is ``ctxs[i]``, ``operands[i]`` and ``params[i]`` (``None``
+    for the defaults); the weights must share dimension and rank.  The
+    formula runs once over the batch, with a leading trial axis on every
+    reduced operand, parameter and intermediate, and each trial's report
+    is bitwise the one the batch of that trial alone gives.
+    """
+    entry = registry_entry(inequality_id)
+    if entry.kind not in OPERATOR_KINDS:
+        raise UnknownId(f"{inequality_id!r} is not an operator bound")
+    k = len(ctxs)
+    if not k or len(operands) != k or len(params) != k:
+        raise DomainViolation(
+            "a batch needs one weight, operand set and parameter set per trial"
+        )
+    params = [p or BoundParams() for p in params]
+    names = entry.operands
+    stacks = []
+    for name in names:
+        if any(name not in ops for ops in operands):
+            raise DomainViolation(f"{inequality_id!r} requires operand {name!r}")
+        stack = np.array([as_matrix(ops[name], square=True) for ops in operands])
+        if stack.shape[-1] != ctxs[0].dim:
             raise DomainViolation(
-                f"operand {name!r} must match the weight dimension {ctx.dim}"
+                f"operand {name!r} must match the weight dimension {ctxs[0].dim}"
             )
+        stacks.append(stack)
+    # All operands go through one reduction, kernel test and SVD: row
+    # j * k + i holds operand j of trial i, under trial i's weight.
+    ctx = stack_contexts(list(ctxs) * len(names))
+    mats = np.concatenate(stacks)
     # Every operator display hypothesizes that its operands map ker(A)
     # into itself; under it the reduction of a product is the product of
     # the reductions, which the formulas rely on.
-    hyp = all(preserves_kernel(ctx, m) for m in mats.values())
+    hyp = np.reshape(preserves_kernel(ctx, mats), (len(names), k)).all(axis=0)
     # A rank-zero weight reduces every operand to the empty matrix; a 1x1
     # zero stands in for it, so every formula takes its zero value.
-    empty = np.zeros((1, 1), dtype=np.complex128)
-    ops = {n: _Factors(reduce(ctx, m) if ctx.rank else empty) for n, m in mats.items()}
-    lhs, rhs, inter = entry.fn(ops, params)
-    inter = {"scale": max(f.norm for f in ops.values()), **inter}
-    return _report(iid, lhs, rhs, inter, hyp, params)
+    reduced = reduce(ctx, mats) if ctx.rank else np.zeros((len(mats), 1, 1), np.complex128)
+    ops = dict(zip(names, _Factors.of(reduced).split(len(names))))
+    keys = [f.name for f in fields(BoundParams)]
+    per_field = {key: np.array([getattr(p, key) for p in params]) for key in keys}
+    lhs, rhs, inter = entry.fn(ops, SimpleNamespace(**per_field))
+    inter = {"scale": np.max([f.norm for f in ops.values()], axis=0), **inter}
+    # every value has one entry per trial
+    lhs, rhs, hyp = lhs.tolist(), rhs.tolist(), hyp.tolist()
+    inter = {name: v.tolist() for name, v in inter.items()}
+    return [
+        _report(
+            inequality_id, lhs[i], rhs[i], {n: v[i] for n, v in inter.items()}, hyp[i], p
+        )
+        for i, p in enumerate(params)
+    ]
 
 
 def check_matrix_bound(
@@ -1180,7 +1269,7 @@ def optimize_params(
     evaluated.  ``tol`` changes no result.
     """
     entry = registry_entry(inequality_id)
-    if entry.kind not in ("matrix", "single", "product"):
+    if entry.kind not in OPERATOR_KINDS:
         raise DomainViolation("optimize_params handles operator bounds only")
     axes: dict[str, tuple] = {}
     pools = {

@@ -6,6 +6,13 @@ relies on: symmetrization before Hermitian eigensolves, eigenvalue
 clamping for positive-semidefinite functional calculus, singular-value
 truncation for pseudoinverses, and a grid-seeded Newton refinement for
 the classical numerical radius.
+
+Stacks: :func:`spectral_norm` and :func:`classical_numerical_radius` take
+either one matrix or a stack ``(k, rows, cols)`` of matrices of one shape
+(see :func:`as_stack`).  A stack returns a length-``k`` array whose entry
+``i`` is bitwise what matrix ``i`` alone returns; a 2-D input is a stack
+of one and returns a float.  Validation and every numpy call then run once
+per stack, which is what makes batched evaluation cheap at small ``n``.
 """
 
 from __future__ import annotations
@@ -26,10 +33,14 @@ HERMITIAN_RTOL = 1e-8
 PSD_CLAMP_RTOL = 1e-9
 
 #: Radius kernel: grid size, angle convergence threshold (an angle error e
-#: at a maximum costs at most lambda * e**2 / 2) and a cap on rounds.
+#: at a maximum costs at most lambda * e**2 / 2) and a cap on rounds; then
+#: the grid's spacing, angles and the phases of its solved half.
 _GRID = 64
 _ANGLE_TOL = 1e-8
 _MAX_ROUNDS = 64
+_DELTA = 2.0 * math.pi / _GRID
+_THETAS = np.arange(_GRID) * _DELTA
+_GRID_PHASE = np.exp(1j * _THETAS[: _GRID // 2])[:, None, None]
 
 
 class DomainError(Exception):
@@ -56,17 +67,13 @@ class ConvergenceFailure(Exception):
     """An iterative kernel failed to converge."""
 
 
-def as_matrix(m, *, square: bool = False, max_dim: int = DIM_CAP) -> np.ndarray:
-    """Validate and return ``m`` as a C-contiguous complex128 matrix.
-
-    Rejects non-2-D input, non-finite entries, and dimensions beyond
-    ``max_dim``.
-    """
+def _checked(m, ndims: tuple[int, ...], square: bool, max_dim: int) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(m, dtype=np.complex128))
-    if out.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got ndim={out.ndim}")
-    rows, cols = out.shape
-    if rows == 0 or cols == 0:
+    if out.ndim not in ndims:
+        want = " or ".join(f"{d}-D" for d in ndims)
+        raise DimensionMismatch(f"expected a {want} array, got ndim={out.ndim}")
+    rows, cols = out.shape[-2:]
+    if out.size == 0:
         raise DimensionMismatch("matrix must be non-empty")
     if max(rows, cols) > max_dim:
         raise DimensionMismatch(f"dimension {max(rows, cols)} exceeds cap {max_dim}")
@@ -75,6 +82,29 @@ def as_matrix(m, *, square: bool = False, max_dim: int = DIM_CAP) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise DomainError("matrix contains non-finite entries")
     return out
+
+
+def as_matrix(m, *, square: bool = False, max_dim: int = DIM_CAP) -> np.ndarray:
+    """Validate and return ``m`` as a C-contiguous complex128 matrix.
+
+    Rejects non-2-D input, non-finite entries, and dimensions beyond
+    ``max_dim``.
+    """
+    return _checked(m, (2,), square, max_dim)
+
+
+def as_stack(m, *, square: bool = False, max_dim: int = DIM_CAP) -> np.ndarray:
+    """Validate ``m`` as one matrix or a non-empty stack ``(k, rows, cols)``.
+
+    The checks are those of :func:`as_matrix`, applied to every matrix of
+    the stack at once; the result keeps the input's dimensionality.
+    """
+    return _checked(m, (2, 3), square, max_dim)
+
+
+def _per_input(values: np.ndarray, arr: np.ndarray):
+    """``values`` (one per stacked matrix) as a float when ``arr`` is 2-D."""
+    return float(values[0]) if arr.ndim == 2 else values
 
 
 def as_vector(x, *, dim: int | None = None) -> np.ndarray:
@@ -180,81 +210,119 @@ def psd_power(m, p: float) -> np.ndarray:
     return (vecs * powered) @ vecs.conj().T
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(as_matrix(m), 2))
+def spectral_norm(m):
+    """Largest singular value, of one matrix or of each matrix of a stack."""
+    arr = as_stack(m)
+    return _per_input(np.linalg.svd(arr, compute_uv=False)[..., 0].reshape(-1), arr)
 
 
-def classical_numerical_radius(m, tol: float = 1e-8) -> float:
+def classical_numerical_radius(m, tol: float = 1e-8):
     """Numerical radius ``max |x* M x|`` over unit vectors ``x``.
 
-    Maximizes ``lambda(theta)``, the top eigenvalue of the Hermitian part
-    ``H`` of ``exp(i*theta) * M``.  A ``_GRID``-angle sweep (half of it
-    solved, since ``H(theta + pi) = -H(theta)``) keeps the local maxima
-    within the Lipschitz slack ``||M||_2 * delta`` of the best.  Each starts
-    at the vertex of the parabola through its grid neighbours and takes
-    safeguarded Newton steps on ``lambda'`` in ``[theta - delta, theta +
-    delta]``, all in one stacked ``eigh`` per round: with ``K = dH/dtheta``,
-    ``lambda' = x* K x`` and ``lambda'' = -lambda + 2 sum_j |v_j* K x|^2 /
-    (lambda - lambda_j)`` over the other eigenpairs.  A step becomes
-    bisection when ``lambda'' >= 0`` or it leaves the bracket; rounds end
-    when every angle has converged to ``_ANGLE_TOL``.  Returns the largest
-    ``lambda(theta)`` evaluated: at most the radius up to rounding, but no
-    certified bound.  Hermitian and normal inputs short-circuit to exact
-    eigenvalues.  ``tol`` must be positive and is otherwise unused.
+    ``m`` is one square matrix (the result is a float) or a stack
+    ``(k, n, n)`` (the result is an array of ``k`` radii, each bitwise what
+    its matrix alone gives).  The zero matrix gives 0, and Hermitian and
+    normal matrices (``||M - M*||_F <= 1e-12 ||M||_F``, ``||[M, M*]||_F <=
+    1e-12 ||M||_F^2``: relative, so any scale qualifies) short-circuit to
+    exact eigenvalues.  Every other matrix maximizes ``lambda(theta)``, the
+    top eigenvalue of the Hermitian part ``H`` of ``exp(i*theta) * M``.  A
+    ``_GRID``-angle sweep (half of it solved, since ``H(theta + pi) =
+    -H(theta)``) keeps the matrix's local maxima within the Lipschitz slack
+    ``||M||_2 * delta`` of its best.  Each starts at the vertex of the
+    parabola through its grid neighbours and takes safeguarded Newton steps
+    on ``lambda'`` in ``[theta - delta, theta + delta]``, the candidates of
+    all matrices in one stacked ``eigh`` per round: with ``K =
+    dH/dtheta``, ``lambda' = x* K x`` and ``lambda'' = -lambda + 2 sum_j
+    |v_j* K x|^2 / (lambda - lambda_j)`` over the other eigenpairs.  A step
+    becomes bisection when ``lambda'' >= 0`` or it leaves the bracket; a
+    candidate stops when its angle has converged to ``_ANGLE_TOL``.  Each
+    matrix gets the largest ``lambda(theta)`` evaluated for it: at most its
+    radius up to rounding, but no certified bound.  ``tol`` must be
+    positive and is otherwise unused.
     """
-    mat = as_matrix(m, square=True)
+    arr = as_stack(m, square=True)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    nrm = spectral_norm(mat)
-    if nrm == 0.0:
-        return 0.0
-    fro = float(np.linalg.norm(mat))
-    adj = mat.conj().T
-    if float(np.linalg.norm(mat - adj)) <= 1e-12 * (1.0 + fro):
-        sym = 0.5 * (mat + adj)
-        return float(np.max(np.abs(np.linalg.eigvalsh(sym))))
-    commutator = mat @ adj - adj @ mat
-    if float(np.linalg.norm(commutator)) <= 1e-12 * (1.0 + fro * fro):
-        return float(np.max(np.abs(np.linalg.eigvals(mat))))
-
-    def hermitian_parts(t):
-        phase = np.exp(1j * t)[:, None, None]
-        return phase[:, 0], 0.5 * (phase * mat + np.conj(phase) * adj)
-
-    delta = 2.0 * math.pi / _GRID
-    thetas = np.arange(_GRID) * delta
+    mats = arr.reshape((-1,) + arr.shape[-2:])
+    adj = mats.conj().transpose(0, 2, 1)
+    nrm = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    fro = np.linalg.norm(mats, axis=(1, 2))
+    skew = np.linalg.norm(mats - adj, axis=(1, 2)) > 1e-12 * fro
+    herm, rest = np.flatnonzero((nrm > 0.0) & ~skew), np.flatnonzero(skew)
+    out = np.zeros(len(mats))
     try:
-        ends = np.linalg.eigvalsh(hermitian_parts(thetas[: _GRID // 2])[1])
-        vals = np.concatenate([ends[:, -1], -ends[:, 0]])
-        best = float(np.max(vals))
-        ring = np.concatenate([vals[-1:], vals, vals[:1]])
-        sel = (vals >= ring[:-2]) & (vals >= ring[2:]) & (vals + nrm * delta >= best)
-        prev, mid, nxt, t = ring[:-2][sel], vals[sel], ring[2:][sel], thetas[sel]
-        lo, hi = t - delta, t + delta
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shift = np.nan_to_num(0.5 * delta * (prev - nxt) / (prev - 2 * mid + nxt))
-        t = t + np.clip(shift, -0.5 * delta, 0.5 * delta)
-        for _ in range(_MAX_ROUNDS):
-            phase, h = hermitian_parts(t)
-            lams, vecs = np.linalg.eigh(h)
-            lam, x = lams[:, -1], vecs[:, :, -1]
-            best = max(best, float(np.max(lam)))
-            kx = 0.5j * (phase * (x @ mat.T) - np.conj(phase) * (x @ adj.T))
-            coup = np.einsum("kij,ki->kj", vecs.conj(), kx)
-            d1 = coup[:, -1].real
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gaps = lam[:, None] - lams[:, :-1]
-                d2 = -lam + 2.0 * np.sum(np.abs(coup[:, :-1]) ** 2 / gaps, axis=1)
-                step = t - d1 / d2
-            lo = np.where(d1 > 0.0, t, lo)
-            hi = np.where(d1 < 0.0, t, hi)
-            newton = np.isfinite(step) & (d2 < 0.0) & (step >= lo) & (step <= hi)
-            t_new = np.where(newton, step, 0.5 * (lo + hi))
-            live = np.abs(t_new - t) > _ANGLE_TOL
-            if not np.any(live):
-                break
-            t, lo, hi = t_new[live], lo[live], hi[live]
+        if herm.size:
+            sym = 0.5 * (mats[herm] + adj[herm])
+            out[herm] = np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
+        if rest.size:
+            m_r, a_r = mats[rest], adj[rest]
+            comm = np.linalg.norm(m_r @ a_r - a_r @ m_r, axis=(1, 2))
+            normal = comm <= 1e-12 * fro[rest] ** 2
+            if normal.any():
+                out[rest[normal]] = np.abs(np.linalg.eigvals(m_r[normal])).max(axis=1)
+            general = ~normal
+            if general.any():
+                out[rest[general]] = _refined_radius(
+                    m_r[general], a_r[general], nrm[rest[general]]
+                )
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"radius eigensolve failed: {exc}") from exc
+    return _per_input(out, arr)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _refined_radius(mats: np.ndarray, adj: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """Grid and Newton refinement of :func:`classical_numerical_radius`.
+
+    Candidate ``c`` belongs to matrix ``owner[c]``; every per-candidate
+    quantity is computed by elementwise or per-matrix numpy calls, so a
+    candidate follows the same iterates whatever else is in the stack.
+    Flat and converged stretches divide zero by zero; ``nan_to_num``, the
+    bracket test and ``isfinite`` absorb the results.
+    """
+
+    def hermitian_part(phase, m, a):
+        h = phase * m
+        h += np.conj(phase) * a
+        h *= 0.5
+        return h
+
+    def apply(m_own, x):
+        return (m_own @ x[:, :, None])[:, :, 0]
+
+    ends = np.linalg.eigvalsh(hermitian_part(_GRID_PHASE, mats[:, None], adj[:, None]))
+    vals = np.concatenate([ends[:, :, -1], -ends[:, :, 0]], axis=1)
+    best = np.max(vals, axis=1)
+    ring = np.concatenate([vals[:, -1:], vals, vals[:, :1]], axis=1)
+    sel = (
+        (vals >= ring[:, :-2])
+        & (vals >= ring[:, 2:])
+        & (vals + nrm[:, None] * _DELTA >= best[:, None])
+    )
+    owner, idx = np.nonzero(sel)
+    prev, mid, nxt, t = ring[:, :-2][sel], vals[sel], ring[:, 2:][sel], _THETAS[idx]
+    lo, hi = t - _DELTA, t + _DELTA
+    shift = np.nan_to_num(0.5 * _DELTA * (prev - nxt) / (prev - 2 * mid + nxt))
+    t = t + np.clip(shift, -0.5 * _DELTA, 0.5 * _DELTA)
+    m_own, a_own = mats[owner], adj[owner]
+    for _ in range(_MAX_ROUNDS):
+        phase = np.exp(1j * t)[:, None]
+        lams, vecs = np.linalg.eigh(hermitian_part(phase[:, :, None], m_own, a_own))
+        lam, x = lams[:, -1], vecs[:, :, -1]
+        np.maximum.at(best, owner, lam)
+        kx = 0.5j * (phase * apply(m_own, x) - np.conj(phase) * apply(a_own, x))
+        coup = apply(vecs.conj().transpose(0, 2, 1), kx)
+        d1 = coup[:, -1].real
+        gaps = lam[:, None] - lams[:, :-1]
+        d2 = -lam + 2.0 * np.sum(np.abs(coup[:, :-1]) ** 2 / gaps, axis=1)
+        step = t - d1 / d2
+        lo = np.where(d1 > 0.0, t, lo)
+        hi = np.where(d1 < 0.0, t, hi)
+        newton = np.isfinite(step) & (d2 < 0.0) & (step >= lo) & (step <= hi)
+        t_new = np.where(newton, step, 0.5 * (lo + hi))
+        moving = np.abs(t_new - t) > _ANGLE_TOL
+        if not moving.any():
+            break
+        t, lo, hi = t_new[moving], lo[moving], hi[moving]
+        owner, m_own, a_own = owner[moving], m_own[moving], a_own[moving]
     return best

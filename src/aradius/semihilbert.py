@@ -17,11 +17,18 @@ left factor maps ``ker(A)`` into itself, the reduction of ``S T`` is
 ``S~ T~``; and a block matrix over ``diag(A, A)`` reduces to the block
 matrix of the reduced blocks.  So downstream checkers work on ``r x r``
 matrices only.
+
+Trial axis: :func:`stack_contexts` joins contexts of one dimension and
+rank into one context whose arrays carry a leading trial axis, and
+:func:`reduce` and :func:`preserves_kernel` accept such a context, or a
+stack ``(k, n, n)`` of operators, or both; they return one result per
+trial.  The other functions take one weight and one operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +37,7 @@ from .linalg import (
     DimensionMismatch,
     DomainError,
     as_matrix,
+    as_stack,
     as_vector,
     classical_numerical_radius,
     hermitian_eig,
@@ -55,19 +63,18 @@ class SemiInnerContext:
     a : the weight, exactly symmetrized (bitwise idempotent, so a
         context round-trips through its own ``a``)
     a_pinv : Moore-Penrose pseudoinverse of ``a``
-    a_half : PSD square root of ``a``
-    a_half_pinv : pseudoinverse of ``a_half``
     range_proj : orthogonal projection onto ``ran(a)``
     rank : numerical rank used for all truncations
     rank_tol : relative eigenvalue cutoff that produced ``rank``
     v_r : ``n x rank`` orthonormal eigenvectors of the kept eigenvalues
     sqrt_lam : square roots of the kept eigenvalues, matching ``v_r``
+
+    A context made by :func:`stack_contexts` holds the same fields with a
+    leading trial axis on every array.
     """
 
     a: np.ndarray
     a_pinv: np.ndarray
-    a_half: np.ndarray
-    a_half_pinv: np.ndarray
     range_proj: np.ndarray
     rank: int
     rank_tol: float
@@ -76,7 +83,7 @@ class SemiInnerContext:
 
     @property
     def dim(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -92,8 +99,8 @@ def make_context(a, rank_tol: float = 1e-10, max_dim: int = DIM_CAP) -> SemiInne
     an eigenvalue undershoot of ``1e-9`` times the spectral radius.  All
     factors are built from a single eigendecomposition and one rank
     decision (eigenvalues above ``rank_tol`` times the largest), so the
-    identities ``P = A pinv(A) = pinv(A) A`` and
-    ``a_half_pinv = pinv(a_half)`` hold to rounding.
+    identities ``P = A pinv(A) = pinv(A) A = V_r V_r*`` and
+    ``A = V_r diag(sqrt_lam)^2 V_r*`` hold to rounding.
     """
     if rank_tol <= 0.0:
         raise ValueError("rank_tol must be positive")
@@ -115,26 +122,39 @@ def make_context(a, rank_tol: float = 1e-10, max_dim: int = DIM_CAP) -> SemiInne
     # ``ctx.a`` back through ``make_context`` reproduces every factor
     # bit for bit (persisted cases replay exactly).
     a_sym = 0.5 * (mat + mat.conj().T)
-    a_half = (vecs * np.sqrt(clamped)) @ vecs.conj().T
     if rank:
         a_pinv = (vr / lam) @ vr.conj().T
-        a_half_pinv = (vr / np.sqrt(lam)) @ vr.conj().T
         proj = vr @ vr.conj().T
     else:
         n = mat.shape[0]
         a_pinv = np.zeros((n, n), dtype=np.complex128)
-        a_half_pinv = a_pinv.copy()
         proj = a_pinv.copy()
     return SemiInnerContext(
         a=_frozen(a_sym),
         a_pinv=_frozen(a_pinv),
-        a_half=_frozen(a_half),
-        a_half_pinv=_frozen(a_half_pinv),
         range_proj=_frozen(proj),
         rank=rank,
         rank_tol=rank_tol,
         v_r=_frozen(vr),
         sqrt_lam=_frozen(np.sqrt(lam)),
+    )
+
+
+def stack_contexts(ctxs: Sequence[SemiInnerContext]) -> SemiInnerContext:
+    """Join contexts of one dimension and rank along a leading trial axis."""
+    if not ctxs:
+        raise DimensionMismatch("no contexts to stack")
+    first = ctxs[0]
+    if any(c.dim != first.dim or c.rank != first.rank for c in ctxs):
+        raise DimensionMismatch("stacked contexts must share dimension and rank")
+    return SemiInnerContext(
+        a=_frozen(np.array([c.a for c in ctxs])),
+        a_pinv=_frozen(np.array([c.a_pinv for c in ctxs])),
+        range_proj=_frozen(np.array([c.range_proj for c in ctxs])),
+        rank=first.rank,
+        rank_tol=first.rank_tol,
+        v_r=_frozen(np.array([c.v_r for c in ctxs])),
+        sqrt_lam=_frozen(np.array([c.sqrt_lam for c in ctxs])),
     )
 
 
@@ -161,11 +181,17 @@ def a_adjoint(ctx: SemiInnerContext, t) -> np.ndarray:
 
 
 def reduce(ctx: SemiInnerContext, t) -> np.ndarray:
-    """The ``rank x rank`` reduction ``Lambda^{1/2} V_r* T V_r Lambda^{-1/2}``."""
-    mat = as_matrix(t, square=True)
+    """The ``rank x rank`` reduction ``Lambda^{1/2} V_r* T V_r Lambda^{-1/2}``.
+
+    With a stacked context or a stack of operators, the result is the
+    stack of reductions, one per trial.
+    """
+    mat = as_stack(t, square=True)
     _check_dim(ctx, mat)
     lam_half = ctx.sqrt_lam
-    return lam_half[:, None] * (ctx.v_r.conj().T @ mat @ ctx.v_r) / lam_half
+    vr = ctx.v_r
+    core = vr.conj().swapaxes(-1, -2) @ mat @ vr
+    return lam_half[..., :, None] * core / lam_half[..., None, :]
 
 
 def op_seminorm(ctx: SemiInnerContext, t) -> float:
@@ -251,26 +277,32 @@ def is_a_positive(ctx: SemiInnerContext, t, tol: float = 1e-8) -> bool:
     return float(vals[0]) >= -tol * (1.0 + top)
 
 
-def preserves_kernel(ctx: SemiInnerContext, t, tol: float = 1e-8) -> bool:
+def preserves_kernel(ctx: SemiInnerContext, t, tol: float = 1e-8):
     """True when ``T`` maps ``ker(A)`` into itself within tolerance.
 
     This is exactly the compatibility condition under which the adjoint
     identity ``<Tx, y>_A = <x, T^# y>_A`` holds on all of the space and
     the reduction is multiplicative; every operator inequality in
-    :mod:`aradius.inequalities` hypothesizes it.  Always true for
-    invertible weights.
+    :mod:`aradius.inequalities` hypothesizes it.  The leak ``||V_r* T (I -
+    P)||`` (``r x n``; it equals ``||P T (I - P)||`` because ``V_r`` has
+    orthonormal columns) must be at most ``tol * (1 + ||T||)``.  Always
+    true for invertible weights and for the zero weight.  A stacked
+    context or operator stack gives a boolean array, one per trial.
     """
-    mat = as_matrix(t, square=True)
+    mat = as_stack(t, square=True)
     _check_dim(ctx, mat)
-    if ctx.rank == ctx.dim:
-        return True
-    p = ctx.range_proj
-    leak = p @ mat @ (np.eye(ctx.dim) - p)
+    if ctx.rank in (0, ctx.dim):
+        trials = np.broadcast_shapes(mat.shape[:-2], ctx.a.shape[:-2])
+        return np.full(trials, True) if trials else True
+    vrh = ctx.v_r.conj().swapaxes(-1, -2)
+    image = vrh @ mat
+    leak = image - (image @ ctx.v_r) @ vrh
     return spectral_norm(leak) <= tol * (1.0 + spectral_norm(mat))
 
 
 def _check_dim(ctx: SemiInnerContext, mat: np.ndarray) -> None:
-    if mat.shape[0] != ctx.dim:
+    if mat.shape[-1] != ctx.dim:
         raise DimensionMismatch(
-            f"operator is {mat.shape[0]}x{mat.shape[1]}, weight is {ctx.dim}x{ctx.dim}"
+            f"operator is {mat.shape[-2]}x{mat.shape[-1]}, "
+            f"weight is {ctx.dim}x{ctx.dim}"
         )

@@ -129,6 +129,12 @@ def penrose_defect(m, mp) -> float:
     return float(max(r1, r2, r3, r4))
 
 
+def half_factors(ctx):
+    """``A^{1/2}`` and its pseudoinverse, rebuilt from ``v_r`` and ``sqrt_lam``."""
+    vh = ctx.v_r.conj().T
+    return (ctx.v_r * ctx.sqrt_lam) @ vh, (ctx.v_r / ctx.sqrt_lam) @ vh
+
+
 def a_unit_vector(ctx, rng: np.random.Generator) -> np.ndarray:
     """Random vector normalized to A-norm one (range component kept)."""
     from aradius import vec_seminorm

@@ -20,14 +20,29 @@ from aradius import (
     DomainViolation,
     GenSpec,
     campaign_to_obj,
+    evaluate_bound,
     gen_context,
     gen_operator,
     is_a_positive,
     is_a_selfadjoint,
+    make_context,
     preserves_kernel,
+    registry_entry,
+    registry_ids,
     replay,
     run_campaign,
 )
+from aradius.inequalities import OPERATOR_KINDS
+
+_OPERATOR_IDS = [i for i in registry_ids() if registry_entry(i).kind in OPERATOR_KINDS]
+_REPLAY_CASES = [
+    ("thm_2_10", "dense_psd"),
+    ("kz", "rank_deficient"),
+    ("college1", "diagonal"),
+    ("buzano_beta", "rank_deficient"),
+    ("holder_mccarthy", "dense_psd"),
+    ("jensen", "identity"),
+]
 
 # --------------------------------------------------------------------------
 # GenSpec validation
@@ -217,15 +232,18 @@ def test_run_campaign_pointwise_lemmas_use_admissible_classes():
 
 
 def test_run_campaign_counts_violations_and_caps_persistence(monkeypatch):
-    real = fuzz_mod.evaluate_bound
+    # operator bounds are evaluated in batches; sabotage every report
+    real = fuzz_mod.evaluate_operator_bounds
 
-    def sabotage(ctx, iid, operands, params, tol=None):
-        rep = real(ctx, iid, operands, params, tol)
-        return dataclasses.replace(
-            rep, lhs=rep.rhs + 1.0, slack=-1.0, rel_slack=-1.0, hypotheses_ok=True
-        )
+    def sabotage(ctxs, iid, operands, params):
+        return [
+            dataclasses.replace(
+                rep, lhs=rep.rhs + 1.0, slack=-1.0, rel_slack=-1.0, hypotheses_ok=True
+            )
+            for rep in real(ctxs, iid, operands, params)
+        ]
 
-    monkeypatch.setattr(fuzz_mod, "evaluate_bound", sabotage)
+    monkeypatch.setattr(fuzz_mod, "evaluate_operator_bounds", sabotage)
     rep = run_campaign("thm_2_10", GenSpec(dim=2, seed=2), trials=30)[0]
     assert rep.violations == 30
     assert len(rep.violation_cases) == 25  # persistence is capped
@@ -276,16 +294,16 @@ def test_campaign_to_obj_field_set():
 
 @pytest.mark.parametrize(
     "iid,a_kind",
-    [
-        ("thm_2_10", "dense_psd"),
-        ("kz", "rank_deficient"),
-        ("college1", "diagonal"),
-        ("buzano_beta", "rank_deficient"),
-        ("holder_mccarthy", "dense_psd"),
-        ("jensen", "identity"),
+    _REPLAY_CASES
+    + [
+        (iid, kind)
+        for iid in _OPERATOR_IDS
+        for kind in ("rank_deficient", "dense_psd")
+        if (iid, kind) not in _REPLAY_CASES
     ],
 )
 def test_replay_reproduces_persisted_case_exactly(iid, a_kind):
+    # 8 trials: operator ids are evaluated as one batch, replayed alone
     gen = GenSpec(dim=3, a_kind=a_kind, seed=33)
     rep = run_campaign(iid, gen, trials=8, randomize_params=True)[0]
     case = json.loads(json.dumps(rep.sharpest_case))  # full wire roundtrip
@@ -297,17 +315,19 @@ def test_replay_reproduces_persisted_case_exactly(iid, a_kind):
 
 def test_replay_of_violation_case(monkeypatch):
     # a sabotaged case still replays through the honest evaluator
-    real = fuzz_mod.evaluate_bound
+    real = fuzz_mod.evaluate_operator_bounds
 
-    def sabotage(ctx, iid, operands, params, tol=None):
-        rep = real(ctx, iid, operands, params, tol)
-        return dataclasses.replace(rep, rel_slack=-1.0)
+    def sabotage(ctxs, iid, operands, params):
+        return [
+            dataclasses.replace(rep, rel_slack=-1.0)
+            for rep in real(ctxs, iid, operands, params)
+        ]
 
-    monkeypatch.setattr(fuzz_mod, "evaluate_bound", sabotage)
+    monkeypatch.setattr(fuzz_mod, "evaluate_operator_bounds", sabotage)
     rep = run_campaign("thm_2_10", GenSpec(dim=2, seed=13), trials=2)[0]
     assert rep.violations == 2
     case = rep.violation_cases[0]
-    monkeypatch.setattr(fuzz_mod, "evaluate_bound", real)
+    monkeypatch.setattr(fuzz_mod, "evaluate_operator_bounds", real)
     back = replay(case)
     assert back.lhs == case["lhs"]
     assert back.rhs == case["rhs"]
@@ -331,3 +351,48 @@ def test_sharpest_case_operands_match_registry_shapes():
         "rel_slack",
         "hypotheses_ok",
     }
+
+
+def _rank_mixing_gen_context(monkeypatch):
+    """Make every third trial's weight lose one more rank, so chunks mix ranks."""
+    real = fuzz_mod.gen_context
+
+    def mixed(spec):
+        ctx = real(spec)
+        if spec.seed % 3:
+            return ctx
+        vals, vecs = np.linalg.eigh(ctx.a)
+        vals[-ctx.rank] = 0.0
+        return make_context((vecs * vals) @ vecs.conj().T)
+
+    monkeypatch.setattr(fuzz_mod, "gen_context", mixed)
+
+
+@pytest.mark.parametrize("iid", ["thm_2_8", "kz", "college1", "prod1", "thm_2_16"])
+def test_chunked_campaign_matches_per_trial_loop(monkeypatch, iid):
+    _rank_mixing_gen_context(monkeypatch)
+    gen = GenSpec(dim=4, a_kind="rank_deficient", seed=58)
+    trials = fuzz_mod._CHUNK + 5
+    rep = run_campaign(iid, gen, trials, randomize_params=True)[0]
+    entry = registry_entry(iid)
+    kept = []
+    ranks = set()
+    for k in range(trials):
+        ctx, ops, params = fuzz_mod._draw_trial(gen, entry, iid, k, None, True)
+        ranks.add(ctx.rank)
+        one = evaluate_bound(ctx, iid, ops, params)
+        if one.hypotheses_ok:
+            kept.append((k, one))
+    assert len(ranks) > 1
+    assert rep.skipped == trials - len(kept)
+    k_min, sharpest = kept[0]
+    slack_sum = 0.0
+    for k, one in kept:
+        slack_sum += one.rel_slack
+        if one.rel_slack < sharpest.rel_slack:
+            k_min, sharpest = k, one
+    assert rep.min_rel_slack == sharpest.rel_slack
+    assert rep.mean_rel_slack == slack_sum / len(kept)
+    case = rep.sharpest_case
+    assert case["trial"] == k_min
+    assert (case["lhs"], case["rhs"]) == (sharpest.lhs, sharpest.rhs)

@@ -12,10 +12,13 @@ from aradius import (
     NonSquare,
     NotHermitian,
     NotPSD,
+    a_numerical_radius,
     as_matrix,
+    as_stack,
     as_vector,
     classical_numerical_radius,
     hermitian_eig,
+    make_context,
     pinv,
     psd_power,
     psd_sqrt,
@@ -57,6 +60,19 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(DomainError):
         as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+
+
+def test_as_stack_keeps_ndim_and_rejects_bad_shapes():
+    assert as_stack(np.eye(2)).shape == (2, 2)
+    assert as_stack(np.zeros((3, 2, 2))).shape == (3, 2, 2)
+    with pytest.raises(DimensionMismatch):
+        as_stack(np.zeros((1, 2, 2, 2)))
+    with pytest.raises(DimensionMismatch):
+        as_stack(np.zeros((0, 2, 2)))
+    with pytest.raises(NonSquare):
+        as_stack(np.zeros((3, 2, 3)), square=True)
+    with pytest.raises(DomainError):
+        as_stack(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
 
 
 def test_as_vector_shape_and_dim():
@@ -197,13 +213,17 @@ def test_radius_zero_matrix():
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-7, 1e-6, 1.0, 1e6])
 def test_radius_jordan_block_closed_form(n, scale):
     # W(J_n) is the disk of radius cos(pi/(n+1)), so lambda(theta) is flat:
     # lambda' and lambda'' vanish and the refinement runs on bisection.
+    # Tiny scales check that the normal short-circuit is scale-invariant:
+    # J_n is far from normal at every scale.
     m = scale * np.eye(n, k=1)
     expected = scale * np.cos(np.pi / (n + 1))
     assert classical_numerical_radius(m) == pytest.approx(expected, rel=1e-12)
+    ctx = make_context(np.eye(n))
+    assert a_numerical_radius(ctx, m) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -256,3 +276,26 @@ def test_radius_refinement_matches_oracles(rng, scale):
         grid = oracle_radius_grid(m)
         assert grid <= w * (1.0 + 1e-14)
         assert w - grid <= 1e-7 * w
+
+
+def test_radius_stack_is_bitwise_per_matrix(rng):
+    # zero, Hermitian, normal, Jordan and random matrices at three scales:
+    # every short-circuit and the refinement run in one stacked call
+    for n in range(1, 9):
+        g = cgauss(rng, n, n)
+        u, _ = np.linalg.qr(cgauss(rng, n, n))
+        mats = [
+            np.zeros((n, n)),
+            0.5 * (g + g.conj().T),
+            (u * cgauss(rng, n)) @ u.conj().T,
+            3.0 * np.eye(n, k=1),
+        ] + [s * cgauss(rng, n, n) for s in (1e-6, 1.0, 1e6) for _ in range(2)]
+        stacked = classical_numerical_radius(np.stack(mats))
+        assert stacked.shape == (len(mats),)
+        for m, w in zip(mats, stacked):
+            alone = classical_numerical_radius(m)
+            assert isinstance(alone, float)
+            assert w == alone
+            assert w == pytest.approx(oracle_radius(m), rel=1e-12, abs=1e-300)
+        norms = spectral_norm(np.stack(mats))
+        assert [spectral_norm(m) for m in mats] == norms.tolist()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aradius import (
+    DimensionMismatch,
     NotPositive,
     a_abs_power,
     a_adjoint,
@@ -19,10 +20,11 @@ from aradius import (
     psd_power,
     reduce,
     semi_inner,
+    stack_contexts,
     vec_seminorm,
 )
 
-from conftest import a_unit_vector, cgauss, random_context, random_psd
+from conftest import a_unit_vector, cgauss, half_factors, random_context, random_psd
 
 
 # --------------------------------------------------------------------------
@@ -31,7 +33,7 @@ from conftest import a_unit_vector, cgauss, random_context, random_psd
 
 def test_identity_context_factors(identity_ctx):
     ctx = identity_ctx
-    for factor in (ctx.a, ctx.a_pinv, ctx.a_half, ctx.a_half_pinv, ctx.range_proj):
+    for factor in (ctx.a, ctx.a_pinv, *half_factors(ctx), ctx.range_proj):
         assert np.allclose(factor, np.eye(3), atol=1e-13)
     assert ctx.rank == 3
     assert ctx.dim == 3
@@ -54,18 +56,17 @@ def test_context_factor_identities(rng):
         p = ctx.a @ ctx.a_pinv
         assert np.allclose(p, ctx.range_proj, atol=1e-9)
         assert np.allclose(ctx.a_pinv @ ctx.a, ctx.range_proj, atol=1e-9)
-        assert np.allclose(ctx.a_half @ ctx.a_half, ctx.a, atol=1e-9)
-        assert np.allclose(
-            ctx.a_half @ ctx.a_half_pinv, ctx.range_proj, atol=1e-9
-        )
+        half, half_pinv = half_factors(ctx)
+        assert np.allclose(half @ half, ctx.a, atol=1e-9)
+        assert np.allclose(half @ half_pinv, ctx.range_proj, atol=1e-9)
 
 
 def test_context_roundtrips_through_its_weight(rng):
     ctx = random_context(rng, 3)
     ctx2 = make_context(ctx.a)
     assert np.array_equal(ctx.a, ctx2.a)
-    assert np.array_equal(ctx.a_half, ctx2.a_half)
-    assert np.array_equal(ctx.a_half_pinv, ctx2.a_half_pinv)
+    assert np.array_equal(ctx.v_r, ctx2.v_r)
+    assert np.array_equal(ctx.sqrt_lam, ctx2.sqrt_lam)
 
 
 def test_zero_weight_context():
@@ -260,7 +261,8 @@ def test_a_abs_power_squares_to_gram(rng):
 
 def test_is_a_selfadjoint_and_positive(rng):
     ctx = random_context(rng, 3, rank=2)
-    proj = ctx.a_half_pinv @ ctx.a_half
+    half, half_pinv = half_factors(ctx)
+    proj = half_pinv @ half
     t = cgauss(rng, 3, 3) @ proj  # keeps ker(A) inside itself
     gram = a_adjoint(ctx, t) @ t
     assert is_a_positive(ctx, gram)
@@ -271,6 +273,24 @@ def test_is_a_selfadjoint_and_positive(rng):
     assert not is_a_positive(ctx, raw)
 
 
+def test_stacked_contexts_reduce_and_test_kernel_per_trial(rng):
+    ctxs = [random_context(rng, 4, rank=2) for _ in range(3)]
+    ops = [cgauss(rng, 4, 4) for _ in ctxs]
+    # the second operand keeps ker(A) inside itself, the others need not
+    ops[1] = ops[1] - ctxs[1].range_proj @ ops[1] @ (np.eye(4) - ctxs[1].range_proj)
+    stacked = stack_contexts(ctxs)
+    assert stacked.dim == 4 and stacked.rank == 2
+    red = reduce(stacked, np.stack(ops))
+    assert red.shape == (3, 2, 2)
+    for c, t, r in zip(ctxs, ops, red):
+        assert np.allclose(r, reduce(c, t), rtol=1e-14, atol=0.0)
+    kept = preserves_kernel(stacked, np.stack(ops))
+    assert kept.tolist() == [preserves_kernel(c, t) for c, t in zip(ctxs, ops)]
+    assert kept.tolist() == [False, True, False]
+    with pytest.raises(DimensionMismatch):
+        stack_contexts([ctxs[0], random_context(rng, 4, rank=3)])
+
+
 def test_preserves_kernel_detects_leak():
     a = np.diag([1.0, 1.0, 0.0])
     ctx = make_context(a)
@@ -279,6 +299,7 @@ def test_preserves_kernel_detects_leak():
     assert not preserves_kernel(ctx, leak)
     keep = np.diag([1.0, 2.0, 3.0])
     assert preserves_kernel(ctx, keep)
+    assert preserves_kernel(ctx, np.stack([leak, keep])).tolist() == [False, True]
 
 
 def test_full_rank_everything_preserves_kernel(rng):
