@@ -11,12 +11,11 @@ A campaign never hides a negative result: each violating trial's full
 inputs are serialized into the report for replay, and the sharpest
 (minimal relative slack) satisfying trial is persisted the same way.
 
-Operator bounds are evaluated in chunks of at most ``_CHUNK`` trials,
-batched by weight rank through
-:func:`aradius.inequalities.evaluate_operator_bounds`; lemmas and the
-pointwise bounds are evaluated one trial at a time.  Neither changes a
-result: draws come from each trial's own streams, a batched report is
-bitwise the trial's own, and accounting runs in trial order.
+Every id is drawn in chunks of at most ``MAX_BATCH`` trials, and each
+chunk is evaluated in one batch per weight rank through
+:func:`aradius.inequalities.evaluate_bounds`.  That changes no result:
+draws come from each trial's own streams, a batched report is bitwise the
+trial's own, and accounting runs in trial order.
 """
 
 from __future__ import annotations
@@ -29,12 +28,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .inequalities import (
-    OPERATOR_KINDS,
+    MAX_BATCH,
     BoundParams,
     BoundReport,
     DomainViolation,
     evaluate_bound,
-    evaluate_operator_bounds,
+    evaluate_bounds,
     registry_entry,
 )
 from .linalg import DIM_CAP, spectral_norm
@@ -101,9 +100,6 @@ class CampaignReport:
 
 
 _MAX_PERSISTED_VIOLATIONS = 25
-
-#: Most trials of one operator id drawn and evaluated together.
-_CHUNK = 32
 
 
 def _cgauss(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -197,31 +193,22 @@ def _draw_params(rng: np.random.Generator, iid: str) -> BoundParams:
 
 
 def _draw_operands(ctx, spec: GenSpec, entry, iid: str, op_seeds, rng):
+    """The id's operands in registry order, each drawn by its kind of name."""
     t_kind = _T_KIND_OVERRIDES.get(iid, spec.t_kind)
     operands: dict = {}
-    if entry.kind in OPERATOR_KINDS:
-        for i, name in enumerate(entry.operands):
+    for i, name in enumerate(entry.operands):
+        if name[0].isupper():
             ospec = replace(spec, seed=int(op_seeds[i]), t_kind=t_kind)
             operands[name] = gen_operator(ctx, ospec)
-    elif entry.kind == "vector":
-        operands["a"] = spec.scale * _gen_vector(ctx, rng)
-        operands["b"] = spec.scale * _gen_vector(ctx, rng)
-        operands["e"] = _gen_vector(ctx, rng, unit=True)
-    elif entry.kind == "scalar":
-        count = 2 if iid == "jensen" else int(rng.integers(1, 6))
-        operands["values"] = [float(v) for v in rng.uniform(0.05, 10.0, count)]
-    elif iid == "mixed_schwarz":
-        ospec = replace(spec, seed=int(op_seeds[0]), t_kind=t_kind)
-        operands["T"] = gen_operator(ctx, ospec)
-        operands["x"] = spec.scale * _gen_vector(ctx, rng)
-        operands["y"] = spec.scale * _gen_vector(ctx, rng)
-    elif iid == "holder_mccarthy":
-        ospec = replace(spec, seed=int(op_seeds[0]), t_kind=t_kind)
-        operands["T"] = gen_operator(ctx, ospec)
-        operands["x"] = _gen_vector(ctx, rng, unit=True)
-        operands["r"] = float(rng.uniform(0.0, 2.5))
-    else:  # pragma: no cover - registry kinds are closed
-        raise DomainViolation(f"no generator for {iid!r}")
+        elif name == "values":
+            count = 2 if iid == "jensen" else int(rng.integers(1, 6))
+            operands[name] = [float(v) for v in rng.uniform(0.05, 10.0, count)]
+        elif name == "r":
+            operands[name] = float(rng.uniform(0.0, 2.5))
+        elif name == "e" or iid == "holder_mccarthy":
+            operands[name] = _gen_vector(ctx, rng, unit=True)
+        else:
+            operands[name] = spec.scale * _gen_vector(ctx, rng)
     return operands
 
 
@@ -265,17 +252,15 @@ def _draw_trial(gen: GenSpec, entry, iid: str, k: int, params, randomize_params)
     return ctx, operands, trial_params
 
 
-def _evaluate_chunk(entry, iid: str, draws, tol) -> list[BoundReport]:
-    """Reports of the drawn trials, in order; operator bounds batched by rank."""
-    if entry.kind not in OPERATOR_KINDS:
-        return [evaluate_bound(ctx, iid, ops, prm, tol) for ctx, ops, prm in draws]
+def _evaluate_chunk(iid: str, draws) -> list[BoundReport]:
+    """Reports of the drawn trials, in order, from one batch per weight rank."""
     by_rank: dict[int, list[int]] = {}
     for i, (ctx, _, _) in enumerate(draws):
         by_rank.setdefault(ctx.rank, []).append(i)
     reports: list = [None] * len(draws)
     for idx in by_rank.values():
         ctxs, ops, prms = zip(*(draws[i] for i in idx))
-        for i, rep in zip(idx, evaluate_operator_bounds(ctxs, iid, ops, prms)):
+        for i, rep in zip(idx, evaluate_bounds(ctxs, iid, ops, prms)):
             reports[i] = rep
     return reports
 
@@ -311,12 +296,12 @@ def run_campaign(
         min_slack = None
         sharpest = None
         violation_cases: list = []
-        for start in range(0, trials, _CHUNK):
-            ks = range(start, min(start + _CHUNK, trials))
+        for start in range(0, trials, MAX_BATCH):
+            ks = range(start, min(start + MAX_BATCH, trials))
             draws = [
                 _draw_trial(gen, entry, iid, k, params, randomize_params) for k in ks
             ]
-            for k, draw, rep in zip(ks, draws, _evaluate_chunk(entry, iid, draws, tol)):
+            for k, draw, rep in zip(ks, draws, _evaluate_chunk(iid, draws)):
                 if not rep.hypotheses_ok:
                     skipped += 1
                     continue

@@ -1,7 +1,7 @@
 """Executable bound checkers for weighted numerical-radius inequalities.
 
-Each registered inequality id maps to a checker that evaluates the left
-and right sides of one displayed bound on concrete inputs and returns a
+Each registered inequality id maps to a formula that evaluates the left
+and right sides of one displayed bound on concrete inputs, reported as a
 :class:`BoundReport`.  Right-hand sides are assembled term by term as
 displayed (no algebraic simplification), so a genuinely violated display
 surfaces as negative slack instead of being normalized away.
@@ -31,17 +31,19 @@ as-printed right side is kept in the report intermediates under
 
 Hypothesis failures (an operand that moves ``ker(A)``, a commutator that
 is not small where one is required) never raise: the report is flagged
-``hypotheses_ok=False`` and callers treat it as advisory.
+``hypotheses_ok=False`` and callers treat it as advisory.  Inputs outside
+a bound's domain (a reference vector that is not A-unit, an operator that
+is not A-positive, non-positive scalar values) raise.
 
-Trial axis: the 25 operator bounds (matrix, single-operator and product
-kinds) are evaluated by :func:`evaluate_operator_bounds` on a batch of
-trials whose weights share dimension and rank.  Reduced operands,
-parameters and every intermediate carry a leading trial axis, so each
-radius, SVD and norm of a formula is one stacked numpy call per batch.
-The single-trial entry points (:func:`check_matrix_bound`,
-:func:`check_single_operator_bound`, :func:`check_product_bound`,
-:func:`evaluate_bound`) are batches of one through the same code, and a
-trial's report does not depend on the rest of its batch.
+Trial axis: all 36 ids are evaluated by :func:`evaluate_bounds` on a
+batch of trials whose weights share dimension and rank.  Each formula
+``fn(ops, params)`` sees its operands in reduced coordinates with a
+leading trial axis (matrices as ``_Factors``, vectors as ``Lambda^{1/2}
+V_r* v``, scalars and value lists as arrays) and each parameter as an
+array, so each radius, SVD and norm of a formula is one stacked numpy
+call per batch.  The single-trial entry points (:func:`evaluate_bound`
+and the ``check_*`` functions) are batches of one through the same code,
+and a trial's report does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .linalg import (
     as_matrix,
     as_vector,
     classical_numerical_radius,
-    psd_power,
     spectral_norm,
 )
 from .semihilbert import (
@@ -68,18 +69,14 @@ from .semihilbert import (
     op_seminorm,
     preserves_kernel,
     reduce,
-    semi_inner,
     stack_contexts,
-    vec_seminorm,
 )
 
 #: Reports with relative slack at or above this floor count as satisfied.
 VIOLATION_RTOL = -1e-8
 
-#: Registry kinds of the operator bounds, which evaluate in batches.
-OPERATOR_KINDS = ("matrix", "single", "product")
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Most trials evaluated in one batch: campaign chunks and parameter grids.
+MAX_BATCH = 32
 
 
 class UnknownId(DomainError):
@@ -243,19 +240,26 @@ class _Factors:
     def norm(self) -> np.ndarray:
         return self.s[:, 0]
 
-    def _spow(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)[..., None]
-        return np.power(self.s, p, out=np.zeros_like(self.s), where=self.s > 0.0)
-
     def norm_pow(self, p) -> np.ndarray:
         """``|| |T~|^p || = || |T~*|^p ||``."""
-        return self._spow(p)[:, 0]
+        return _rowpow(self.s, p)[:, 0]
 
     def abs_pow(self, p) -> np.ndarray:
-        return (_adj(self.vh) * self._spow(p)[:, None, :]) @ self.vh
+        return (_adj(self.vh) * _rowpow(self.s, p)[:, None, :]) @ self.vh
 
     def adj_abs_pow(self, p) -> np.ndarray:
-        return (self.u * self._spow(p)[:, None, :]) @ _adj(self.u)
+        return (self.u * _rowpow(self.s, p)[:, None, :]) @ _adj(self.u)
+
+
+def _rowpow(base: np.ndarray, p) -> np.ndarray:
+    """``base ** p`` with one exponent per row (trial), and ``0 ** p = 0``.
+
+    The power runs on whole contiguous arrays: with a broadcast exponent or
+    a ``where`` mask numpy takes other loops, whose results then depend on
+    the batch.
+    """
+    p = np.broadcast_to(np.asarray(p, dtype=np.float64)[..., None], base.shape).copy()
+    return np.where(base > 0.0, np.power(base, p), 0.0)
 
 
 def _adj(m: np.ndarray) -> np.ndarray:
@@ -273,74 +277,82 @@ def _antidiag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.block([[zero, x], [y, zero]])
 
 
-def _reduce_vector(ctx: SemiInnerContext, v: np.ndarray) -> np.ndarray:
-    """``Lambda^{1/2} V_r* v``, whose Euclidean norm is ``||v||_A``."""
-    return ctx.sqrt_lam * (ctx.v_r.conj().T @ v)
+# Reduced vectors hold one row per trial: ``<x, y>_A`` is ``y~* x~`` and
+# ``||x||_A`` is the Euclidean norm of ``x~``.
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``<x, y>_A = y~* x~`` of each pair of rows of reduced vectors."""
+    return (y.conj()[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _form(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``y~* M x~`` for each matrix of a stack and the matching rows."""
+    return (y.conj()[:, None, :] @ m @ x[:, :, None])[:, 0, 0]
+
+
+def _require_unit(x: np.ndarray, what: str) -> None:
+    norm = np.linalg.norm(x, axis=1)
+    off = np.abs(norm - 1.0) > 1e-10
+    if off.any():
+        raise NotUnitVector(f"{what} has seminorm {float(norm[off][0])!r}, expected 1")
 
 
 # -- scalar lemmas -------------------------------------------------------
 
+# A batch's value lists arrive as one array, padded with zeros to the
+# longest list; the values themselves are positive.
 
-def check_scalar_lemma(
-    inequality_id: str, values: Sequence[float], params: BoundParams | None = None
-) -> BoundReport:
-    """Evaluate one of the scalar lemmas on positive inputs.
 
-    ``jensen`` takes two values and reports the full chain
-    ``a^t b^(1-t) <= t a + (1-t) b <= (t a^r + (1-t) b^r)^(1/r)`` with the
-    middle term and both link slacks in the intermediates; ``bohr`` takes
-    any tuple and checks ``(sum a_i)^r <= n^(r-1) sum a_i^r``.
-    """
-    params = params or BoundParams()
-    vals = [float(v) for v in values]
-    if inequality_id == "jensen":
-        if len(vals) != 2:
-            raise DomainViolation("jensen takes exactly two values")
-        a, b = vals
-        if a <= 0.0 or b <= 0.0:
-            raise DomainViolation("jensen requires positive values")
-        lam, r = params.lam, params.r
-        lhs = a**lam * b ** (1.0 - lam)
-        mid = lam * a + (1.0 - lam) * b
-        rhs = (lam * a**r + (1.0 - lam) * b**r) ** (1.0 / r)
-        inter = {
-            "arithmetic_mean": mid,
-            "slack_left": mid - lhs,
-            "slack_right": rhs - mid,
-        }
-        return _report("jensen", lhs, rhs, inter, True, params)
-    if inequality_id == "bohr":
-        if not vals:
-            raise DomainViolation("bohr needs at least one value")
-        if any(v <= 0.0 for v in vals):
-            raise DomainViolation("bohr requires positive values")
-        r = params.r
-        n = len(vals)
-        lhs = sum(vals) ** r
-        rhs = n ** (r - 1.0) * sum(v**r for v in vals)
-        return _report("bohr", lhs, rhs, {"n": n}, True, params)
-    raise UnknownId(f"unknown scalar lemma {inequality_id!r}")
+def _l_jensen(ops, params):
+    vals = ops["values"]
+    if vals.shape[1] != 2 or not vals.all():
+        raise DomainViolation("jensen takes exactly two values")
+    a, b = vals.T
+    lam, r = params.lam, params.r
+    lhs = a**lam * b ** (1.0 - lam)
+    mid = lam * a + (1.0 - lam) * b
+    rhs = (lam * a**r + (1.0 - lam) * b**r) ** (1.0 / r)
+    inter = {"arithmetic_mean": mid, "slack_left": mid - lhs, "slack_right": rhs - mid}
+    return lhs, rhs, inter
+
+
+def _l_bohr(ops, params):
+    # (sum a_i)^r <= n^(r-1) sum a_i^r; the padding adds zeros to both sums.
+    vals, r = ops["values"], params.r
+    n = np.count_nonzero(vals, axis=1)
+    lhs = vals.sum(axis=1) ** r
+    rhs = n ** (r - 1.0) * _rowpow(vals, r).sum(axis=1)
+    return lhs, rhs, {"n": n}
 
 
 # -- vector lemmas -------------------------------------------------------
 
-# Each formula returns (lhs, rhs, intermediates); shared prep handles the
-# semi-inner products and the A-unit check on e.
 
-def _vec_quantities(ctx, a, b, e):
-    av = as_vector(a, dim=ctx.dim)
-    bv = as_vector(b, dim=ctx.dim)
-    ev = as_vector(e, dim=ctx.dim)
-    ne = vec_seminorm(ctx, ev)
-    if abs(ne - 1.0) > 1e-10:
-        raise NotUnitVector(f"reference vector has seminorm {ne!r}, expected 1")
-    return {
-        "na": vec_seminorm(ctx, av),
-        "nb": vec_seminorm(ctx, bv),
-        "ab": abs(semi_inner(ctx, av, bv)),
-        "ae": abs(semi_inner(ctx, av, ev)),
-        "eb": abs(semi_inner(ctx, ev, bv)),
-    }
+def _vector_lemma(body):
+    """The registry formula of a three-vector lemma.
+
+    ``body(q, params)`` maps the shared terms ``q`` (the seminorms of a and
+    b, the moduli of <a, b>_A, <a, e>_A and <e, b>_A) to (lhs, rhs,
+    intermediates); the formula computes them from the reduced vectors and
+    checks that e is A-unit.
+    """
+
+    def formula(ops, params):
+        a, b, e = ops["a"], ops["b"], ops["e"]
+        _require_unit(e, "reference vector")
+        q = {
+            "na": np.linalg.norm(a, axis=1),
+            "nb": np.linalg.norm(b, axis=1),
+            "ab": np.abs(_inner(a, b)),
+            "ae": np.abs(_inner(a, e)),
+            "eb": np.abs(_inner(e, b)),
+        }
+        lhs, rhs, extra = body(q, params)
+        inter = {"seminorm_a": q["na"], "seminorm_b": q["nb"], "inner_ab": q["ab"]}
+        return lhs, rhs, {**inter, **extra}
+
+    return formula
 
 
 def _v_buz_general(q, params):
@@ -357,10 +369,7 @@ def _v_buz_half(q, params):
 
 
 def _v_mix_al_be(q, params):
-    al, be = params.alpha, params.beta
-    den = abs(al) ** 2 * (1.0 + be)
-    c1 = (be + (be + 1.0) * _max1(abs(al - 1.0) ** 2)) / den
-    c2 = (1.0 + 2.0 * (be + 1.0) * _max1(abs(al - 1.0))) / den
+    c1, c2, _, _ = _chi(params.alpha, params.beta)
     lhs = (q["ae"] * q["eb"]) ** 2
     rhs = c1 * q["na"] ** 2 * q["nb"] ** 2 + c2 * q["na"] * q["nb"] * q["ab"]
     return lhs, rhs, {"c_norm": c1, "c_inner": c2}
@@ -377,10 +386,7 @@ def _v_buzano_beta(q, params):
 
 
 def _v_ramadan_kareem(q, params):
-    al, be = params.alpha, params.beta
-    den = abs(al) ** 2 * (be + 1.0)
-    c1 = (2.0 * (be + 1.0) * _max1(abs(al - 1.0) ** 2) + 2.0 * be) / den
-    c2 = 2.0 / den
+    c1, c2 = _delta_pair(params.alpha, params.beta)
     lhs = (q["ae"] * q["eb"]) ** 2
     rhs = c1 * q["na"] ** 2 * q["nb"] ** 2 + c2 * q["ab"] ** 2
     return lhs, rhs, {"c_norm": c1, "c_inner": c2}
@@ -418,7 +424,7 @@ def _v_modified_buzano(q, params):
 
 def _v_drag(q, params):
     lhs = q["ae"] ** 2 + q["eb"] ** 2
-    rhs = math.sqrt(q["na"] ** 4 + q["nb"] ** 4 + 2.0 * q["ab"] ** 2)
+    rhs = np.sqrt(q["na"] ** 4 + q["nb"] ** 4 + 2.0 * q["ab"] ** 2)
     return lhs, rhs, {}
 
 
@@ -435,91 +441,50 @@ _VECTOR_FORMULAS = {
 }
 
 
-def check_vector_lemma(
-    ctx: SemiInnerContext,
-    inequality_id: str,
-    a,
-    b,
-    e,
-    params: BoundParams | None = None,
-) -> BoundReport:
-    """Evaluate one of the three-vector lemmas; ``e`` must be A-unit."""
-    if inequality_id not in _VECTOR_FORMULAS:
-        raise UnknownId(f"unknown vector lemma {inequality_id!r}")
-    params = params or BoundParams()
-    fn, _ = _VECTOR_FORMULAS[inequality_id]
-    q = _vec_quantities(ctx, a, b, e)
-    lhs, rhs, extra = fn(q, params)
-    inter = {
-        "seminorm_a": q["na"],
-        "seminorm_b": q["nb"],
-        "inner_ab": q["ab"],
-        **extra,
-    }
-    return _report(inequality_id, lhs, rhs, inter, True, params)
-
-
 # -- pointwise operator lemmas -------------------------------------------
 
 
-def check_mixed_schwarz(
-    ctx: SemiInnerContext, t, x, y, lam: float = 0.5, tol: float | None = None
-) -> BoundReport:
-    """Mixed Schwarz bound ``|<Tx, y>_A|`` against interpolated absolute values.
-
-    The right side uses the power pair: the product of
-    ``<|T|_A^(2 lam) x, x>_A ** (1/2)`` and
-    ``<|T^#|_A^(2 (1-lam)) y, y>_A ** (1/2)``.  The displayed hypothesis
-    asks ``T`` to commute with the weight; when it does not (or when an
-    operand moves ``ker A``), the report is advisory.  ``tol`` changes no
-    result.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise DomainViolation("lam must lie in [0, 1]")
-    mat = as_matrix(t, square=True)
-    xv = as_vector(x, dim=ctx.dim)
-    yv = as_vector(y, dim=ctx.dim)
-    params = BoundParams(lam=lam)
-    comm = float(np.linalg.norm(mat @ ctx.a - ctx.a @ mat))
-    comm_ok = comm <= 1e-8 * (1.0 + spectral_norm(ctx.a) * spectral_norm(mat))
-    hyp = comm_ok and preserves_kernel(ctx, mat)
-    lhs = abs(semi_inner(ctx, mat @ xv, yv))
-    tt = _Factors.of(reduce(ctx, mat)[None])
-    xr, yr = _reduce_vector(ctx, xv), _reduce_vector(ctx, yv)
-    q1 = max(float(np.vdot(xr, tt.abs_pow(2.0 * lam)[0] @ xr).real), 0.0)
-    q2 = max(float(np.vdot(yr, tt.adj_abs_pow(2.0 * (1.0 - lam))[0] @ yr).real), 0.0)
-    rhs = math.sqrt(q1) * math.sqrt(q2)
-    inter = {"commutator": comm, "q_x": q1, "q_y": q2}
-    return _report("mixed_schwarz", lhs, rhs, inter, hyp, params)
+def _commutes_with_weight(ctx, raw):
+    # The displayed hypothesis of mixed_schwarz: ``||T A - A T||_F <= 1e-8
+    # ||A|| ||T||``, relative, so any scale qualifies.
+    t, a = raw["T"], ctx.a
+    comm = np.linalg.norm(t @ a - a @ t, axis=(1, 2))
+    return comm <= 1e-8 * spectral_norm(a) * spectral_norm(t), {"commutator": comm}
 
 
-def check_holder_mccarthy(ctx: SemiInnerContext, t, x, r: float) -> BoundReport:
-    """Power bound for the quadratic form of an A-positive operator.
+def _f_mixed_schwarz(ops, params):
+    # |<Tx, y>_A| against the power pair: the product of
+    # <|T|_A^(2 lam) x, x>_A ** (1/2) and <|T^#|_A^(2 (1-lam)) y, y>_A ** (1/2).
+    t, x, y, lam = ops["T"], ops["x"], ops["y"], params.lam
+    q1 = np.maximum(_form(t.abs_pow(2.0 * lam), x, x).real, 0.0)
+    q2 = np.maximum(_form(t.adj_abs_pow(2.0 * (1.0 - lam)), y, y).real, 0.0)
+    lhs = np.abs(_form(t.t, x, y))
+    return lhs, np.sqrt(q1) * np.sqrt(q2), {"q_x": q1, "q_y": q2}
 
-    For ``r >= 1``: ``<Tx, x>_A^r <= <T^r x, x>_A`` on A-unit ``x``; for
-    ``0 <= r <= 1`` the inequality reverses.  Powers of ``T`` use the
-    spectral calculus of the reduction.
-    """
-    if r < 0.0:
+
+def _holder_inputs(ctx, raw):
+    # holder_mccarthy's domain: r >= 0 and an A-positive T.
+    if np.any(raw["r"] < 0.0):
         raise DomainViolation("r must be nonnegative")
-    mat = as_matrix(t, square=True)
-    xv = as_vector(x, dim=ctx.dim)
-    if not is_a_positive(ctx, mat):
+    if not np.all(is_a_positive(ctx, raw["T"])):
         raise NotAPositive("operator is not A-positive")
-    nx = vec_seminorm(ctx, xv)
-    if abs(nx - 1.0) > 1e-10:
-        raise NotUnitVector(f"vector has seminorm {nx!r}, expected 1")
-    tt = reduce(ctx, mat)
-    sym = 0.5 * (tt + tt.conj().T)
-    xr = _reduce_vector(ctx, xv)
-    base = max(float(np.vdot(xr, sym @ xr).real), 0.0)
-    powered = float(np.vdot(xr, psd_power(sym, r) @ xr).real)
-    if r >= 1.0:
-        lhs, rhs = base**r, powered
-    else:
-        lhs, rhs = powered, base**r
-    inter = {"form": base, "form_powered": powered, "r": r}
-    return _report("holder_mccarthy", lhs, rhs, inter, True, params=BoundParams())
+    return True, {}
+
+
+def _f_holder_mccarthy(ops, params):
+    # For r >= 1, <Tx, x>_A^r <= <T^r x, x>_A on A-unit x; for 0 <= r <= 1
+    # the inequality reverses.  T^r is the spectral power of the Hermitian
+    # part of T~, negative eigenvalues clamped and 0^r = 0.
+    t, x, r = ops["T"].t, ops["x"], ops["r"]
+    _require_unit(x, "vector")
+    sym = 0.5 * (t + _adj(t))
+    vals, vecs = np.linalg.eigh(sym)
+    vals = _rowpow(np.clip(vals, 0.0, None), r)
+    base = np.maximum(_form(sym, x, x).real, 0.0)
+    powered = _form((vecs * vals[:, None, :]) @ _adj(vecs), x, x).real
+    up = r >= 1.0
+    lhs, rhs = np.where(up, base**r, powered), np.where(up, powered, base**r)
+    return lhs, rhs, {"form": base, "form_powered": powered, "r": r}
 
 
 # -- anti-diagonal block bounds ------------------------------------------
@@ -558,9 +523,7 @@ def _m_thm_2_7(ops, params):
 def _m_thm_2_8(ops, params):
     x, y = ops["X"], ops["Y"]
     u, v = x.norm, y.norm
-    lam_star, bound = np.array(
-        [_refined_alpha_min(a, b) for a, b in zip(u.tolist(), v.tolist())]
-    ).T
+    lam_star, bound = _refined_alpha_min(u, v)
     lhs = classical_numerical_radius(_antidiag(x.t, y.t))
     # Minimizing the four-term family over l lands at l = 1/2 (each
     # pairing is convex in l and the two swap under l <-> 1-l), so the
@@ -965,12 +928,18 @@ def _p_power_2r(ops, params):
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """Shape metadata and implementation for one inequality id."""
+    """Shape metadata and formula for one inequality id.
+
+    ``fn(ops, params)`` gives ``(lhs, rhs, intermediates)`` for a batch;
+    ``check(ctx, ambient_ops)``, where set, raises on inputs outside the
+    domain and gives a further hypothesis and intermediates.
+    """
 
     kind: str  # scalar | vector | matrix | single | product | special
     operands: tuple[str, ...]
     params: tuple[str, ...]
-    fn: Callable | None
+    fn: Callable
+    check: Callable | None = None
 
 
 _MATRIX_FNS = {
@@ -1008,18 +977,22 @@ _PRODUCT_FNS = {
 
 def _build_registry() -> Mapping[str, RegistryEntry]:
     reg: dict[str, RegistryEntry] = {}
-    reg["jensen"] = RegistryEntry("scalar", ("values",), ("lam", "r"), None)
-    reg["bohr"] = RegistryEntry("scalar", ("values",), ("r",), None)
+    reg["jensen"] = RegistryEntry("scalar", ("values",), ("lam", "r"), _l_jensen)
+    reg["bohr"] = RegistryEntry("scalar", ("values",), ("r",), _l_bohr)
     for iid, (fn, names) in _VECTOR_FORMULAS.items():
-        reg[iid] = RegistryEntry("vector", ("a", "b", "e"), names, fn)
+        reg[iid] = RegistryEntry("vector", ("a", "b", "e"), names, _vector_lemma(fn))
     for iid, (fn, ops, names) in _MATRIX_FNS.items():
         reg[iid] = RegistryEntry("matrix", ops, names, fn)
     for iid, (fn, names) in _SINGLE_FNS.items():
         reg[iid] = RegistryEntry("single", ("M",), names, fn)
     for iid, (fn, ops, names) in _PRODUCT_FNS.items():
         reg[iid] = RegistryEntry("product", ops, names, fn)
-    reg["mixed_schwarz"] = RegistryEntry("special", ("T", "x", "y"), ("lam",), None)
-    reg["holder_mccarthy"] = RegistryEntry("special", ("T", "x", "r"), (), None)
+    reg["mixed_schwarz"] = RegistryEntry(
+        "special", ("T", "x", "y"), ("lam",), _f_mixed_schwarz, _commutes_with_weight
+    )
+    reg["holder_mccarthy"] = RegistryEntry(
+        "special", ("T", "x", "r"), (), _f_holder_mccarthy, _holder_inputs
+    )
     return MappingProxyType(reg)
 
 
@@ -1038,72 +1011,182 @@ def registry_entry(inequality_id: str) -> RegistryEntry:
         raise UnknownId(f"unknown inequality id {inequality_id!r}") from None
 
 
-def _run_operator_bound(ctx, iid, kind, ops_in, params):
-    entry = registry_entry(iid)
-    if entry.kind != kind:
-        raise UnknownId(f"{iid!r} is not a {kind} bound")
-    return evaluate_operator_bounds([ctx], iid, [ops_in], [params])[0]
+# -- evaluation -----------------------------------------------------------
+
+#: Vector operands; upper-case names are matrices, ``values`` a list of
+#: positive numbers and ``r`` a number.
+_VECTORS = ("a", "b", "e", "x", "y")
 
 
-def evaluate_operator_bounds(
-    ctxs: Sequence[SemiInnerContext],
+def _gather(iid, name, operands, params, dim):
+    """Operand ``name`` of every trial, validated, with a leading trial axis.
+
+    A trial without ``r`` takes the parameter ``r``; value lists are padded
+    with zeros to the longest.
+    """
+    if name == "r":
+        return np.array([float(ops.get("r", p.r)) for ops, p in zip(operands, params)])
+    if any(name not in ops for ops in operands):
+        raise DomainViolation(f"{iid!r} requires operand {name!r}")
+    if name in _VECTORS:
+        return np.array([as_vector(ops[name], dim=dim) for ops in operands])
+    if name == "values":
+        lists = [[float(v) for v in ops[name]] for ops in operands]
+        if not all(lists):
+            raise DomainViolation(f"{iid} needs at least one value")
+        if any(v <= 0.0 for vals in lists for v in vals):
+            raise DomainViolation(f"{iid} requires positive values")
+        width = max(map(len, lists))
+        return np.array([vals + [0.0] * (width - len(vals)) for vals in lists])
+    stack = np.array([as_matrix(ops[name], square=True) for ops in operands])
+    if stack.shape[-1] != dim:
+        raise DomainViolation(f"operand {name!r} must match the weight dimension {dim}")
+    return stack
+
+
+def evaluate_bounds(
+    ctxs: Sequence[SemiInnerContext | None],
     inequality_id: str,
-    operands: Sequence[Mapping[str, np.ndarray]],
+    operands: Sequence[Mapping[str, object]],
     params: Sequence[BoundParams | None],
 ) -> list[BoundReport]:
-    """Evaluate one operator bound on a batch of trials, one report each.
+    """Evaluate one registered bound on a batch of trials, one report each.
 
     Trial ``i`` is ``ctxs[i]``, ``operands[i]`` and ``params[i]`` (``None``
-    for the defaults); the weights must share dimension and rank.  The
-    formula runs once over the batch, with a leading trial axis on every
-    reduced operand, parameter and intermediate, and each trial's report
-    is bitwise the one the batch of that trial alone gives.
+    for the defaults).  ``operands`` carries whatever the id's registry
+    entry names: matrix blocks for operator bounds, ``a``/``b``/``e`` for
+    vector lemmas, ``values`` for scalar lemmas, ``T``/``x``/``y`` (plus
+    scalar ``r``) for the pointwise lemmas.  The weights must share
+    dimension and rank; scalar lemmas accept ``None`` weights.  Every
+    matrix operand goes through one stacked reduction, kernel test and
+    SVD, and the formula runs once over the batch; each trial's report is
+    bitwise the one the batch of that trial alone gives.
     """
     entry = registry_entry(inequality_id)
-    if entry.kind not in OPERATOR_KINDS:
-        raise UnknownId(f"{inequality_id!r} is not an operator bound")
-    k = len(ctxs)
-    if not k or len(operands) != k or len(params) != k:
+    k = len(operands)
+    if not k or len(ctxs) != k or len(params) != k:
         raise DomainViolation(
             "a batch needs one weight, operand set and parameter set per trial"
         )
     params = [p or BoundParams() for p in params]
-    names = entry.operands
-    stacks = []
-    for name in names:
-        if any(name not in ops for ops in operands):
-            raise DomainViolation(f"{inequality_id!r} requires operand {name!r}")
-        stack = np.array([as_matrix(ops[name], square=True) for ops in operands])
-        if stack.shape[-1] != ctxs[0].dim:
-            raise DomainViolation(
-                f"operand {name!r} must match the weight dimension {ctxs[0].dim}"
-            )
-        stacks.append(stack)
-    # All operands go through one reduction, kernel test and SVD: row
-    # j * k + i holds operand j of trial i, under trial i's weight.
-    ctx = stack_contexts(list(ctxs) * len(names))
-    mats = np.concatenate(stacks)
-    # Every operator display hypothesizes that its operands map ker(A)
-    # into itself; under it the reduction of a product is the product of
-    # the reductions, which the formulas rely on.
-    hyp = np.reshape(preserves_kernel(ctx, mats), (len(names), k)).all(axis=0)
-    # A rank-zero weight reduces every operand to the empty matrix; a 1x1
-    # zero stands in for it, so every formula takes its zero value.
-    reduced = reduce(ctx, mats) if ctx.rank else np.zeros((len(mats), 1, 1), np.complex128)
-    ops = dict(zip(names, _Factors.of(reduced).split(len(names))))
+    mats = [name for name in entry.operands if name[0].isupper()]
+    vecs = [name for name in entry.operands if name in _VECTORS]
+    ctx = None
+    if mats or vecs:
+        if any(c is None for c in ctxs):
+            raise DomainViolation(f"{inequality_id!r} requires a weight context")
+        # Row j * k + i is trial i's weight, for matrix operand j; the
+        # first k rows serve the vectors and the ambient check.
+        ctx = stack_contexts(list(ctxs) * max(1, len(mats)))
+    dim = ctx.dim if ctx else None
+    ops = {n: _gather(inequality_id, n, operands, params, dim) for n in entry.operands}
+    # ``ops`` holds the ambient operands until the reductions replace them.
+    hyp, inter = entry.check(ctx, ops) if entry.check else (True, {})
+    hyp = np.full(k, hyp)
+    if mats:
+        stack = np.concatenate([ops[name] for name in mats])
+        # Every operator display hypothesizes that its operands map ker(A)
+        # into itself; under it the reduction of a product is the product
+        # of the reductions, which the formulas rely on.
+        kept = np.reshape(preserves_kernel(ctx, stack), (len(mats), k))
+        hyp = hyp & kept.all(axis=0)
+        # A rank-zero weight reduces every operand to the empty matrix; a
+        # 1x1 zero stands in for it, so every formula takes its zero value.
+        reduced = reduce(ctx, stack) if ctx.rank else np.zeros((len(stack), 1, 1), complex)
+        ops.update(zip(mats, _Factors.of(reduced).split(len(mats))))
+        inter = {"scale": np.max([ops[name].norm for name in mats], axis=0), **inter}
+    if vecs:
+        # Lambda^{1/2} V_r* v, whose Euclidean norm is ||v||_A; a zero
+        # stands in under a rank-zero weight.
+        v = np.stack([ops[name] for name in vecs])
+        red = ctx.sqrt_lam[:k] * (_adj(ctx.v_r[:k]) @ v[..., None])[..., 0]
+        ops.update(zip(vecs, red if ctx.rank else np.zeros(v.shape[:2] + (1,))))
     keys = [f.name for f in fields(BoundParams)]
     per_field = {key: np.array([getattr(p, key) for p in params]) for key in keys}
-    lhs, rhs, inter = entry.fn(ops, SimpleNamespace(**per_field))
-    inter = {"scale": np.max([f.norm for f in ops.values()], axis=0), **inter}
+    lhs, rhs, more = entry.fn(ops, SimpleNamespace(**per_field))
+    inter.update(more)
     # every value has one entry per trial
     lhs, rhs, hyp = lhs.tolist(), rhs.tolist(), hyp.tolist()
-    inter = {name: v.tolist() for name, v in inter.items()}
+    cols = {name: v.tolist() for name, v in inter.items()}
     return [
         _report(
-            inequality_id, lhs[i], rhs[i], {n: v[i] for n, v in inter.items()}, hyp[i], p
+            inequality_id, lhs[i], rhs[i], {n: c[i] for n, c in cols.items()}, hyp[i], p
         )
         for i, p in enumerate(params)
     ]
+
+
+def evaluate_bound(
+    ctx: SemiInnerContext | None,
+    inequality_id: str,
+    operands: Mapping[str, object],
+    params: BoundParams | None = None,
+    tol: float | None = None,
+) -> BoundReport:
+    """Evaluate any registered id on one trial, as a batch of one.
+
+    ``operands`` is as for :func:`evaluate_bounds`.  ``tol`` is kept for
+    callers and persisted cases but changes no result.
+    """
+    return evaluate_bounds([ctx], inequality_id, [operands], [params])[0]
+
+
+def _require_kind(inequality_id: str, kind: str) -> None:
+    if registry_entry(inequality_id).kind != kind:
+        raise UnknownId(f"{inequality_id!r} is not a {kind} bound")
+
+
+def check_scalar_lemma(
+    inequality_id: str, values: Sequence[float], params: BoundParams | None = None
+) -> BoundReport:
+    """Evaluate one of the scalar lemmas on positive inputs.
+
+    ``jensen`` takes two values and reports the full chain
+    ``a^t b^(1-t) <= t a + (1-t) b <= (t a^r + (1-t) b^r)^(1/r)`` with the
+    middle term and both link slacks in the intermediates; ``bohr`` takes
+    any tuple and checks ``(sum a_i)^r <= n^(r-1) sum a_i^r``.
+    """
+    _require_kind(inequality_id, "scalar")
+    return evaluate_bound(None, inequality_id, {"values": values}, params)
+
+
+def check_vector_lemma(
+    ctx: SemiInnerContext,
+    inequality_id: str,
+    a,
+    b,
+    e,
+    params: BoundParams | None = None,
+) -> BoundReport:
+    """Evaluate one of the three-vector lemmas; ``e`` must be A-unit."""
+    _require_kind(inequality_id, "vector")
+    return evaluate_bound(ctx, inequality_id, {"a": a, "b": b, "e": e}, params)
+
+
+def check_mixed_schwarz(
+    ctx: SemiInnerContext, t, x, y, lam: float = 0.5, tol: float | None = None
+) -> BoundReport:
+    """Mixed Schwarz bound ``|<Tx, y>_A|`` against interpolated absolute values.
+
+    The right side uses the power pair: the product of
+    ``<|T|_A^(2 lam) x, x>_A ** (1/2)`` and
+    ``<|T^#|_A^(2 (1-lam)) y, y>_A ** (1/2)``.  The displayed hypothesis
+    asks ``T`` to commute with the weight; when it does not (or when an
+    operand moves ``ker A``), the report is advisory.  ``tol`` changes no
+    result.
+    """
+    operands = {"T": t, "x": x, "y": y}
+    return evaluate_bound(ctx, "mixed_schwarz", operands, BoundParams(lam=lam))
+
+
+def check_holder_mccarthy(ctx: SemiInnerContext, t, x, r: float) -> BoundReport:
+    """Power bound for the quadratic form of an A-positive operator.
+
+    For ``r >= 1``: ``<Tx, x>_A^r <= <T^r x, x>_A`` on A-unit ``x``; for
+    ``0 <= r <= 1`` the inequality reverses.  Powers of ``T`` use the
+    spectral calculus of the reduction.
+    """
+    return evaluate_bound(ctx, "holder_mccarthy", {"T": t, "x": x, "r": r})
 
 
 def check_matrix_bound(
@@ -1122,7 +1205,8 @@ def check_matrix_bound(
     reduced blocks; the right side follows the registered display.
     ``tol`` changes no result: the radius kernel does not use it.
     """
-    return _run_operator_bound(ctx, inequality_id, "matrix", blocks, params)
+    _require_kind(inequality_id, "matrix")
+    return evaluate_bound(ctx, inequality_id, blocks, params)
 
 
 def check_single_operator_bound(
@@ -1133,7 +1217,8 @@ def check_single_operator_bound(
     tol: float | None = None,
 ) -> BoundReport:
     """Evaluate a single-operator radius bound on ``M``; ``tol`` changes no result."""
-    return _run_operator_bound(ctx, inequality_id, "single", {"M": m}, params)
+    _require_kind(inequality_id, "single")
+    return evaluate_bound(ctx, inequality_id, {"M": m}, params)
 
 
 def check_product_bound(
@@ -1144,69 +1229,42 @@ def check_product_bound(
     tol: float | None = None,
 ) -> BoundReport:
     """Evaluate an operator-product radius bound; ``tol`` changes no result."""
-    return _run_operator_bound(ctx, inequality_id, "product", operators, params)
-
-
-def evaluate_bound(
-    ctx: SemiInnerContext | None,
-    inequality_id: str,
-    operands: Mapping[str, object],
-    params: BoundParams | None = None,
-    tol: float | None = None,
-) -> BoundReport:
-    """Uniform dispatcher over every registered id.
-
-    ``operands`` carries whatever the id's registry entry names: matrix
-    blocks for operator bounds, ``a``/``b``/``e`` for vector lemmas,
-    ``values`` for scalar lemmas, ``T``/``x``/``y`` (plus scalar ``r``
-    for the power form) for the pointwise lemmas.  Scalar lemmas accept
-    ``ctx=None``; everything else requires a context.  ``tol`` is kept
-    for callers and persisted cases but changes no result: the radius
-    kernel does not use it.
-    """
-    entry = registry_entry(inequality_id)
-    if entry.kind == "scalar":
-        return check_scalar_lemma(inequality_id, operands["values"], params)
-    if ctx is None:
-        raise DomainViolation(f"{inequality_id!r} requires a weight context")
-    if entry.kind == "vector":
-        return check_vector_lemma(
-            ctx, inequality_id, operands["a"], operands["b"], operands["e"], params
-        )
-    if entry.kind == "matrix":
-        return check_matrix_bound(ctx, inequality_id, operands, params, tol)
-    if entry.kind == "single":
-        return check_single_operator_bound(ctx, inequality_id, operands["M"], params, tol)
-    if entry.kind == "product":
-        return check_product_bound(ctx, inequality_id, operands, params, tol)
-    if inequality_id == "mixed_schwarz":
-        lam = (params or BoundParams()).lam
-        return check_mixed_schwarz(ctx, operands["T"], operands["x"], operands["y"], lam, tol)
-    if inequality_id == "holder_mccarthy":
-        r = float(operands.get("r", (params or BoundParams()).r))
-        return check_holder_mccarthy(ctx, operands["T"], operands["x"], r)
-    raise UnknownId(f"unknown inequality id {inequality_id!r}")
+    _require_kind(inequality_id, "product")
+    return evaluate_bound(ctx, inequality_id, operators, params)
 
 
 # -- optimizers ------------------------------------------------------------
 
 
-def _golden_min(f, lo: float, hi: float, xtol: float = 1e-10):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _stationary_point(lu, lv):
+    """The formula of :func:`refined_alpha_critical_point`, from ``ln u`` and ``ln v``."""
+    return (np.log(lv / lu) + 2.0 * lv) / (2.0 * (lu + lv))
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _refined_alpha_min(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizer and minimum of ``(u^(2 t) + v^(2 (1-t))) / 2`` on ``[0, 1]``, per entry.
+
+    The objective is convex.  Where both norms are positive and on the
+    same side of 1, its stationary point clipped to ``[0, 1]`` is the
+    candidate; elsewhere the objective is monotone and ``t = 0`` is.  An
+    endpoint replaces the candidate only where strictly lower.  Equal
+    positive norms pin ``t = 1/2`` exactly.
+    """
+
+    def f(t):
+        return 0.5 * (u ** (2.0 * t) + v ** (2.0 * (1.0 - t)))
+
+    lu, lv = np.log(u), np.log(v)
+    positive = (u > 0.0) & (v > 0.0)
+    interior = positive & (lu * lv > 0.0)
+    lam = np.where(interior, np.clip(_stationary_point(lu, lv), 0.0, 1.0), 0.0)
+    best = f(lam)
+    for t in (0.0, 1.0):
+        lower = f(t) < best
+        lam, best = np.where(lower, t, lam), np.where(lower, f(t), best)
+    equal = positive & (np.abs(u - v) <= 1e-14 * np.maximum(1.0, np.maximum(u, v)))
+    return np.where(equal, 0.5, lam), np.where(equal, 0.5 * (u + v), best)
 
 
 def optimize_refined_alpha_bound(
@@ -1214,44 +1272,32 @@ def optimize_refined_alpha_bound(
 ) -> tuple[float, float]:
     """Minimize ``(||X||_A^(2 t) + ||Y^#||_A^(2 (1-t))) / 2`` over ``t in [0, 1]``.
 
-    The objective is convex, so golden section converges to the global
-    minimum; equal norms short-circuit to ``t = 1/2`` exactly.  If either
-    seminorm vanishes the objective degenerates and the better endpoint
-    is returned (any fixed ``t`` still yields a valid bound).
-    ``||Y^#||_A = ||Y||_A``, because ``Y^#`` reduces to ``Y~*``.
+    The objective is convex, so its closed-form stationary point (see
+    :func:`refined_alpha_critical_point`), clipped to the interval and
+    compared against both endpoints, is the global minimum; equal norms
+    short-circuit to ``t = 1/2`` exactly.  If either seminorm vanishes the
+    better endpoint is returned (any fixed ``t`` still yields a valid
+    bound).  ``||Y^#||_A = ||Y||_A``, because ``Y^#`` reduces to ``Y~*``.
     """
-    return _refined_alpha_min(op_seminorm(ctx, x), op_seminorm(ctx, y))
-
-
-def _refined_alpha_min(u: float, v: float) -> tuple[float, float]:
-    """Minimizer and minimum of ``(u^(2 t) + v^(2 (1-t))) / 2`` on ``[0, 1]``."""
-
-    def f(t: float) -> float:
-        return 0.5 * (u ** (2.0 * t) + v ** (2.0 * (1.0 - t)))
-
-    if u == 0.0 or v == 0.0:
-        return (0.0, f(0.0)) if f(0.0) <= f(1.0) else (1.0, f(1.0))
-    if abs(u - v) <= 1e-14 * max(1.0, u, v):
-        return 0.5, 0.5 * (u + v)
-    lam_star, best = _golden_min(f, 0.0, 1.0)
-    for t in (0.0, 1.0):
-        if f(t) < best:
-            lam_star, best = t, f(t)
-    return lam_star, best
+    u, v = op_seminorm(ctx, x), op_seminorm(ctx, y)
+    lam, best = _refined_alpha_min(np.array([u]), np.array([v]))
+    return float(lam[0]), float(best[0])
 
 
 def refined_alpha_critical_point(norm_x: float, norm_y_adj: float) -> float:
-    """Closed-form stationary point of the refined bound for norms above 1.
+    """Closed-form stationary point of the refined bound.
 
-    Documented cross-check only: solving ``f'(t) = 0`` for
-    ``f(t) = (u^(2t) + v^(2(1-t))) / 2`` gives
-    ``t0 = (ln(ln v / ln u) + 2 ln v) / (2 (ln u + ln v))``, valid when
-    both logarithms are positive.  The optimizer itself never uses this.
+    ``f'(t) = 0`` for ``f(t) = (u^(2t) + v^(2(1-t))) / 2`` means ``u^(2t)
+    ln u = v^(2(1-t)) ln v``; when both norms lie above 1 or both below 1
+    (otherwise ``f`` is monotone), taking logarithms gives ``t0 = (ln(ln v
+    / ln u) + 2 ln v) / (2 (ln u + ln v))``.
+    :func:`optimize_refined_alpha_bound` and ``thm_2_8`` minimize through
+    this formula.
     """
     lu, lv = math.log(norm_x), math.log(norm_y_adj)
-    if lu <= 0.0 or lv <= 0.0:
-        raise DomainViolation("closed form requires both norms above 1")
-    return (math.log(lv / lu) + 2.0 * lv) / (2.0 * (lu + lv))
+    if not lu * lv > 0.0:
+        raise DomainViolation("closed form requires both norms above 1 or both below 1")
+    return float(_stationary_point(lu, lv))
 
 
 def optimize_params(
@@ -1266,10 +1312,12 @@ def optimize_params(
     Only parameters the id actually consumes are swept.  For ``mohd1``
     the right side is monotone in ``beta`` (nondecreasing toward the
     ``beta -> inf`` limit), so only the endpoints of the beta range are
-    evaluated.  ``tol`` changes no result.
+    evaluated.  The grid is evaluated in batches of at most ``MAX_BATCH``
+    combinations; the first combination with the smallest right side
+    wins.  ``tol`` changes no result.
     """
     entry = registry_entry(inequality_id)
-    if entry.kind not in OPERATOR_KINDS:
+    if entry.kind not in ("matrix", "single", "product"):
         raise DomainViolation("optimize_params handles operator bounds only")
     axes: dict[str, tuple] = {}
     pools = {
@@ -1286,10 +1334,13 @@ def optimize_params(
             vals = (min(vals), max(vals))
         axes[name] = vals
     names = tuple(axes)
-    best: BoundReport | None = None
-    for combo in _cartesian(*(axes[n] for n in names)) if names else [()]:
-        params = BoundParams(**dict(zip(names, combo)))
-        rep = _run_operator_bound(ctx, inequality_id, entry.kind, operands, params)
-        if best is None or rep.rhs < best.rhs:
-            best = rep
-    return best
+    combos = [
+        BoundParams(**dict(zip(names, combo)))
+        for combo in _cartesian(*(axes[n] for n in names))
+    ]
+    reports: list[BoundReport] = []
+    for start in range(0, len(combos), MAX_BATCH):
+        batch = combos[start : start + MAX_BATCH]
+        k = len(batch)
+        reports += evaluate_bounds([ctx] * k, inequality_id, [operands] * k, batch)
+    return min(reports, key=lambda rep: rep.rhs)

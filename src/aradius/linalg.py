@@ -3,9 +3,8 @@
 Everything downstream works on plain numpy complex matrices.  The helpers
 here pin down the numerical conventions the weighted operator calculus
 relies on: symmetrization before Hermitian eigensolves, eigenvalue
-clamping for positive-semidefinite functional calculus, singular-value
-truncation for pseudoinverses, and a grid-seeded Newton refinement for
-the classical numerical radius.
+clamping for positive-semidefinite functional calculus, and a
+grid-seeded Newton refinement for the classical numerical radius.
 
 Stacks: :func:`spectral_norm` and :func:`classical_numerical_radius` take
 either one matrix or a stack ``(k, rows, cols)`` of matrices of one shape
@@ -133,79 +132,40 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """Frobenius distance of ``m`` from its conjugate transpose."""
-    return float(np.linalg.norm(m - m.conj().T))
-
-
 def hermitian_eig(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input must be Hermitian to relative tolerance
-    ``HERMITIAN_RTOL``; it is symmetrized before the solve so downstream
+    The input must be Hermitian to relative tolerance: ``||M - M*||_F <=
+    HERMITIAN_RTOL * ||M||_F``, so any scale qualifies and the zero matrix
+    passes.  It is symmetrized before the solve so downstream
     reconstruction identities hold to rounding.
     """
     mat = as_matrix(m, square=True)
-    fro = float(np.linalg.norm(mat))
-    if hermitian_defect(mat) > HERMITIAN_RTOL * (1.0 + fro):
+    adj = mat.conj().T
+    if np.linalg.norm(mat - adj) > HERMITIAN_RTOL * np.linalg.norm(mat):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    sym = 0.5 * (mat + mat.conj().T)
     try:
-        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = np.linalg.eigh(0.5 * (mat + adj))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolve failed: {exc}") from exc
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def pinv(m, rank_tol: float = 1e-10) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD truncation.
-
-    Singular values at or below ``rank_tol`` times the largest one are
-    treated as exact zeros.
-    """
-    if rank_tol <= 0.0:
-        raise ValueError("rank_tol must be positive")
-    mat = as_matrix(m)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((mat.shape[1], mat.shape[0]), dtype=np.complex128)
-    keep = s > rank_tol * s[0]
-    if not np.any(keep):
-        return np.zeros((mat.shape[1], mat.shape[0]), dtype=np.complex128)
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (vh.conj().T * inv) @ u.conj().T
-
-
-def _clamped_psd_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a PSD matrix with negatives clamped to zero.
-
-    Eigenvalues below ``-PSD_CLAMP_RTOL`` times the spectral radius are a
-    domain error; small negatives from rounding are clamped.
-    """
-    spec = hermitian_eig(m)
-    vals = spec.eigenvalues
-    top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if float(vals[0]) < -PSD_CLAMP_RTOL * top:
-        raise NotPSD(f"eigenvalue {vals[0]:.3e} below PSD clamp threshold")
-    return np.clip(vals, 0.0, None), spec.eigenvectors
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Principal square root of a positive-semidefinite matrix."""
-    vals, vecs = _clamped_psd_eig(m)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def psd_power(m, p: float) -> np.ndarray:
     """Spectral power ``m**p`` of a PSD matrix, ``p >= 0``.
 
-    Zero eigenvalues map to zero for every ``p`` including ``p == 0``, so
+    Eigenvalues below ``-PSD_CLAMP_RTOL`` times the spectral radius are a
+    domain error; small negatives from rounding are clamped.  Zero
+    eigenvalues map to zero for every ``p`` including ``p == 0``, so
     ``m**0`` is the orthogonal projection onto the range of ``m``.
     """
     if p < 0.0:
         raise ValueError("power must be nonnegative")
-    vals, vecs = _clamped_psd_eig(m)
+    spec = hermitian_eig(m)
+    vals, vecs = spec.eigenvalues, spec.eigenvectors
+    if float(vals[0]) < -PSD_CLAMP_RTOL * float(np.max(np.abs(vals))):
+        raise NotPSD(f"eigenvalue {vals[0]:.3e} below PSD clamp threshold")
+    vals = np.clip(vals, 0.0, None)
     powered = np.power(vals, p, out=np.zeros_like(vals), where=vals > 0.0)
     return (vecs * powered) @ vecs.conj().T
 

@@ -20,9 +20,10 @@ matrices only.
 
 Trial axis: :func:`stack_contexts` joins contexts of one dimension and
 rank into one context whose arrays carry a leading trial axis, and
-:func:`reduce` and :func:`preserves_kernel` accept such a context, or a
-stack ``(k, n, n)`` of operators, or both; they return one result per
-trial.  The other functions take one weight and one operator.
+:func:`reduce`, :func:`preserves_kernel`, :func:`is_a_selfadjoint` and
+:func:`is_a_positive` accept such a context, or a stack ``(k, n, n)`` of
+operators, or both; they return one result per trial.  The other
+functions take one weight and one operator.
 """
 
 from __future__ import annotations
@@ -256,25 +257,34 @@ def a_abs_power(ctx: SemiInnerContext, t, p: float) -> np.ndarray:
     return (ctx.v_r / lam_half) @ powered @ (lam_half[:, None] * ctx.v_r.conj().T)
 
 
-def is_a_selfadjoint(ctx: SemiInnerContext, t, tol: float = 1e-8) -> bool:
-    """True when ``A T`` is Hermitian within relative tolerance."""
-    mat = as_matrix(t, square=True)
+def _a_hermitian(ctx: SemiInnerContext, t, tol: float):
+    """Hermitian part of ``A T``; whether ``||A T - (A T)*||_F <= tol ||A T||_F``.
+
+    The rule is relative, so no verdict depends on the scale of ``T``.
+    """
+    mat = as_stack(t, square=True)
     _check_dim(ctx, mat)
     at = ctx.a @ mat
-    defect = float(np.linalg.norm(at - at.conj().T))
-    return defect <= tol * (1.0 + float(np.linalg.norm(at)))
+    adj = at.conj().swapaxes(-1, -2)
+    ok = np.linalg.norm(at - adj, axis=(-2, -1)) <= tol * np.linalg.norm(at, axis=(-2, -1))
+    return 0.5 * (at + adj), ok
 
 
-def is_a_positive(ctx: SemiInnerContext, t, tol: float = 1e-8) -> bool:
-    """True when ``A T`` is Hermitian PSD within relative tolerance."""
-    mat = as_matrix(t, square=True)
-    _check_dim(ctx, mat)
-    at = ctx.a @ mat
-    if not is_a_selfadjoint(ctx, t, tol=tol):
-        return False
-    vals = np.linalg.eigvalsh(0.5 * (at + at.conj().T))
-    top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return float(vals[0]) >= -tol * (1.0 + top)
+def is_a_selfadjoint(ctx: SemiInnerContext, t, tol: float = 1e-8):
+    """True when ``A T`` is Hermitian within relative tolerance, per trial for stacks."""
+    ok = _a_hermitian(ctx, t, tol)[1]
+    return ok if ok.ndim else bool(ok)
+
+
+def is_a_positive(ctx: SemiInnerContext, t, tol: float = 1e-8):
+    """True when ``A T`` is Hermitian PSD within relative tolerance, per trial for stacks.
+
+    The smallest eigenvalue must be at least ``-tol`` times the largest modulus.
+    """
+    sym, ok = _a_hermitian(ctx, t, tol)
+    vals = np.linalg.eigvalsh(sym)
+    ok = ok & (vals[..., 0] >= -tol * np.max(np.abs(vals), axis=-1))
+    return ok if ok.ndim else bool(ok)
 
 
 def preserves_kernel(ctx: SemiInnerContext, t, tol: float = 1e-8):
@@ -285,9 +295,10 @@ def preserves_kernel(ctx: SemiInnerContext, t, tol: float = 1e-8):
     the reduction is multiplicative; every operator inequality in
     :mod:`aradius.inequalities` hypothesizes it.  The leak ``||V_r* T (I -
     P)||`` (``r x n``; it equals ``||P T (I - P)||`` because ``V_r`` has
-    orthonormal columns) must be at most ``tol * (1 + ||T||)``.  Always
-    true for invertible weights and for the zero weight.  A stacked
-    context or operator stack gives a boolean array, one per trial.
+    orthonormal columns) must be at most ``tol * ||T||``: relative, so any
+    scale qualifies and the zero operator passes.  Always true for
+    invertible weights and for the zero weight.  A stacked context or
+    operator stack gives a boolean array, one per trial.
     """
     mat = as_stack(t, square=True)
     _check_dim(ctx, mat)
@@ -297,7 +308,7 @@ def preserves_kernel(ctx: SemiInnerContext, t, tol: float = 1e-8):
     vrh = ctx.v_r.conj().swapaxes(-1, -2)
     image = vrh @ mat
     leak = image - (image @ ctx.v_r) @ vrh
-    return spectral_norm(leak) <= tol * (1.0 + spectral_norm(mat))
+    return spectral_norm(leak) <= tol * spectral_norm(mat)
 
 
 def _check_dim(ctx: SemiInnerContext, mat: np.ndarray) -> None:

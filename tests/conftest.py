@@ -118,17 +118,6 @@ def oracle_radius_grid(m, k: int = 16384) -> float:
     return float(np.max(tops))
 
 
-def penrose_defect(m, mp) -> float:
-    """Largest residual of the four Moore-Penrose identities."""
-    m = np.asarray(m, dtype=np.complex128)
-    mp = np.asarray(mp, dtype=np.complex128)
-    r1 = np.linalg.norm(m @ mp @ m - m, 2)
-    r2 = np.linalg.norm(mp @ m @ mp - mp, 2)
-    r3 = np.linalg.norm((m @ mp).conj().T - m @ mp, 2)
-    r4 = np.linalg.norm((mp @ m).conj().T - mp @ m, 2)
-    return float(max(r1, r2, r3, r4))
-
-
 def half_factors(ctx):
     """``A^{1/2}`` and its pseudoinverse, rebuilt from ``v_r`` and ``sqrt_lam``."""
     vh = ctx.v_r.conj().T

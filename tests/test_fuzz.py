@@ -32,9 +32,6 @@ from aradius import (
     replay,
     run_campaign,
 )
-from aradius.inequalities import OPERATOR_KINDS
-
-_OPERATOR_IDS = [i for i in registry_ids() if registry_entry(i).kind in OPERATOR_KINDS]
 _REPLAY_CASES = [
     ("thm_2_10", "dense_psd"),
     ("kz", "rank_deficient"),
@@ -232,8 +229,8 @@ def test_run_campaign_pointwise_lemmas_use_admissible_classes():
 
 
 def test_run_campaign_counts_violations_and_caps_persistence(monkeypatch):
-    # operator bounds are evaluated in batches; sabotage every report
-    real = fuzz_mod.evaluate_operator_bounds
+    # every id is evaluated in batches; sabotage every report
+    real = fuzz_mod.evaluate_bounds
 
     def sabotage(ctxs, iid, operands, params):
         return [
@@ -243,7 +240,7 @@ def test_run_campaign_counts_violations_and_caps_persistence(monkeypatch):
             for rep in real(ctxs, iid, operands, params)
         ]
 
-    monkeypatch.setattr(fuzz_mod, "evaluate_operator_bounds", sabotage)
+    monkeypatch.setattr(fuzz_mod, "evaluate_bounds", sabotage)
     rep = run_campaign("thm_2_10", GenSpec(dim=2, seed=2), trials=30)[0]
     assert rep.violations == 30
     assert len(rep.violation_cases) == 25  # persistence is capped
@@ -253,18 +250,20 @@ def test_run_campaign_counts_violations_and_caps_persistence(monkeypatch):
 
 
 def test_run_campaign_counts_skips(monkeypatch):
-    real = fuzz_mod.evaluate_bound
+    real = fuzz_mod.evaluate_bounds
 
-    def advisory_on_even(ctx, iid, operands, params, tol=None):
-        rep = real(ctx, iid, operands, params, tol)
-        trial_is_even = advisory_on_even.calls % 2 == 0
-        advisory_on_even.calls += 1
-        if trial_is_even:
-            return dataclasses.replace(rep, hypotheses_ok=False)
-        return rep
+    def advisory_on_even(ctxs, iid, operands, params):
+        reports = []
+        for rep in real(ctxs, iid, operands, params):
+            trial_is_even = advisory_on_even.calls % 2 == 0
+            advisory_on_even.calls += 1
+            if trial_is_even:
+                rep = dataclasses.replace(rep, hypotheses_ok=False)
+            reports.append(rep)
+        return reports
 
     advisory_on_even.calls = 0
-    monkeypatch.setattr(fuzz_mod, "evaluate_bound", advisory_on_even)
+    monkeypatch.setattr(fuzz_mod, "evaluate_bounds", advisory_on_even)
     rep = run_campaign("buzano_beta", GenSpec(dim=2, seed=6), trials=10)[0]
     assert rep.skipped == 5
     assert rep.violations == 0
@@ -297,13 +296,13 @@ def test_campaign_to_obj_field_set():
     _REPLAY_CASES
     + [
         (iid, kind)
-        for iid in _OPERATOR_IDS
+        for iid in registry_ids()
         for kind in ("rank_deficient", "dense_psd")
         if (iid, kind) not in _REPLAY_CASES
     ],
 )
 def test_replay_reproduces_persisted_case_exactly(iid, a_kind):
-    # 8 trials: operator ids are evaluated as one batch, replayed alone
+    # 8 trials: every id is evaluated as one batch, replayed alone
     gen = GenSpec(dim=3, a_kind=a_kind, seed=33)
     rep = run_campaign(iid, gen, trials=8, randomize_params=True)[0]
     case = json.loads(json.dumps(rep.sharpest_case))  # full wire roundtrip
@@ -315,7 +314,7 @@ def test_replay_reproduces_persisted_case_exactly(iid, a_kind):
 
 def test_replay_of_violation_case(monkeypatch):
     # a sabotaged case still replays through the honest evaluator
-    real = fuzz_mod.evaluate_operator_bounds
+    real = fuzz_mod.evaluate_bounds
 
     def sabotage(ctxs, iid, operands, params):
         return [
@@ -323,11 +322,11 @@ def test_replay_of_violation_case(monkeypatch):
             for rep in real(ctxs, iid, operands, params)
         ]
 
-    monkeypatch.setattr(fuzz_mod, "evaluate_operator_bounds", sabotage)
+    monkeypatch.setattr(fuzz_mod, "evaluate_bounds", sabotage)
     rep = run_campaign("thm_2_10", GenSpec(dim=2, seed=13), trials=2)[0]
     assert rep.violations == 2
     case = rep.violation_cases[0]
-    monkeypatch.setattr(fuzz_mod, "evaluate_operator_bounds", real)
+    monkeypatch.setattr(fuzz_mod, "evaluate_bounds", real)
     back = replay(case)
     assert back.lhs == case["lhs"]
     assert back.rhs == case["rhs"]
@@ -368,11 +367,27 @@ def _rank_mixing_gen_context(monkeypatch):
     monkeypatch.setattr(fuzz_mod, "gen_context", mixed)
 
 
-@pytest.mark.parametrize("iid", ["thm_2_8", "kz", "college1", "prod1", "thm_2_16"])
+@pytest.mark.parametrize(
+    "iid",
+    [
+        "thm_2_8",
+        "kz",
+        "college1",
+        "prod1",
+        "thm_2_16",
+        "buz_general",
+        "drag",
+        "jensen",
+        "bohr",
+        "mixed_schwarz",
+        "holder_mccarthy",
+    ],
+)
 def test_chunked_campaign_matches_per_trial_loop(monkeypatch, iid):
+    # bohr draws one to five values per trial, so its chunks pad ragged lists
     _rank_mixing_gen_context(monkeypatch)
     gen = GenSpec(dim=4, a_kind="rank_deficient", seed=58)
-    trials = fuzz_mod._CHUNK + 5
+    trials = fuzz_mod.MAX_BATCH + 5
     rep = run_campaign(iid, gen, trials, randomize_params=True)[0]
     entry = registry_entry(iid)
     kept = []
@@ -396,3 +411,32 @@ def test_chunked_campaign_matches_per_trial_loop(monkeypatch, iid):
     case = rep.sharpest_case
     assert case["trial"] == k_min
     assert (case["lhs"], case["rhs"]) == (sharpest.lhs, sharpest.rhs)
+
+
+@pytest.mark.parametrize(
+    "iid,dim,a_kind,seed,first",
+    [
+        ("ramadan1_cor", 4, "identity", 9076, 32),
+        ("thm_beta", 4, "identity", 9076, 64),
+        ("mohd1", 2, "identity", 4276, 64),
+        ("ramadan1", 3, "diagonal", 4298, 32),
+        ("bohr", 2, "dense_psd", 4278, 0),
+    ],
+)
+def test_batched_reports_are_bitwise_the_single_reports(iid, dim, a_kind, seed, first):
+    # chunks of criterion-1 cells with one exponent r per trial, where a
+    # broadcast exponent or a masked power once made the results depend on
+    # the batch (bohr also pads its value lists to the batch's widest)
+    gen = GenSpec(dim=dim, a_kind=a_kind, seed=seed)
+    entry = registry_entry(iid)
+    draws = [
+        fuzz_mod._draw_trial(gen, entry, iid, k, None, True)
+        for k in range(first, first + fuzz_mod.MAX_BATCH)
+    ]
+    ctxs, ops, prms = zip(*draws)
+    batch = fuzz_mod.evaluate_bounds(ctxs, iid, ops, prms)
+    for (ctx, operands, params), rep in zip(draws, batch):
+        one = evaluate_bound(ctx, iid, operands, params)
+        assert (rep.lhs, rep.rhs) == (one.lhs, one.rhs)
+        assert dict(rep.intermediates) == dict(one.intermediates)
+

@@ -316,6 +316,19 @@ def test_thm_2_7_reduces_to_half_sum_at_center(rng):
     assert rep.rhs == pytest.approx(rep.intermediates["rhs_as_displayed"], abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+def test_hypothesis_verdicts_do_not_depend_on_scale(scale):
+    ctx = make_context(np.diag([1.0, 0.0]))
+    leak = scale * np.array([[0.0, 1.0], [0.0, 0.0]])  # maps ker(A) onto ran(A)
+    ops = {"X": leak, "Y": scale * np.eye(2)}
+    assert not check_matrix_bound(ctx, "moby_a1", ops, BoundParams()).hypotheses_ok
+    weight = make_context(np.diag([1.0, 2.0]))
+    x = y = np.array([1.0, 0.0])
+    swap = scale * np.array([[0.0, 1.0], [1.0, 0.0]])  # does not commute with A
+    assert not check_mixed_schwarz(weight, swap, x, y).hypotheses_ok
+    assert check_mixed_schwarz(weight, scale * np.diag([3.0, 5.0]), x, y).hypotheses_ok
+
+
 # --------------------------------------------------------------------------
 # cross-id consistency
 
@@ -514,6 +527,30 @@ def test_optimizer_zero_operand_endpoint(identity_ctx):
     assert bound <= 0.5 + 1e-12
 
 
+def test_optimizer_is_the_dense_grid_minimum(identity_ctx, rng):
+    # norms on both sides of 1, ties and norms of exactly 1: the closed-form
+    # candidate compared against both endpoints is never above a dense
+    # grid; a zero norm makes 0^(2t) jump at t = 0, so the better endpoint
+    # is taken
+    u = 10.0 ** rng.uniform(-3.0, 3.0, 60)
+    v = 10.0 ** rng.uniform(-3.0, 3.0, 60)
+    u[:5] = 0.0
+    v[5:10] = 0.0
+    v[10:15] = u[10:15]
+    u[15:20] = 1.0
+    grid = np.linspace(0.0, 1.0, 20_001)
+    eye = np.eye(3)
+    for a, b in zip(u, v):
+        lam, bound = optimize_refined_alpha_bound(identity_ctx, a * eye, b * eye)
+        f = 0.5 * (a ** (2 * grid) + b ** (2 * (1 - grid)))
+        assert 0.0 <= lam <= 1.0
+        if a == 0.0 or b == 0.0:
+            assert bound == min(f[0], f[-1])
+        else:
+            assert bound <= float(np.min(f)) * (1.0 + 1e-12)
+        assert bound == pytest.approx(0.5 * (a ** (2 * lam) + b ** (2 * (1 - lam))), rel=1e-14)
+
+
 def test_critical_point_formula_cross_check(rng):
     # for norms above one the closed-form stationary point agrees with
     # golden section whenever it falls inside the unit interval
@@ -535,6 +572,23 @@ def test_optimize_params_single_point_matches_direct(rng):
     rep = optimize_params(ctx, "thm_2_7", {"X": x, "Y": y}, grid)
     direct = check_matrix_bound(ctx, "thm_2_7", {"X": x, "Y": y}, BoundParams(lam=0.4))
     assert rep.rhs == pytest.approx(direct.rhs, abs=1e-12)
+
+
+def test_optimize_params_is_the_per_combination_loop(rng):
+    # 36 combinations, so more than one batch; a repeated beta makes ties
+    ctx, x, y = _random_pair(rng, rank=2)
+    ops = {"X": x, "Y": y}
+    betas = (0.0, 0.5, 0.5, 1.0, 2.0, 4.0)
+    rs = (1.0, 1.25, 1.5, 1.75, 2.0, 3.0)
+    got = optimize_params(ctx, "ramadan1", ops, ParamGrid(betas=betas, rs=rs))
+    best = None
+    for beta in betas:
+        for r in rs:
+            rep = check_matrix_bound(ctx, "ramadan1", ops, BoundParams(beta=beta, r=r))
+            if best is None or rep.rhs < best.rhs:
+                best = rep
+    assert got == best
+    assert got.rhs == best.rhs and dict(got.intermediates) == dict(best.intermediates)
 
 
 def test_optimize_params_matches_optimizer_on_equal_norms(diag_ctx):

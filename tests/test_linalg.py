@@ -19,9 +19,7 @@ from aradius import (
     classical_numerical_radius,
     hermitian_eig,
     make_context,
-    pinv,
     psd_power,
-    psd_sqrt,
     spectral_norm,
 )
 
@@ -30,7 +28,6 @@ from conftest import (
     oracle_radius,
     oracle_radius_grid,
     oracle_spectral_norm,
-    penrose_defect,
 )
 
 
@@ -83,7 +80,7 @@ def test_as_vector_shape_and_dim():
 
 
 # --------------------------------------------------------------------------
-# eigendecomposition and pseudoinverse
+# eigendecomposition
 
 
 def test_hermitian_eig_reconstructs(rng):
@@ -102,37 +99,13 @@ def test_hermitian_eig_rejects_asymmetric(rng):
         hermitian_eig(g)
 
 
-@pytest.mark.parametrize("rank", [1, 2, 4])
-def test_pinv_penrose_identities(rng, rank):
-    g = cgauss(rng, 4, rank) @ cgauss(rng, rank, 4)
-    mp = pinv(g)
-    assert penrose_defect(g, mp) < 1e-10
-
-
-def test_pinv_involution_and_identity(rng):
-    g = cgauss(rng, 3, 3)
-    assert np.allclose(pinv(pinv(g)), g, atol=1e-9)
-    assert np.allclose(pinv(np.eye(3)), np.eye(3), atol=1e-13)
-
-
-def test_pinv_zero_matrix():
-    assert np.allclose(pinv(np.zeros((3, 3))), 0.0)
-
-
 # --------------------------------------------------------------------------
 # matrix functions
 
 
-def test_psd_sqrt_squares_back(rng):
-    g = cgauss(rng, 4, 4)
-    m = g @ g.conj().T
-    r = psd_sqrt(m)
-    assert np.allclose(r @ r, m, atol=1e-10 * (1 + np.linalg.norm(m)))
-
-
-def test_psd_sqrt_rejects_indefinite():
+def test_psd_power_rejects_indefinite():
     with pytest.raises(NotPSD):
-        psd_sqrt(np.diag([1.0, -1.0]))
+        psd_power(np.diag([1.0, -1.0]), 0.5)
 
 
 def test_psd_power_special_exponents(rng):

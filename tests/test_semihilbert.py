@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from aradius import (
     DimensionMismatch,
+    NotHermitian,
     NotPositive,
     a_abs_power,
     a_adjoint,
@@ -287,6 +288,14 @@ def test_stacked_contexts_reduce_and_test_kernel_per_trial(rng):
     kept = preserves_kernel(stacked, np.stack(ops))
     assert kept.tolist() == [preserves_kernel(c, t) for c, t in zip(ctxs, ops)]
     assert kept.tolist() == [False, True, False]
+    kept_ops = [t - c.range_proj @ t @ (np.eye(4) - c.range_proj) for c, t in zip(ctxs, ops)]
+    grams = np.stack([a_adjoint(c, t) @ t for c, t in zip(ctxs, kept_ops)])
+    grams[2] = -grams[2]
+    assert is_a_selfadjoint(stacked, grams).tolist() == [True, True, True]
+    assert is_a_positive(stacked, grams).tolist() == [True, True, False]
+    assert is_a_positive(stacked, np.stack(ops)).tolist() == [
+        is_a_positive(c, t) for c, t in zip(ctxs, ops)
+    ]
     with pytest.raises(DimensionMismatch):
         stack_contexts([ctxs[0], random_context(rng, 4, rank=3)])
 
@@ -300,6 +309,27 @@ def test_preserves_kernel_detects_leak():
     keep = np.diag([1.0, 2.0, 3.0])
     assert preserves_kernel(ctx, keep)
     assert preserves_kernel(ctx, np.stack([leak, keep])).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+def test_structural_verdicts_do_not_depend_on_scale(scale):
+    # every verdict is the one at scale 1: the tolerances are relative
+    ctx = make_context(np.diag([1.0, 0.0]))
+    leak = scale * np.array([[0.0, 1.0], [0.0, 0.0]])  # maps ker(A) onto ran(A)
+    assert not preserves_kernel(ctx, leak)
+    assert not is_a_selfadjoint(ctx, leak)
+    assert not is_a_positive(ctx, leak)
+    negative = scale * np.diag([-1.0, 3.0])  # A-selfadjoint, not A-positive
+    assert is_a_selfadjoint(ctx, negative)
+    assert not is_a_positive(ctx, negative)
+    keep = scale * np.diag([2.0, 3.0])
+    assert preserves_kernel(ctx, keep)
+    assert is_a_selfadjoint(ctx, keep)
+    assert is_a_positive(ctx, keep)
+    zero = np.zeros((2, 2))
+    assert preserves_kernel(ctx, zero) and is_a_positive(ctx, zero)
+    with pytest.raises(NotHermitian):
+        make_context(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_full_rank_everything_preserves_kernel(rng):
