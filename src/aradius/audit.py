@@ -87,7 +87,7 @@ def _diagonal_rows() -> list[dict]:
     x = np.diag([1.0, 2.0]).astype(complex)
     y = np.diag([2.0, 1.0]).astype(complex)
     ctx = make_context(a)
-    ctx2 = dsum_context(ctx, 2)
+    ctx2 = dsum_context(ctx)
     rows = [
         _row(name, "Y adjoint", y, a_adjoint(ctx, y)),
         _row(name, "seminorm of X", 2.0, op_seminorm(ctx, x)),
@@ -96,7 +96,7 @@ def _diagonal_rows() -> list[dict]:
     lam_star, bound = optimize_refined_alpha_bound(ctx, x, y)
     rows.append(_row(name, "optimizer lam_star", 0.5, lam_star))
     rows.append(_row(name, "optimized bound", 2.0, bound))
-    w_block = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)), 1e-10)
+    w_block = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)))
     rows.append(_row(name, "block radius", 2.0, w_block))
     rows.append(_row(name, "radius within bound", True, w_block <= bound + 1e-8))
     return rows
@@ -132,8 +132,8 @@ def _rank_one_rows() -> list[dict]:
         _row(name, "YX", np.array([[1.0, 8.0], [3.0, -1.0]]), y @ x),
         _row(name, "seminorm of X#X + YY#", 18.741, op_seminorm(ctx, prod_1)),
         _row(name, "seminorm of XX# + Y#Y", 18.668, op_seminorm(ctx, prod_2)),
-        _row(name, "radius of XY", 6.03, a_numerical_radius(ctx, x @ y, 1e-10)),
-        _row(name, "radius of YX", 11.2, a_numerical_radius(ctx, y @ x, 1e-10)),
+        _row(name, "radius of XY", 6.03, a_numerical_radius(ctx, x @ y)),
+        _row(name, "radius of YX", 11.2, a_numerical_radius(ctx, y @ x)),
         _row(name, "X preserves ker(weight)", True, preserves_kernel(ctx, x)),
         _row(name, "Y preserves ker(weight)", True, preserves_kernel(ctx, y)),
     ]
@@ -154,7 +154,7 @@ def _triangular_rows() -> list[dict]:
     x = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
     y = np.array([[1.0, 0.0], [0.5, 1.0]], dtype=complex)
     ctx = make_context(a)
-    ctx2 = dsum_context(ctx, 2)
+    ctx2 = dsum_context(ctx)
     adj_x = a_adjoint(ctx, x)
     adj_y = a_adjoint(ctx, y)
     rows = [
@@ -169,10 +169,10 @@ def _triangular_rows() -> list[dict]:
     lam_star, bound = optimize_refined_alpha_bound(ctx, x, y)
     rows.append(_row(name, "optimizer lam_star", 0.5, lam_star))
     rows.append(_row(name, "optimized bound", 2.29, bound))
-    w_block = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)), 1e-10)
+    w_block = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)))
     rows.append(_row(name, "radius within bound", True, w_block <= bound + 1e-8))
     lam_1 = op_seminorm(ctx, adj_y @ y + x @ adj_x)
-    w_xy = a_numerical_radius(ctx, x @ y, 1e-10)
+    w_xy = a_numerical_radius(ctx, x @ y)
     rhs = 3.0 / 16.0 * lam_1**2 + 0.25 * w_xy**2
     rows.append(_row(name, "power sum norm", 46.2128, lam_1))
     rows.append(_row(name, "radius of XY squared", 4.515, w_xy**2))

@@ -90,21 +90,19 @@ def assemble(spec: BlockSpec) -> np.ndarray:
     return np.block([[b["F"], b["X"]], [b["Y"], b["K"]]])
 
 
-def dsum_context(ctx: SemiInnerContext, k: int = 2) -> SemiInnerContext:
-    """Context for the k-fold direct sum weight ``diag(A, ..., A)``.
+def dsum_context(ctx: SemiInnerContext) -> SemiInnerContext:
+    """Context for the doubled weight ``diag(A, A)`` of 2x2 block operators.
 
     All factors are assembled blockwise from the existing ones, so no
     new factorization (and no new rank decision) happens.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    eye = np.eye(k)
+    eye = np.eye(2)
     return SemiInnerContext(
         a=_frozen(np.kron(eye, ctx.a)),
         a_pinv=_frozen(np.kron(eye, ctx.a_pinv)),
         range_proj=_frozen(np.kron(eye, ctx.range_proj)),
-        rank=k * ctx.rank,
+        rank=2 * ctx.rank,
         rank_tol=ctx.rank_tol,
         v_r=_frozen(np.kron(eye, ctx.v_r)),
-        sqrt_lam=_frozen(np.tile(ctx.sqrt_lam, k)),
+        sqrt_lam=_frozen(np.tile(ctx.sqrt_lam, 2)),
     )

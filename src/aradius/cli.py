@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("kind", choices=("adjoint", "seminorm", "radius", "abs_power"))
     c.add_argument("a_file", help="weight matrix JSON file")
     c.add_argument("t_file", help="operator matrix JSON file")
-    c.add_argument("--tol", type=float, default=1e-8, help="accepted; changes no result")
     c.add_argument("--rank-tol", type=float, default=1e-10)
     c.add_argument("--power", type=float, default=1.0, help="exponent for abs_power")
 
@@ -73,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--mu", type=float, default=0.5)
     k.add_argument("--lam", type=float, default=0.5)
     k.add_argument("--p", type=float, default=2.0)
-    k.add_argument("--tol", type=float, default=None, help="accepted; changes no result")
     k.add_argument("--rank-tol", type=float, default=1e-10)
 
     f = sub.add_parser("fuzz", help="run randomized soundness campaigns")
@@ -86,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--scale", type=float, default=1.0)
     f.add_argument("--rank", type=int, default=None)
     f.add_argument("--randomize-params", action="store_true")
-    f.add_argument("--tol", type=float, default=None, help="accepted; changes no result")
     f.add_argument("--out", default=None, help="write report array to this file")
 
     sub.add_parser("audit", help="recompute the worked-example catalog")
@@ -97,13 +94,13 @@ def _cmd_compute(args) -> int:
     _, a = load_matrix(args.a_file)
     _, t = load_matrix(args.t_file)
     ctx = make_context(a, rank_tol=args.rank_tol)
-    out = {"kind": args.kind, "tol": args.tol, "rank": ctx.rank}
+    out = {"kind": args.kind, "rank": ctx.rank}
     if args.kind == "adjoint":
         out["matrix"] = matrix_to_obj("adjoint", a_adjoint(ctx, t))
     elif args.kind == "seminorm":
         out["value"] = op_seminorm(ctx, t)
     elif args.kind == "radius":
-        out["value"] = a_numerical_radius(ctx, t, args.tol)
+        out["value"] = a_numerical_radius(ctx, t)
     else:
         out["matrix"] = matrix_to_obj(
             f"abs_power_{args.power:g}", a_abs_power(ctx, t, args.power)
@@ -158,7 +155,7 @@ def _cmd_check(args) -> int:
                 lam=args.lam,
                 p=args.p,
             )
-    rep = evaluate_bound(ctx, args.inequality_id, operands, params, args.tol)
+    rep = evaluate_bound(ctx, args.inequality_id, operands, params)
     print(json.dumps(report_to_obj(rep), indent=2))
     return EXIT_VIOLATION if rep.violated else EXIT_OK
 
@@ -175,13 +172,7 @@ def _cmd_fuzz(args) -> int:
         seed=args.seed,
         rank=args.rank,
     )
-    reports = run_campaign(
-        ids,
-        gen,
-        args.trials,
-        tol=args.tol,
-        randomize_params=args.randomize_params,
-    )
+    reports = run_campaign(ids, gen, args.trials, randomize_params=args.randomize_params)
     payload = json.dumps([campaign_to_obj(r) for r in reports], indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

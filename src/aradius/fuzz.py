@@ -37,7 +37,7 @@ from .inequalities import (
     registry_entry,
 )
 from .linalg import DIM_CAP, spectral_norm
-from .matio import complex_from_pairs, matrix_to_obj, params_from_obj, params_to_obj
+from .matio import matrix_from_obj, matrix_to_obj, params_from_obj, params_to_obj
 from .semihilbert import SemiInnerContext, make_context, vec_seminorm
 
 A_KINDS = ("identity", "diagonal", "dense_psd", "rank_deficient")
@@ -220,7 +220,7 @@ def _serialize_operand(name: str, value) -> object:
     return matrix_to_obj(name, value)
 
 
-def _serialize_case(iid, trial, spec, ctx, operands, params, rep, tol) -> dict:
+def _serialize_case(iid, trial, spec, ctx, operands, params, rep) -> dict:
     return {
         "inequality_id": iid,
         "trial": int(trial),
@@ -228,7 +228,6 @@ def _serialize_case(iid, trial, spec, ctx, operands, params, rep, tol) -> dict:
         "weight": matrix_to_obj("A", ctx.a),
         "operands": {k: _serialize_operand(k, v) for k, v in operands.items()},
         "params": params_to_obj(params),
-        "tol": tol,
         "lhs": rep.lhs,
         "rhs": rep.rhs,
         "rel_slack": rep.rel_slack,
@@ -270,7 +269,6 @@ def run_campaign(
     gen: GenSpec,
     trials: int,
     params: BoundParams | None = None,
-    tol: float | None = None,
     randomize_params: bool = False,
 ) -> list[CampaignReport]:
     """Run ``trials`` random instances of each id and certify slack signs.
@@ -278,9 +276,7 @@ def run_campaign(
     Returns one :class:`CampaignReport` per id, in input order.  A trial
     whose hypotheses fail is skipped (counted, never a violation).  With
     ``randomize_params`` the bound parameters are redrawn per trial from
-    each id's admissible ranges instead of using ``params``.  ``tol`` is
-    passed through and stored with persisted cases; it changes no result,
-    because the radius kernel does not use it.
+    each id's admissible ranges instead of using ``params``.
     """
     if isinstance(ids, str):
         ids = [ids]
@@ -309,13 +305,11 @@ def run_campaign(
                 slack_sum += rep.rel_slack
                 if min_slack is None or rep.rel_slack < min_slack:
                     min_slack = rep.rel_slack
-                    sharpest = _serialize_case(iid, k, gen, *draw, rep, tol)
+                    sharpest = _serialize_case(iid, k, gen, *draw, rep)
                 if rep.violated:
                     violations += 1
                     if len(violation_cases) < _MAX_PERSISTED_VIOLATIONS:
-                        violation_cases.append(
-                            _serialize_case(iid, k, gen, *draw, rep, tol)
-                        )
+                        violation_cases.append(_serialize_case(iid, k, gen, *draw, rep))
         reports.append(
             CampaignReport(
                 inequality_id=iid,
@@ -351,14 +345,17 @@ def _deserialize_operand(value):
         return float(value)
     if isinstance(value, list):
         return [float(v) for v in value]
-    _, mat = value["name"], complex_from_pairs(value["data"])
-    return mat
+    return matrix_from_obj(value)[1]
 
 
 def replay(case: Mapping) -> BoundReport:
-    """Re-evaluate a persisted case; reproduces its lhs/rhs deterministically."""
-    mat = complex_from_pairs(case["weight"]["data"])
-    ctx = make_context(mat)
+    """Re-evaluate a persisted case; reproduces its lhs/rhs deterministically.
+
+    Matrices are decoded through :func:`aradius.matio.matrix_from_obj`, so
+    a declared shape that disagrees with the data raises.  A ``"tol"``
+    field, which older case files carry, is ignored.
+    """
+    ctx = make_context(matrix_from_obj(case["weight"])[1])
     operands = {k: _deserialize_operand(v) for k, v in case["operands"].items()}
     params = params_from_obj(case["params"])
-    return evaluate_bound(ctx, case["inequality_id"], operands, params, case.get("tol"))
+    return evaluate_bound(ctx, case["inequality_id"], operands, params)

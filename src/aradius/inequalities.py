@@ -99,9 +99,10 @@ class NotAPositive(DomainError):
 class BoundParams:
     """Parameters shared across the registered bounds.
 
-    ``q`` defaults to the exponent conjugate to ``p``.  Construction
-    validates the common domains; per-id extras (for example
-    ``p*r >= 2`` where a bound needs it) are checked by the checker.
+    Construction validates the common domains, and every value must be
+    finite; per-id extras (for example ``p*r >= 2`` where a bound needs
+    it) are checked by the checker.  ``q`` is the exponent conjugate to
+    ``p``, computed from it.
     """
 
     alpha: complex = 2.0 + 0.0j
@@ -110,14 +111,14 @@ class BoundParams:
     mu: float = 0.5
     lam: float = 0.5
     p: float = 2.0
-    q: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
-        if self.q is None:
-            if self.p <= 1.0:
-                raise DomainViolation("p must exceed 1")
-            object.__setattr__(self, "q", self.p / (self.p - 1.0))
+        values = (
+            self.alpha.real, self.alpha.imag, self.beta, self.r, self.mu, self.lam, self.p
+        )
+        if not all(map(math.isfinite, values)):
+            raise DomainViolation("bound parameters must be finite")
         if abs(self.alpha) == 0.0:
             raise DomainViolation("alpha must be nonzero")
         if not self.beta >= 0.0:
@@ -130,8 +131,10 @@ class BoundParams:
             raise DomainViolation("lam must lie in [0, 1]")
         if not (self.p > 1.0 and self.q > 1.0):
             raise DomainViolation("p and q must exceed 1")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
-            raise DomainViolation("p and q must be conjugate exponents")
+
+    @property
+    def q(self) -> float:
+        return self.p / (self.p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -1022,10 +1025,13 @@ def _gather(iid, name, operands, params, dim):
     """Operand ``name`` of every trial, validated, with a leading trial axis.
 
     A trial without ``r`` takes the parameter ``r``; value lists are padded
-    with zeros to the longest.
+    with zeros to the longest.  Numbers must be finite.
     """
     if name == "r":
-        return np.array([float(ops.get("r", p.r)) for ops, p in zip(operands, params)])
+        rs = np.array([float(ops.get("r", p.r)) for ops, p in zip(operands, params)])
+        if not np.isfinite(rs).all():
+            raise DomainViolation(f"{iid} requires a finite r")
+        return rs
     if any(name not in ops for ops in operands):
         raise DomainViolation(f"{iid!r} requires operand {name!r}")
     if name in _VECTORS:
@@ -1034,8 +1040,8 @@ def _gather(iid, name, operands, params, dim):
         lists = [[float(v) for v in ops[name]] for ops in operands]
         if not all(lists):
             raise DomainViolation(f"{iid} needs at least one value")
-        if any(v <= 0.0 for vals in lists for v in vals):
-            raise DomainViolation(f"{iid} requires positive values")
+        if not all(0.0 < v < math.inf for vals in lists for v in vals):
+            raise DomainViolation(f"{iid} requires positive finite values")
         width = max(map(len, lists))
         return np.array([vals + [0.0] * (width - len(vals)) for vals in lists])
     stack = np.array([as_matrix(ops[name], square=True) for ops in operands])
@@ -1060,7 +1066,8 @@ def evaluate_bounds(
     dimension and rank; scalar lemmas accept ``None`` weights.  Every
     matrix operand goes through one stacked reduction, kernel test and
     SVD, and the formula runs once over the batch; each trial's report is
-    bitwise the one the batch of that trial alone gives.
+    bitwise the one the batch of that trial alone gives.  A trial whose
+    left or right side overflows raises :class:`DomainViolation`.
     """
     entry = registry_entry(inequality_id)
     k = len(operands)
@@ -1101,12 +1108,16 @@ def evaluate_bounds(
         v = np.stack([ops[name] for name in vecs])
         red = ctx.sqrt_lam[:k] * (_adj(ctx.v_r[:k]) @ v[..., None])[..., 0]
         ops.update(zip(vecs, red if ctx.rank else np.zeros(v.shape[:2] + (1,))))
-    keys = [f.name for f in fields(BoundParams)]
+    keys = [f.name for f in fields(BoundParams)] + ["q"]
     per_field = {key: np.array([getattr(p, key) for p in params]) for key in keys}
-    lhs, rhs, more = entry.fn(ops, SimpleNamespace(**per_field))
+    # Finite inputs can still overflow; the check below reports that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs, more = entry.fn(ops, SimpleNamespace(**per_field))
     inter.update(more)
     # every value has one entry per trial
     lhs, rhs, hyp = lhs.tolist(), rhs.tolist(), hyp.tolist()
+    if not all(map(math.isfinite, lhs + rhs)):
+        raise DomainViolation(f"{inequality_id!r}: lhs or rhs is not finite")
     cols = {name: v.tolist() for name, v in inter.items()}
     return [
         _report(
@@ -1121,12 +1132,10 @@ def evaluate_bound(
     inequality_id: str,
     operands: Mapping[str, object],
     params: BoundParams | None = None,
-    tol: float | None = None,
 ) -> BoundReport:
     """Evaluate any registered id on one trial, as a batch of one.
 
-    ``operands`` is as for :func:`evaluate_bounds`.  ``tol`` is kept for
-    callers and persisted cases but changes no result.
+    ``operands`` is as for :func:`evaluate_bounds`.
     """
     return evaluate_bounds([ctx], inequality_id, [operands], [params])[0]
 
@@ -1163,17 +1172,14 @@ def check_vector_lemma(
     return evaluate_bound(ctx, inequality_id, {"a": a, "b": b, "e": e}, params)
 
 
-def check_mixed_schwarz(
-    ctx: SemiInnerContext, t, x, y, lam: float = 0.5, tol: float | None = None
-) -> BoundReport:
+def check_mixed_schwarz(ctx: SemiInnerContext, t, x, y, lam: float = 0.5) -> BoundReport:
     """Mixed Schwarz bound ``|<Tx, y>_A|`` against interpolated absolute values.
 
     The right side uses the power pair: the product of
     ``<|T|_A^(2 lam) x, x>_A ** (1/2)`` and
     ``<|T^#|_A^(2 (1-lam)) y, y>_A ** (1/2)``.  The displayed hypothesis
     asks ``T`` to commute with the weight; when it does not (or when an
-    operand moves ``ker A``), the report is advisory.  ``tol`` changes no
-    result.
+    operand moves ``ker A``), the report is advisory.
     """
     operands = {"T": t, "x": x, "y": y}
     return evaluate_bound(ctx, "mixed_schwarz", operands, BoundParams(lam=lam))
@@ -1194,7 +1200,6 @@ def check_matrix_bound(
     inequality_id: str,
     blocks: Mapping[str, np.ndarray],
     params: BoundParams | None = None,
-    tol: float | None = None,
 ) -> BoundReport:
     """Evaluate a 2x2 block-matrix radius bound.
 
@@ -1203,7 +1208,6 @@ def check_matrix_bound(
     appropriate power of the radius of the block matrix over
     ``diag(A, A)``, evaluated as the classical radius of the block of
     reduced blocks; the right side follows the registered display.
-    ``tol`` changes no result: the radius kernel does not use it.
     """
     _require_kind(inequality_id, "matrix")
     return evaluate_bound(ctx, inequality_id, blocks, params)
@@ -1214,9 +1218,8 @@ def check_single_operator_bound(
     inequality_id: str,
     m,
     params: BoundParams | None = None,
-    tol: float | None = None,
 ) -> BoundReport:
-    """Evaluate a single-operator radius bound on ``M``; ``tol`` changes no result."""
+    """Evaluate a single-operator radius bound on ``M``."""
     _require_kind(inequality_id, "single")
     return evaluate_bound(ctx, inequality_id, {"M": m}, params)
 
@@ -1226,9 +1229,8 @@ def check_product_bound(
     inequality_id: str,
     operators: Mapping[str, np.ndarray],
     params: BoundParams | None = None,
-    tol: float | None = None,
 ) -> BoundReport:
-    """Evaluate an operator-product radius bound; ``tol`` changes no result."""
+    """Evaluate an operator-product radius bound."""
     _require_kind(inequality_id, "product")
     return evaluate_bound(ctx, inequality_id, operators, params)
 
@@ -1305,7 +1307,6 @@ def optimize_params(
     inequality_id: str,
     operands: Mapping[str, np.ndarray],
     grid: ParamGrid,
-    tol: float | None = None,
 ) -> BoundReport:
     """Minimize an operator bound's right side over a finite parameter grid.
 
@@ -1314,7 +1315,7 @@ def optimize_params(
     ``beta -> inf`` limit), so only the endpoints of the beta range are
     evaluated.  The grid is evaluated in batches of at most ``MAX_BATCH``
     combinations; the first combination with the smallest right side
-    wins.  ``tol`` changes no result.
+    wins.
     """
     entry = registry_entry(inequality_id)
     if entry.kind not in ("matrix", "single", "product"):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default cap on matrix dimension; guards against accidentally huge inputs.
+#: Cap on matrix dimension; guards against accidentally huge inputs.
 DIM_CAP = 512
 
 #: Relative Frobenius tolerance for "is Hermitian" checks.
@@ -66,7 +66,7 @@ class ConvergenceFailure(Exception):
     """An iterative kernel failed to converge."""
 
 
-def _checked(m, ndims: tuple[int, ...], square: bool, max_dim: int) -> np.ndarray:
+def _checked(m, ndims: tuple[int, ...], square: bool) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(m, dtype=np.complex128))
     if out.ndim not in ndims:
         want = " or ".join(f"{d}-D" for d in ndims)
@@ -74,8 +74,8 @@ def _checked(m, ndims: tuple[int, ...], square: bool, max_dim: int) -> np.ndarra
     rows, cols = out.shape[-2:]
     if out.size == 0:
         raise DimensionMismatch("matrix must be non-empty")
-    if max(rows, cols) > max_dim:
-        raise DimensionMismatch(f"dimension {max(rows, cols)} exceeds cap {max_dim}")
+    if max(rows, cols) > DIM_CAP:
+        raise DimensionMismatch(f"dimension {max(rows, cols)} exceeds cap {DIM_CAP}")
     if square and rows != cols:
         raise NonSquare(f"expected a square matrix, got {rows}x{cols}")
     if not np.all(np.isfinite(out)):
@@ -83,22 +83,22 @@ def _checked(m, ndims: tuple[int, ...], square: bool, max_dim: int) -> np.ndarra
     return out
 
 
-def as_matrix(m, *, square: bool = False, max_dim: int = DIM_CAP) -> np.ndarray:
+def as_matrix(m, *, square: bool = False) -> np.ndarray:
     """Validate and return ``m`` as a C-contiguous complex128 matrix.
 
     Rejects non-2-D input, non-finite entries, and dimensions beyond
-    ``max_dim``.
+    ``DIM_CAP``.
     """
-    return _checked(m, (2,), square, max_dim)
+    return _checked(m, (2,), square)
 
 
-def as_stack(m, *, square: bool = False, max_dim: int = DIM_CAP) -> np.ndarray:
+def as_stack(m, *, square: bool = False) -> np.ndarray:
     """Validate ``m`` as one matrix or a non-empty stack ``(k, rows, cols)``.
 
     The checks are those of :func:`as_matrix`, applied to every matrix of
     the stack at once; the result keeps the input's dimensionality.
     """
-    return _checked(m, (2, 3), square, max_dim)
+    return _checked(m, (2, 3), square)
 
 
 def _per_input(values: np.ndarray, arr: np.ndarray):
@@ -176,7 +176,7 @@ def spectral_norm(m):
     return _per_input(np.linalg.svd(arr, compute_uv=False)[..., 0].reshape(-1), arr)
 
 
-def classical_numerical_radius(m, tol: float = 1e-8):
+def classical_numerical_radius(m):
     """Numerical radius ``max |x* M x|`` over unit vectors ``x``.
 
     ``m`` is one square matrix (the result is a float) or a stack
@@ -197,12 +197,9 @@ def classical_numerical_radius(m, tol: float = 1e-8):
     becomes bisection when ``lambda'' >= 0`` or it leaves the bracket; a
     candidate stops when its angle has converged to ``_ANGLE_TOL``.  Each
     matrix gets the largest ``lambda(theta)`` evaluated for it: at most its
-    radius up to rounding, but no certified bound.  ``tol`` must be
-    positive and is otherwise unused.
+    radius up to rounding, but no certified bound.
     """
     arr = as_stack(m, square=True)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     mats = arr.reshape((-1,) + arr.shape[-2:])
     adj = mats.conj().transpose(0, 2, 1)
     nrm = np.linalg.svd(mats, compute_uv=False)[:, 0]

@@ -10,7 +10,7 @@ faithful.
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -102,7 +102,6 @@ def params_from_obj(obj) -> BoundParams:
         mu=float(obj["mu"]),
         lam=float(obj["lam"]),
         p=float(obj["p"]),
-        q=float(obj["q"]) if obj.get("q") is not None else None,
     )
 
 

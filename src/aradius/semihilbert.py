@@ -34,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    DIM_CAP,
     DimensionMismatch,
     DomainError,
     as_matrix,
@@ -93,7 +92,7 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_context(a, rank_tol: float = 1e-10, max_dim: int = DIM_CAP) -> SemiInnerContext:
+def make_context(a, rank_tol: float = 1e-10) -> SemiInnerContext:
     """Validate a weight matrix and precompute its factors.
 
     The input must be square, Hermitian within tolerance, and PSD up to
@@ -105,7 +104,7 @@ def make_context(a, rank_tol: float = 1e-10, max_dim: int = DIM_CAP) -> SemiInne
     """
     if rank_tol <= 0.0:
         raise ValueError("rank_tol must be positive")
-    mat = as_matrix(a, square=True, max_dim=max_dim)
+    mat = as_matrix(a, square=True)
     spec = hermitian_eig(mat)
     vals = spec.eigenvalues
     top = float(np.max(np.abs(vals)))
@@ -201,13 +200,10 @@ def op_seminorm(ctx: SemiInnerContext, t) -> float:
     return spectral_norm(tilde) if ctx.rank else 0.0
 
 
-def a_numerical_radius(ctx: SemiInnerContext, t, tol: float = 1e-8) -> float:
-    """A-numerical radius: the classical radius of the reduction.
-
-    ``tol`` must be positive and changes no result.
-    """
+def a_numerical_radius(ctx: SemiInnerContext, t) -> float:
+    """A-numerical radius: the classical radius of the reduction."""
     tilde = reduce(ctx, t)
-    return classical_numerical_radius(tilde, tol=tol) if ctx.rank else 0.0
+    return classical_numerical_radius(tilde) if ctx.rank else 0.0
 
 
 def a_numerical_radius_lower(

@@ -94,9 +94,9 @@ def test_criterion_2_diagonal_sharpness():
     lam_star, bound = optimize_refined_alpha_bound(ctx, x, y)
     assert abs(lam_star - 0.5) <= 1e-10
     assert abs(bound - 2.0) <= 1e-10
-    ctx2 = dsum_context(ctx, 2)
+    ctx2 = dsum_context(ctx)
     block = assemble(BlockSpec.antidiag(x, y))
-    w = a_numerical_radius(ctx2, block, 1e-10)
+    w = a_numerical_radius(ctx2, block)
     assert w <= 2.0 + 1e-8
     # two independent oracles agree on the radius itself
     tilde = reduce(ctx2, block)
@@ -224,8 +224,8 @@ def test_criterion_7_special_case_consistency():
         params = BoundParams(
             r=float(rng.choice([1.0, 1.5, 2.0])), lam=float(rng.uniform(0.1, 0.9))
         )
-        rep_a = evaluate_bound(ctx, "cor_2_11", ops, params, None)
-        rep_b = evaluate_bound(ctx, "thm_2_10", ops, params, None)
+        rep_a = evaluate_bound(ctx, "cor_2_11", ops, params)
+        rep_b = evaluate_bound(ctx, "thm_2_10", ops, params)
         assert abs(rep_a.lhs - rep_b.lhs) <= 1e-10
         assert abs(rep_a.rhs - rep_b.rhs) <= 1e-10
     # the two-parameter vector bound at alpha = 2 is the beta-only bound
@@ -250,10 +250,8 @@ def test_criterion_7_special_case_consistency():
         ctx = random_context(rng, 2)
         m = cgauss(rng, 2, 2)
         params = BoundParams(alpha=2.0, beta=1.0)
-        rep_kz = evaluate_bound(
-            ctx, "kz", {"F": m, "X": m, "Y": m, "K": m}, params, None
-        )
-        rep_col = evaluate_bound(ctx, "college1", {"M": m}, params, None)
+        rep_kz = evaluate_bound(ctx, "kz", {"F": m, "X": m, "Y": m, "K": m}, params)
+        rep_col = evaluate_bound(ctx, "college1", {"M": m}, params)
         scale = max(1.0, abs(rep_kz.rhs))
         assert abs(rep_kz.rhs - 16.0 * rep_col.rhs) <= 1e-9 * scale
         assert abs(rep_kz.lhs - 16.0 * rep_col.lhs) <= 1e-9 * max(1.0, abs(rep_kz.lhs))

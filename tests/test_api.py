@@ -1,0 +1,38 @@
+"""The public API takes no option that changes no result."""
+
+import argparse
+import inspect
+
+import aradius
+from aradius.cli import _build_parser
+
+#: The only public callables whose ``tol`` decides a verdict.
+STRUCTURAL_TESTS = {"preserves_kernel", "is_a_selfadjoint", "is_a_positive"}
+
+
+def _parameters():
+    for name in aradius.__all__:
+        obj = getattr(aradius, name)
+        if not callable(obj):
+            continue
+        try:
+            yield name, inspect.signature(obj).parameters
+        except ValueError:  # exception classes built on builtins
+            continue
+
+
+def test_no_public_callable_takes_max_dim_or_an_unused_tol():
+    with_tol = set()
+    for name, params in _parameters():
+        assert "max_dim" not in params, name
+        if "tol" in params:
+            with_tol.add(name)
+    assert with_tol == STRUCTURAL_TESTS
+
+
+def test_no_cli_command_has_a_tol_flag():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, cmd_parser in sub.choices.items():
+        flags = {flag for action in cmd_parser._actions for flag in action.option_strings}
+        assert "--tol" not in flags, command

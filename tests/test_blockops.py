@@ -52,7 +52,7 @@ def test_assemble_rejects_mismatched_blocks(rng):
 
 def test_dsum_context_is_kron(rng):
     ctx = random_context(rng, 3, rank=2)
-    ctx2 = dsum_context(ctx, 2)
+    ctx2 = dsum_context(ctx)
     assert ctx2.dim == 6
     assert ctx2.rank == 2 * ctx.rank
     assert np.allclose(ctx2.a, np.kron(np.eye(2), ctx.a), atol=1e-13)
@@ -71,7 +71,7 @@ def test_dsum_context_is_kron(rng):
 
 def test_block_seminorm_is_max_of_parts(rng):
     ctx = random_context(rng, 3, rank=2)
-    ctx2 = dsum_context(ctx, 2)
+    ctx2 = dsum_context(ctx)
     x, y = cgauss(rng, 3, 3), cgauss(rng, 3, 3)
     expected = max(op_seminorm(ctx, x), op_seminorm(ctx, y))
     for spec in (BlockSpec.diag(x, y), BlockSpec.antidiag(x, y)):
@@ -82,7 +82,7 @@ def test_block_seminorm_is_max_of_parts(rng):
 
 def test_block_radius_diag_is_max(rng):
     ctx = random_context(rng, 2)
-    ctx2 = dsum_context(ctx, 2)
+    ctx2 = dsum_context(ctx)
     x, y = cgauss(rng, 2, 2), cgauss(rng, 2, 2)
     expected = max(a_numerical_radius(ctx, x), a_numerical_radius(ctx, y))
     got = a_numerical_radius(ctx2, assemble(BlockSpec.diag(x, y)))
@@ -91,7 +91,7 @@ def test_block_radius_diag_is_max(rng):
 
 def test_block_radius_antidiag_swap_invariance(rng):
     ctx = random_context(rng, 2, rank=1)
-    ctx2 = dsum_context(ctx, 2)
+    ctx2 = dsum_context(ctx)
     x, y = cgauss(rng, 2, 2), cgauss(rng, 2, 2)
     w_xy = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)))
     w_yx = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(y, x)))
@@ -100,7 +100,7 @@ def test_block_radius_antidiag_swap_invariance(rng):
 
 def test_block_radius_antidiag_phase_invariance(rng):
     ctx = random_context(rng, 2)
-    ctx2 = dsum_context(ctx, 2)
+    ctx2 = dsum_context(ctx)
     x, y = cgauss(rng, 2, 2), cgauss(rng, 2, 2)
     w = a_numerical_radius(ctx2, assemble(BlockSpec.antidiag(x, y)))
     w_rot = a_numerical_radius(
@@ -111,7 +111,7 @@ def test_block_radius_antidiag_phase_invariance(rng):
 
 def test_block_radius_symmetric_splits(rng):
     ctx = random_context(rng, 2)
-    ctx2 = dsum_context(ctx, 2)
+    ctx2 = dsum_context(ctx)
     x, y = cgauss(rng, 2, 2), cgauss(rng, 2, 2)
     expected = max(
         a_numerical_radius(ctx, x + y), a_numerical_radius(ctx, x - y)
@@ -138,7 +138,7 @@ def test_block_of_reduced_blocks_matches_doubled_context(rng, kind, n):
             block = np.block([[zero, red["X"]], [red["Y"], zero]])
         else:
             block = np.block([[red["F"], red["X"]], [red["Y"], red["K"]]])
-        expected = a_numerical_radius(dsum_context(ctx, 2), assemble(spec))
+        expected = a_numerical_radius(dsum_context(ctx), assemble(spec))
         got = classical_numerical_radius(block)
         assert got == pytest.approx(expected, rel=1e-10, abs=1e-12), rank
 
@@ -154,7 +154,7 @@ def test_antidiag_radius_two_sided_norm_formula(rng):
     for n, rank in ((2, 1), (3, 2), (3, 3), (4, 2)):
         ctx = random_context(rng, n, rank)
         x, y = (cgauss(rng, n, n) @ ctx.range_proj for _ in range(2))
-        w = a_numerical_radius(dsum_context(ctx, 2), assemble(BlockSpec.antidiag(x, y)))
+        w = a_numerical_radius(dsum_context(ctx), assemble(BlockSpec.antidiag(x, y)))
         xt, yt = reduce(ctx, x), reduce(ctx, y)
         stack = phase * xt + np.conj(phase) * yt.conj().T
         grid_max = float(np.max(np.linalg.svd(stack, compute_uv=False)[:, 0]))

@@ -67,10 +67,11 @@ def test_compute_radius_matches_library(capsys, diag_files):
     assert code == EXIT_OK
     ctx = make_context(A_DIAG)
     assert out["value"] == pytest.approx(
-        a_numerical_radius(ctx, X_DIAG, 1e-8), abs=1e-12
+        a_numerical_radius(ctx, X_DIAG), abs=1e-12
     )
     assert out["value"] == pytest.approx(2.0, abs=1e-8)
     assert out["rank"] == 2
+    assert "tol" not in out
 
 
 def test_compute_seminorm(capsys, diag_files):
@@ -146,7 +147,6 @@ def test_check_matches_library(capsys, diag_files):
         "thm_2_10",
         {"X": X_DIAG, "Y": Y_DIAG},
         BoundParams(r=2.0, lam=0.25),
-        None,
     )
     assert out["lhs"] == pytest.approx(rep.lhs, abs=1e-12)
     assert out["rhs"] == pytest.approx(rep.rhs, abs=1e-12)
@@ -178,6 +178,12 @@ def test_check_scalar_requires_values(capsys):
 
 def test_check_bad_values_list(capsys):
     assert main(["check", "bohr", "--values", "1,zap"]) == EXIT_PARSE
+
+
+def test_check_non_finite_values_are_a_domain_error(capsys):
+    assert main(["check", "jensen", "--values", "nan,1"]) == EXIT_DOMAIN
+    assert main(["check", "bohr", "--values", "inf,1"]) == EXIT_DOMAIN
+    assert capsys.readouterr().out == ""
 
 
 def test_check_wrong_operand_count(capsys, diag_files):
@@ -239,8 +245,8 @@ def test_check_holder_mccarthy_takes_r_operand(tmp_path, capsys):
 def test_check_violation_exit_code(capsys, diag_files, monkeypatch):
     real = cli_mod.evaluate_bound
 
-    def sabotage(ctx, iid, operands, params, tol=None):
-        rep = real(ctx, iid, operands, params, tol)
+    def sabotage(ctx, iid, operands, params):
+        rep = real(ctx, iid, operands, params)
         return dataclasses.replace(rep, rel_slack=-1.0, hypotheses_ok=True)
 
     monkeypatch.setattr(cli_mod, "evaluate_bound", sabotage)
@@ -298,7 +304,7 @@ def test_fuzz_bad_dim(capsys):
 
 
 def test_fuzz_violation_exit_code(capsys, monkeypatch):
-    def fake_run(ids, gen, trials, params=None, tol=None, randomize_params=False):
+    def fake_run(ids, gen, trials, params=None, randomize_params=False):
         return [
             CampaignReport(
                 inequality_id=ids[0],

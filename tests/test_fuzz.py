@@ -32,6 +32,8 @@ from aradius import (
     replay,
     run_campaign,
 )
+from aradius.matio import MatrixFormatError
+
 _REPLAY_CASES = [
     ("thm_2_10", "dense_psd"),
     ("kz", "rank_deficient"),
@@ -333,6 +335,26 @@ def test_replay_of_violation_case(monkeypatch):
     assert not back.violated
 
 
+def test_replay_ignores_the_tol_field_of_older_cases():
+    gen = GenSpec(dim=3, seed=45)
+    rep = run_campaign("moby_a1", gen, trials=4, randomize_params=True)[0]
+    case = json.loads(json.dumps({**rep.sharpest_case, "tol": 1e-8}))
+    back = replay(case)
+    assert back.lhs == case["lhs"]
+    assert back.rhs == case["rhs"]
+    assert back.rel_slack == case["rel_slack"]
+
+
+@pytest.mark.parametrize("where", ["weight", "operand"])
+def test_replay_checks_declared_matrix_shape(where):
+    rep = run_campaign("moby_a1", GenSpec(dim=3, seed=44), trials=1)[0]
+    case = json.loads(json.dumps(rep.sharpest_case))
+    obj = case["weight"] if where == "weight" else case["operands"]["X"]
+    obj["rows"] = 2
+    with pytest.raises(MatrixFormatError):
+        replay(case)
+
+
 def test_sharpest_case_operands_match_registry_shapes():
     rep = run_campaign("moby_a1", GenSpec(dim=3, seed=44), trials=4)[0]
     case = rep.sharpest_case
@@ -344,7 +366,6 @@ def test_sharpest_case_operands_match_registry_shapes():
         "weight",
         "operands",
         "params",
-        "tol",
         "lhs",
         "rhs",
         "rel_slack",

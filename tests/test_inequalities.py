@@ -1,5 +1,7 @@
 """Bound registry: parameter domains, checkers, optimizers, consistency."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -78,7 +80,10 @@ def test_params_defaults_and_conjugate_exponent():
         {"mu": 1.5},
         {"lam": -0.2},
         {"p": 1.0},
-        {"p": 2.0, "q": 3.0},
+        {"alpha": math.nan},
+        {"alpha": math.inf},
+        {"beta": math.inf},
+        {"r": math.inf},
     ],
 )
 def test_params_domain_violations(kwargs):
@@ -108,6 +113,24 @@ def test_jensen_rejects_bad_inputs():
         check_scalar_lemma("jensen", [1.0])
     with pytest.raises(DomainViolation):
         check_scalar_lemma("jensen", [1.0, -2.0])
+
+
+@pytest.mark.parametrize("iid", ["jensen", "bohr"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scalar_lemmas_reject_non_finite_values(iid, bad):
+    with pytest.raises(DomainViolation):
+        check_scalar_lemma(iid, [bad, 1.0])
+
+
+def test_overflowing_sides_raise_naming_the_id():
+    # Finite inputs whose lhs and rhs overflow to inf would give a NaN
+    # slack that counts as satisfied.
+    big = 1e100 * np.eye(2)
+    ctx = make_context(np.diag([1.0, 2.0]))
+    with pytest.raises(DomainViolation, match="moby_a1"):
+        check_matrix_bound(ctx, "moby_a1", {"X": big, "Y": big})
+    with pytest.raises(DomainViolation, match="bohr"):
+        check_scalar_lemma("bohr", [1e200, 1e200], BoundParams(r=2.0))
 
 
 def test_bohr_hand_value():
@@ -236,6 +259,14 @@ def test_holder_mccarthy_rejects_nonpositive(rng):
         check_holder_mccarthy(ctx, t, x, 2.0)
     with pytest.raises(DomainViolation):
         check_holder_mccarthy(ctx, np.eye(3), x, -1.0)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_holder_mccarthy_rejects_non_finite_r(rng, r):
+    ctx = random_context(rng, 3)
+    x = a_unit_vector(ctx, rng)
+    with pytest.raises(DomainViolation):
+        check_holder_mccarthy(ctx, np.eye(3), x, r)
 
 
 # --------------------------------------------------------------------------

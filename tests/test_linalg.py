@@ -168,7 +168,7 @@ def test_radius_nilpotent_shift():
 def test_radius_agrees_with_alternating_ascent(rng):
     for n in (2, 3, 4):
         m = cgauss(rng, n, n)
-        w = classical_numerical_radius(m, tol=1e-10)
+        w = classical_numerical_radius(m)
         w_oracle = oracle_radius(m)
         assert w == pytest.approx(w_oracle, abs=1e-7 * max(1.0, w_oracle))
 
