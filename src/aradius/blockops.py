@@ -93,16 +93,12 @@ def assemble(spec: BlockSpec) -> np.ndarray:
 def dsum_context(ctx: SemiInnerContext) -> SemiInnerContext:
     """Context for the doubled weight ``diag(A, A)`` of 2x2 block operators.
 
-    All factors are assembled blockwise from the existing ones, so no
+    The factors are assembled blockwise from the existing ones, so no
     new factorization (and no new rank decision) happens.
     """
     eye = np.eye(2)
     return SemiInnerContext(
         a=_frozen(np.kron(eye, ctx.a)),
-        a_pinv=_frozen(np.kron(eye, ctx.a_pinv)),
-        range_proj=_frozen(np.kron(eye, ctx.range_proj)),
-        rank=2 * ctx.rank,
-        rank_tol=ctx.rank_tol,
         v_r=_frozen(np.kron(eye, ctx.v_r)),
-        sqrt_lam=_frozen(np.tile(ctx.sqrt_lam, 2)),
+        lam=_frozen(np.tile(ctx.lam, 2)),
     )

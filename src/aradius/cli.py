@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("kind", choices=("adjoint", "seminorm", "radius", "abs_power"))
     c.add_argument("a_file", help="weight matrix JSON file")
     c.add_argument("t_file", help="operator matrix JSON file")
-    c.add_argument("--rank-tol", type=float, default=1e-10)
     c.add_argument("--power", type=float, default=1.0, help="exponent for abs_power")
 
     k = sub.add_parser("check", help="evaluate one registered inequality")
@@ -72,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--mu", type=float, default=0.5)
     k.add_argument("--lam", type=float, default=0.5)
     k.add_argument("--p", type=float, default=2.0)
-    k.add_argument("--rank-tol", type=float, default=1e-10)
 
     f = sub.add_parser("fuzz", help="run randomized soundness campaigns")
     f.add_argument("ids", nargs="+", help="inequality ids, or 'all'")
@@ -93,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compute(args) -> int:
     _, a = load_matrix(args.a_file)
     _, t = load_matrix(args.t_file)
-    ctx = make_context(a, rank_tol=args.rank_tol)
+    ctx = make_context(a)
     out = {"kind": args.kind, "rank": ctx.rank}
     if args.kind == "adjoint":
         out["matrix"] = matrix_to_obj("adjoint", a_adjoint(ctx, t))
@@ -118,19 +116,11 @@ def _parse_values(raw: str) -> list[float]:
 
 def _cmd_check(args) -> int:
     entry = registry_entry(args.inequality_id)
+    ctx = None
     if entry.kind == "scalar":
         if args.values is None:
             raise MatrixFormatError("scalar inequalities need --values")
         operands = {"values": _parse_values(args.values)}
-        ctx = None
-        params = BoundParams(
-            alpha=complex(args.alpha_re, args.alpha_im),
-            beta=args.beta,
-            r=args.r,
-            mu=args.mu,
-            lam=args.lam,
-            p=args.p,
-        )
     else:
         file_operands = [name for name in entry.operands if name != "r"]
         if len(args.files) != 1 + len(file_operands):
@@ -139,22 +129,24 @@ def _cmd_check(args) -> int:
                 f"{len(file_operands)} operand file(s): {', '.join(file_operands)}"
             )
         _, a = load_matrix(args.files[0])
-        ctx = make_context(a, rank_tol=args.rank_tol)
+        ctx = make_context(a)
         operands = {}
         for name, path in zip(file_operands, args.files[1:]):
             _, operands[name] = load_matrix(path)
-        if args.inequality_id == "holder_mccarthy":
-            operands["r"] = args.r
-            params = None
-        else:
-            params = BoundParams(
-                alpha=complex(args.alpha_re, args.alpha_im),
-                beta=args.beta,
-                r=args.r,
-                mu=args.mu,
-                lam=args.lam,
-                p=args.p,
-            )
+    if args.inequality_id == "holder_mccarthy":
+        # ``--r`` is the operand r here, which may lie below the
+        # parameter floor r >= 1 that BoundParams enforces.
+        operands["r"] = args.r
+        params = None
+    else:
+        params = BoundParams(
+            alpha=complex(args.alpha_re, args.alpha_im),
+            beta=args.beta,
+            r=args.r,
+            mu=args.mu,
+            lam=args.lam,
+            p=args.p,
+        )
     rep = evaluate_bound(ctx, args.inequality_id, operands, params)
     print(json.dumps(report_to_obj(rep), indent=2))
     return EXIT_VIOLATION if rep.violated else EXIT_OK

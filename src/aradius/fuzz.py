@@ -36,7 +36,7 @@ from .inequalities import (
     evaluate_bounds,
     registry_entry,
 )
-from .linalg import DIM_CAP, spectral_norm
+from .linalg import DIM_CAP, DomainError, spectral_norm
 from .matio import matrix_from_obj, matrix_to_obj, params_from_obj, params_to_obj
 from .semihilbert import SemiInnerContext, make_context, vec_seminorm
 
@@ -84,8 +84,9 @@ class CampaignReport:
     """Aggregate outcome of one inequality's campaign.
 
     ``min_rel_slack``/``mean_rel_slack``/``sharpest_case`` summarize the
-    trials whose hypotheses held; hypothesis failures are counted in
-    ``skipped`` and never contribute violations.
+    trials whose hypotheses held.  ``skipped`` counts the trials whose
+    hypotheses failed and those whose evaluation raised a domain error
+    (an overflowing side, say); neither kind contributes violations.
     """
 
     inequality_id: str
@@ -251,17 +252,32 @@ def _draw_trial(gen: GenSpec, entry, iid: str, k: int, params, randomize_params)
     return ctx, operands, trial_params
 
 
-def _evaluate_chunk(iid: str, draws) -> list[BoundReport]:
-    """Reports of the drawn trials, in order, from one batch per weight rank."""
+def _evaluate_chunk(iid: str, draws) -> list[BoundReport | None]:
+    """Reports of the drawn trials, in order, from one batch per weight rank.
+
+    A batch that raises :class:`DomainError` is evaluated trial by trial,
+    and a trial that raises on its own gets ``None`` for its report.
+    """
     by_rank: dict[int, list[int]] = {}
     for i, (ctx, _, _) in enumerate(draws):
         by_rank.setdefault(ctx.rank, []).append(i)
     reports: list = [None] * len(draws)
     for idx in by_rank.values():
         ctxs, ops, prms = zip(*(draws[i] for i in idx))
-        for i, rep in zip(idx, evaluate_bounds(ctxs, iid, ops, prms)):
+        try:
+            batch = evaluate_bounds(ctxs, iid, ops, prms)
+        except DomainError:
+            batch = [_evaluate_alone(iid, *draws[i]) for i in idx]
+        for i, rep in zip(idx, batch):
             reports[i] = rep
     return reports
+
+
+def _evaluate_alone(iid: str, ctx, operands, params) -> BoundReport | None:
+    try:
+        return evaluate_bound(ctx, iid, operands, params)
+    except DomainError:
+        return None
 
 
 def run_campaign(
@@ -274,9 +290,12 @@ def run_campaign(
     """Run ``trials`` random instances of each id and certify slack signs.
 
     Returns one :class:`CampaignReport` per id, in input order.  A trial
-    whose hypotheses fail is skipped (counted, never a violation).  With
-    ``randomize_params`` the bound parameters are redrawn per trial from
-    each id's admissible ranges instead of using ``params``.
+    whose hypotheses fail, or whose evaluation raises
+    :class:`~aradius.linalg.DomainError` (its sides overflow at extreme
+    scales, say), is skipped: counted, never a violation, and the rest of
+    the campaign runs on.  With ``randomize_params`` the bound parameters
+    are redrawn per trial from each id's admissible ranges instead of
+    using ``params``.
     """
     if isinstance(ids, str):
         ids = [ids]
@@ -298,7 +317,7 @@ def run_campaign(
                 _draw_trial(gen, entry, iid, k, params, randomize_params) for k in ks
             ]
             for k, draw, rep in zip(ks, draws, _evaluate_chunk(iid, draws)):
-                if not rep.hypotheses_ok:
+                if rep is None or not rep.hypotheses_ok:
                     skipped += 1
                     continue
                 counted += 1

@@ -24,12 +24,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .inequalities import BoundParams, BoundReport
+from .inequalities import BoundParams, BoundReport, _report
 from .linalg import DomainError
 from .semihilbert import (
     SemiInnerContext,
@@ -156,7 +155,6 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
         if nf < 1e-12:
             continue
         worst = max(worst, vec_seminorm(ctx, t_inv @ f) / nf)
-    slack = norm_inv - worst
     inter = {
         "radius_inverse": radius_inv,
         "half_sum_bound": half_sum,
@@ -168,16 +166,7 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
         inter["radius_inverse_sampled"] = a_numerical_radius_lower(
             ctx, t_inv, samples=10000, seed=seed
         )
-    return BoundReport(
-        inequality_id="pde_stability",
-        lhs=float(worst),
-        rhs=float(norm_inv),
-        slack=float(slack),
-        rel_slack=float(slack / max(1.0, abs(norm_inv))),
-        intermediates=MappingProxyType({k: float(v) for k, v in inter.items()}),
-        hypotheses_ok=True,
-        params=BoundParams(),
-    )
+    return _report("pde_stability", worst, norm_inv, inter, True, BoundParams())
 
 
 @dataclass(frozen=True)

@@ -54,36 +54,52 @@ class DegenerateContext(DomainError):
     """The weight has rank zero, so no A-unit vectors exist."""
 
 
+#: Relative eigenvalue cutoff of the rank decision: an eigenvalue is kept
+#: when it exceeds ``RANK_TOL`` times the largest modulus.
+RANK_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SemiInnerContext:
-    """Precomputed factors of one weight matrix.
+    """The factorization of one weight matrix.
 
     Fields
     ------
     a : the weight, exactly symmetrized (bitwise idempotent, so a
         context round-trips through its own ``a``)
-    a_pinv : Moore-Penrose pseudoinverse of ``a``
-    range_proj : orthogonal projection onto ``ran(a)``
-    rank : numerical rank used for all truncations
-    rank_tol : relative eigenvalue cutoff that produced ``rank``
     v_r : ``n x rank`` orthonormal eigenvectors of the kept eigenvalues
-    sqrt_lam : square roots of the kept eigenvalues, matching ``v_r``
+    lam : the kept eigenvalues, clamped at zero, matching ``v_r``
 
-    A context made by :func:`stack_contexts` holds the same fields with a
-    leading trial axis on every array.
+    Derived on each access: ``rank`` (the length of ``lam``),
+    ``sqrt_lam``, the pseudoinverse ``a_pinv = V_r diag(lam)^-1 V_r*`` and
+    the projection ``range_proj = V_r V_r*`` onto ``ran(a)``.  A context
+    made by :func:`stack_contexts` holds the same fields with a leading
+    trial axis on every array, and its derived values carry that axis.
     """
 
     a: np.ndarray
-    a_pinv: np.ndarray
-    range_proj: np.ndarray
-    rank: int
-    rank_tol: float
     v_r: np.ndarray
-    sqrt_lam: np.ndarray
+    lam: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.a.shape[-1]
+
+    @property
+    def rank(self) -> int:
+        return self.lam.shape[-1]
+
+    @property
+    def sqrt_lam(self) -> np.ndarray:
+        return np.sqrt(self.lam)
+
+    @property
+    def a_pinv(self) -> np.ndarray:
+        return (self.v_r / self.lam[..., None, :]) @ self.v_r.conj().swapaxes(-1, -2)
+
+    @property
+    def range_proj(self) -> np.ndarray:
+        return self.v_r @ self.v_r.conj().swapaxes(-1, -2)
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -92,18 +108,18 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_context(a, rank_tol: float = 1e-10) -> SemiInnerContext:
-    """Validate a weight matrix and precompute its factors.
+def make_context(a) -> SemiInnerContext:
+    """Validate a weight matrix and factor it.
 
     The input must be square, Hermitian within tolerance, and PSD up to
-    an eigenvalue undershoot of ``1e-9`` times the spectral radius.  All
-    factors are built from a single eigendecomposition and one rank
-    decision (eigenvalues above ``rank_tol`` times the largest), so the
+    an eigenvalue undershoot of ``1e-9`` times the spectral radius.  The
+    factors come from a single eigendecomposition and one rank decision
+    (eigenvalues above :data:`RANK_TOL` times the largest), so the
     identities ``P = A pinv(A) = pinv(A) A = V_r V_r*`` and
-    ``A = V_r diag(sqrt_lam)^2 V_r*`` hold to rounding.
+    ``A = V_r diag(lam) V_r*`` hold to rounding.  A rank-zero weight
+    keeps an ``n x 0`` factor, whose pseudoinverse and projection are
+    zero.
     """
-    if rank_tol <= 0.0:
-        raise ValueError("rank_tol must be positive")
     mat = as_matrix(a, square=True)
     spec = hermitian_eig(mat)
     vals = spec.eigenvalues
@@ -111,32 +127,15 @@ def make_context(a, rank_tol: float = 1e-10) -> SemiInnerContext:
     if float(vals[0]) < -1e-9 * top:
         raise NotPositive(f"weight has negative eigenvalue {vals[0]:.3e}")
     clamped = np.clip(vals, 0.0, None)
-    mask = clamped > rank_tol * top
-    rank = int(np.count_nonzero(mask))
-    vecs = spec.eigenvectors
-    vr = vecs[:, mask]
-    lam = clamped[mask]
-
+    mask = clamped > RANK_TOL * top
     # The stored weight is the exact symmetrization of the input, not the
     # eigen-reconstruction: symmetrizing is bitwise idempotent, so feeding
     # ``ctx.a`` back through ``make_context`` reproduces every factor
     # bit for bit (persisted cases replay exactly).
-    a_sym = 0.5 * (mat + mat.conj().T)
-    if rank:
-        a_pinv = (vr / lam) @ vr.conj().T
-        proj = vr @ vr.conj().T
-    else:
-        n = mat.shape[0]
-        a_pinv = np.zeros((n, n), dtype=np.complex128)
-        proj = a_pinv.copy()
     return SemiInnerContext(
-        a=_frozen(a_sym),
-        a_pinv=_frozen(a_pinv),
-        range_proj=_frozen(proj),
-        rank=rank,
-        rank_tol=rank_tol,
-        v_r=_frozen(vr),
-        sqrt_lam=_frozen(np.sqrt(lam)),
+        a=_frozen(0.5 * (mat + mat.conj().T)),
+        v_r=_frozen(spec.eigenvectors[:, mask]),
+        lam=_frozen(clamped[mask]),
     )
 
 
@@ -149,12 +148,8 @@ def stack_contexts(ctxs: Sequence[SemiInnerContext]) -> SemiInnerContext:
         raise DimensionMismatch("stacked contexts must share dimension and rank")
     return SemiInnerContext(
         a=_frozen(np.array([c.a for c in ctxs])),
-        a_pinv=_frozen(np.array([c.a_pinv for c in ctxs])),
-        range_proj=_frozen(np.array([c.range_proj for c in ctxs])),
-        rank=first.rank,
-        rank_tol=first.rank_tol,
         v_r=_frozen(np.array([c.v_r for c in ctxs])),
-        sqrt_lam=_frozen(np.array([c.sqrt_lam for c in ctxs])),
+        lam=_frozen(np.array([c.lam for c in ctxs])),
     )
 
 

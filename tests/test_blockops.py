@@ -56,6 +56,10 @@ def test_dsum_context_is_kron(rng):
     assert ctx2.dim == 6
     assert ctx2.rank == 2 * ctx.rank
     assert np.allclose(ctx2.a, np.kron(np.eye(2), ctx.a), atol=1e-13)
+    # derived from the doubled factors, not assembled: equal to rounding
+    for name in ("a_pinv", "range_proj"):
+        kron = np.kron(np.eye(2), getattr(ctx, name))
+        assert np.max(np.abs(getattr(ctx2, name) - kron)) <= 1e-12, name
     direct = make_context(np.kron(np.eye(2), ctx.a))
     for name in ("a_pinv", "range_proj"):
         assert np.allclose(

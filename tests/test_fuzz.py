@@ -17,6 +17,7 @@ from aradius import (
     A_KINDS,
     T_KINDS,
     BoundParams,
+    DomainError,
     DomainViolation,
     GenSpec,
     campaign_to_obj,
@@ -461,3 +462,32 @@ def test_batched_reports_are_bitwise_the_single_reports(iid, dim, a_kind, seed, 
         assert (rep.lhs, rep.rhs) == (one.lhs, one.rhs)
         assert dict(rep.intermediates) == dict(one.intermediates)
 
+
+@pytest.mark.parametrize(
+    "iid,dim,scale",
+    [("moby_a1", 2, 1e100), ("ramadan1", 3, 1e40)],
+)
+def test_campaign_skips_trials_that_overflow_and_keeps_the_rest(iid, dim, scale):
+    # at these scales some trials' sides overflow; one such trial used to
+    # end the whole campaign
+    gen = GenSpec(dim=dim, scale=scale)
+    trials = 2 * fuzz_mod.MAX_BATCH
+    entry = registry_entry(iid)
+    draws = [fuzz_mod._draw_trial(gen, entry, iid, k, None, True) for k in range(trials)]
+    solo = []
+    for ctx, ops, params in draws:
+        try:
+            solo.append(evaluate_bound(ctx, iid, ops, params))
+        except DomainError:
+            solo.append(None)
+    raised = sum(one is None for one in solo)
+    assert raised > 0
+    chunked = []
+    for start in range(0, trials, fuzz_mod.MAX_BATCH):
+        chunked += fuzz_mod._evaluate_chunk(iid, draws[start : start + fuzz_mod.MAX_BATCH])
+    assert [repr(rep) for rep in chunked] == [repr(one) for one in solo]
+    kept = [one for one in solo if one is not None and one.hypotheses_ok]
+    rep = run_campaign(iid, gen, trials, randomize_params=True)[0]
+    assert rep.trials == trials
+    assert rep.skipped == trials - len(kept)
+    assert rep.min_rel_slack == (min(one.rel_slack for one in kept) if kept else None)

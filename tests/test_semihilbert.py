@@ -45,11 +45,6 @@ def test_context_rejects_negative_weight():
         make_context(np.diag([1.0, -0.5]))
 
 
-def test_context_rejects_bad_rank_tol():
-    with pytest.raises(ValueError):
-        make_context(np.eye(2), rank_tol=0.0)
-
-
 def test_context_factor_identities(rng):
     for rank in (1, 2, 4):
         ctx = random_context(rng, 4, rank)
@@ -298,6 +293,21 @@ def test_stacked_contexts_reduce_and_test_kernel_per_trial(rng):
     ]
     with pytest.raises(DimensionMismatch):
         stack_contexts([ctxs[0], random_context(rng, 4, rank=3)])
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
+def test_stacked_context_derives_each_trials_factors_bitwise(rng, rank):
+    # the derived factors of a stack are those each trial derives alone
+    if rank:
+        ctxs = [random_context(rng, 4, rank=rank) for _ in range(3)]
+    else:
+        ctxs = [make_context(np.zeros((4, 4))) for _ in range(3)]
+    stacked = stack_contexts(ctxs)
+    assert stacked.rank == rank
+    for name in ("a_pinv", "range_proj", "sqrt_lam"):
+        derived = getattr(stacked, name)
+        for i, c in enumerate(ctxs):
+            assert np.array_equal(derived[i], getattr(c, name)), (name, i)
 
 
 def test_preserves_kernel_detects_leak():
