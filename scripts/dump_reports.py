@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Every report of all 36 registry ids on a fixed grid, as exact JSON.
+
+The grid is dims 2-4 x the four weight kinds x the operator kinds
+``dense``, ``a_selfadjoint`` and ``a_positive`` x seeds 9000 and 4242 x 8
+trials with randomized parameters.  Trials are drawn and evaluated as a
+campaign draws and evaluates them, 8 to a batch.  Each report is written
+whole, every intermediate included, with floats as ``float.hex`` and keys
+sorted; a trial whose evaluation raises is written as ``null``.  So a
+``diff`` of the outputs of two source trees shows every number that moved:
+
+    PYTHONPATH=src python3 scripts/dump_reports.py > reports.json
+"""
+
+import json
+import sys
+
+from aradius import A_KINDS, GenSpec, registry_entry, registry_ids
+from aradius.fuzz import _draw_trial, _evaluate_chunk
+from aradius.matio import report_to_obj
+
+DIMS = (2, 3, 4)
+T_KINDS = ("dense", "a_selfadjoint", "a_positive")
+SEEDS = (9000, 4242)
+TRIALS = 8
+
+
+def _exact(value):
+    """``value`` with every float replaced by its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _exact(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_exact(v) for v in value]
+    return value
+
+
+def main():
+    out = {}
+    for iid in registry_ids():
+        entry = registry_entry(iid)
+        for dim in DIMS:
+            for a_kind in A_KINDS:
+                for t_kind in T_KINDS:
+                    for seed in SEEDS:
+                        gen = GenSpec(dim=dim, a_kind=a_kind, t_kind=t_kind, seed=seed)
+                        draws = [
+                            _draw_trial(gen, entry, iid, k, None, True)
+                            for k in range(TRIALS)
+                        ]
+                        for k, rep in enumerate(_evaluate_chunk(iid, draws)):
+                            key = f"{iid} {dim} {a_kind} {t_kind} {seed} {k}"
+                            out[key] = rep and _exact(report_to_obj(rep))
+    json.dump(out, sys.stdout, sort_keys=True, indent=1)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -37,7 +37,13 @@ from .inequalities import (
     registry_entry,
 )
 from .linalg import DIM_CAP, DomainError, spectral_norm
-from .matio import matrix_from_obj, matrix_to_obj, params_from_obj, params_to_obj
+from .matio import (
+    MatrixFormatError,
+    matrix_from_obj,
+    matrix_to_obj,
+    params_from_obj,
+    params_to_obj,
+)
 from .semihilbert import SemiInnerContext, make_context, vec_seminorm
 
 A_KINDS = ("identity", "diagonal", "dense_psd", "rank_deficient")
@@ -371,9 +377,18 @@ def replay(case: Mapping) -> BoundReport:
     """Re-evaluate a persisted case; reproduces its lhs/rhs deterministically.
 
     Matrices are decoded through :func:`aradius.matio.matrix_from_obj`, so
-    a declared shape that disagrees with the data raises.  A ``"tol"``
-    field, which older case files carry, is ignored.
+    a declared shape that disagrees with the data raises, and a case
+    missing a field it needs raises :class:`~aradius.matio.MatrixFormatError`
+    naming the field.  A ``"tol"`` field, which older case files carry, is
+    ignored.
     """
+    if not isinstance(case, Mapping):
+        raise MatrixFormatError("a case must be a JSON mapping")
+    for key in ("inequality_id", "weight", "operands", "params"):
+        if key not in case:
+            raise MatrixFormatError(f"case is missing {key!r}")
+    if not isinstance(case["operands"], Mapping):
+        raise MatrixFormatError("case field 'operands' must be a JSON mapping")
     ctx = make_context(matrix_from_obj(case["weight"])[1])
     operands = {k: _deserialize_operand(v) for k, v in case["operands"].items()}
     params = params_from_obj(case["params"])

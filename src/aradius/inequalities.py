@@ -6,6 +6,18 @@ and right sides of one displayed bound on concrete inputs, reported as a
 displayed (no algebraic simplification), so a genuinely violated display
 surfaces as negative slack instead of being normalized away.
 
+Twelve ids are four display families, each right side written once,
+over four operand shapes.  The families are the delta (at r = 1),
+Ramadan, beta-mean and alpha displays; the shapes are the pair ``X, Y``
+(the operator matrix ``[[0, X], [Y, 0]]``), a single ``M`` (the pair at
+``X = Y = M``), the product ``T1, T2, S1, S2`` and the Gram pair ``F, K``
+(the product at ``T1 = T2 = F``, ``S1 = S2 = K``).  :data:`REGISTRY` is
+one table that binds them, and every id of a family reports the same
+intermediates: the shape's power sums (``power_sum_1``/``power_sum_2``,
+or ``power_sum`` for a one-operator shape) and radii, the delta
+coefficients, and for the beta-mean family ``limit_bound``, the right
+side's limit as beta grows.
+
 Five displays ship with corrected right sides because the published
 form is refuted either by an exact equality case (the identity weight
 with identity blocks turns every bound in this family into an equality,
@@ -50,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import product as _cartesian
 from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Mapping, Sequence
@@ -333,7 +346,7 @@ def _l_bohr(ops, params):
 
 
 def _vector_lemma(body):
-    """The registry formula of a three-vector lemma.
+    """Turn ``body`` into the registry formula of a three-vector lemma.
 
     ``body(q, params)`` maps the shared terms ``q`` (the seminorms of a and
     b, the moduli of <a, b>_A, <a, e>_A and <e, b>_A) to (lhs, rhs,
@@ -358,6 +371,7 @@ def _vector_lemma(body):
     return formula
 
 
+@_vector_lemma
 def _v_buz_general(q, params):
     mod = abs(params.alpha)
     lhs = q["ae"] * q["eb"]
@@ -365,12 +379,14 @@ def _v_buz_general(q, params):
     return lhs, rhs, {}
 
 
+@_vector_lemma
 def _v_buz_half(q, params):
     lhs = q["ae"] * q["eb"]
     rhs = 0.5 * (q["na"] * q["nb"] + q["ab"])
     return lhs, rhs, {}
 
 
+@_vector_lemma
 def _v_mix_al_be(q, params):
     c1, c2, _, _ = _chi(params.alpha, params.beta)
     lhs = (q["ae"] * q["eb"]) ** 2
@@ -378,6 +394,7 @@ def _v_mix_al_be(q, params):
     return lhs, rhs, {"c_norm": c1, "c_inner": c2}
 
 
+@_vector_lemma
 def _v_buzano_beta(q, params):
     be = params.beta
     lhs = (q["ae"] * q["eb"]) ** 2
@@ -388,6 +405,7 @@ def _v_buzano_beta(q, params):
     return lhs, rhs, {}
 
 
+@_vector_lemma
 def _v_ramadan_kareem(q, params):
     c1, c2 = _delta_pair(params.alpha, params.beta)
     lhs = (q["ae"] * q["eb"]) ** 2
@@ -395,6 +413,7 @@ def _v_ramadan_kareem(q, params):
     return lhs, rhs, {"c_norm": c1, "c_inner": c2}
 
 
+@_vector_lemma
 def _v_buz_beta(q, params):
     be = params.beta
     lhs = (q["ae"] * q["eb"]) ** 2
@@ -405,6 +424,7 @@ def _v_buz_beta(q, params):
     return lhs, rhs, {}
 
 
+@_vector_lemma
 def _v_buz_beta_pow(q, params):
     be, r = params.beta, params.r
     lhs = (q["ae"] * q["eb"]) ** (2.0 * r)
@@ -415,6 +435,7 @@ def _v_buz_beta_pow(q, params):
     return lhs, rhs, {}
 
 
+@_vector_lemma
 def _v_modified_buzano(q, params):
     be, r = params.beta, params.r
     lhs = (q["ae"] * q["eb"]) ** (2.0 * r)
@@ -425,23 +446,11 @@ def _v_modified_buzano(q, params):
     return lhs, rhs, {}
 
 
+@_vector_lemma
 def _v_drag(q, params):
     lhs = q["ae"] ** 2 + q["eb"] ** 2
     rhs = np.sqrt(q["na"] ** 4 + q["nb"] ** 4 + 2.0 * q["ab"] ** 2)
     return lhs, rhs, {}
-
-
-_VECTOR_FORMULAS = {
-    "buz_general": (_v_buz_general, ("alpha",)),
-    "buz_half": (_v_buz_half, ()),
-    "mix_al_be": (_v_mix_al_be, ("alpha", "beta")),
-    "buzano_beta": (_v_buzano_beta, ("beta",)),
-    "ramadan_kareem": (_v_ramadan_kareem, ("alpha", "beta")),
-    "buz_beta": (_v_buz_beta, ("beta",)),
-    "buz_beta_pow": (_v_buz_beta_pow, ("beta", "r")),
-    "modified_buzano": (_v_modified_buzano, ("beta", "r")),
-    "drag": (_v_drag, ()),
-}
 
 
 # -- pointwise operator lemmas -------------------------------------------
@@ -566,28 +575,6 @@ def _m_rem_2_12(ops, params):
     return _radius_pair_bound(ops, 1.0, 0.5)
 
 
-def _m_moby_a1(ops, params):
-    x, y = ops["X"], ops["Y"]
-    d1, d2 = _delta_pair(params.alpha, params.beta)
-    m1, m2 = _each(
-        spectral_norm,
-        x.abs_pow(2.0) + y.adj_abs_pow(2.0),
-        x.adj_abs_pow(2.0) + y.abs_pow(2.0),
-    )
-    w_xy, w_yx = _each(classical_numerical_radius, x.t @ y.t, y.t @ x.t)
-    lhs = classical_numerical_radius(_antidiag(x.t, y.t)) ** 4
-    rhs = 0.25 * d1 * np.maximum(m1**2, m2**2) + d2 * np.maximum(w_xy**2, w_yx**2)
-    inter = {
-        "delta_1": d1,
-        "delta_2": d2,
-        "norm_sum_1": m1,
-        "norm_sum_2": m2,
-        "radius_xy": w_xy,
-        "radius_yx": w_yx,
-    }
-    return lhs, rhs, inter
-
-
 def _power_sum_norms(x, y, r):
     """The pair ||(Y#Y)^r + (XX#)^r||_A and ||(X#X)^r + (YY#)^r||_A."""
     return _each(
@@ -595,51 +582,6 @@ def _power_sum_norms(x, y, r):
         y.abs_pow(2.0 * r) + x.adj_abs_pow(2.0 * r),
         x.abs_pow(2.0 * r) + y.adj_abs_pow(2.0 * r),
     )
-
-
-def _power_sum_core(ops, r):
-    """The power-sum pair, both cross radii and the block radius."""
-    x, y = ops["X"], ops["Y"]
-    lam_r, mu_r = _power_sum_norms(x, y, r)
-    w_xy, w_yx = _each(classical_numerical_radius, x.t @ y.t, y.t @ x.t)
-    w_block = classical_numerical_radius(_antidiag(x.t, y.t))
-    inter = {
-        "power_sum_1": lam_r,
-        "power_sum_2": mu_r,
-        "radius_xy": w_xy,
-        "radius_yx": w_yx,
-    }
-    return lam_r, mu_r, w_xy, w_yx, w_block, inter
-
-
-def _m_ramadan1(ops, params):
-    be, r = params.beta, params.r
-    lam_r, mu_r, w_xy, w_yx, w_block, inter = _power_sum_core(ops, r)
-    lhs = w_block ** (4.0 * r)
-    rhs = (2.0 * be + 1.0) / (16.0 * (be + 1.0)) * np.maximum(lam_r**2, mu_r**2) + (
-        2.0 * be + 3.0
-    ) / (8.0 * (be + 1.0)) * np.maximum(lam_r, mu_r) * np.maximum(w_xy**r, w_yx**r)
-    return lhs, rhs, inter
-
-
-def _m_thm_beta(ops, params):
-    be, r = params.beta, params.r
-    lam_r, mu_r, w_xy, w_yx, w_block, inter = _power_sum_core(ops, r)
-    lhs = w_block ** (4.0 * r)
-    rhs = (2.0 * be + 1.0) / (8.0 * (be + 1.0)) * np.maximum(
-        lam_r**2, mu_r**2
-    ) + np.maximum(w_xy ** (2.0 * r), w_yx ** (2.0 * r)) / (2.0 * (be + 1.0))
-    return lhs, rhs, inter
-
-
-def _m_thm_alpha(ops, params):
-    al, r = params.alpha, params.r
-    lam_r, mu_r, w_xy, w_yx, w_block, inter = _power_sum_core(ops, r)
-    c1 = 2.0 ** (r - 2.0) * _max1(abs(al - 1.0) ** r) / abs(al) ** r
-    c2 = 2.0 ** (r - 1.0) / abs(al) ** r
-    lhs = w_block ** (2.0 * r)
-    rhs = c1 * np.maximum(lam_r, mu_r) + c2 * np.maximum(w_xy**r, w_yx**r)
-    return lhs, rhs, inter
 
 
 def _m_thm_2_16(ops, params):
@@ -657,11 +599,7 @@ def _m_thm_2_16(ops, params):
         yx.abs_pow(lam * p * r) / pm + yx.adj_abs_pow((1.0 - lam) * q * r) / qm,
     )
     lhs = classical_numerical_radius(_antidiag(x.t, y.t)) ** (4.0 * r)
-    g1 = (2.0 * be + 1.0) / (be + 1.0)
-    g2 = (2.0 * be + 3.0) / (be + 1.0)
-    rhs = g1 / 16.0 * np.maximum(lam_r**2, delta_r**2) + g2 / 8.0 * np.maximum(
-        lam_r, delta_r
-    ) * np.maximum(rho, sigma)
+    rhs = _ramadan_rhs(be, np.maximum(lam_r, delta_r), np.maximum(rho, sigma))
     inter = {
         "power_sum_1": lam_r,
         "power_sum_2": delta_r,
@@ -749,48 +687,6 @@ def _single_core(m, r):
     return n_r, w_sq, w_m
 
 
-def _s_moby_a2(ops, params):
-    d1, d2 = _delta_pair(params.alpha, params.beta)
-    n1, w_sq, w_m = _single_core(ops["M"], 1.0)
-    lhs = w_m**4
-    rhs = 0.25 * d1 * n1**2 + d2 * w_sq**2
-    return lhs, rhs, {"delta_1": d1, "delta_2": d2, "norm_sum": n1, "radius_sq": w_sq}
-
-
-def _s_ramadan1_cor(ops, params):
-    be, r = params.beta, params.r
-    n_r, w_sq, w_m = _single_core(ops["M"], r)
-    lhs = w_m ** (4.0 * r)
-    rhs = (2.0 * be + 1.0) / (16.0 * (be + 1.0)) * n_r**2 + (2.0 * be + 3.0) / (
-        8.0 * (be + 1.0)
-    ) * n_r * w_sq**r
-    return lhs, rhs, {"power_sum": n_r, "radius_sq": w_sq}
-
-
-def _s_mohd1(ops, params):
-    be, r = params.beta, params.r
-    n_r, w_sq, w_m = _single_core(ops["M"], r)
-    lhs = w_m ** (4.0 * r)
-    rhs = (2.0 * be + 1.0) / (8.0 * (be + 1.0)) * n_r**2 + w_sq ** (2.0 * r) / (
-        2.0 * (be + 1.0)
-    )
-    inter = {"power_sum": n_r, "radius_sq": w_sq, "limit_bound": 0.25 * n_r**2}
-    return lhs, rhs, inter
-
-
-def _s_alpha_cor(ops, params):
-    m = ops["M"]
-    al, r = params.alpha, params.r
-    n_r, w_sq, w_m = _single_core(m, r)
-    c1 = 2.0 ** (r - 2.0) * _max1(abs(al - 1.0) ** r) / abs(al) ** r
-    c2 = 2.0 ** (r - 1.0) / abs(al) ** r
-    lhs = w_m ** (2.0 * r)
-    rhs = c1 * n_r + c2 * w_sq**r
-    n1 = _abs_sum_norm(m, 2.0)
-    inter = {"power_sum": n_r, "radius_sq": w_sq, "half_norm_bound": 0.5 * n1}
-    return lhs, rhs, inter
-
-
 def _s_college1(ops, params):
     m = ops["M"]
     chi1, chi2, _, _ = _chi(params.alpha, params.beta)
@@ -842,80 +738,11 @@ def _s_modified_kz_cor(ops, params):
 # -- product bounds -------------------------------------------------------
 
 
-def _prod_core(ops, r):
-    t1, t2, s1, s2 = ops["T1"], ops["T2"], ops["S1"], ops["S2"]
-    ss, tt = _antidiag(s1.t, s2.t), _antidiag(t1.t, t2.t)
-    w_prod = classical_numerical_radius(_adj(ss) @ tt)
-    phi, psi = _each(
-        spectral_norm,
-        t2.abs_pow(4.0 * r) + s2.abs_pow(4.0 * r),
-        t1.abs_pow(4.0 * r) + s1.abs_pow(4.0 * r),
-    )
-    w2, w1 = _each(
-        classical_numerical_radius,
-        s2.abs_pow(2.0) @ t2.abs_pow(2.0),
-        s1.abs_pow(2.0) @ t1.abs_pow(2.0),
-    )
-    inter = {
-        "power_sum_2": phi,
-        "power_sum_1": psi,
-        "radius_grams_2": w2,
-        "radius_grams_1": w1,
-        "radius_product": w_prod,
-    }
-    return w_prod, phi, psi, w2, w1, inter
-
-
-def _p_prod1(ops, params):
-    be, r = params.beta, params.r
-    w_prod, phi, psi, w2, w1, inter = _prod_core(ops, r)
-    lhs = w_prod ** (4.0 * r)
-    rhs = (1.0 + 2.0 * be) / (16.0 * (be + 1.0)) * np.maximum(phi**2, psi**2) + (
-        3.0 + 2.0 * be
-    ) / (8.0 * (be + 1.0)) * np.maximum(phi, psi) * np.maximum(w2**r, w1**r)
-    return lhs, rhs, inter
-
-
-def _p_prod2(ops, params):
-    be, r = params.beta, params.r
-    w_prod, phi, psi, w2, w1, inter = _prod_core(ops, r)
-    lhs = w_prod ** (4.0 * r)
-    rhs = (1.0 + 2.0 * be) / (8.0 * (be + 1.0)) * np.maximum(
-        phi**2, psi**2
-    ) + np.maximum(w2 ** (2.0 * r), w1 ** (2.0 * r)) / (2.0 * (be + 1.0))
-    return lhs, rhs, inter
-
-
 def _pair_core(ops, r, *more):
     """``|| |F~|^4r + |K~|^4r ||``, then the radii of ``K~* F~`` and of ``more``."""
     f, k = ops["F"], ops["K"]
     n2r = spectral_norm(f.abs_pow(4.0 * r) + k.abs_pow(4.0 * r))
     return n2r, *_each(classical_numerical_radius, _adj(k.t) @ f.t, *more)
-
-
-def _gram(ops):
-    """The reduction of ``K#K F#F``."""
-    return ops["K"].abs_pow(2.0) @ ops["F"].abs_pow(2.0)
-
-
-def _p_cor_prod(ops, params):
-    be, r = params.beta, params.r
-    n2r, w_pair, w_gram = _pair_core(ops, r, _gram(ops))
-    lhs = w_pair ** (4.0 * r)
-    rhs = (1.0 + 2.0 * be) / (16.0 * (be + 1.0)) * n2r**2 + (3.0 + 2.0 * be) / (
-        8.0 * (be + 1.0)
-    ) * n2r * w_gram**r
-    return lhs, rhs, {"power_sum": n2r, "radius_gram": w_gram}
-
-
-def _p_cor_prod_a(ops, params):
-    be, r = params.beta, params.r
-    n2r, w_pair, w_gram = _pair_core(ops, r, _gram(ops))
-    lhs = w_pair ** (4.0 * r)
-    rhs = (1.0 + 2.0 * be) / (8.0 * (be + 1.0)) * n2r**2 + w_gram ** (2.0 * r) / (
-        2.0 * (be + 1.0)
-    )
-    return lhs, rhs, {"power_sum": n2r, "radius_gram": w_gram}
 
 
 def _p_power_2r(ops, params):
@@ -924,6 +751,116 @@ def _p_power_2r(ops, params):
     lhs = w_pair ** (2.0 * r)
     rhs = 0.5 * n2r
     return lhs, rhs, {"power_sum": n2r}
+
+
+# -- display families over operand shapes -----------------------------------
+
+# The paper states four displays once each, for the operator matrix
+# [[0, X], [Y, 0]], and specializes them to one operator and to products.
+# A shape ``terms(ops, r)`` gives the radius whose power is the left side,
+# a pair ``n`` of norms, a pair ``v`` of radii, and its intermediates; a
+# one-operator shape repeats each value in its pairs.  A family raises
+# the radius to its power and builds its right side from ``max(n)`` and
+# ``max(v)``; the registry binds each family to its shapes.
+
+
+def _pair_terms(ops, r):
+    """``[[0, X~], [Y~, 0]]``: its radius, power sums and radii of ``X~Y~``, ``Y~X~``."""
+    x, y = ops["X"], ops["Y"]
+    n = _power_sum_norms(x, y, r)
+    v = _each(classical_numerical_radius, x.t @ y.t, y.t @ x.t)
+    w = classical_numerical_radius(_antidiag(x.t, y.t))
+    inter = {
+        "power_sum_1": n[0],
+        "power_sum_2": n[1],
+        "radius_xy": v[0],
+        "radius_yx": v[1],
+    }
+    return w, n, v, inter
+
+
+def _single_terms(ops, r):
+    """The pair shape at ``X = Y = M``: ``w(M~)``, its power sum and ``w(M~^2)``."""
+    n_r, w_sq, w_m = _single_core(ops["M"], r)
+    return w_m, (n_r, n_r), (w_sq, w_sq), {"power_sum": n_r, "radius_sq": w_sq}
+
+
+def _product_terms(ops, r):
+    """``S* T`` for the anti-diagonal ``T`` of ``T1, T2`` and ``S`` of ``S1, S2``."""
+    t1, t2, s1, s2 = ops["T1"], ops["T2"], ops["S1"], ops["S2"]
+    ss, tt = _antidiag(s1.t, s2.t), _antidiag(t1.t, t2.t)
+    w_prod = classical_numerical_radius(_adj(ss) @ tt)
+    n = _each(
+        spectral_norm,
+        t2.abs_pow(4.0 * r) + s2.abs_pow(4.0 * r),
+        t1.abs_pow(4.0 * r) + s1.abs_pow(4.0 * r),
+    )
+    v = _each(
+        classical_numerical_radius,
+        s2.abs_pow(2.0) @ t2.abs_pow(2.0),
+        s1.abs_pow(2.0) @ t1.abs_pow(2.0),
+    )
+    inter = {
+        "power_sum_2": n[0],
+        "power_sum_1": n[1],
+        "radius_grams_2": v[0],
+        "radius_grams_1": v[1],
+        "radius_product": w_prod,
+    }
+    return w_prod, n, v, inter
+
+
+def _gram_terms(ops, r):
+    """The product shape at ``T1 = T2 = F`` and ``S1 = S2 = K``."""
+    f, k = ops["F"], ops["K"]
+    n2r, w_pair, w_gram = _pair_core(ops, r, k.abs_pow(2.0) @ f.abs_pow(2.0))
+    inter = {"power_sum": n2r, "radius_gram": w_gram}
+    return w_pair, (n2r, n2r), (w_gram, w_gram), inter
+
+
+def _delta(terms, ops, params):
+    """``w^4 <= d1 max(n)^2 / 4 + d2 max(v)^2``, at ``r = 1``."""
+    d1, d2 = _delta_pair(params.alpha, params.beta)
+    w, n, v, inter = terms(ops, 1.0)
+    rhs = 0.25 * d1 * np.maximum(*n) ** 2 + d2 * np.maximum(*v) ** 2
+    return w**4, rhs, {"delta_1": d1, "delta_2": d2, **inter}
+
+
+def _ramadan_rhs(beta, n, v):
+    """Ramadan's right side ``(2b+1)/(16(b+1)) n^2 + (2b+3)/(8(b+1)) n v``."""
+    c1 = (2.0 * beta + 1.0) / (16.0 * (beta + 1.0))
+    c2 = (2.0 * beta + 3.0) / (8.0 * (beta + 1.0))
+    return c1 * n**2 + c2 * n * v
+
+
+def _ramadan(terms, ops, params):
+    """``w^4r <= _ramadan_rhs(beta, max(n), max(v)^r)``."""
+    r = params.r
+    w, n, v, inter = terms(ops, r)
+    rhs = _ramadan_rhs(params.beta, np.maximum(*n), np.maximum(*v) ** r)
+    return w ** (4.0 * r), rhs, inter
+
+
+def _beta_mean(terms, ops, params):
+    """``w^4r <= (2b+1)/(8(b+1)) max(n)^2 + max(v)^2r / (2(b+1))``.
+
+    ``limit_bound`` is the right side's limit as ``b`` grows, ``max(n)^2 / 4``.
+    """
+    be, r = params.beta, params.r
+    w, n, v, inter = terms(ops, r)
+    n = np.maximum(*n)
+    c1 = (2.0 * be + 1.0) / (8.0 * (be + 1.0))
+    rhs = c1 * n**2 + np.maximum(*v) ** (2.0 * r) / (2.0 * (be + 1.0))
+    return w ** (4.0 * r), rhs, {**inter, "limit_bound": 0.25 * n**2}
+
+
+def _alpha(terms, ops, params):
+    """``w^2r <= c1 max(n) + c2 max(v)^r``."""
+    al, r = params.alpha, params.r
+    w, n, v, inter = terms(ops, r)
+    c1 = 2.0 ** (r - 2.0) * _max1(abs(al - 1.0) ** r) / abs(al) ** r
+    c2 = 2.0 ** (r - 1.0) / abs(al) ** r
+    return w ** (2.0 * r), c1 * np.maximum(*n) + c2 * np.maximum(*v) ** r, inter
 
 
 # -- registry -------------------------------------------------------------
@@ -945,61 +882,52 @@ class RegistryEntry:
     check: Callable | None = None
 
 
-_MATRIX_FNS = {
-    "thm_2_7": (_m_thm_2_7, ("X", "Y"), ("lam",)),
-    "thm_2_8": (_m_thm_2_8, ("X", "Y"), ()),
-    "thm_2_10": (_m_thm_2_10, ("X", "Y"), ("r", "lam")),
-    "cor_2_11": (_m_thm_2_10, ("X", "Y"), ("r", "lam")),
-    "rem_2_12": (_m_rem_2_12, ("X", "Y"), ()),
-    "moby_a1": (_m_moby_a1, ("X", "Y"), ("alpha", "beta")),
-    "ramadan1": (_m_ramadan1, ("X", "Y"), ("beta", "r")),
-    "thm_beta": (_m_thm_beta, ("X", "Y"), ("beta", "r")),
-    "thm_alpha": (_m_thm_alpha, ("X", "Y"), ("alpha", "r")),
-    "thm_2_16": (_m_thm_2_16, ("X", "Y"), ("beta", "r", "lam", "p")),
-    "kz": (_m_kz, ("F", "X", "Y", "K"), ("alpha", "beta")),
-    "modified_kz": (_m_modified_kz, ("F", "X", "Y", "K"), ("alpha", "beta", "mu")),
-}
+_ABE, _XY, _FXYK = ("a", "b", "e"), ("X", "Y"), ("F", "X", "Y", "K")
+_M, _TS, _FK = ("M",), ("T1", "T2", "S1", "S2"), ("F", "K")
+_AB, _BR, _AR = ("alpha", "beta"), ("beta", "r"), ("alpha", "r")
 
-_SINGLE_FNS = {
-    "moby_a2": (_s_moby_a2, ("alpha", "beta")),
-    "ramadan1_cor": (_s_ramadan1_cor, ("beta", "r")),
-    "mohd1": (_s_mohd1, ("beta", "r")),
-    "alpha_cor": (_s_alpha_cor, ("alpha", "r")),
-    "college1": (_s_college1, ("alpha", "beta")),
-    "modified_kz_cor": (_s_modified_kz_cor, ("alpha", "beta", "mu")),
-}
-
-_PRODUCT_FNS = {
-    "prod1": (_p_prod1, ("T1", "T2", "S1", "S2"), ("beta", "r")),
-    "prod2": (_p_prod2, ("T1", "T2", "S1", "S2"), ("beta", "r")),
-    "cor_prod": (_p_cor_prod, ("F", "K"), ("beta", "r")),
-    "cor_prod_a": (_p_cor_prod_a, ("F", "K"), ("beta", "r")),
-    "power_2r": (_p_power_2r, ("F", "K"), ("r",)),
-}
-
-
-def _build_registry() -> Mapping[str, RegistryEntry]:
-    reg: dict[str, RegistryEntry] = {}
-    reg["jensen"] = RegistryEntry("scalar", ("values",), ("lam", "r"), _l_jensen)
-    reg["bohr"] = RegistryEntry("scalar", ("values",), ("r",), _l_bohr)
-    for iid, (fn, names) in _VECTOR_FORMULAS.items():
-        reg[iid] = RegistryEntry("vector", ("a", "b", "e"), names, _vector_lemma(fn))
-    for iid, (fn, ops, names) in _MATRIX_FNS.items():
-        reg[iid] = RegistryEntry("matrix", ops, names, fn)
-    for iid, (fn, names) in _SINGLE_FNS.items():
-        reg[iid] = RegistryEntry("single", ("M",), names, fn)
-    for iid, (fn, ops, names) in _PRODUCT_FNS.items():
-        reg[iid] = RegistryEntry("product", ops, names, fn)
-    reg["mixed_schwarz"] = RegistryEntry(
+REGISTRY: Mapping[str, RegistryEntry] = MappingProxyType({
+    "jensen": RegistryEntry("scalar", ("values",), ("lam", "r"), _l_jensen),
+    "bohr": RegistryEntry("scalar", ("values",), ("r",), _l_bohr),
+    "buz_general": RegistryEntry("vector", _ABE, ("alpha",), _v_buz_general),
+    "buz_half": RegistryEntry("vector", _ABE, (), _v_buz_half),
+    "mix_al_be": RegistryEntry("vector", _ABE, _AB, _v_mix_al_be),
+    "buzano_beta": RegistryEntry("vector", _ABE, ("beta",), _v_buzano_beta),
+    "ramadan_kareem": RegistryEntry("vector", _ABE, _AB, _v_ramadan_kareem),
+    "buz_beta": RegistryEntry("vector", _ABE, ("beta",), _v_buz_beta),
+    "buz_beta_pow": RegistryEntry("vector", _ABE, _BR, _v_buz_beta_pow),
+    "modified_buzano": RegistryEntry("vector", _ABE, _BR, _v_modified_buzano),
+    "drag": RegistryEntry("vector", _ABE, (), _v_drag),
+    "thm_2_7": RegistryEntry("matrix", _XY, ("lam",), _m_thm_2_7),
+    "thm_2_8": RegistryEntry("matrix", _XY, (), _m_thm_2_8),
+    "thm_2_10": RegistryEntry("matrix", _XY, ("r", "lam"), _m_thm_2_10),
+    "cor_2_11": RegistryEntry("matrix", _XY, ("r", "lam"), _m_thm_2_10),
+    "rem_2_12": RegistryEntry("matrix", _XY, (), _m_rem_2_12),
+    "moby_a1": RegistryEntry("matrix", _XY, _AB, partial(_delta, _pair_terms)),
+    "ramadan1": RegistryEntry("matrix", _XY, _BR, partial(_ramadan, _pair_terms)),
+    "thm_beta": RegistryEntry("matrix", _XY, _BR, partial(_beta_mean, _pair_terms)),
+    "thm_alpha": RegistryEntry("matrix", _XY, _AR, partial(_alpha, _pair_terms)),
+    "thm_2_16": RegistryEntry("matrix", _XY, ("beta", "r", "lam", "p"), _m_thm_2_16),
+    "kz": RegistryEntry("matrix", _FXYK, _AB, _m_kz),
+    "modified_kz": RegistryEntry("matrix", _FXYK, _AB + ("mu",), _m_modified_kz),
+    "moby_a2": RegistryEntry("single", _M, _AB, partial(_delta, _single_terms)),
+    "ramadan1_cor": RegistryEntry("single", _M, _BR, partial(_ramadan, _single_terms)),
+    "mohd1": RegistryEntry("single", _M, _BR, partial(_beta_mean, _single_terms)),
+    "alpha_cor": RegistryEntry("single", _M, _AR, partial(_alpha, _single_terms)),
+    "college1": RegistryEntry("single", _M, _AB, _s_college1),
+    "modified_kz_cor": RegistryEntry("single", _M, _AB + ("mu",), _s_modified_kz_cor),
+    "prod1": RegistryEntry("product", _TS, _BR, partial(_ramadan, _product_terms)),
+    "prod2": RegistryEntry("product", _TS, _BR, partial(_beta_mean, _product_terms)),
+    "cor_prod": RegistryEntry("product", _FK, _BR, partial(_ramadan, _gram_terms)),
+    "cor_prod_a": RegistryEntry("product", _FK, _BR, partial(_beta_mean, _gram_terms)),
+    "power_2r": RegistryEntry("product", _FK, ("r",), _p_power_2r),
+    "mixed_schwarz": RegistryEntry(
         "special", ("T", "x", "y"), ("lam",), _f_mixed_schwarz, _commutes_with_weight
-    )
-    reg["holder_mccarthy"] = RegistryEntry(
+    ),
+    "holder_mccarthy": RegistryEntry(
         "special", ("T", "x", "r"), (), _f_holder_mccarthy, _holder_inputs
-    )
-    return MappingProxyType(reg)
-
-
-REGISTRY: Mapping[str, RegistryEntry] = _build_registry()
+    ),
+})
 
 
 def registry_ids() -> tuple[str, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from numbers import Real
 
 import numpy as np
 
@@ -93,15 +94,27 @@ def params_to_obj(p: BoundParams) -> dict:
     }
 
 
+def _number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise MatrixFormatError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def params_from_obj(obj) -> BoundParams:
-    re_part, im_part = obj["alpha"]
+    """The parameters of ``obj``; a stored ``q`` is ignored, as ``p`` gives it."""
+    if not isinstance(obj, Mapping):
+        raise MatrixFormatError("params must be a JSON mapping")
+    reals = ("beta", "r", "mu", "lam", "p")
+    for key in ("alpha",) + reals:
+        if key not in obj:
+            raise MatrixFormatError(f"params is missing {key!r}")
+    alpha = obj["alpha"]
+    if not (isinstance(alpha, (list, tuple)) and len(alpha) == 2):
+        raise MatrixFormatError(f"params field 'alpha' must be [re, im], got {alpha!r}")
+    re_part, im_part = (_number(v, "params field 'alpha'") for v in alpha)
     return BoundParams(
-        alpha=complex(float(re_part), float(im_part)),
-        beta=float(obj["beta"]),
-        r=float(obj["r"]),
-        mu=float(obj["mu"]),
-        lam=float(obj["lam"]),
-        p=float(obj["p"]),
+        alpha=complex(re_part, im_part),
+        **{key: _number(obj[key], f"params field {key!r}") for key in reals},
     )
 
 

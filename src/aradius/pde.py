@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -283,14 +283,7 @@ def refined_specs(spec: EllipticSpec, levels: int = 3) -> list[EllipticSpec]:
     out = []
     n = spec.n_points
     for _ in range(levels):
-        out.append(
-            EllipticSpec(
-                n_points=n,
-                coeff_a=spec.coeff_a,
-                coeff_c=spec.coeff_c,
-                domain=spec.domain,
-            )
-        )
+        out.append(replace(spec, n_points=n))
         n = 2 * n + 1
     return out
 

@@ -58,6 +58,10 @@ class DegenerateContext(DomainError):
 #: when it exceeds ``RANK_TOL`` times the largest modulus.
 RANK_TOL = 1e-10
 
+#: Relative tolerance of the structural tests :func:`preserves_kernel`,
+#: :func:`is_a_selfadjoint` and :func:`is_a_positive`.
+STRUCTURE_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SemiInnerContext:
@@ -248,37 +252,40 @@ def a_abs_power(ctx: SemiInnerContext, t, p: float) -> np.ndarray:
     return (ctx.v_r / lam_half) @ powered @ (lam_half[:, None] * ctx.v_r.conj().T)
 
 
-def _a_hermitian(ctx: SemiInnerContext, t, tol: float):
-    """Hermitian part of ``A T``; whether ``||A T - (A T)*||_F <= tol ||A T||_F``.
+def _a_hermitian(ctx: SemiInnerContext, t):
+    """Hermitian part of ``A T``; whether it is Hermitian within tolerance.
 
-    The rule is relative, so no verdict depends on the scale of ``T``.
+    The rule ``||A T - (A T)*||_F <= STRUCTURE_RTOL ||A T||_F`` is
+    relative, so no verdict depends on the scale of ``T``.
     """
     mat = as_stack(t, square=True)
     _check_dim(ctx, mat)
     at = ctx.a @ mat
     adj = at.conj().swapaxes(-1, -2)
-    ok = np.linalg.norm(at - adj, axis=(-2, -1)) <= tol * np.linalg.norm(at, axis=(-2, -1))
+    gap = np.linalg.norm(at - adj, axis=(-2, -1))
+    ok = gap <= STRUCTURE_RTOL * np.linalg.norm(at, axis=(-2, -1))
     return 0.5 * (at + adj), ok
 
 
-def is_a_selfadjoint(ctx: SemiInnerContext, t, tol: float = 1e-8):
+def is_a_selfadjoint(ctx: SemiInnerContext, t):
     """True when ``A T`` is Hermitian within relative tolerance, per trial for stacks."""
-    ok = _a_hermitian(ctx, t, tol)[1]
+    ok = _a_hermitian(ctx, t)[1]
     return ok if ok.ndim else bool(ok)
 
 
-def is_a_positive(ctx: SemiInnerContext, t, tol: float = 1e-8):
+def is_a_positive(ctx: SemiInnerContext, t):
     """True when ``A T`` is Hermitian PSD within relative tolerance, per trial for stacks.
 
-    The smallest eigenvalue must be at least ``-tol`` times the largest modulus.
+    The smallest eigenvalue must be at least ``-STRUCTURE_RTOL`` times the
+    largest modulus.
     """
-    sym, ok = _a_hermitian(ctx, t, tol)
+    sym, ok = _a_hermitian(ctx, t)
     vals = np.linalg.eigvalsh(sym)
-    ok = ok & (vals[..., 0] >= -tol * np.max(np.abs(vals), axis=-1))
+    ok = ok & (vals[..., 0] >= -STRUCTURE_RTOL * np.max(np.abs(vals), axis=-1))
     return ok if ok.ndim else bool(ok)
 
 
-def preserves_kernel(ctx: SemiInnerContext, t, tol: float = 1e-8):
+def preserves_kernel(ctx: SemiInnerContext, t):
     """True when ``T`` maps ``ker(A)`` into itself within tolerance.
 
     This is exactly the compatibility condition under which the adjoint
@@ -286,10 +293,10 @@ def preserves_kernel(ctx: SemiInnerContext, t, tol: float = 1e-8):
     the reduction is multiplicative; every operator inequality in
     :mod:`aradius.inequalities` hypothesizes it.  The leak ``||V_r* T (I -
     P)||`` (``r x n``; it equals ``||P T (I - P)||`` because ``V_r`` has
-    orthonormal columns) must be at most ``tol * ||T||``: relative, so any
-    scale qualifies and the zero operator passes.  Always true for
-    invertible weights and for the zero weight.  A stacked context or
-    operator stack gives a boolean array, one per trial.
+    orthonormal columns) must be at most ``STRUCTURE_RTOL * ||T||``:
+    relative, so any scale qualifies and the zero operator passes.  Always
+    true for invertible weights and for the zero weight.  A stacked context
+    or operator stack gives a boolean array, one per trial.
     """
     mat = as_stack(t, square=True)
     _check_dim(ctx, mat)
@@ -299,7 +306,7 @@ def preserves_kernel(ctx: SemiInnerContext, t, tol: float = 1e-8):
     vrh = ctx.v_r.conj().swapaxes(-1, -2)
     image = vrh @ mat
     leak = image - (image @ ctx.v_r) @ vrh
-    return spectral_norm(leak) <= tol * spectral_norm(mat)
+    return spectral_norm(leak) <= STRUCTURE_RTOL * spectral_norm(mat)
 
 
 def _check_dim(ctx: SemiInnerContext, mat: np.ndarray) -> None:

@@ -1,12 +1,14 @@
 """Bound registry: parameter domains, checkers, optimizers, consistency."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from aradius import (
+    A_KINDS,
     BoundParams,
     DomainViolation,
     NotAPositive,
@@ -388,6 +390,43 @@ def test_rem_2_12_is_midpoint_instance(rng):
     assert rep_r.rhs == pytest.approx(rep_t.rhs, abs=1e-10 * (1 + rep_t.rhs))
 
 
+#: Each block theorem, with the corollary it gives at equal blocks.
+COROLLARIES = [
+    ("moby_a1", "moby_a2"),
+    ("ramadan1", "ramadan1_cor"),
+    ("thm_beta", "mohd1"),
+    ("thm_alpha", "alpha_cor"),
+    ("prod1", "cor_prod"),
+    ("prod2", "cor_prod_a"),
+]
+EQUAL_BLOCKS = {"X": "M", "Y": "M", "T1": "F", "T2": "F", "S1": "K", "S2": "K"}
+
+
+@pytest.mark.parametrize("block_id, cor_id", COROLLARIES)
+def test_corollary_is_its_block_theorem_at_equal_blocks(block_id, cor_id, rng):
+    # [[0, M], [M, 0]] has the radius of M, and S* T for T = [[0, F], [F, 0]],
+    # S = [[0, K], [K, 0]] is diag(K* F, K* F): the right sides coincide term
+    # by term, the left sides up to rounding in the radius
+    for a_kind in A_KINDS:
+        for _ in range(10):
+            spec = GenSpec(dim=3, a_kind=a_kind, seed=int(rng.integers(2**31)))
+            ctx = gen_context(spec)
+            ops = {
+                name: gen_operator(ctx, replace(spec, seed=spec.seed + j))
+                for j, name in enumerate(registry_entry(cor_id).operands, 1)
+            }
+            blocks = {b: ops[EQUAL_BLOCKS[b]] for b in registry_entry(block_id).operands}
+            params = BoundParams(
+                alpha=rng.uniform(0.6, 3.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)),
+                beta=rng.uniform(0.0, 4.0),
+                r=float(rng.choice([1.0, 1.25, 1.5, 2.0])),
+            )
+            rep_b = evaluate_bound(ctx, block_id, blocks, params)
+            rep_c = evaluate_bound(ctx, cor_id, ops, params)
+            assert rep_b.rhs == rep_c.rhs
+            assert rep_b.lhs == pytest.approx(rep_c.lhs, rel=1e-12, abs=0.0)
+
+
 def test_mix_al_be_alpha_two_matches_buzano_beta(rng):
     for _ in range(20):
         ctx = random_context(rng, 3)
@@ -454,7 +493,8 @@ def test_alpha_cor_refines_half_norm_bound(rng):
         ctx = random_context(rng, 3)
         m = cgauss(rng, 3, 3)
         rep = check_single_operator_bound(ctx, "alpha_cor", m, BoundParams(alpha=2.0))
-        half_norm = rep.intermediates["half_norm_bound"]
+        adj = a_adjoint(ctx, m)
+        half_norm = 0.5 * op_seminorm(ctx, adj @ m + m @ adj)
         assert rep.lhs <= rep.rhs + 1e-9
         assert rep.rhs <= half_norm + 1e-9 * (1 + half_norm)
         w_sq = a_numerical_radius(ctx, m) ** 2

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from aradius import BoundParams, check_scalar_lemma
+from aradius import BoundParams, check_scalar_lemma, replay
 from aradius.matio import (
     MatrixFormatError,
     complex_from_pairs,
@@ -85,6 +85,46 @@ def test_params_roundtrip():
     assert obj["alpha"] == [1.5, -0.25]
     back = params_from_obj(json.loads(json.dumps(obj)))
     assert back == p
+
+
+def _case():
+    return {
+        "inequality_id": "jensen",
+        "weight": matrix_to_obj("A", np.eye(2)),
+        "operands": {"values": [1.0, 4.0]},
+        "params": params_to_obj(BoundParams()),
+    }
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _with_params(**fields):
+    return lambda case: {**case, "params": {**case["params"], **fields}}
+
+
+MALFORMED = {
+    "no id": ("inequality_id", lambda c: _without(c, "inequality_id")),
+    "no weight": ("weight", lambda c: _without(c, "weight")),
+    "no operands": ("operands", lambda c: _without(c, "operands")),
+    "no params": ("params", lambda c: _without(c, "params")),
+    "alpha only": ("beta", lambda c: {**c, "params": {"alpha": [2.0, 0.0]}}),
+    "no lam": ("lam", lambda c: {**c, "params": _without(c["params"], "lam")}),
+    "scalar alpha": ("alpha", _with_params(alpha=2.0)),
+    "short alpha": ("alpha", _with_params(alpha=[2.0])),
+    "text in alpha": ("alpha", _with_params(alpha=["2", 0.0])),
+    "text beta": ("beta", _with_params(beta="1.0")),
+    "null r": ("r", _with_params(r=None)),
+    "bool p": ("p", _with_params(p=True)),
+}
+
+
+@pytest.mark.parametrize("field, corrupt", MALFORMED.values(), ids=MALFORMED.keys())
+def test_replay_names_the_malformed_field(field, corrupt):
+    assert replay(_case()).inequality_id == "jensen"
+    with pytest.raises(MatrixFormatError, match=f"'{field}'"):
+        replay(corrupt(_case()))
 
 
 def test_report_obj_fields():
