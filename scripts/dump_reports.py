@@ -16,7 +16,7 @@ import json
 import sys
 
 from aradius import A_KINDS, GenSpec, registry_entry, registry_ids
-from aradius.fuzz import _draw_trial, _evaluate_chunk
+from aradius.fuzz import _draw_chunk, _evaluate_chunk
 from aradius.matio import report_to_obj
 
 DIMS = (2, 3, 4)
@@ -45,10 +45,7 @@ def main():
                 for t_kind in T_KINDS:
                     for seed in SEEDS:
                         gen = GenSpec(dim=dim, a_kind=a_kind, t_kind=t_kind, seed=seed)
-                        draws = [
-                            _draw_trial(gen, entry, iid, k, None, True)
-                            for k in range(TRIALS)
-                        ]
+                        draws = _draw_chunk(gen, entry, iid, range(TRIALS), None, True)
                         for k, rep in enumerate(_evaluate_chunk(iid, draws)):
                             key = f"{iid} {dim} {a_kind} {t_kind} {seed} {k}"
                             out[key] = rep and _exact(report_to_obj(rep))

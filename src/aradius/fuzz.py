@@ -4,18 +4,22 @@ Instances are drawn from :class:`GenSpec`-described distributions whose
 operator classes line up with the hypotheses the bounds carry (weights
 of each structure; dense, weight-commuting, weight-selfadjoint, and
 weight-positive operators).  Campaigns are deterministic: every trial
-derives its own RNG stream from ``(seed, inequality_id, trial_index)``,
-so reruns — serial or parallel — agree byte for byte.
+derives its own RNG streams from ``(seed, inequality_id, trial_index)``,
+so reruns agree byte for byte.
 
 A campaign never hides a negative result: each violating trial's full
 inputs are serialized into the report for replay, and the sharpest
 (minimal relative slack) satisfying trial is persisted the same way.
 
-Every id is drawn in chunks of at most ``MAX_BATCH`` trials, and each
-chunk is evaluated in one batch per weight rank through
-:func:`aradius.inequalities.evaluate_bounds`.  That changes no result:
-draws come from each trial's own streams, a batched report is bitwise the
-trial's own, and accounting runs in trial order.
+Every id is drawn in chunks of at most ``MAX_BATCH`` trials.  Each trial
+draws its raw weight, parameters and operands from its own streams; the
+chunk's dense weights are then normalized by one stacked SVD, and all its
+weights are factored by one stacked eigensolve
+(:func:`aradius.semihilbert.make_contexts`), which give each weight
+bitwise what it gets alone.  Each chunk is evaluated in one batch per
+weight rank through :func:`aradius.inequalities.evaluate_bounds`, whose
+reports are bitwise each trial's own, and accounting runs in trial
+order.  So the chunking changes no result.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .matio import (
     params_from_obj,
     params_to_obj,
 )
-from .semihilbert import SemiInnerContext, make_context, vec_seminorm
+from .semihilbert import SemiInnerContext, make_context, make_contexts
 
 A_KINDS = ("identity", "diagonal", "dense_psd", "rank_deficient")
 T_KINDS = ("dense", "a_commuting", "a_selfadjoint", "a_positive")
@@ -109,8 +113,13 @@ class CampaignReport:
 _MAX_PERSISTED_VIOLATIONS = 25
 
 
+_SQRT2 = np.sqrt(2.0)
+
+
 def _cgauss(rng: np.random.Generator, *shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    # the real parts, then the imaginary parts, from one call
+    re, im = rng.standard_normal((2,) + shape)
+    return (re + 1j * im) / _SQRT2
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -119,24 +128,36 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 def gen_context(spec: GenSpec) -> SemiInnerContext:
     """Draw a weight of the requested structure and wrap it in a context."""
-    rng = _rng(spec.seed, 101)
+    return _contexts(spec, [spec.seed])[0]
+
+
+def _raw_weight(spec: GenSpec, seed: int) -> np.ndarray:
+    """The weight drawn from stream ``(seed, 101)``, before normalization."""
     n = spec.dim
     if spec.a_kind == "identity":
-        a = np.eye(n, dtype=np.complex128)
-    elif spec.a_kind == "diagonal":
-        a = np.diag(rng.uniform(0.5, 2.0, n)).astype(np.complex128)
-    elif spec.a_kind == "dense_psd":
-        g = _cgauss(rng, n, n)
-        a = g @ g.conj().T / n + 1e-6 * spec.scale * np.eye(n)
-        a /= max(spectral_norm(a), 1e-300)
-    else:  # rank_deficient
-        k = spec.effective_rank
-        g = _cgauss(rng, n, n)
-        d = np.zeros(n)
-        d[:k] = rng.uniform(0.5, 2.0, k)
-        a = g.conj().T @ np.diag(d) @ g
-        a /= max(spectral_norm(a), 1e-300)
-    return make_context(a)
+        return np.eye(n, dtype=np.complex128)  # draws nothing: no generator
+    rng = _rng(seed, 101)
+    if spec.a_kind == "diagonal":
+        return np.diag(rng.uniform(0.5, 2.0, n)).astype(np.complex128)
+    g = _cgauss(rng, n, n)
+    if spec.a_kind == "dense_psd":
+        return g @ g.conj().T / n + 1e-6 * spec.scale * np.eye(n)
+    k = spec.effective_rank
+    d = np.zeros(n)
+    d[:k] = rng.uniform(0.5, 2.0, k)
+    return g.conj().T @ np.diag(d) @ g
+
+
+def _contexts(spec: GenSpec, seeds) -> list[SemiInnerContext]:
+    """Contexts of the weights drawn from ``seeds``, in one SVD and one eigensolve.
+
+    Dense weights are scaled to unit spectral norm.
+    """
+    stack = np.array([_raw_weight(spec, int(seed)) for seed in seeds])
+    if spec.a_kind in ("dense_psd", "rank_deficient"):
+        norms = np.linalg.svd(stack, compute_uv=False)[:, :1, None]
+        stack /= np.maximum(norms, 1e-300)
+    return make_contexts(stack)
 
 
 def gen_operator(ctx: SemiInnerContext, spec: GenSpec) -> np.ndarray:
@@ -180,16 +201,21 @@ def _gen_vector(ctx: SemiInnerContext, rng: np.random.Generator, unit: bool = Fa
         v = _cgauss(rng, ctx.dim)
         if not unit:
             return v
-        norm = vec_seminorm(ctx, v)
+        # ||v||_A as vec_seminorm computes it, on the validated weight
+        norm = float(np.sqrt(max(np.vdot(v, ctx.a @ v).real, 0.0)))
         if norm > 1e-8:
             return v / norm
     raise DomainViolation("could not draw a unit vector for this weight")
 
 
+_R_CHOICES = (1.0, 1.25, 1.5, 2.0)
+
+
 def _draw_params(rng: np.random.Generator, iid: str) -> BoundParams:
     alpha = rng.uniform(0.6, 3.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     beta = rng.uniform(0.0, 4.0)
-    r = float(rng.choice([1.0, 1.25, 1.5, 2.0]))
+    # rng.choice's draw on four values, without its overhead
+    r = _R_CHOICES[int(rng.integers(0, 4))]
     mu = rng.uniform(0.0, 1.0)
     lam = rng.uniform(0.05, 0.95)
     p = rng.uniform(1.3, 4.0)
@@ -246,16 +272,25 @@ def _crc(iid: str) -> int:
     return zlib.crc32(iid.encode("utf-8")) & 0x7FFFFFFF
 
 
-def _draw_trial(gen: GenSpec, entry, iid: str, k: int, params, randomize_params):
-    """Weight, operands and parameters of trial ``k``, from its own streams."""
-    seeds = np.random.SeedSequence(gen.seed, spawn_key=(_crc(iid), k)).generate_state(8)
-    ctx = gen_context(replace(gen, seed=int(seeds[0])))
-    rng = _rng(gen.seed, _crc(iid), k, 999)
-    trial_params = (
-        _draw_params(rng, iid) if randomize_params else (params or BoundParams())
-    )
-    operands = _draw_operands(ctx, gen, entry, iid, seeds[1:], rng)
-    return ctx, operands, trial_params
+def _draw_chunk(gen: GenSpec, entry, iid: str, ks, params, randomize_params):
+    """Weight, operands and parameters of each trial in ``ks``, from its own streams.
+
+    The chunk's weights are factored together by :func:`_contexts`.
+    """
+    crc = _crc(iid)
+    seeds = [
+        np.random.SeedSequence(gen.seed, spawn_key=(crc, k)).generate_state(8) for k in ks
+    ]
+    ctxs = _contexts(gen, [s[0] for s in seeds])
+    draws = []
+    for k, ctx, trial_seeds in zip(ks, ctxs, seeds):
+        rng = _rng(gen.seed, crc, k, 999)
+        trial_params = (
+            _draw_params(rng, iid) if randomize_params else (params or BoundParams())
+        )
+        operands = _draw_operands(ctx, gen, entry, iid, trial_seeds[1:], rng)
+        draws.append((ctx, operands, trial_params))
+    return draws
 
 
 def _evaluate_chunk(iid: str, draws) -> list[BoundReport | None]:
@@ -319,9 +354,7 @@ def run_campaign(
         violation_cases: list = []
         for start in range(0, trials, MAX_BATCH):
             ks = range(start, min(start + MAX_BATCH, trials))
-            draws = [
-                _draw_trial(gen, entry, iid, k, params, randomize_params) for k in ks
-            ]
+            draws = _draw_chunk(gen, entry, iid, ks, params, randomize_params)
             for k, draw, rep in zip(ks, draws, _evaluate_chunk(iid, draws)):
                 if rep is None or not rep.hypotheses_ok:
                     skipped += 1
@@ -387,6 +420,10 @@ def replay(case: Mapping) -> BoundReport:
     for key in ("inequality_id", "weight", "operands", "params"):
         if key not in case:
             raise MatrixFormatError(f"case is missing {key!r}")
+    if not isinstance(case["inequality_id"], str):
+        raise MatrixFormatError(
+            f"case field 'inequality_id' must be a string, got {case['inequality_id']!r}"
+        )
     if not isinstance(case["operands"], Mapping):
         raise MatrixFormatError("case field 'operands' must be a JSON mapping")
     ctx = make_context(matrix_from_obj(case["weight"])[1])

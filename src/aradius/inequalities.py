@@ -72,7 +72,7 @@ import numpy as np
 from .linalg import (
     DomainError,
     as_matrix,
-    as_vector,
+    as_vectors,
     classical_numerical_radius,
     spectral_norm,
 )
@@ -963,7 +963,7 @@ def _gather(iid, name, operands, params, dim):
     if any(name not in ops for ops in operands):
         raise DomainViolation(f"{iid!r} requires operand {name!r}")
     if name in _VECTORS:
-        return np.array([as_vector(ops[name], dim=dim) for ops in operands])
+        return as_vectors([ops[name] for ops in operands], dim=dim)
     if name == "values":
         lists = [[float(v) for v in ops[name]] for ops in operands]
         if not all(lists):

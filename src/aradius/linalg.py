@@ -6,12 +6,14 @@ relies on: symmetrization before Hermitian eigensolves, eigenvalue
 clamping for positive-semidefinite functional calculus, and a
 grid-seeded Newton refinement for the classical numerical radius.
 
-Stacks: :func:`spectral_norm` and :func:`classical_numerical_radius` take
-either one matrix or a stack ``(k, rows, cols)`` of matrices of one shape
-(see :func:`as_stack`).  A stack returns a length-``k`` array whose entry
-``i`` is bitwise what matrix ``i`` alone returns; a 2-D input is a stack
-of one and returns a float.  Validation and every numpy call then run once
-per stack, which is what makes batched evaluation cheap at small ``n``.
+Stacks: :func:`spectral_norm`, :func:`classical_numerical_radius` and
+:func:`hermitian_eig` take either one matrix or a stack ``(k, rows,
+cols)`` of matrices of one shape (see :func:`as_stack`).  A stack's
+results carry a leading axis of length ``k`` whose entry ``i`` is bitwise
+what matrix ``i`` alone gives; a 2-D input is a stack of one, and the
+norm and the radius then return a float.  Validation and every numpy call
+run once per stack, which is what makes batched evaluation cheap at small
+``n``.
 """
 
 from __future__ import annotations
@@ -120,29 +122,51 @@ def as_vector(x, *, dim: int | None = None) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
+def as_vectors(xs, *, dim: int) -> np.ndarray:
+    """Validate each of ``xs`` as :func:`as_vector` does; stack them ``(k, dim)``.
+
+    An entry that is already a flat length-``dim`` vector skips the
+    per-entry call, and the finiteness check runs once over the stack, so
+    a batch raises the errors its entries raise alone.
+    """
+    flat = [np.asarray(x, dtype=np.complex128) for x in xs]
+    stack = np.array([v if v.shape == (dim,) else as_vector(v, dim=dim) for v in flat])
+    if not np.all(np.isfinite(stack)):
+        raise DomainError("vector contains non-finite entries")
+    return stack
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
+    matching orthonormal eigenvectors as columns.  A stack's arrays carry
+    its leading axis.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+def _frobenius_sq(mats: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a C-contiguous complex stack."""
+    return np.square(mats.view(np.float64)).sum(axis=(-2, -1))
 
-    The input must be Hermitian to relative tolerance: ``||M - M*||_F <=
+
+def hermitian_eig(m) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
+
+    Each matrix must be Hermitian to relative tolerance: ``||M - M*||_F <=
     HERMITIAN_RTOL * ||M||_F``, so any scale qualifies and the zero matrix
     passes.  It is symmetrized before the solve so downstream
-    reconstruction identities hold to rounding.
+    reconstruction identities hold to rounding.  A stack ``(k, n, n)``
+    gives eigenvalues ``(k, n)`` and eigenvectors ``(k, n, n)`` in one
+    solve, entry ``i`` bitwise what matrix ``i`` alone gives.
     """
-    mat = as_matrix(m, square=True)
-    adj = mat.conj().T
-    if np.linalg.norm(mat - adj) > HERMITIAN_RTOL * np.linalg.norm(mat):
+    mat = as_stack(m, square=True)
+    adj = mat.conj().swapaxes(-1, -2)
+    if np.any(_frobenius_sq(mat - adj) > HERMITIAN_RTOL**2 * _frobenius_sq(mat)):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     try:
         vals, vecs = np.linalg.eigh(0.5 * (mat + adj))

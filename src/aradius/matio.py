@@ -50,6 +50,13 @@ def matrix_to_obj(name: str, m) -> dict:
     return {"name": str(name), "rows": len(data), "cols": len(data[0]), "data": data}
 
 
+def _size(obj, field: str) -> int:
+    value = obj[field]
+    if type(value) is int or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise MatrixFormatError(f"matrix field {field!r} must be an integer, got {value!r}")
+
+
 def matrix_from_obj(obj) -> tuple[str, np.ndarray]:
     if not isinstance(obj, Mapping):
         raise MatrixFormatError("matrix object must be a JSON mapping")
@@ -57,7 +64,7 @@ def matrix_from_obj(obj) -> tuple[str, np.ndarray]:
         if key not in obj:
             raise MatrixFormatError(f"matrix object is missing {key!r}")
     mat = complex_from_pairs(obj["data"])
-    if mat.shape != (int(obj["rows"]), int(obj["cols"])):
+    if mat.shape != (_size(obj, "rows"), _size(obj, "cols")):
         raise MatrixFormatError(
             f"declared shape {obj['rows']}x{obj['cols']} does not match data "
             f"shape {mat.shape[0]}x{mat.shape[1]}"

@@ -18,12 +18,13 @@ left factor maps ``ker(A)`` into itself, the reduction of ``S T`` is
 matrix of the reduced blocks.  So downstream checkers work on ``r x r``
 matrices only.
 
-Trial axis: :func:`stack_contexts` joins contexts of one dimension and
-rank into one context whose arrays carry a leading trial axis, and
-:func:`reduce`, :func:`preserves_kernel`, :func:`is_a_selfadjoint` and
-:func:`is_a_positive` accept such a context, or a stack ``(k, n, n)`` of
-operators, or both; they return one result per trial.  The other
-functions take one weight and one operator.
+Trial axis: :func:`make_contexts` factors a stack of weights, one context
+each, in one eigensolve.  :func:`stack_contexts` joins contexts of one
+dimension and rank into one context whose arrays carry a leading trial
+axis, and :func:`reduce`, :func:`preserves_kernel`,
+:func:`is_a_selfadjoint` and :func:`is_a_positive` accept such a context,
+or a stack ``(k, n, n)`` of operators, or both; they return one result
+per trial.  The other functions take one weight and one operator.
 """
 
 from __future__ import annotations
@@ -122,25 +123,55 @@ def make_context(a) -> SemiInnerContext:
     identities ``P = A pinv(A) = pinv(A) A = V_r V_r*`` and
     ``A = V_r diag(lam) V_r*`` hold to rounding.  A rank-zero weight
     keeps an ``n x 0`` factor, whose pseudoinverse and projection are
-    zero.
+    zero.  This is :func:`make_contexts` on a stack of one.
     """
-    mat = as_matrix(a, square=True)
-    spec = hermitian_eig(mat)
+    return _factor(as_matrix(a, square=True)[None])[0]
+
+
+def make_contexts(a) -> list[SemiInnerContext]:
+    """Validate a stack ``(k, n, n)`` of weights and factor each, in one eigensolve.
+
+    Each weight then gets its own clamp and rank decision, so entry ``i``
+    is bitwise :func:`make_context` of weight ``i``; the contexts may
+    differ in rank.  A stack that holds a non-Hermitian or non-PSD weight
+    raises what the first such weight raises alone.
+    """
+    mats = as_stack(a, square=True)
+    if mats.ndim != 3:
+        raise DimensionMismatch("expected a stack (k, n, n) of weights")
+    return _factor(mats)
+
+
+def _factor(mats: np.ndarray) -> list[SemiInnerContext]:
+    spec = hermitian_eig(mats)
     vals = spec.eigenvalues
-    top = float(np.max(np.abs(vals)))
-    if float(vals[0]) < -1e-9 * top:
-        raise NotPositive(f"weight has negative eigenvalue {vals[0]:.3e}")
-    clamped = np.clip(vals, 0.0, None)
-    mask = clamped > RANK_TOL * top
+    top = np.abs(vals).max(axis=-1)
+    negative = vals[:, 0] < -1e-9 * top
+    if negative.any():
+        first = vals[np.argmax(negative), 0]
+        raise NotPositive(f"weight has negative eigenvalue {first:.3e}")
+    clamped = np.maximum(vals, 0.0)
+    # eigenvalues ascend, so each weight keeps its last ``rank`` eigenpairs
+    ranks = (clamped > RANK_TOL * top[:, None]).sum(axis=-1)
     # The stored weight is the exact symmetrization of the input, not the
     # eigen-reconstruction: symmetrizing is bitwise idempotent, so feeding
     # ``ctx.a`` back through ``make_context`` reproduces every factor
     # bit for bit (persisted cases replay exactly).
-    return SemiInnerContext(
-        a=_frozen(0.5 * (mat + mat.conj().T)),
-        v_r=_frozen(spec.eigenvectors[:, mask]),
-        lam=_frozen(clamped[mask]),
-    )
+    sym = _frozen(0.5 * (mats + mats.conj().swapaxes(-1, -2)))
+    n = mats.shape[-1]
+    by_rank: dict[int, list[int]] = {}
+    for i, rank in enumerate(ranks.tolist()):
+        by_rank.setdefault(rank, []).append(i)
+    out: list = [None] * len(mats)
+    for rank, idx in by_rank.items():
+        # one frozen array per rank; each context holds rows of it (a
+        # stack of one rank, the usual case, is sliced rather than indexed)
+        rows = slice(None) if len(by_rank) == 1 else idx
+        v_r = _frozen(spec.eigenvectors[rows, :, n - rank :])
+        lam = _frozen(clamped[rows, n - rank :])
+        for j, i in enumerate(idx):
+            out[i] = SemiInnerContext(a=sym[i], v_r=v_r[j], lam=lam[j])
+    return out
 
 
 def stack_contexts(ctxs: Sequence[SemiInnerContext]) -> SemiInnerContext:

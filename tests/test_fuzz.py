@@ -122,6 +122,33 @@ def test_gen_context_deterministic_and_seed_sensitive():
     assert not np.array_equal(a1, other)
 
 
+def _same_factors(ctx, other):
+    return all(
+        getattr(ctx, f).shape == getattr(other, f).shape
+        and getattr(ctx, f).tobytes() == getattr(other, f).tobytes()
+        for f in ("a", "v_r", "lam")
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_identity_draws_are_bitwise_the_identity_context(dim):
+    gen = GenSpec(dim=dim, a_kind="identity", seed=7)
+    eye = make_context(np.eye(dim))
+    entry = registry_entry("buz_half")
+    draws = fuzz_mod._draw_chunk(gen, entry, "buz_half", range(5), None, True)
+    for ctx in [gen_context(gen)] + [ctx for ctx, _, _ in draws]:
+        assert _same_factors(ctx, eye)
+
+
+@pytest.mark.parametrize("a_kind", A_KINDS)
+def test_a_chunk_of_weights_is_bitwise_each_weight_drawn_alone(a_kind):
+    # one normalizing SVD and one eigensolve over the chunk
+    gen = GenSpec(dim=4, a_kind=a_kind, seed=3)
+    seeds = [11, 12, 13, 14, 15, 16, 17]
+    for ctx, seed in zip(fuzz_mod._contexts(gen, seeds), seeds):
+        assert _same_factors(ctx, gen_context(dataclasses.replace(gen, seed=seed)))
+
+
 # --------------------------------------------------------------------------
 # operator generation
 
@@ -356,6 +383,14 @@ def test_replay_checks_declared_matrix_shape(where):
         replay(case)
 
 
+def test_replay_names_an_inequality_id_that_is_no_string():
+    rep = run_campaign("jensen", GenSpec(dim=2, seed=44), trials=1)[0]
+    case = json.loads(json.dumps(rep.sharpest_case))
+    assert replay(case).lhs == case["lhs"]
+    with pytest.raises(MatrixFormatError, match="'inequality_id'"):
+        replay({**case, "inequality_id": ["jensen"]})
+
+
 def test_sharpest_case_operands_match_registry_shapes():
     rep = run_campaign("moby_a1", GenSpec(dim=3, seed=44), trials=4)[0]
     case = rep.sharpest_case
@@ -374,19 +409,19 @@ def test_sharpest_case_operands_match_registry_shapes():
     }
 
 
-def _rank_mixing_gen_context(monkeypatch):
+def _rank_mixing_raw_weight(monkeypatch):
     """Make every third trial's weight lose one more rank, so chunks mix ranks."""
-    real = fuzz_mod.gen_context
+    real = fuzz_mod._raw_weight
 
-    def mixed(spec):
-        ctx = real(spec)
-        if spec.seed % 3:
-            return ctx
-        vals, vecs = np.linalg.eigh(ctx.a)
-        vals[-ctx.rank] = 0.0
-        return make_context((vecs * vals) @ vecs.conj().T)
+    def mixed(spec, seed):
+        a = real(spec, seed)
+        if seed % 3:
+            return a
+        vals, vecs = np.linalg.eigh(a)
+        vals[-make_context(a).rank] = 0.0
+        return (vecs * vals) @ vecs.conj().T
 
-    monkeypatch.setattr(fuzz_mod, "gen_context", mixed)
+    monkeypatch.setattr(fuzz_mod, "_raw_weight", mixed)
 
 
 @pytest.mark.parametrize(
@@ -407,7 +442,7 @@ def _rank_mixing_gen_context(monkeypatch):
 )
 def test_chunked_campaign_matches_per_trial_loop(monkeypatch, iid):
     # bohr draws one to five values per trial, so its chunks pad ragged lists
-    _rank_mixing_gen_context(monkeypatch)
+    _rank_mixing_raw_weight(monkeypatch)
     gen = GenSpec(dim=4, a_kind="rank_deficient", seed=58)
     trials = fuzz_mod.MAX_BATCH + 5
     rep = run_campaign(iid, gen, trials, randomize_params=True)[0]
@@ -415,7 +450,8 @@ def test_chunked_campaign_matches_per_trial_loop(monkeypatch, iid):
     kept = []
     ranks = set()
     for k in range(trials):
-        ctx, ops, params = fuzz_mod._draw_trial(gen, entry, iid, k, None, True)
+        # each trial drawn alone, a chunk of one
+        ((ctx, ops, params),) = fuzz_mod._draw_chunk(gen, entry, iid, [k], None, True)
         ranks.add(ctx.rank)
         one = evaluate_bound(ctx, iid, ops, params)
         if one.hypotheses_ok:
@@ -451,10 +487,8 @@ def test_batched_reports_are_bitwise_the_single_reports(iid, dim, a_kind, seed, 
     # the batch (bohr also pads its value lists to the batch's widest)
     gen = GenSpec(dim=dim, a_kind=a_kind, seed=seed)
     entry = registry_entry(iid)
-    draws = [
-        fuzz_mod._draw_trial(gen, entry, iid, k, None, True)
-        for k in range(first, first + fuzz_mod.MAX_BATCH)
-    ]
+    ks = range(first, first + fuzz_mod.MAX_BATCH)
+    draws = fuzz_mod._draw_chunk(gen, entry, iid, ks, None, True)
     ctxs, ops, prms = zip(*draws)
     batch = fuzz_mod.evaluate_bounds(ctxs, iid, ops, prms)
     for (ctx, operands, params), rep in zip(draws, batch):
@@ -473,7 +507,7 @@ def test_campaign_skips_trials_that_overflow_and_keeps_the_rest(iid, dim, scale)
     gen = GenSpec(dim=dim, scale=scale)
     trials = 2 * fuzz_mod.MAX_BATCH
     entry = registry_entry(iid)
-    draws = [fuzz_mod._draw_trial(gen, entry, iid, k, None, True) for k in range(trials)]
+    draws = fuzz_mod._draw_chunk(gen, entry, iid, range(trials), None, True)
     solo = []
     for ctx, ops, params in draws:
         try:

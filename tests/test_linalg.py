@@ -23,6 +23,8 @@ from aradius import (
     spectral_norm,
 )
 
+from aradius.linalg import as_vectors
+
 from conftest import (
     cgauss,
     oracle_radius,
@@ -77,6 +79,44 @@ def test_as_vector_shape_and_dim():
     assert v.shape == (3,)
     with pytest.raises(DimensionMismatch):
         as_vector([1.0, 2.0], dim=3)
+
+
+def test_as_vectors_stacks_what_as_vector_accepts(rng):
+    xs = [cgauss(rng, 3), cgauss(rng, 3, 1), cgauss(rng, 1, 3), [1.0, 2.0, 3.0]]
+    stack = as_vectors(xs, dim=3)
+    assert stack.dtype == np.complex128 and stack.shape == (4, 3)
+    for row, x in zip(stack, xs):
+        assert row.tobytes() == as_vector(x, dim=3).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ([1.0, 2.0], DimensionMismatch),
+        (np.ones((3, 3)), DimensionMismatch),
+        ([1.0, np.nan, 0.0], DomainError),
+        ([1.0, np.inf, 0.0], DomainError),
+    ],
+)
+def test_as_vectors_raises_what_as_vector_raises(rng, bad, error):
+    with pytest.raises(error) as alone:
+        as_vector(bad, dim=3)
+    with pytest.raises(error) as stacked:
+        as_vectors([cgauss(rng, 3), bad, cgauss(rng, 3)], dim=3)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_hermitian_eig_of_a_stack_is_bitwise_each_matrix_alone(rng):
+    mats = np.array([(g + g.conj().T) for g in cgauss(rng, 5, 4, 4)])
+    spec = hermitian_eig(mats)
+    for i, m in enumerate(mats):
+        alone = hermitian_eig(m)
+        assert spec.eigenvalues[i].tobytes() == alone.eigenvalues.tobytes()
+        assert spec.eigenvectors[i].tobytes() == alone.eigenvectors.tobytes()
+    mats[2] = np.triu(mats[2])
+    with pytest.raises(NotHermitian):
+        hermitian_eig(mats)
 
 
 # --------------------------------------------------------------------------

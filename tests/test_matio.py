@@ -61,6 +61,15 @@ def test_matrix_from_obj_validates_shape(rng):
         matrix_from_obj(obj)
 
 
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("value", ["x", None, 2.5, float("nan"), True])
+def test_matrix_from_obj_names_a_size_that_is_no_integer(rng, field, value):
+    obj = matrix_to_obj("W", cgauss(rng, 2, 2))
+    assert matrix_from_obj({**obj, field: 2.0})[1].shape == (2, 2)
+    with pytest.raises(MatrixFormatError, match=f"'{field}'"):
+        matrix_from_obj({**obj, field: value})
+
+
 def test_file_roundtrip(tmp_path, rng):
     m = cgauss(rng, 3, 3)
     path = tmp_path / "w.json"
@@ -104,6 +113,10 @@ def _with_params(**fields):
     return lambda case: {**case, "params": {**case["params"], **fields}}
 
 
+def _with_weight(**fields):
+    return lambda case: {**case, "weight": {**case["weight"], **fields}}
+
+
 MALFORMED = {
     "no id": ("inequality_id", lambda c: _without(c, "inequality_id")),
     "no weight": ("weight", lambda c: _without(c, "weight")),
@@ -117,6 +130,8 @@ MALFORMED = {
     "text beta": ("beta", _with_params(beta="1.0")),
     "null r": ("r", _with_params(r=None)),
     "bool p": ("p", _with_params(p=True)),
+    "text rows": ("rows", _with_weight(rows="x")),
+    "null rows": ("rows", _with_weight(rows=None)),
 }
 
 

@@ -16,6 +16,7 @@ from aradius import (
     is_a_positive,
     is_a_selfadjoint,
     make_context,
+    make_contexts,
     op_seminorm,
     preserves_kernel,
     psd_power,
@@ -24,6 +25,8 @@ from aradius import (
     stack_contexts,
     vec_seminorm,
 )
+
+from aradius.semihilbert import RANK_TOL
 
 from conftest import a_unit_vector, cgauss, half_factors, random_context, random_psd
 
@@ -81,6 +84,74 @@ def test_context_factors_read_only(identity_ctx):
 
 # --------------------------------------------------------------------------
 # semi-inner product and seminorms
+
+
+def _weight_with_spectrum(rng, vals):
+    q, _ = np.linalg.qr(cgauss(rng, len(vals), len(vals)))
+    return (q * np.asarray(vals, dtype=float)) @ q.conj().T
+
+
+def _mixed_rank_weights(rng):
+    """Full rank, rank-deficient, eigenvalues just above and below the cutoff, zero."""
+    return np.array(
+        [
+            random_psd(rng, 4),
+            random_psd(rng, 4, rank=2),
+            _weight_with_spectrum(rng, [1.0, 0.5, 0.25, 3.0 * RANK_TOL]),
+            _weight_with_spectrum(rng, [1.0, 0.5, 0.25, 0.3 * RANK_TOL]),
+            np.zeros((4, 4), dtype=complex),
+            np.eye(4, dtype=complex),
+        ]
+    )
+
+
+def _factors_one_by_one(a):
+    """The factorization of one weight, computed on its own with plain numpy."""
+    sym = 0.5 * (a + a.conj().T)
+    vals, vecs = np.linalg.eigh(sym)
+    clamped = np.clip(vals, 0.0, None)
+    keep = clamped > RANK_TOL * np.max(np.abs(vals))
+    return {"a": sym, "v_r": vecs[:, keep], "lam": clamped[keep]}
+
+
+def test_stacked_contexts_are_bitwise_each_weight_alone(rng):
+    weights = _mixed_rank_weights(rng)
+    stacked = make_contexts(weights)
+    assert [ctx.rank for ctx in stacked] == [4, 2, 4, 3, 0, 4]
+    for a, ctx in zip(weights, stacked):
+        alone = make_context(a)
+        reference = _factors_one_by_one(a)
+        for field in ("a", "v_r", "lam"):
+            got = getattr(ctx, field)
+            for want in (getattr(alone, field), reference[field]):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+            assert not got.flags.writeable
+    # any sub-stack, in any order, gives each weight the same factors
+    for ctx, again in zip(stacked[::-1], make_contexts(weights[::-1])):
+        assert ctx.v_r.tobytes() == again.v_r.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.diag([1.0, 0.5, -0.25, 0.0]).astype(complex), NotPositive),
+        (np.triu(np.ones((4, 4), dtype=complex)), NotHermitian),
+    ],
+)
+def test_a_stack_with_a_bad_weight_raises_what_it_raises_alone(rng, bad, error):
+    with pytest.raises(error) as alone:
+        make_context(bad)
+    weights = _mixed_rank_weights(rng)
+    weights[3] = bad
+    with pytest.raises(error) as stacked:
+        make_contexts(weights)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_make_contexts_takes_a_stack_only(rng):
+    with pytest.raises(DimensionMismatch):
+        make_contexts(random_psd(rng, 3))
+    assert len(make_contexts(random_psd(rng, 3)[None])) == 1
 
 
 def test_semi_inner_matches_quadratic_form(rng):
