@@ -11,6 +11,20 @@ A campaign never hides a negative result: each violating trial's full
 inputs are serialized into the report for replay, and the sharpest
 (minimal relative slack) satisfying trial is persisted the same way.
 
+Trial ``k`` of seed ``s`` for the id whose CRC is ``c`` has the eight
+words ``SeedSequence(s, spawn_key=(c, k)).generate_state(8)``.  Its own
+stream (parameters, vectors, values) is
+``default_rng(SeedSequence(s, spawn_key=(c, k, 999)))``, its weight's
+stream ``default_rng(SeedSequence(words[0], spawn_key=(101,)))`` and its
+``i``-th operand's ``default_rng(SeedSequence(words[i + 1],
+spawn_key=(202,)))``.  These are numpy's SeedSequence hash and PCG64
+seeding, computed here in bulk and equal bit for bit: a block of at most
+``_SEED_BLOCK`` trials is hashed at once, with numpy ``uint32`` arrays for
+the words that differ between trials and Python ints for those they
+share, and each stream's PCG64 state is loaded into a reused generator
+when its draws begin.  ``tests/test_fuzz.py`` pins the streams against
+numpy's own.
+
 Every id is drawn in chunks of at most ``MAX_BATCH`` trials.  Each trial
 draws its raw weight, parameters and operands from its own streams; the
 chunk's dense weights are then normalized by one stacked SVD, and all its
@@ -19,13 +33,13 @@ weights are factored by one stacked eigensolve
 bitwise what it gets alone.  Each chunk is evaluated in one batch per
 weight rank through :func:`aradius.inequalities.evaluate_bounds`, whose
 reports are bitwise each trial's own, and accounting runs in trial
-order.  So the chunking changes no result.
+order.  So neither the blocks nor the chunks change a result.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -71,6 +85,12 @@ class GenSpec:
     rank: int | None = None
 
     def __post_init__(self):
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, (int, np.integer))
+            or self.seed < 0
+        ):
+            raise DomainViolation(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not 1 <= self.dim <= DIM_CAP:
             raise DomainViolation(f"dim must lie in [1, {DIM_CAP}]")
         if self.a_kind not in A_KINDS:
@@ -122,21 +142,155 @@ def _cgauss(rng: np.random.Generator, *shape) -> np.ndarray:
     return (re + 1j * im) / _SQRT2
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+# --------------------------------------------------------------------------
+# random streams: numpy's SeedSequence hash and PCG64 seeding, over arrays
+
+#: ``SeedSequence``'s hash constants (``numpy/random/bit_generator.pyx``).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+#: PCG64's 128-bit LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+#: Spawn-key labels of a trial's weight, operand and own streams.
+_WEIGHT, _OPERATOR, _TRIAL = 101, 202, 999
+#: Trials whose streams are hashed together, a multiple of ``MAX_BATCH``.
+#: A hash costs about as much for 8 keys as for 1000; the block bounds memory.
+_SEED_BLOCK = 1024
+
+
+def _wrap(x):
+    """``x`` mod 2**32; uint32 arrays wrap by themselves."""
+    return x & _MASK32 if isinstance(x, int) else x
+
+
+def _words(x) -> list:
+    """The uint32 words of ``x``, least significant first.
+
+    A uint32 array stands for one word per key.
+    """
+    if isinstance(x, np.ndarray):
+        return [x]
+    n = int(x)
+    out = [n & _MASK32]
+    while n := n >> 32:
+        out.append(n & _MASK32)
+    return out
+
+
+def _mix(x, y):
+    r = _wrap(_wrap(x * _MIX_MULT_L) - _wrap(y * _MIX_MULT_R))
+    return r ^ (r >> _XSHIFT)
+
+
+class _Pool:
+    """``SeedSequence``'s entropy pool, for an array of keys at once.
+
+    A word is a Python int that every key shares or a uint32 array with
+    one entry per key, so the work the keys share is done once.  The hash
+    constant never depends on the data, so it stays an int.
+    """
+
+    def __init__(self, entropy: list):
+        self._const = _INIT_A
+        n = len(entropy)
+        pool = [self._hashmix(entropy[i] if i < n else 0) for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], self._hashmix(pool[src]))
+        self.words = pool
+        for word in entropy[_POOL_SIZE:]:
+            self.absorb(word)
+
+    def _hashmix(self, value):
+        value = value ^ self._const
+        self._const = (self._const * _MULT_A) & _MASK32
+        value = _wrap(value * self._const)
+        return value ^ (value >> _XSHIFT)
+
+    def absorb(self, word) -> None:
+        """Mix one more entropy word into the pool."""
+        self.words = [_mix(w, self._hashmix(word)) for w in self.words]
+
+    def generate(self, n_words: int) -> list:
+        """``generate_state(n_words)``, as ``n_words`` words."""
+        out, const = [], _INIT_B
+        for i in range(n_words):
+            value = self.words[i % _POOL_SIZE] ^ const
+            const = (const * _MULT_B) & _MASK32
+            value = _wrap(value * const)
+            out.append(value ^ (value >> _XSHIFT))
+        return out
+
+
+def _entropy(seed, *key) -> list:
+    """The entropy words ``SeedSequence(seed, spawn_key=key)`` assembles.
+
+    With a spawn key, numpy pads the seed's words with zeros to the pool
+    size.
+    """
+    run = _words(seed)
+    if key:
+        run += [0] * (_POOL_SIZE - len(run))
+    return run + [w for k in key for w in _words(k)]
+
+
+def _pcg64_states(words: list) -> list[tuple[int, int]]:
+    """Per key, the ``(state, inc)`` that ``PCG64`` seeds from these words.
+
+    ``words`` is a ``generate_state(8)``.  Read as four little-endian
+    uint64, it holds the 128-bit seed and stream, which
+    ``pcg_setseq_128_srandom_r`` turns into a state in two LCG steps.
+    """
+    u = np.stack(np.broadcast_arrays(*(np.asarray(w, np.uint32) for w in words)), axis=-1)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in u.reshape(-1, 8).astype("<u4").view("<u8").tolist():
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        states.append((((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _stream_state(seed: int, label: int) -> tuple[int, int]:
+    """The PCG64 state of ``default_rng(SeedSequence(seed, spawn_key=(label,)))``."""
+    return _pcg64_states(_Pool(_entropy(seed, label)).generate(8))[0]
+
+
+def _generator() -> np.random.Generator:
+    """A generator for :func:`_seeded` to load; its own seed is never drawn from."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _seeded(rng: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:
+    """``rng`` loaded with a PCG64 state, as fresh as a new generator's."""
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+# --------------------------------------------------------------------------
+# instances
 
 
 def gen_context(spec: GenSpec) -> SemiInnerContext:
     """Draw a weight of the requested structure and wrap it in a context."""
-    return _contexts(spec, [spec.seed])[0]
+    state = None if spec.a_kind == "identity" else _stream_state(spec.seed, _WEIGHT)
+    return _contexts(spec, [state], _generator())[0]
 
 
-def _raw_weight(spec: GenSpec, seed: int) -> np.ndarray:
-    """The weight drawn from stream ``(seed, 101)``, before normalization."""
+def _raw_weight(spec: GenSpec, rng: np.random.Generator | None) -> np.ndarray:
+    """The weight drawn from its stream ``rng``, before normalization."""
     n = spec.dim
     if spec.a_kind == "identity":
-        return np.eye(n, dtype=np.complex128)  # draws nothing: no generator
-    rng = _rng(seed, 101)
+        return np.eye(n, dtype=np.complex128)  # draws nothing: no stream
     if spec.a_kind == "diagonal":
         return np.diag(rng.uniform(0.5, 2.0, n)).astype(np.complex128)
     g = _cgauss(rng, n, n)
@@ -148,12 +302,16 @@ def _raw_weight(spec: GenSpec, seed: int) -> np.ndarray:
     return g.conj().T @ np.diag(d) @ g
 
 
-def _contexts(spec: GenSpec, seeds) -> list[SemiInnerContext]:
-    """Contexts of the weights drawn from ``seeds``, in one SVD and one eigensolve.
+def _contexts(spec: GenSpec, states, rng) -> list[SemiInnerContext]:
+    """Contexts of the weights of the streams ``states``, in one SVD and one eigensolve.
 
-    Dense weights are scaled to unit spectral norm.
+    Each state is loaded into ``rng`` in turn; an identity weight, which
+    draws nothing, has ``None``.  Dense weights are scaled to unit
+    spectral norm.
     """
-    stack = np.array([_raw_weight(spec, int(seed)) for seed in seeds])
+    stack = np.array(
+        [_raw_weight(spec, None if s is None else _seeded(rng, s)) for s in states]
+    )
     if spec.a_kind in ("dense_psd", "rank_deficient"):
         norms = np.linalg.svd(stack, compute_uv=False)[:, :1, None]
         stack /= np.maximum(norms, 1e-300)
@@ -171,14 +329,19 @@ def gen_operator(ctx: SemiInnerContext, spec: GenSpec) -> np.ndarray:
     form on the range back through the pseudoinverse, plus an
     independent block acting inside the kernel.
     """
-    rng = _rng(spec.seed, 202)
+    rng = _seeded(_generator(), _stream_state(spec.seed, _OPERATOR))
+    return _operator(ctx, spec, spec.t_kind, rng)
+
+
+def _operator(ctx: SemiInnerContext, spec: GenSpec, t_kind: str, rng) -> np.ndarray:
+    """An operator of class ``t_kind`` drawn from its stream ``rng``."""
     n = ctx.dim
     proj = ctx.range_proj
     comp = np.eye(n) - proj
-    if spec.t_kind == "dense":
+    if t_kind == "dense":
         g = spec.scale * _cgauss(rng, n, n)
         return g - proj @ g @ comp
-    if spec.t_kind == "a_commuting":
+    if t_kind == "a_commuting":
         deg = min(max(n - 1, 0), 3)
         coeffs = rng.standard_normal(deg + 1)
         base = ctx.a / max(spectral_norm(ctx.a), 1e-300)
@@ -187,7 +350,7 @@ def gen_operator(ctx: SemiInnerContext, spec: GenSpec) -> np.ndarray:
             acc = acc @ base + c * np.eye(n)
         return spec.scale * acc
     g = _cgauss(rng, n, n)
-    if spec.t_kind == "a_selfadjoint":
+    if t_kind == "a_selfadjoint":
         h = 0.5 * (g + g.conj().T)
     else:  # a_positive
         h = g @ g.conj().T / n
@@ -211,28 +374,42 @@ def _gen_vector(ctx: SemiInnerContext, rng: np.random.Generator, unit: bool = Fa
 _R_CHOICES = (1.0, 1.25, 1.5, 2.0)
 
 
+def _uniform(u: float, low: float, high: float) -> float:
+    # Generator.uniform's map of one rng.random() draw
+    return low + (high - low) * u
+
+
 def _draw_params(rng: np.random.Generator, iid: str) -> BoundParams:
-    alpha = rng.uniform(0.6, 3.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    beta = rng.uniform(0.0, 4.0)
-    # rng.choice's draw on four values, without its overhead
+    # the uniform and choice draws of one trial, in order, from three calls
+    u_alpha, u_phase, u_beta = rng.random(3).tolist()
     r = _R_CHOICES[int(rng.integers(0, 4))]
-    mu = rng.uniform(0.0, 1.0)
-    lam = rng.uniform(0.05, 0.95)
-    p = rng.uniform(1.3, 4.0)
+    u_mu, u_lam, u_p = rng.random(3).tolist()
+    alpha = _uniform(u_alpha, 0.6, 3.0) * np.exp(1j * _uniform(u_phase, 0.0, 2.0 * np.pi))
+    p = _uniform(u_p, 1.3, 4.0)
     if iid == "thm_2_16":
         q = p / (p - 1.0)
         r = max(r, 2.0 / p, 2.0 / q)
-    return BoundParams(alpha=alpha, beta=beta, r=r, mu=mu, lam=lam, p=p)
+    return BoundParams(
+        alpha=alpha,
+        beta=_uniform(u_beta, 0.0, 4.0),
+        r=r,
+        mu=_uniform(u_mu, 0.0, 1.0),
+        lam=_uniform(u_lam, 0.05, 0.95),
+        p=p,
+    )
 
 
-def _draw_operands(ctx, spec: GenSpec, entry, iid: str, op_seeds, rng):
-    """The id's operands in registry order, each drawn by its kind of name."""
+def _draw_operands(ctx, spec: GenSpec, entry, iid: str, rng, op_rngs):
+    """The id's operands in registry order, each drawn by its kind of name.
+
+    Operators draw from the streams of ``op_rngs`` in turn, everything else
+    from the trial's own stream ``rng``.
+    """
     t_kind = _T_KIND_OVERRIDES.get(iid, spec.t_kind)
     operands: dict = {}
-    for i, name in enumerate(entry.operands):
+    for name in entry.operands:
         if name[0].isupper():
-            ospec = replace(spec, seed=int(op_seeds[i]), t_kind=t_kind)
-            operands[name] = gen_operator(ctx, ospec)
+            operands[name] = _operator(ctx, spec, t_kind, next(op_rngs))
         elif name == "values":
             count = 2 if iid == "jensen" else int(rng.integers(1, 6))
             operands[name] = [float(v) for v in rng.uniform(0.05, 10.0, count)]
@@ -272,25 +449,61 @@ def _crc(iid: str) -> int:
     return zlib.crc32(iid.encode("utf-8")) & 0x7FFFFFFF
 
 
-def _draw_chunk(gen: GenSpec, entry, iid: str, ks, params, randomize_params):
-    """Weight, operands and parameters of each trial in ``ks``, from its own streams.
+class _Streams:
+    """The streams of a block of one id's trials, seeded in two hash passes.
 
-    The chunk's weights are factored together by :func:`_contexts`.
+    The first pass gives each trial's words and its own stream, which share
+    their pool up to the trial index; the second gives the weight and
+    operand streams those words seed, each key with its label as a word.
+    The states are loaded into three reused generators as draws begin.
     """
-    crc = _crc(iid)
-    seeds = [
-        np.random.SeedSequence(gen.seed, spawn_key=(crc, k)).generate_state(8) for k in ks
-    ]
-    ctxs = _contexts(gen, [s[0] for s in seeds])
-    draws = []
-    for k, ctx, trial_seeds in zip(ks, ctxs, seeds):
-        rng = _rng(gen.seed, crc, k, 999)
-        trial_params = (
-            _draw_params(rng, iid) if randomize_params else (params or BoundParams())
+
+    def __init__(self, gen: GenSpec, entry, iid: str, ks):
+        self.gen, self.entry, self.iid = gen, entry, iid
+        ks = list(ks)
+        pool = _Pool(_entropy(gen.seed, _crc(iid), np.array(ks, dtype=np.uint32)))
+        words = np.stack(pool.generate(8), axis=1)
+        pool.absorb(_TRIAL)
+        self.trial = dict(zip(ks, _pcg64_states(pool.generate(8))))
+        # word 0 seeds the weight, word i + 1 operand i
+        cols = [i + 1 for i, name in enumerate(entry.operands) if name[0].isupper()]
+        labels = [_OPERATOR] * len(cols)
+        if gen.a_kind != "identity":  # the identity draws nothing
+            cols, labels = [0] + cols, [_WEIGHT] + labels
+        states = iter(())
+        if cols:
+            label_words = np.tile(np.array(labels, dtype=np.uint32), len(ks))
+            pool = _Pool(_entropy(words[:, cols].ravel(), label_words))
+            states = iter(_pcg64_states(pool.generate(8)))
+        # per trial: its weight's state (None for the identity), then its operands'
+        pad = [None] if gen.a_kind == "identity" else []
+        self.matrices = {k: pad + [next(states) for _ in cols] for k in ks}
+        self._weight_rng, self._trial_rng, self._operand_rng = (
+            _generator() for _ in range(3)
         )
-        operands = _draw_operands(ctx, gen, entry, iid, trial_seeds[1:], rng)
-        draws.append((ctx, operands, trial_params))
-    return draws
+
+    def draw(self, ks, params, randomize_params) -> list:
+        """Weight, operands and parameters of each trial in ``ks``.
+
+        The weights are factored together by :func:`_contexts`.
+        """
+        gen, iid = self.gen, self.iid
+        ctxs = _contexts(gen, [self.matrices[k][0] for k in ks], self._weight_rng)
+        draws = []
+        for k, ctx in zip(ks, ctxs):
+            rng = _seeded(self._trial_rng, self.trial[k])
+            trial_params = (
+                _draw_params(rng, iid) if randomize_params else (params or BoundParams())
+            )
+            op_rngs = (_seeded(self._operand_rng, s) for s in self.matrices[k][1:])
+            operands = _draw_operands(ctx, gen, self.entry, iid, rng, op_rngs)
+            draws.append((ctx, operands, trial_params))
+        return draws
+
+
+def _draw_chunk(gen: GenSpec, entry, iid: str, ks, params, randomize_params):
+    """Weight, operands and parameters of each trial in ``ks``, from its own streams."""
+    return _Streams(gen, entry, iid, ks).draw(ks, params, randomize_params)
 
 
 def _evaluate_chunk(iid: str, draws) -> list[BoundReport | None]:
@@ -354,7 +567,10 @@ def run_campaign(
         violation_cases: list = []
         for start in range(0, trials, MAX_BATCH):
             ks = range(start, min(start + MAX_BATCH, trials))
-            draws = _draw_chunk(gen, entry, iid, ks, params, randomize_params)
+            if start % _SEED_BLOCK == 0:
+                block = range(start, min(start + _SEED_BLOCK, trials))
+                streams = _Streams(gen, entry, iid, block)
+            draws = streams.draw(ks, params, randomize_params)
             for k, draw, rep in zip(ks, draws, _evaluate_chunk(iid, draws)):
                 if rep is None or not rep.hypotheses_ok:
                     skipped += 1

@@ -303,6 +303,11 @@ def test_fuzz_bad_dim(capsys):
     assert main(["fuzz", "thm_2_10", "--dim", "0", "--trials", "1"]) == EXIT_DOMAIN
 
 
+def test_fuzz_negative_seed_names_the_seed(capsys):
+    assert main(["fuzz", "thm_2_10", "--seed", "-1", "--trials", "1"]) == EXIT_DOMAIN
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+
 def test_fuzz_violation_exit_code(capsys, monkeypatch):
     def fake_run(ids, gen, trials, params=None, randomize_params=False):
         return [

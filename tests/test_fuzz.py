@@ -59,11 +59,23 @@ _REPLAY_CASES = [
         {"scale": float("nan")},
         {"rank": 0},
         {"rank": 4, "dim": 3},
+        # the stream hash would mask a negative seed to 32 bits
+        {"seed": -1},
+        {"seed": 2.5},
+        {"seed": True},
+        {"seed": np.bool_(False)},
+        {"seed": "7"},
+        {"seed": None},
     ],
 )
 def test_genspec_rejects_bad_fields(kwargs):
-    with pytest.raises(DomainViolation):
+    with pytest.raises(DomainViolation, match=next(iter(kwargs))):
         GenSpec(**kwargs)
+
+
+def test_genspec_takes_wide_and_numpy_seeds():
+    for seed in (0, 2**32, 2**130, np.uint32(7), np.int64(9)):
+        assert GenSpec(seed=seed).seed == seed
 
 
 def test_genspec_effective_rank_default():
@@ -145,8 +157,129 @@ def test_a_chunk_of_weights_is_bitwise_each_weight_drawn_alone(a_kind):
     # one normalizing SVD and one eigensolve over the chunk
     gen = GenSpec(dim=4, a_kind=a_kind, seed=3)
     seeds = [11, 12, 13, 14, 15, 16, 17]
-    for ctx, seed in zip(fuzz_mod._contexts(gen, seeds), seeds):
+    states = [fuzz_mod._stream_state(seed, 101) for seed in seeds]
+    for ctx, seed in zip(fuzz_mod._contexts(gen, states, fuzz_mod._generator()), seeds):
         assert _same_factors(ctx, gen_context(dataclasses.replace(gen, seed=seed)))
+
+
+# --------------------------------------------------------------------------
+# random streams, against numpy's own SeedSequence and default_rng
+
+_STREAM_SEEDS = (0, 9000, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
+#: spawn-key words: an id's CRC, the largest CRC, and words of 33 and 41 bits
+_KEY_WORDS = (0x1234ABCD, 2**31 - 1, 2**32, 2**40 + 7)
+
+
+def _numpy_state(seed, *key) -> tuple[int, int]:
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    state = rng.bit_generator.state
+    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+    return state["state"]["state"], state["state"]["inc"]
+
+
+def _spread_keys(n_keys):
+    """``n_keys`` trial indices from 0 to about 2**32, as one uint32 array."""
+    step = (2**32 - 5) // max(n_keys - 1, 1)
+    return (np.arange(n_keys, dtype=np.uint64) * step).astype(np.uint32)
+
+
+@pytest.mark.parametrize("n_keys", [1, 32, 1000])
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_bulk_trial_words_and_streams_are_numpys(seed, n_keys):
+    # a block's first pass: the words and the own (999) stream of each trial
+    keys = _spread_keys(n_keys)
+    for word in _KEY_WORDS if n_keys < 1000 else _KEY_WORDS[1:3]:
+        pool = fuzz_mod._Pool(fuzz_mod._entropy(seed, word, keys))
+        words = np.stack(pool.generate(8), axis=1)
+        pool.absorb(999)
+        states = fuzz_mod._pcg64_states(pool.generate(8))
+        assert words.dtype == np.uint32 and len(states) == n_keys
+        for k, got, state in zip(keys.tolist(), words, states):
+            want = np.random.SeedSequence(seed, spawn_key=(word, k)).generate_state(8)
+            assert got.tobytes() == want.tobytes()
+            assert state == _numpy_state(seed, word, k, 999)
+
+
+@pytest.mark.parametrize("n_keys", [1, 32, 1000])
+def test_bulk_matrix_streams_are_numpys(n_keys):
+    # a block's second pass: weight (101) and operand (202) streams seeded
+    # by trial words, with the label as an array or as a shared word
+    words = _spread_keys(n_keys)[::-1].copy()
+    mixed = np.resize(np.array([101, 202, 202], dtype=np.uint32), n_keys)
+    for label in (mixed, 101, 202, 999, 2**33 + 5):
+        pool = fuzz_mod._Pool(fuzz_mod._entropy(words, label))
+        states = fuzz_mod._pcg64_states(pool.generate(8))
+        labels = np.broadcast_to(label, n_keys).tolist()
+        for w, lab, state in zip(words.tolist(), labels, states):
+            assert state == _numpy_state(w, lab)
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_single_streams_are_numpys_and_draw_its_values(seed):
+    # gen_context's and gen_operator's batches of one, all words shared;
+    # every load must also clear the uint32 that integers() buffers
+    rng = fuzz_mod._generator()
+    for label in (101, 202, 999, 2**32 + 1):
+        state = fuzz_mod._stream_state(seed, label)
+        assert state == _numpy_state(seed, label)
+        mine = fuzz_mod._seeded(rng, state)
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(label,)))
+        for draw in (
+            lambda g: g.integers(0, 4),
+            lambda g: g.standard_normal(3),
+            lambda g: g.random(),
+            lambda g: g.integers(1, 6),
+            lambda g: g.integers(0, 4, size=5),
+        ):
+            assert np.asarray(draw(mine)).tobytes() == np.asarray(draw(ref)).tobytes()
+
+
+@pytest.mark.parametrize("a_kind", ["identity", "rank_deficient"])
+def test_block_streams_follow_the_documented_derivation(a_kind):
+    gen = GenSpec(dim=3, a_kind=a_kind, seed=2**64 + 3)
+    iid = "thm_2_8"
+    entry = registry_entry(iid)
+    matrices = [i for i, name in enumerate(entry.operands) if name[0].isupper()]
+    assert len(matrices) > 1
+    crc = fuzz_mod._crc(iid)
+    ks = range(5, 45)
+    streams = fuzz_mod._Streams(gen, entry, iid, ks)
+    for k in ks:
+        words = np.random.SeedSequence(gen.seed, spawn_key=(crc, k)).generate_state(8)
+        assert streams.trial[k] == _numpy_state(gen.seed, crc, k, 999)
+        weight = None if a_kind == "identity" else _numpy_state(words[0], 101)
+        want = [weight] + [_numpy_state(words[i + 1], 202) for i in matrices]
+        assert streams.matrices[k] == want
+
+
+@pytest.mark.parametrize("seed", [12, 2**64 + 3, 2**130])
+def test_gen_operator_draws_from_numpys_stream(seed):
+    spec = GenSpec(dim=4, a_kind="rank_deficient", t_kind="a_selfadjoint", seed=seed)
+    ctx = gen_context(spec)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(202,)))
+    want = fuzz_mod._operator(ctx, spec, spec.t_kind, rng)
+    assert gen_operator(ctx, spec).tobytes() == want.tobytes()
+
+
+def _draw_params_one_by_one(rng, iid):
+    """The parameter draws as one ``uniform``/``integers`` call each."""
+    alpha = rng.uniform(0.6, 3.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    beta = rng.uniform(0.0, 4.0)
+    r = (1.0, 1.25, 1.5, 2.0)[int(rng.integers(0, 4))]
+    mu = rng.uniform(0.0, 1.0)
+    lam = rng.uniform(0.05, 0.95)
+    p = rng.uniform(1.3, 4.0)
+    if iid == "thm_2_16":
+        r = max(r, 2.0 / p, 2.0 / (p / (p - 1.0)))
+    return BoundParams(alpha=alpha, beta=beta, r=r, mu=mu, lam=lam, p=p)
+
+
+def test_draw_params_is_bitwise_the_one_by_one_draws():
+    for seed in range(2000):
+        for iid in ("kz", "thm_2_16"):
+            got = fuzz_mod._draw_params(np.random.default_rng(seed), iid)
+            want = _draw_params_one_by_one(np.random.default_rng(seed), iid)
+            assert repr(got) == repr(want)
 
 
 # --------------------------------------------------------------------------
@@ -410,12 +543,13 @@ def test_sharpest_case_operands_match_registry_shapes():
 
 
 def _rank_mixing_raw_weight(monkeypatch):
-    """Make every third trial's weight lose one more rank, so chunks mix ranks."""
+    """Make about every third trial's weight lose one more rank, so chunks mix ranks."""
     real = fuzz_mod._raw_weight
 
-    def mixed(spec, seed):
-        a = real(spec, seed)
-        if seed % 3:
+    def mixed(spec, rng):
+        a = real(spec, rng)
+        # about every third trial, picked by its drawn weight
+        if int(1e6 * abs(a[0, 0])) % 3:
             return a
         vals, vecs = np.linalg.eigh(a)
         vals[-make_context(a).rank] = 0.0
