@@ -11,18 +11,19 @@ A campaign never hides a negative result: each violating trial's full
 inputs are serialized into the report for replay, and the sharpest
 (minimal relative slack) satisfying trial is persisted the same way.
 
-Trial ``k`` of seed ``s`` for the id whose CRC is ``c`` has the eight
-words ``SeedSequence(s, spawn_key=(c, k)).generate_state(8)``.  Its own
-stream (parameters, vectors, values) is
-``default_rng(SeedSequence(s, spawn_key=(c, k, 999)))``, its weight's
-stream ``default_rng(SeedSequence(words[0], spawn_key=(101,)))`` and its
-``i``-th operand's ``default_rng(SeedSequence(words[i + 1],
-spawn_key=(202,)))``.  These are numpy's SeedSequence hash and PCG64
+Write ``ss(e, key)`` for numpy's ``SeedSequence`` of entropy ``e`` and
+spawn key ``key``, and ``rng(ss)`` for the PCG64 generator that
+``default_rng`` seeds from it.  Trial ``k`` of seed ``s`` for the id whose
+CRC is ``c`` has the eight words ``ss(s, (c, k)).generate_state(8)``.
+Its own stream (parameters, vectors, values) is ``rng(ss(s, (c, k,
+999)))``, its weight's ``rng(ss(words[0], (101,)))`` and its ``i``-th
+operand's ``rng(ss(words[i + 1], (202,)))``.  These are numpy's hash and
 seeding, computed here in bulk and equal bit for bit: a block of at most
 ``_SEED_BLOCK`` trials is hashed at once, with numpy ``uint32`` arrays for
 the words that differ between trials and Python ints for those they
-share, and each stream's PCG64 state is loaded into a reused generator
-when its draws begin.  ``tests/test_fuzz.py`` pins the streams against
+share (a block of a few keys runs key by key on Python ints), and each
+stream's PCG64 state is loaded into a reused generator when its draws
+begin.  ``tests/test_fuzz.py`` pins the streams against
 numpy's own.
 
 Every id is drawn in chunks of at most ``MAX_BATCH`` trials.  Each trial
@@ -91,6 +92,7 @@ class GenSpec:
             or self.seed < 0
         ):
             raise DomainViolation(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer, too
         if not 1 <= self.dim <= DIM_CAP:
             raise DomainViolation(f"dim must lie in [1, {DIM_CAP}]")
         if self.a_kind not in A_KINDS:
@@ -143,7 +145,7 @@ def _cgauss(rng: np.random.Generator, *shape) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# random streams: numpy's SeedSequence hash and PCG64 seeding, over arrays
+# random streams: numpy's SeedSequence hash and PCG64 seeding, in bulk
 
 #: ``SeedSequence``'s hash constants (``numpy/random/bit_generator.pyx``).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -159,8 +161,12 @@ _MASK128 = (1 << 128) - 1
 #: Spawn-key labels of a trial's weight, operand and own streams.
 _WEIGHT, _OPERATOR, _TRIAL = 101, 202, 999
 #: Trials whose streams are hashed together, a multiple of ``MAX_BATCH``.
-#: A hash costs about as much for 8 keys as for 1000; the block bounds memory.
+#: A hash on arrays costs about as much for 8 keys as for 1000 (250-350
+#: µs); the block bounds memory.
 _SEED_BLOCK = 1024
+#: Keys from which a hash runs on arrays: key by key on Python ints, it
+#: costs 45-60 µs a key.
+_VECTOR_MIN = 6
 
 
 def _wrap(x):
@@ -188,7 +194,7 @@ def _mix(x, y):
 
 
 class _Pool:
-    """``SeedSequence``'s entropy pool, for an array of keys at once.
+    """``SeedSequence``'s entropy pool, for one key or an array of keys.
 
     A word is a Python int that every key shares or a uint32 array with
     one entry per key, so the work the keys share is done once.  The hash
@@ -229,7 +235,7 @@ class _Pool:
 
 
 def _entropy(seed, *key) -> list:
-    """The entropy words ``SeedSequence(seed, spawn_key=key)`` assembles.
+    """The entropy words of the ``SeedSequence`` of ``seed`` and spawn key ``key``.
 
     With a spawn key, numpy pads the seed's words with zeros to the pool
     size.
@@ -240,24 +246,41 @@ def _entropy(seed, *key) -> list:
     return run + [w for k in key for w in _words(k)]
 
 
-def _pcg64_states(words: list) -> list[tuple[int, int]]:
+def _hashed(entropy: list, run=lambda pool: pool.generate(8)) -> np.ndarray:
+    """``run(pool)``'s words for each key of ``entropy``, as a (words, keys) array.
+
+    Fewer than ``_VECTOR_MIN`` keys are hashed one by one on Python ints,
+    more at once on arrays.
+    """
+    n_keys = max((len(w) for w in entropy if isinstance(w, np.ndarray)), default=1)
+    if n_keys >= _VECTOR_MIN:
+        return np.array(run(_Pool(entropy)), dtype=np.uint32)
+    per_key = [
+        run(_Pool([int(w[j]) if isinstance(w, np.ndarray) else w for w in entropy]))
+        for j in range(n_keys)
+    ]
+    return np.array(per_key, dtype=np.uint32).T
+
+
+def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
     """Per key, the ``(state, inc)`` that ``PCG64`` seeds from these words.
 
-    ``words`` is a ``generate_state(8)``.  Read as four little-endian
-    uint64, it holds the 128-bit seed and stream, which
+    ``words`` holds a ``generate_state(8)`` per key.  Read as four
+    little-endian uint64, it holds the 128-bit seed and stream, which
     ``pcg_setseq_128_srandom_r`` turns into a state in two LCG steps.
     """
-    u = np.stack(np.broadcast_arrays(*(np.asarray(w, np.uint32) for w in words)), axis=-1)
     states = []
-    for s_hi, s_lo, i_hi, i_lo in u.reshape(-1, 8).astype("<u4").view("<u8").tolist():
+    for s_hi, s_lo, i_hi, i_lo in (
+        np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist()
+    ):
         inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
         states.append((((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
     return states
 
 
 def _stream_state(seed: int, label: int) -> tuple[int, int]:
-    """The PCG64 state of ``default_rng(SeedSequence(seed, spawn_key=(label,)))``."""
-    return _pcg64_states(_Pool(_entropy(seed, label)).generate(8))[0]
+    """The PCG64 state ``default_rng`` seeds from ``seed`` and spawn key ``(label,)``."""
+    return _pcg64_states(_hashed(_entropy(seed, label)))[0]
 
 
 def _generator() -> np.random.Generator:
@@ -449,22 +472,30 @@ def _crc(iid: str) -> int:
     return zlib.crc32(iid.encode("utf-8")) & 0x7FFFFFFF
 
 
+def _words_and_own(pool: _Pool) -> list:
+    """A trial's eight words, then its own stream's: the two share a pool."""
+    words = pool.generate(8)
+    pool.absorb(_TRIAL)
+    return words + pool.generate(8)
+
+
 class _Streams:
     """The streams of a block of one id's trials, seeded in two hash passes.
 
     The first pass gives each trial's words and its own stream, which share
     their pool up to the trial index; the second gives the weight and
     operand streams those words seed, each key with its label as a word.
-    The states are loaded into three reused generators as draws begin.
+    The states are loaded into the three generators ``rngs`` (weight,
+    trial, operand) as draws begin.
     """
 
-    def __init__(self, gen: GenSpec, entry, iid: str, ks):
+    def __init__(self, gen: GenSpec, entry, iid: str, ks, rngs):
         self.gen, self.entry, self.iid = gen, entry, iid
+        self._weight_rng, self._trial_rng, self._operand_rng = rngs
         ks = list(ks)
-        pool = _Pool(_entropy(gen.seed, _crc(iid), np.array(ks, dtype=np.uint32)))
-        words = np.stack(pool.generate(8), axis=1)
-        pool.absorb(_TRIAL)
-        self.trial = dict(zip(ks, _pcg64_states(pool.generate(8))))
+        keys = np.array(ks, dtype=np.uint32)
+        words = _hashed(_entropy(gen.seed, _crc(iid), keys), _words_and_own)
+        self.trial = dict(zip(ks, _pcg64_states(words[8:])))
         # word 0 seeds the weight, word i + 1 operand i
         cols = [i + 1 for i, name in enumerate(entry.operands) if name[0].isupper()]
         labels = [_OPERATOR] * len(cols)
@@ -472,15 +503,12 @@ class _Streams:
             cols, labels = [0] + cols, [_WEIGHT] + labels
         states = iter(())
         if cols:
+            seeds = words[cols].T.ravel()
             label_words = np.tile(np.array(labels, dtype=np.uint32), len(ks))
-            pool = _Pool(_entropy(words[:, cols].ravel(), label_words))
-            states = iter(_pcg64_states(pool.generate(8)))
+            states = iter(_pcg64_states(_hashed(_entropy(seeds, label_words))))
         # per trial: its weight's state (None for the identity), then its operands'
         pad = [None] if gen.a_kind == "identity" else []
         self.matrices = {k: pad + [next(states) for _ in cols] for k in ks}
-        self._weight_rng, self._trial_rng, self._operand_rng = (
-            _generator() for _ in range(3)
-        )
 
     def draw(self, ks, params, randomize_params) -> list:
         """Weight, operands and parameters of each trial in ``ks``.
@@ -503,7 +531,8 @@ class _Streams:
 
 def _draw_chunk(gen: GenSpec, entry, iid: str, ks, params, randomize_params):
     """Weight, operands and parameters of each trial in ``ks``, from its own streams."""
-    return _Streams(gen, entry, iid, ks).draw(ks, params, randomize_params)
+    rngs = [_generator() for _ in range(3)]
+    return _Streams(gen, entry, iid, ks, rngs).draw(ks, params, randomize_params)
 
 
 def _evaluate_chunk(iid: str, draws) -> list[BoundReport | None]:
@@ -555,6 +584,7 @@ def run_campaign(
         ids = [ids]
     if trials < 1:
         raise DomainViolation("trials must be at least 1")
+    rngs = [_generator() for _ in range(3)]
     reports = []
     for iid in ids:
         entry = registry_entry(iid)
@@ -569,7 +599,7 @@ def run_campaign(
             ks = range(start, min(start + MAX_BATCH, trials))
             if start % _SEED_BLOCK == 0:
                 block = range(start, min(start + _SEED_BLOCK, trials))
-                streams = _Streams(gen, entry, iid, block)
+                streams = _Streams(gen, entry, iid, block, rngs)
             draws = streams.draw(ks, params, randomize_params)
             for k, draw, rep in zip(ks, draws, _evaluate_chunk(iid, draws)):
                 if rep is None or not rep.hypotheses_ok:

@@ -75,7 +75,8 @@ def test_genspec_rejects_bad_fields(kwargs):
 
 def test_genspec_takes_wide_and_numpy_seeds():
     for seed in (0, 2**32, 2**130, np.uint32(7), np.int64(9)):
-        assert GenSpec(seed=seed).seed == seed
+        spec = GenSpec(seed=seed)
+        assert spec.seed == seed and type(spec.seed) is int
 
 
 def test_genspec_effective_rank_default():
@@ -189,12 +190,10 @@ def test_bulk_trial_words_and_streams_are_numpys(seed, n_keys):
     # a block's first pass: the words and the own (999) stream of each trial
     keys = _spread_keys(n_keys)
     for word in _KEY_WORDS if n_keys < 1000 else _KEY_WORDS[1:3]:
-        pool = fuzz_mod._Pool(fuzz_mod._entropy(seed, word, keys))
-        words = np.stack(pool.generate(8), axis=1)
-        pool.absorb(999)
-        states = fuzz_mod._pcg64_states(pool.generate(8))
-        assert words.dtype == np.uint32 and len(states) == n_keys
-        for k, got, state in zip(keys.tolist(), words, states):
+        out = fuzz_mod._hashed(fuzz_mod._entropy(seed, word, keys), fuzz_mod._words_and_own)
+        states = fuzz_mod._pcg64_states(out[8:])
+        assert out.dtype == np.uint32 and len(states) == n_keys
+        for k, got, state in zip(keys.tolist(), out[:8].T, states):
             want = np.random.SeedSequence(seed, spawn_key=(word, k)).generate_state(8)
             assert got.tobytes() == want.tobytes()
             assert state == _numpy_state(seed, word, k, 999)
@@ -207,8 +206,7 @@ def test_bulk_matrix_streams_are_numpys(n_keys):
     words = _spread_keys(n_keys)[::-1].copy()
     mixed = np.resize(np.array([101, 202, 202], dtype=np.uint32), n_keys)
     for label in (mixed, 101, 202, 999, 2**33 + 5):
-        pool = fuzz_mod._Pool(fuzz_mod._entropy(words, label))
-        states = fuzz_mod._pcg64_states(pool.generate(8))
+        states = fuzz_mod._pcg64_states(fuzz_mod._hashed(fuzz_mod._entropy(words, label)))
         labels = np.broadcast_to(label, n_keys).tolist()
         for w, lab, state in zip(words.tolist(), labels, states):
             assert state == _numpy_state(w, lab)
@@ -243,7 +241,7 @@ def test_block_streams_follow_the_documented_derivation(a_kind):
     assert len(matrices) > 1
     crc = fuzz_mod._crc(iid)
     ks = range(5, 45)
-    streams = fuzz_mod._Streams(gen, entry, iid, ks)
+    streams = fuzz_mod._Streams(gen, entry, iid, ks, [None] * 3)
     for k in ks:
         words = np.random.SeedSequence(gen.seed, spawn_key=(crc, k)).generate_state(8)
         assert streams.trial[k] == _numpy_state(gen.seed, crc, k, 999)
