@@ -15,7 +15,7 @@ sorted; a trial whose evaluation raises is written as ``null``.  So a
 import json
 import sys
 
-from aradius import A_KINDS, GenSpec, registry_entry, registry_ids
+from aradius import A_KINDS, GenSpec, registry_ids
 from aradius.fuzz import _draw_chunk, _evaluate_chunk
 from aradius.matio import report_to_obj
 
@@ -39,13 +39,12 @@ def _exact(value):
 def main():
     out = {}
     for iid in registry_ids():
-        entry = registry_entry(iid)
         for dim in DIMS:
             for a_kind in A_KINDS:
                 for t_kind in T_KINDS:
                     for seed in SEEDS:
                         gen = GenSpec(dim=dim, a_kind=a_kind, t_kind=t_kind, seed=seed)
-                        draws = _draw_chunk(gen, entry, iid, range(TRIALS), None, True)
+                        draws = _draw_chunk(gen, iid, range(TRIALS), None, True)
                         for k, rep in enumerate(_evaluate_chunk(iid, draws)):
                             key = f"{iid} {dim} {a_kind} {t_kind} {seed} {k}"
                             out[key] = rep and _exact(report_to_obj(rep))

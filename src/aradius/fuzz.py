@@ -18,13 +18,15 @@ CRC is ``c`` has the eight words ``ss(s, (c, k)).generate_state(8)``.
 Its own stream (parameters, vectors, values) is ``rng(ss(s, (c, k,
 999)))``, its weight's ``rng(ss(words[0], (101,)))`` and its ``i``-th
 operand's ``rng(ss(words[i + 1], (202,)))``.  These are numpy's hash and
-seeding, computed here in bulk and equal bit for bit: a block of at most
-``_SEED_BLOCK`` trials is hashed at once, with numpy ``uint32`` arrays for
-the words that differ between trials and Python ints for those they
-share (a block of a few keys runs key by key on Python ints), and each
-stream's PCG64 state is loaded into a reused generator when its draws
-begin.  ``tests/test_fuzz.py`` pins the streams against
-numpy's own.
+seeding, computed here in bulk and equal bit for bit: a campaign hashes
+the trials of all its ids at once when they number at most
+``_SEED_BLOCK``, and else each id's trials in blocks of at most
+``_SEED_BLOCK``.  The hash runs on numpy ``uint32`` arrays for the words
+that differ between keys and on Python ints for those they share, and
+each stream's PCG64 state is loaded into a reused generator when its
+draws begin.  ``tests/test_fuzz.py`` pins the streams against numpy's
+own.  A lone :func:`gen_context` or :func:`gen_operator` draws from
+numpy's ``rng(ss(seed, (101,)))`` or ``rng(ss(seed, (202,)))`` itself.
 
 Every id is drawn in chunks of at most ``MAX_BATCH`` trials.  Each trial
 draws its raw weight, parameters and operands from its own streams; the
@@ -74,6 +76,13 @@ _T_KIND_OVERRIDES = MappingProxyType(
 )
 
 
+def _integer(name: str, value) -> int:
+    """``value``, a numpy integer too, as an int; anything else raises naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainViolation(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Distribution of one random instance family."""
@@ -86,13 +95,10 @@ class GenSpec:
     rank: int | None = None
 
     def __post_init__(self):
-        if (
-            isinstance(self.seed, bool)
-            or not isinstance(self.seed, (int, np.integer))
-            or self.seed < 0
-        ):
+        for name in ("seed", "dim") if self.rank is None else ("seed", "dim", "rank"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.seed < 0:
             raise DomainViolation(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer, too
         if not 1 <= self.dim <= DIM_CAP:
             raise DomainViolation(f"dim must lie in [1, {DIM_CAP}]")
         if self.a_kind not in A_KINDS:
@@ -160,13 +166,10 @@ _MASK128 = (1 << 128) - 1
 
 #: Spawn-key labels of a trial's weight, operand and own streams.
 _WEIGHT, _OPERATOR, _TRIAL = 101, 202, 999
-#: Trials whose streams are hashed together, a multiple of ``MAX_BATCH``.
-#: A hash on arrays costs about as much for 8 keys as for 1000 (250-350
-#: µs); the block bounds memory.
+#: Trials whose streams are hashed together (all ids' when they fit, else
+#: one id's), a multiple of ``MAX_BATCH``.  A hash on arrays costs about as
+#: much for 8 keys as for 1000 (250-350 µs); the block bounds memory.
 _SEED_BLOCK = 1024
-#: Keys from which a hash runs on arrays: key by key on Python ints, it
-#: costs 45-60 µs a key.
-_VECTOR_MIN = 6
 
 
 def _wrap(x):
@@ -194,7 +197,7 @@ def _mix(x, y):
 
 
 class _Pool:
-    """``SeedSequence``'s entropy pool, for one key or an array of keys.
+    """``SeedSequence``'s entropy pool, for an array of keys.
 
     A word is a Python int that every key shares or a uint32 array with
     one entry per key, so the work the keys share is done once.  The hash
@@ -203,8 +206,7 @@ class _Pool:
 
     def __init__(self, entropy: list):
         self._const = _INIT_A
-        n = len(entropy)
-        pool = [self._hashmix(entropy[i] if i < n else 0) for i in range(_POOL_SIZE)]
+        pool = [self._hashmix(word) for word in entropy[:_POOL_SIZE]]
         for src in range(_POOL_SIZE):
             for dst in range(_POOL_SIZE):
                 if src != dst:
@@ -237,29 +239,20 @@ class _Pool:
 def _entropy(seed, *key) -> list:
     """The entropy words of the ``SeedSequence`` of ``seed`` and spawn key ``key``.
 
-    With a spawn key, numpy pads the seed's words with zeros to the pool
-    size.
+    The seed's words are padded with zeros to the pool size, as numpy pads
+    them before a spawn key, and hashes zeros for a pool without one.
     """
     run = _words(seed)
-    if key:
-        run += [0] * (_POOL_SIZE - len(run))
+    run += [0] * (_POOL_SIZE - len(run))
     return run + [w for k in key for w in _words(k)]
 
 
 def _hashed(entropy: list, run=lambda pool: pool.generate(8)) -> np.ndarray:
     """``run(pool)``'s words for each key of ``entropy``, as a (words, keys) array.
 
-    Fewer than ``_VECTOR_MIN`` keys are hashed one by one on Python ints,
-    more at once on arrays.
+    At least one word of ``entropy`` must be an array.
     """
-    n_keys = max((len(w) for w in entropy if isinstance(w, np.ndarray)), default=1)
-    if n_keys >= _VECTOR_MIN:
-        return np.array(run(_Pool(entropy)), dtype=np.uint32)
-    per_key = [
-        run(_Pool([int(w[j]) if isinstance(w, np.ndarray) else w for w in entropy]))
-        for j in range(n_keys)
-    ]
-    return np.array(per_key, dtype=np.uint32).T
+    return np.array(run(_Pool(entropy)), dtype=np.uint32)
 
 
 def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
@@ -276,16 +269,6 @@ def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
         inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
         states.append((((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
     return states
-
-
-def _stream_state(seed: int, label: int) -> tuple[int, int]:
-    """The PCG64 state ``default_rng`` seeds from ``seed`` and spawn key ``(label,)``."""
-    return _pcg64_states(_hashed(_entropy(seed, label)))[0]
-
-
-def _generator() -> np.random.Generator:
-    """A generator for :func:`_seeded` to load; its own seed is never drawn from."""
-    return np.random.Generator(np.random.PCG64(0))
 
 
 def _seeded(rng: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:
@@ -305,8 +288,10 @@ def _seeded(rng: np.random.Generator, state: tuple[int, int]) -> np.random.Gener
 
 def gen_context(spec: GenSpec) -> SemiInnerContext:
     """Draw a weight of the requested structure and wrap it in a context."""
-    state = None if spec.a_kind == "identity" else _stream_state(spec.seed, _WEIGHT)
-    return _contexts(spec, [state], _generator())[0]
+    if spec.a_kind == "identity":  # draws nothing
+        return _contexts(spec, [None])[0]
+    ss = np.random.SeedSequence(spec.seed, spawn_key=(_WEIGHT,))
+    return _contexts(spec, [np.random.default_rng(ss)])[0]
 
 
 def _raw_weight(spec: GenSpec, rng: np.random.Generator | None) -> np.ndarray:
@@ -325,16 +310,14 @@ def _raw_weight(spec: GenSpec, rng: np.random.Generator | None) -> np.ndarray:
     return g.conj().T @ np.diag(d) @ g
 
 
-def _contexts(spec: GenSpec, states, rng) -> list[SemiInnerContext]:
-    """Contexts of the weights of the streams ``states``, in one SVD and one eigensolve.
+def _contexts(spec: GenSpec, rngs) -> list[SemiInnerContext]:
+    """Contexts of the weights drawn from ``rngs``, in one SVD and one eigensolve.
 
-    Each state is loaded into ``rng`` in turn; an identity weight, which
-    draws nothing, has ``None``.  Dense weights are scaled to unit
-    spectral norm.
+    Each stream is drawn from before the next is taken, so ``rngs`` may load
+    them in turn into one generator; an identity weight, which draws
+    nothing, has ``None``.  Dense weights are scaled to unit spectral norm.
     """
-    stack = np.array(
-        [_raw_weight(spec, None if s is None else _seeded(rng, s)) for s in states]
-    )
+    stack = np.array([_raw_weight(spec, rng) for rng in rngs])
     if spec.a_kind in ("dense_psd", "rank_deficient"):
         norms = np.linalg.svd(stack, compute_uv=False)[:, :1, None]
         stack /= np.maximum(norms, 1e-300)
@@ -352,8 +335,8 @@ def gen_operator(ctx: SemiInnerContext, spec: GenSpec) -> np.ndarray:
     form on the range back through the pseudoinverse, plus an
     independent block acting inside the kernel.
     """
-    rng = _seeded(_generator(), _stream_state(spec.seed, _OPERATOR))
-    return _operator(ctx, spec, spec.t_kind, rng)
+    ss = np.random.SeedSequence(spec.seed, spawn_key=(_OPERATOR,))
+    return _operator(ctx, spec, spec.t_kind, np.random.default_rng(ss))
 
 
 def _operator(ctx: SemiInnerContext, spec: GenSpec, t_kind: str, rng) -> np.ndarray:
@@ -480,59 +463,70 @@ def _words_and_own(pool: _Pool) -> list:
 
 
 class _Streams:
-    """The streams of a block of one id's trials, seeded in two hash passes.
+    """The streams of the trials ``ks`` of each of ``ids``, seeded in two hash passes.
 
     The first pass gives each trial's words and its own stream, which share
-    their pool up to the trial index; the second gives the weight and
-    operand streams those words seed, each key with its label as a word.
-    The states are loaded into the three generators ``rngs`` (weight,
-    trial, operand) as draws begin.
+    their pool up to the trial index; an id's CRC is a word all keys share
+    when there is one id, else a word per key.  The second gives the weight
+    and operand streams those words seed, each key with its label as a
+    word.  The states are loaded into three generators (weight, trial,
+    operand), whose own seeds are never drawn from, as draws begin.
     """
 
-    def __init__(self, gen: GenSpec, entry, iid: str, ks, rngs):
-        self.gen, self.entry, self.iid = gen, entry, iid
-        self._weight_rng, self._trial_rng, self._operand_rng = rngs
-        ks = list(ks)
-        keys = np.array(ks, dtype=np.uint32)
-        words = _hashed(_entropy(gen.seed, _crc(iid), keys), _words_and_own)
-        self.trial = dict(zip(ks, _pcg64_states(words[8:])))
-        # word 0 seeds the weight, word i + 1 operand i
-        cols = [i + 1 for i, name in enumerate(entry.operands) if name[0].isupper()]
-        labels = [_OPERATOR] * len(cols)
-        if gen.a_kind != "identity":  # the identity draws nothing
-            cols, labels = [0] + cols, [_WEIGHT] + labels
+    def __init__(self, gen: GenSpec, ids, ks):
+        self.gen = gen
+        self._weight_rng, self._trial_rng, self._operand_rng = (
+            np.random.Generator(np.random.PCG64(0)) for _ in range(3)
+        )
+        ids, ks = list(dict.fromkeys(ids)), list(ks)
+        # word 0 seeds the weight (the identity draws nothing), word i operand i - 1
+        first = [] if gen.a_kind == "identity" else [0]
+        cols = {}
+        for iid in ids:
+            names = registry_entry(iid).operands
+            cols[iid] = first + [i for i, name in enumerate(names, 1) if name[0].isupper()]
+        n = len(ks)  # the m-th id's trials are keys m n to m n + n
+        trials = [(iid, k) for iid in ids for k in ks]
+        crcs = np.array([_crc(iid) for iid in ids], dtype=np.uint32)
+        crc = int(crcs[0]) if len(ids) == 1 else crcs.repeat(n)
+        keys = np.tile(np.array(ks, dtype=np.uint32), len(ids))
+        words = _hashed(_entropy(gen.seed, crc, keys), _words_and_own)
+        self.trial = dict(zip(trials, _pcg64_states(words[8:])))
+        seeds = [words[cols[i], m * n : m * n + n].T.ravel() for m, i in enumerate(ids)]
+        labels = [_OPERATOR if c else _WEIGHT for iid in ids for c in cols[iid] * n]
         states = iter(())
-        if cols:
-            seeds = words[cols].T.ravel()
-            label_words = np.tile(np.array(labels, dtype=np.uint32), len(ks))
-            states = iter(_pcg64_states(_hashed(_entropy(seeds, label_words))))
+        if labels:
+            entropy = _entropy(np.concatenate(seeds), np.array(labels, dtype=np.uint32))
+            states = iter(_pcg64_states(_hashed(entropy)))
         # per trial: its weight's state (None for the identity), then its operands'
         pad = [None] if gen.a_kind == "identity" else []
-        self.matrices = {k: pad + [next(states) for _ in cols] for k in ks}
+        self.matrices = {t: pad + [next(states) for _ in cols[t[0]]] for t in trials}
 
-    def draw(self, ks, params, randomize_params) -> list:
-        """Weight, operands and parameters of each trial in ``ks``.
+    def draw(self, iid: str, ks, params, randomize_params) -> list:
+        """Weight, operands and parameters of each trial in ``ks`` of ``iid``.
 
         The weights are factored together by :func:`_contexts`.
         """
-        gen, iid = self.gen, self.iid
-        ctxs = _contexts(gen, [self.matrices[k][0] for k in ks], self._weight_rng)
+        gen, entry = self.gen, registry_entry(iid)
+        weights = (self.matrices[iid, k][0] for k in ks)
+        ctxs = _contexts(
+            gen, (None if s is None else _seeded(self._weight_rng, s) for s in weights)
+        )
         draws = []
         for k, ctx in zip(ks, ctxs):
-            rng = _seeded(self._trial_rng, self.trial[k])
+            rng = _seeded(self._trial_rng, self.trial[iid, k])
             trial_params = (
                 _draw_params(rng, iid) if randomize_params else (params or BoundParams())
             )
-            op_rngs = (_seeded(self._operand_rng, s) for s in self.matrices[k][1:])
-            operands = _draw_operands(ctx, gen, self.entry, iid, rng, op_rngs)
+            op_rngs = (_seeded(self._operand_rng, s) for s in self.matrices[iid, k][1:])
+            operands = _draw_operands(ctx, gen, entry, iid, rng, op_rngs)
             draws.append((ctx, operands, trial_params))
         return draws
 
 
-def _draw_chunk(gen: GenSpec, entry, iid: str, ks, params, randomize_params):
+def _draw_chunk(gen: GenSpec, iid: str, ks, params, randomize_params):
     """Weight, operands and parameters of each trial in ``ks``, from its own streams."""
-    rngs = [_generator() for _ in range(3)]
-    return _Streams(gen, entry, iid, ks, rngs).draw(ks, params, randomize_params)
+    return _Streams(gen, [iid], ks).draw(iid, ks, params, randomize_params)
 
 
 def _evaluate_chunk(iid: str, draws) -> list[BoundReport | None]:
@@ -580,14 +574,16 @@ def run_campaign(
     are redrawn per trial from each id's admissible ranges instead of
     using ``params``.
     """
-    if isinstance(ids, str):
-        ids = [ids]
+    ids = [ids] if isinstance(ids, str) else list(ids)
+    trials = _integer("trials", trials)
     if trials < 1:
         raise DomainViolation("trials must be at least 1")
-    rngs = [_generator() for _ in range(3)]
+    # the trials of all ids are seeded in one block when they fit
+    pooled = len(ids) * trials <= _SEED_BLOCK
+    if pooled:
+        streams = _Streams(gen, ids, range(trials))
     reports = []
     for iid in ids:
-        entry = registry_entry(iid)
         violations = 0
         skipped = 0
         slack_sum = 0.0
@@ -597,10 +593,10 @@ def run_campaign(
         violation_cases: list = []
         for start in range(0, trials, MAX_BATCH):
             ks = range(start, min(start + MAX_BATCH, trials))
-            if start % _SEED_BLOCK == 0:
+            if not pooled and start % _SEED_BLOCK == 0:
                 block = range(start, min(start + _SEED_BLOCK, trials))
-                streams = _Streams(gen, entry, iid, block, rngs)
-            draws = streams.draw(ks, params, randomize_params)
+                streams = _Streams(gen, [iid], block)
+            draws = streams.draw(iid, ks, params, randomize_params)
             for k, draw, rep in zip(ks, draws, _evaluate_chunk(iid, draws)):
                 if rep is None or not rep.hypotheses_ok:
                     skipped += 1

@@ -57,8 +57,14 @@ _REPLAY_CASES = [
         {"t_kind": "unitary"},
         {"scale": -1.0},
         {"scale": float("nan")},
+        {"dim": 2.5},
+        {"dim": True},
+        {"dim": "3"},
         {"rank": 0},
         {"rank": 4, "dim": 3},
+        {"rank": 1.5},
+        {"rank": True, "a_kind": "rank_deficient"},
+        {"rank": np.bool_(True)},
         # the stream hash would mask a negative seed to 32 bits
         {"seed": -1},
         {"seed": 2.5},
@@ -77,6 +83,13 @@ def test_genspec_takes_wide_and_numpy_seeds():
     for seed in (0, 2**32, 2**130, np.uint32(7), np.int64(9)):
         spec = GenSpec(seed=seed)
         assert spec.seed == seed and type(spec.seed) is int
+
+
+def test_genspec_stores_numpy_dims_and_ranks_as_ints():
+    spec = GenSpec(dim=np.int64(4), rank=np.uint8(2), a_kind="rank_deficient")
+    assert (spec.dim, spec.rank) == (4, 2)
+    assert type(spec.dim) is int and type(spec.rank) is int
+    assert gen_context(spec).rank == 2
 
 
 def test_genspec_effective_rank_default():
@@ -147,19 +160,21 @@ def _same_factors(ctx, other):
 def test_identity_draws_are_bitwise_the_identity_context(dim):
     gen = GenSpec(dim=dim, a_kind="identity", seed=7)
     eye = make_context(np.eye(dim))
-    entry = registry_entry("buz_half")
-    draws = fuzz_mod._draw_chunk(gen, entry, "buz_half", range(5), None, True)
+    draws = fuzz_mod._draw_chunk(gen, "buz_half", range(5), None, True)
     for ctx in [gen_context(gen)] + [ctx for ctx, _, _ in draws]:
         assert _same_factors(ctx, eye)
 
 
 @pytest.mark.parametrize("a_kind", A_KINDS)
 def test_a_chunk_of_weights_is_bitwise_each_weight_drawn_alone(a_kind):
-    # one normalizing SVD and one eigensolve over the chunk
+    # one normalizing SVD and one eigensolve over the chunk, and each
+    # stream loaded into one reused generator just before its draws
     gen = GenSpec(dim=4, a_kind=a_kind, seed=3)
     seeds = [11, 12, 13, 14, 15, 16, 17]
-    states = [fuzz_mod._stream_state(seed, 101) for seed in seeds]
-    for ctx, seed in zip(fuzz_mod._contexts(gen, states, fuzz_mod._generator()), seeds):
+    rng = np.random.default_rng(0)
+    states = [_numpy_state(seed, 101) for seed in seeds]
+    rngs = (None if a_kind == "identity" else fuzz_mod._seeded(rng, s) for s in states)
+    for ctx, seed in zip(fuzz_mod._contexts(gen, rngs), seeds):
         assert _same_factors(ctx, gen_context(dataclasses.replace(gen, seed=seed)))
 
 
@@ -214,11 +229,13 @@ def test_bulk_matrix_streams_are_numpys(n_keys):
 
 @pytest.mark.parametrize("seed", _STREAM_SEEDS)
 def test_single_streams_are_numpys_and_draw_its_values(seed):
-    # gen_context's and gen_operator's batches of one, all words shared;
-    # every load must also clear the uint32 that integers() buffers
-    rng = fuzz_mod._generator()
-    for label in (101, 202, 999, 2**32 + 1):
-        state = fuzz_mod._stream_state(seed, label)
+    # streams of a shared seed and a one-word spawn key, hashed in one pass
+    # and loaded in turn into one generator; every load must also clear
+    # the uint32 that integers() buffers
+    labels = np.array([101, 202, 999, 2**32 - 1], dtype=np.uint32)
+    states = fuzz_mod._pcg64_states(fuzz_mod._hashed(fuzz_mod._entropy(seed, labels)))
+    rng = np.random.default_rng(0)
+    for label, state in zip(labels.tolist(), states):
         assert state == _numpy_state(seed, label)
         mine = fuzz_mod._seeded(rng, state)
         ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(label,)))
@@ -234,20 +251,41 @@ def test_single_streams_are_numpys_and_draw_its_values(seed):
 
 @pytest.mark.parametrize("a_kind", ["identity", "rank_deficient"])
 def test_block_streams_follow_the_documented_derivation(a_kind):
+    # one id, whose CRC every key shares, and ids pooled with a CRC per
+    # key: operand counts of 2, 0 and 4, and an id given twice
     gen = GenSpec(dim=3, a_kind=a_kind, seed=2**64 + 3)
-    iid = "thm_2_8"
-    entry = registry_entry(iid)
-    matrices = [i for i, name in enumerate(entry.operands) if name[0].isupper()]
-    assert len(matrices) > 1
-    crc = fuzz_mod._crc(iid)
     ks = range(5, 45)
-    streams = fuzz_mod._Streams(gen, entry, iid, ks, [None] * 3)
-    for k in ks:
-        words = np.random.SeedSequence(gen.seed, spawn_key=(crc, k)).generate_state(8)
-        assert streams.trial[k] == _numpy_state(gen.seed, crc, k, 999)
-        weight = None if a_kind == "identity" else _numpy_state(words[0], 101)
-        want = [weight] + [_numpy_state(words[i + 1], 202) for i in matrices]
-        assert streams.matrices[k] == want
+    for ids in (["thm_2_8"], ["thm_2_8", "jensen", "kz", "thm_2_8"]):
+        streams = fuzz_mod._Streams(gen, ids, ks)
+        for iid in ids:
+            operands = registry_entry(iid).operands
+            matrices = [i for i, name in enumerate(operands) if name[0].isupper()]
+            crc = fuzz_mod._crc(iid)
+            for k in ks:
+                ss = np.random.SeedSequence(gen.seed, spawn_key=(crc, k))
+                words = ss.generate_state(8)
+                assert streams.trial[iid, k] == _numpy_state(gen.seed, crc, k, 999)
+                weight = None if a_kind == "identity" else _numpy_state(words[0], 101)
+                want = [weight] + [_numpy_state(words[i + 1], 202) for i in matrices]
+                assert streams.matrices[iid, k] == want
+
+
+@pytest.mark.parametrize("trials", [1, 2, 33])
+@pytest.mark.parametrize(
+    "a_kind,ids",
+    [
+        ("rank_deficient", ["kz", "buz_half", "jensen", "kz", "mixed_schwarz", "moby_a2"]),
+        # no id of the call draws a matrix stream
+        ("identity", ["bohr", "jensen", "bohr"]),
+    ],
+)
+def test_pooled_campaigns_are_bytewise_one_campaign_per_id(a_kind, ids, trials):
+    gen = GenSpec(dim=3, a_kind=a_kind, seed=9000)
+    pooled = run_campaign(ids, gen, trials, randomize_params=True)
+    alone = [run_campaign(iid, gen, trials, randomize_params=True)[0] for iid in ids]
+    assert json.dumps([campaign_to_obj(r) for r in pooled]) == json.dumps(
+        [campaign_to_obj(r) for r in alone]
+    )
 
 
 @pytest.mark.parametrize("seed", [12, 2**64 + 3, 2**130])
@@ -337,6 +375,18 @@ def test_run_campaign_rejects_zero_trials():
         run_campaign("thm_2_10", GenSpec(dim=2), trials=0)
 
 
+@pytest.mark.parametrize("trials", [True, 2.0, "3", None])
+def test_run_campaign_rejects_non_integer_trials(trials):
+    with pytest.raises(DomainViolation, match="trials"):
+        run_campaign("thm_2_10", GenSpec(dim=2), trials=trials)
+
+
+def test_run_campaign_stores_numpy_trials_as_an_int():
+    (rep,) = run_campaign("jensen", GenSpec(dim=2), trials=np.int64(2))
+    assert type(rep.trials) is int
+    assert json.loads(json.dumps(campaign_to_obj(rep)))["trials"] == 2
+
+
 def test_run_campaign_string_id_equals_singleton_list():
     gen = GenSpec(dim=2, a_kind="diagonal", seed=4)
     a = run_campaign("thm_2_10", gen, trials=5)
@@ -345,6 +395,14 @@ def test_run_campaign_string_id_equals_singleton_list():
     assert json.dumps(campaign_to_obj(a[0]), sort_keys=True) == json.dumps(
         campaign_to_obj(b[0]), sort_keys=True
     )
+
+
+def test_run_campaign_takes_an_iterator_of_ids():
+    gen = GenSpec(dim=2, seed=4)
+    ids = ["jensen", "thm_2_10"]
+    want = [campaign_to_obj(r) for r in run_campaign(ids, gen, trials=3)]
+    got = [campaign_to_obj(r) for r in run_campaign(iter(ids), gen, trials=3)]
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_run_campaign_sound_ids_accounting():
@@ -578,12 +636,11 @@ def test_chunked_campaign_matches_per_trial_loop(monkeypatch, iid):
     gen = GenSpec(dim=4, a_kind="rank_deficient", seed=58)
     trials = fuzz_mod.MAX_BATCH + 5
     rep = run_campaign(iid, gen, trials, randomize_params=True)[0]
-    entry = registry_entry(iid)
     kept = []
     ranks = set()
     for k in range(trials):
         # each trial drawn alone, a chunk of one
-        ((ctx, ops, params),) = fuzz_mod._draw_chunk(gen, entry, iid, [k], None, True)
+        ((ctx, ops, params),) = fuzz_mod._draw_chunk(gen, iid, [k], None, True)
         ranks.add(ctx.rank)
         one = evaluate_bound(ctx, iid, ops, params)
         if one.hypotheses_ok:
@@ -618,9 +675,8 @@ def test_batched_reports_are_bitwise_the_single_reports(iid, dim, a_kind, seed, 
     # broadcast exponent or a masked power once made the results depend on
     # the batch (bohr also pads its value lists to the batch's widest)
     gen = GenSpec(dim=dim, a_kind=a_kind, seed=seed)
-    entry = registry_entry(iid)
     ks = range(first, first + fuzz_mod.MAX_BATCH)
-    draws = fuzz_mod._draw_chunk(gen, entry, iid, ks, None, True)
+    draws = fuzz_mod._draw_chunk(gen, iid, ks, None, True)
     ctxs, ops, prms = zip(*draws)
     batch = fuzz_mod.evaluate_bounds(ctxs, iid, ops, prms)
     for (ctx, operands, params), rep in zip(draws, batch):
@@ -638,8 +694,7 @@ def test_campaign_skips_trials_that_overflow_and_keeps_the_rest(iid, dim, scale)
     # end the whole campaign
     gen = GenSpec(dim=dim, scale=scale)
     trials = 2 * fuzz_mod.MAX_BATCH
-    entry = registry_entry(iid)
-    draws = fuzz_mod._draw_chunk(gen, entry, iid, range(trials), None, True)
+    draws = fuzz_mod._draw_chunk(gen, iid, range(trials), None, True)
     solo = []
     for ctx, ops, params in draws:
         try:
