@@ -41,6 +41,7 @@ order.  So neither the blocks nor the chunks change a result.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -57,7 +58,7 @@ from .inequalities import (
     evaluate_bounds,
     registry_entry,
 )
-from .linalg import DIM_CAP, DomainError, spectral_norm
+from .linalg import DIM_CAP, DomainError, as_integer, spectral_norm
 from .matio import (
     MatrixFormatError,
     matrix_from_obj,
@@ -76,13 +77,6 @@ _T_KIND_OVERRIDES = MappingProxyType(
 )
 
 
-def _integer(name: str, value) -> int:
-    """``value``, a numpy integer too, as an int; anything else raises naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainViolation(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class GenSpec:
     """Distribution of one random instance family."""
@@ -96,7 +90,7 @@ class GenSpec:
 
     def __post_init__(self):
         for name in ("seed", "dim") if self.rank is None else ("seed", "dim", "rank"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), DomainViolation))
         if self.seed < 0:
             raise DomainViolation(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not 1 <= self.dim <= DIM_CAP:
@@ -105,6 +99,12 @@ class GenSpec:
             raise DomainViolation(f"a_kind must be one of {A_KINDS}")
         if self.t_kind not in T_KINDS:
             raise DomainViolation(f"t_kind must be one of {T_KINDS}")
+        if isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real):
+            raise DomainViolation(f"scale must be a real number, got {self.scale!r}")
+        try:
+            object.__setattr__(self, "scale", float(self.scale))
+        except OverflowError:
+            raise DomainViolation("scale must be finite and nonnegative") from None
         if not (np.isfinite(self.scale) and self.scale >= 0.0):
             raise DomainViolation("scale must be finite and nonnegative")
         if self.rank is not None and not 1 <= self.rank <= self.dim:
@@ -575,7 +575,7 @@ def run_campaign(
     using ``params``.
     """
     ids = [ids] if isinstance(ids, str) else list(ids)
-    trials = _integer("trials", trials)
+    trials = as_integer("trials", trials, DomainViolation)
     if trials < 1:
         raise DomainViolation("trials must be at least 1")
     # the trials of all ids are seeded in one block when they fit

@@ -108,6 +108,13 @@ def _per_input(values: np.ndarray, arr: np.ndarray):
     return float(values[0]) if arr.ndim == 2 else values
 
 
+def as_integer(name: str, value, error: type[Exception] = DomainError) -> int:
+    """``value``, a numpy integer too, as an int; a bool or any other type raises ``error`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_vector(x, *, dim: int | None = None) -> np.ndarray:
     """Validate ``x`` as a flat complex vector (accepts n, nx1 and 1xn)."""
     out = np.asarray(x, dtype=np.complex128)

@@ -37,6 +37,7 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     DomainError,
+    as_integer,
     as_matrix,
     as_stack,
     as_vector,
@@ -62,6 +63,9 @@ RANK_TOL = 1e-10
 #: Relative tolerance of the structural tests :func:`preserves_kernel`,
 #: :func:`is_a_selfadjoint` and :func:`is_a_positive`.
 STRUCTURE_RTOL = 1e-8
+
+#: Rows of samples that :func:`a_numerical_radius_lower` projects at once.
+_SAMPLE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -245,24 +249,39 @@ def a_numerical_radius_lower(
     ``y = Lambda^{1/2} V_r* g`` (so ``|y| = ||g||_A``) and maximizes
     ``|y* T~ y| / |y|^2``, which is ``|<Tx, x>_A| / ||x||_A^2`` for ``x`` the
     projection of ``g`` onto ``ran(A)``.  Deterministic for a fixed seed.
+
+    The stream holds every real part, then every imaginary part.  So the
+    real parts are drawn as one ``(samples, dim)`` float array, the memory
+    floor of the function; the imaginary parts are then drawn, projected
+    and reduced in blocks of :data:`_SAMPLE_BLOCK` rows (the last may hold
+    one more), continuing the same stream, so no ``(samples, dim)``
+    complex array is ever made.  A sample whose ``|y|^2`` is at most
+    ``1e-24`` times the largest over all samples (or 1) is dropped.
     """
     if ctx.rank == 0:
         raise DegenerateContext("weight has rank zero")
+    samples = as_integer("samples", samples, ValueError)
     if samples < 1:
         raise ValueError("samples must be positive")
-    tilde = reduce(ctx, t)
+    tilde_t = reduce(ctx, t).T
+    v_conj = ctx.v_r.conj()
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((samples, ctx.dim)) + 1j * rng.standard_normal(
-        (samples, ctx.dim)
-    )
-    y = (g @ ctx.v_r.conj()) * ctx.sqrt_lam
-    norms_sq = np.sum(np.abs(y) ** 2, axis=1)
-    keep = norms_sq > 1e-24 * max(1.0, float(norms_sq.max(initial=0.0)))
+    real = rng.standard_normal((samples, ctx.dim))
+    numer = np.empty(samples)
+    norms_sq = np.empty(samples)
+    for lo in range(0, max(samples - 1, 1), _SAMPLE_BLOCK):
+        # a lone last row joins the block before it: numpy multiplies a
+        # single row by a matrix-vector product, which rounds differently
+        hi = lo + _SAMPLE_BLOCK if lo + _SAMPLE_BLOCK < samples - 1 else samples
+        block = slice(lo, hi)
+        g = real[block] + 1j * rng.standard_normal(real[block].shape)
+        y = (g @ v_conj) * ctx.sqrt_lam
+        norms_sq[block] = np.sum(np.abs(y) ** 2, axis=1)
+        numer[block] = np.abs(np.sum(np.conj(y) * (y @ tilde_t), axis=1))
+    keep = norms_sq > 1e-24 * max(1.0, float(norms_sq.max()))
     if not np.any(keep):
         raise DegenerateContext("no sample survived seminorm normalization")
-    y = y[keep]
-    quad = np.abs(np.sum(np.conj(y) * (y @ tilde.T), axis=1)) / norms_sq[keep]
-    return float(np.max(quad))
+    return float(np.max(numer[keep] / norms_sq[keep]))
 
 
 def a_abs_power(ctx: SemiInnerContext, t, p: float) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from aradius import make_context
+from aradius import DegenerateContext, make_context, reduce
 
 settings.register_profile(
     "suite",
@@ -51,6 +51,27 @@ def random_context(rng: np.random.Generator, n: int, rank: int | None = None):
 
 # --------------------------------------------------------------------------
 # independent oracles
+
+
+def radius_lower_reference(ctx, t, samples: int, seed: int):
+    """The sampled A-radius lower bound from whole-array draws, one sample at a time.
+
+    It draws every real part, then every imaginary part, and takes each
+    sample's quotient in a loop.  Only the two projections stay products
+    of all samples at once: numpy multiplies a single row by a
+    matrix-vector product, which can round differently.  Returns the
+    bound and how many samples were kept.
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((samples, ctx.dim)) + 1j * rng.standard_normal((samples, ctx.dim))
+    y = (g @ ctx.v_r.conj()) * ctx.sqrt_lam
+    ty = y @ reduce(ctx, t).T
+    norms_sq = np.array([np.sum(np.abs(row) ** 2) for row in y])
+    numer = np.array([np.abs(np.sum(np.conj(row) * trow)) for row, trow in zip(y, ty)])
+    keep = norms_sq > 1e-24 * max(1.0, norms_sq.max())
+    if not keep.any():
+        raise DegenerateContext("no sample survived seminorm normalization")
+    return float(np.max(numer[keep] / norms_sq[keep])), int(keep.sum())
 
 
 def oracle_spectral_norm(m, iters: int = 600, seed: int = 0) -> float:

@@ -57,6 +57,13 @@ _REPLAY_CASES = [
         {"t_kind": "unitary"},
         {"scale": -1.0},
         {"scale": float("nan")},
+        {"scale": True},
+        {"scale": np.bool_(True)},
+        {"scale": 1 + 0j},
+        {"scale": np.complex128(1)},
+        {"scale": "1"},
+        {"scale": None},
+        {"scale": 10**400},
         {"dim": 2.5},
         {"dim": True},
         {"dim": "3"},
@@ -90,6 +97,15 @@ def test_genspec_stores_numpy_dims_and_ranks_as_ints():
     assert (spec.dim, spec.rank) == (4, 2)
     assert type(spec.dim) is int and type(spec.rank) is int
     assert gen_context(spec).rank == 2
+
+
+def test_genspec_stores_real_scales_as_floats():
+    base = GenSpec(scale=2.0, t_kind="a_positive", seed=3)
+    expected = gen_operator(gen_context(base), base)
+    for scale in (2, np.int64(2), np.float32(2.0)):
+        spec = GenSpec(scale=scale, t_kind="a_positive", seed=3)
+        assert spec.scale == 2.0 and type(spec.scale) is float
+        assert np.array_equal(gen_operator(gen_context(spec), spec), expected)
 
 
 def test_genspec_effective_rank_default():

@@ -20,13 +20,17 @@ from aradius import (
     assemble_fd,
     consistency_order,
     convergence_rows,
+    a_numerical_radius_lower,
     make_context,
     preconditioner_report,
     richardson_contraction,
     stability_report,
     truncation_error,
+    vec_seminorm,
     write_convergence_csv,
 )
+
+from conftest import cgauss, radius_lower_reference, random_context
 
 CONST = EllipticSpec(n_points=9, coeff_a=(1.0,), coeff_c=0.0)
 
@@ -194,6 +198,58 @@ def test_stability_report_zero_samples_skips_sampled_radius():
         assert bare[key] == full[key]
 
 
+#: diffusion and reaction coefficients of the stacked-sample comparisons
+_COEFFS = [((1.0,), 0.0), ((1.0, 0.0, 1.0), 1.0), ((2.0, -1.0, 0.5, 0.3), 3.0)]
+
+
+def _amplification_reference(spec, samples, seed):
+    """Largest ``||T_h^{-1} f||_A / ||f||_A``, one right-hand side at a time; skipped count."""
+    t_h, a_h = assemble_fd(spec)
+    ctx = make_context(a_h)
+    t_inv = np.linalg.inv(t_h)
+    rng = np.random.default_rng(seed)
+    worst, skipped = 0.0, 0
+    for _ in range(samples):
+        f = rng.standard_normal(spec.n_points) + 1j * rng.standard_normal(spec.n_points)
+        nf = vec_seminorm(ctx, f)
+        if nf < 1e-12:
+            skipped += 1
+            continue
+        worst = max(worst, vec_seminorm(ctx, t_inv @ f) / nf)
+    return worst, skipped
+
+
+@pytest.mark.parametrize("n", [8, 9, 31, 64, 127])
+def test_stability_report_is_bitwise_the_per_sample_loop(n):
+    for k, (coeff_a, coeff_c) in enumerate(_COEFFS):
+        spec = EllipticSpec(n_points=n, coeff_a=coeff_a, coeff_c=coeff_c)
+        for seed, samples in ((0, 100), (9000, (1, 50, 100)[k])):
+            rep = stability_report(spec, samples=samples, seed=seed)
+            worst = _amplification_reference(spec, samples, seed)[0]
+            assert rep.lhs == rep.intermediates["sampled_amplification"] == worst
+    t_h, a_h = assemble_fd(spec)
+    sampled = radius_lower_reference(make_context(a_h), np.linalg.inv(t_h), 10000, 9000)[0]
+    assert rep.intermediates["radius_inverse_sampled"] == sampled
+
+
+def test_stability_report_skips_right_hand_sides_of_tiny_seminorm():
+    spec = EllipticSpec(n_points=8, coeff_a=(5e-26,), coeff_c=1.0)
+    worst, skipped = _amplification_reference(spec, 100, 2)
+    assert 0 < skipped < 100
+    assert stability_report(spec, samples=100, seed=2).lhs == worst
+
+
+@pytest.mark.parametrize("samples", [-3, True, np.bool_(False), 2.5, "5", None])
+def test_stability_report_rejects_bad_sample_counts(samples):
+    with pytest.raises(InvalidSpec, match="samples"):
+        stability_report(EllipticSpec(n_points=4), samples=samples)
+
+
+def test_stability_report_takes_numpy_sample_counts():
+    spec = EllipticSpec(n_points=6)
+    assert stability_report(spec, samples=np.int64(20)) == stability_report(spec, samples=20)
+
+
 # --------------------------------------------------------------------------
 # preconditioners
 
@@ -228,6 +284,65 @@ def test_singular_preconditioner_detected():
     t = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(SingularPreconditioner):
         richardson_contraction(ctx, t, np.zeros((3, 3)))
+
+
+def _ratios_reference(ctx, t, p, iterations, seed):
+    """Richardson error ratios with one seminorm per step, as a plain loop."""
+    m = np.eye(ctx.dim) - np.linalg.solve(
+        np.asarray(p, dtype=np.complex128), np.asarray(t, dtype=np.complex128)
+    )
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+    n0 = vec_seminorm(ctx, e)
+    ratios = []
+    for _ in range(iterations):
+        e = m @ e
+        ratios.append(vec_seminorm(ctx, e) / n0)
+    return tuple(ratios)
+
+
+@pytest.mark.parametrize("n", [8, 9, 31, 64, 127])
+def test_preconditioner_report_is_bitwise_the_per_step_loop(n):
+    for coeff_a, coeff_c in _COEFFS:
+        spec = EllipticSpec(n_points=n, coeff_a=coeff_a, coeff_c=coeff_c)
+        t_h, a_h = assemble_fd(spec)
+        ctx = make_context(a_h)
+        for kind, p, iterations in (("jacobi", np.diag(np.diag(t_h)), 25), ("identity", np.eye(n), 5)):
+            for seed in (0, 9000):
+                rep = preconditioner_report(spec, kind, iterations, seed)
+                assert rep.error_ratios == _ratios_reference(ctx, t_h, p, iterations, seed)
+                assert type(rep.error_ratios[0]) is float
+
+
+def test_richardson_on_complex_weights_is_bitwise_the_per_step_loop(rng):
+    for dim, rank in ((1, None), (3, 1), (6, None), (20, 9)):
+        ctx = random_context(rng, dim, rank)
+        t = cgauss(rng, dim, dim) + 3 * dim * np.eye(dim)
+        p = np.diag(np.diag(t)) + 0.1 * cgauss(rng, dim, dim)
+        rep = richardson_contraction(ctx, t, p, iterations=40, seed=3)
+        assert rep.error_ratios == _ratios_reference(ctx, t, p, 40, 3)
+
+
+def test_richardson_rejects_errors_that_overflow():
+    # identity Richardson on a stiff 127-point operator overflows in 100 steps
+    with pytest.raises(DomainError, match="non-finite"):
+        preconditioner_report(EllipticSpec(n_points=127), "identity", iterations=100)
+
+
+@pytest.mark.parametrize("iterations", [0, True, np.bool_(True), 2.5, "5", None])
+def test_richardson_rejects_bad_iteration_counts(iterations):
+    ctx = make_context(np.eye(3))
+    t = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(InvalidSpec, match="iterations"):
+        richardson_contraction(ctx, t, t, iterations=iterations)
+    with pytest.raises(InvalidSpec, match="iterations"):
+        preconditioner_report(EllipticSpec(n_points=4), iterations=iterations)
+
+
+def test_preconditioner_report_stores_numpy_iteration_counts_as_ints():
+    rep = preconditioner_report(EllipticSpec(n_points=4), iterations=np.int32(3))
+    assert rep.iterations == 3 and type(rep.iterations) is int
+    assert rep == preconditioner_report(EllipticSpec(n_points=4), iterations=3)
 
 
 def test_richardson_rejects_zero_iterations():

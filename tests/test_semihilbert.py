@@ -1,10 +1,13 @@
 """Weighted geometry: contexts, adjoints, reductions, radii."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from aradius import (
+    DegenerateContext,
     DimensionMismatch,
     NotHermitian,
     NotPositive,
@@ -26,9 +29,16 @@ from aradius import (
     vec_seminorm,
 )
 
-from aradius.semihilbert import RANK_TOL
+from aradius.semihilbert import _SAMPLE_BLOCK, RANK_TOL
 
-from conftest import a_unit_vector, cgauss, half_factors, random_context, random_psd
+from conftest import (
+    a_unit_vector,
+    cgauss,
+    half_factors,
+    radius_lower_reference,
+    random_context,
+    random_psd,
+)
 
 
 # --------------------------------------------------------------------------
@@ -289,6 +299,82 @@ def test_radius_lower_is_a_lower_bound(rng):
         w = a_numerical_radius(ctx, t)
         lo = a_numerical_radius_lower(ctx, t, samples=2000, seed=5)
         assert lo <= w + 1e-9
+
+
+@pytest.mark.parametrize(
+    "samples", [1, 2, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 2, 10000]
+)
+@pytest.mark.parametrize("dim,rank", [(3, 3), (3, 1), (40, 40), (40, 17)])
+def test_radius_lower_streams_bitwise_the_whole_array_bound(samples, dim, rank):
+    rng = np.random.default_rng(100 * dim + rank)
+    ctx = random_context(rng, dim, rank if rank < dim else None)
+    t = cgauss(rng, dim, dim)
+    seed = int(rng.integers(2**32))
+    assert a_numerical_radius_lower(ctx, t, samples, seed) == (
+        radius_lower_reference(ctx, t, samples, seed)[0]
+    )
+
+
+def test_radius_lower_joins_a_lone_last_row_to_its_block():
+    # the reference's best sample is the last of BLOCK + 1, whose projection
+    # alone rounds differently from the block's on some OpenBLAS kernels
+    rng = np.random.default_rng(16)
+    ctx = random_context(rng, 16, 8)
+    t = cgauss(rng, 16, 16)
+    samples, seed = _SAMPLE_BLOCK + 1, 640
+    draws = np.random.default_rng(seed)
+    g = draws.standard_normal((samples, 16)) + 1j * draws.standard_normal((samples, 16))
+    y = (g @ ctx.v_r.conj()) * ctx.sqrt_lam
+    quot = np.abs(np.sum(np.conj(y) * (y @ reduce(ctx, t).T), axis=1)) / np.sum(np.abs(y) ** 2, axis=1)
+    assert np.argmax(quot) == samples - 1
+    assert a_numerical_radius_lower(ctx, t, samples, seed) == float(quot[-1])
+
+
+@pytest.mark.parametrize("scale,kept", [(3e-25, "some"), (1e-26, "none")])
+def test_radius_lower_drops_samples_below_the_global_floor(rng, scale, kept):
+    ctx = make_context(scale * np.eye(3))
+    t = cgauss(rng, 3, 3)
+    samples = 2 * _SAMPLE_BLOCK + 100
+    if kept == "none":
+        with pytest.raises(DegenerateContext, match="no sample survived"):
+            a_numerical_radius_lower(ctx, t, samples, seed=4)
+        return
+    value, n_kept = radius_lower_reference(ctx, t, samples, 4)
+    assert 0 < n_kept < samples
+    assert a_numerical_radius_lower(ctx, t, samples, seed=4) == value
+
+
+def test_radius_lower_rejects_a_rank_zero_weight():
+    with pytest.raises(DegenerateContext, match="rank zero"):
+        a_numerical_radius_lower(make_context(np.zeros((3, 3))), np.eye(3))
+
+
+@pytest.mark.parametrize("samples", [0, -3, True, np.bool_(True), 2.5, "5", None])
+def test_radius_lower_rejects_bad_sample_counts(samples):
+    ctx = make_context(np.eye(2))
+    with pytest.raises(ValueError, match="samples"):
+        a_numerical_radius_lower(ctx, np.eye(2), samples)
+
+
+def test_radius_lower_takes_numpy_sample_counts(rng):
+    ctx = random_context(rng, 3)
+    t = cgauss(rng, 3, 3)
+    assert a_numerical_radius_lower(ctx, t, np.int64(700), 3) == a_numerical_radius_lower(ctx, t, 700, 3)
+
+
+def test_radius_lower_holds_one_real_buffer_of_samples(rng):
+    # 10000 x 127 float64 real parts are the floor; whole complex arrays
+    # of the samples would need several times that
+    dim, samples = 127, 10000
+    ctx = make_context(np.diag(np.linspace(1.0, 2.0, dim)))
+    t = cgauss(rng, dim, dim)
+    tracemalloc.start()
+    try:
+        a_numerical_radius_lower(ctx, t, samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * samples * dim * 8
 
 
 def test_radius_seminorm_sandwich(rng):
