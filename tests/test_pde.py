@@ -227,6 +227,7 @@ def test_stability_report_is_bitwise_the_per_sample_loop(n):
             rep = stability_report(spec, samples=samples, seed=seed)
             worst = _amplification_reference(spec, samples, seed)[0]
             assert rep.lhs == rep.intermediates["sampled_amplification"] == worst
+    # the sampled radius of the last report
     t_h, a_h = assemble_fd(spec)
     sampled = radius_lower_reference(make_context(a_h), np.linalg.inv(t_h), 10000, 9000)[0]
     assert rep.intermediates["radius_inverse_sampled"] == sampled
