@@ -3,40 +3,50 @@
 Instances are drawn from :class:`GenSpec`-described distributions whose
 operator classes line up with the hypotheses the bounds carry (weights
 of each structure; dense, weight-commuting, weight-selfadjoint, and
-weight-positive operators).  Campaigns are deterministic: every trial
-derives its own RNG streams from ``(seed, inequality_id, trial_index)``,
-so reruns agree byte for byte.
+weight-positive operators).  Campaigns are deterministic: every random
+number is a pure function of ``(seed, id, trial, stream, index)``, so
+reruns agree byte for byte.
 
 A campaign never hides a negative result: each violating trial's full
 inputs are serialized into the report for replay, and the sharpest
 (minimal relative slack) satisfying trial is persisted the same way.
 
-Write ``ss(e, key)`` for numpy's ``SeedSequence`` of entropy ``e`` and
-spawn key ``key``, and ``rng(ss)`` for the PCG64 generator that
-``default_rng`` seeds from it.  Trial ``k`` of seed ``s`` for the id whose
-CRC is ``c`` has the eight words ``ss(s, (c, k)).generate_state(8)``.
-Its own stream (parameters, vectors, values) is ``rng(ss(s, (c, k,
-999)))``, its weight's ``rng(ss(words[0], (101,)))`` and its ``i``-th
-operand's ``rng(ss(words[i + 1], (202,)))``.  These are numpy's hash and
-seeding, computed here in bulk and equal bit for bit: a campaign hashes
-the trials of all its ids at once when they number at most
-``_SEED_BLOCK``, and else each id's trials in blocks of at most
-``_SEED_BLOCK``.  The hash runs on numpy ``uint32`` arrays for the words
-that differ between keys and on Python ints for those they share, and
-each stream's PCG64 state is loaded into a reused generator when its
-draws begin.  ``tests/test_fuzz.py`` pins the streams against numpy's
-own.  A lone :func:`gen_context` or :func:`gen_operator` draws from
-numpy's ``rng(ss(seed, (101,)))`` or ``rng(ss(seed, (202,)))`` itself.
+Draws are Philox4x32-10 blocks (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC'11) computed on numpy arrays.  The key is the
+seed's two low 32-bit words (see :func:`_key` for wider seeds).  The
+counter is ``(index, trial, stream, id)``: the block's place in its
+stream, the trial (below 2**32), the stream (0 the weight, 1 the
+parameters, ``2 + i`` the ``i``-th registry operand) and the id's CRC-32
+masked to 31 bits.  A lone :func:`gen_context` or :func:`gen_operator`
+draws trial 0 of the id word 2**31: its weight or its operand-0 stream.
+A block's words, read as two little-endian uint64 ``x``, give two
+uniforms ``(x >> 11) * 2**-53`` (numpy's map); uniform ``j`` is half
+``j % 2`` of block ``j // 2``.  Block ``j`` also gives the complex normal
+``sqrt(-ln(1 - u0)) exp(2 pi i u1)`` (Box–Muller), and ``sqrt(2)`` times
+its real part is a real normal.  The logarithm, cosine and sine are
+fdlibm's kernels in numpy arithmetic: numpy's own ``log``, ``exp`` and
+``power`` change bits with its SIMD dispatch level, and correctly rounded
+arithmetic does not, so the draws do not either.
 
-Every id is drawn in chunks of at most ``MAX_BATCH`` trials.  Each trial
-draws its raw weight, parameters and operands from its own streams; the
-chunk's dense weights are then normalized by one stacked SVD, and all its
-weights are factored by one stacked eigensolve
-(:func:`aradius.semihilbert.make_contexts`), which give each weight
-bitwise what it gets alone.  Each chunk is evaluated in one batch per
+A weight draws ``n`` uniforms (``diagonal``), ``n x n`` normals
+(``dense_psd``), or those and ``rank`` uniforms (``rank_deficient``).  The
+parameters take seven uniforms (:func:`_draw_params`); an operator ``n x
+n`` normals, ``deg + 1`` real ones (``a_commuting``) or two ``n x n``
+blocks (``a_selfadjoint``, ``a_positive``); ``values`` a count of 1 to 5
+(2 for ``jensen``) and the values; ``r`` one uniform; a vector ``n``
+normals.  A unit vector of seminorm at most 1e-8 is redrawn from the
+stream's next ``n`` blocks, up to 256 tries.
+
+Every id is drawn in chunks of at most ``MAX_BATCH`` trials, each in one
+Philox pass; ids whose trials fit in one chunk share passes.  Operands
+and parameters are built for a chunk by stacked array ops and each
+weight by :func:`_raw_weight`.  The chunk's dense weights are normalized
+by one stacked SVD, and all its weights factored by one stacked
+eigensolve (:func:`aradius.semihilbert.make_contexts`), so each trial's
+draws are bitwise what it gets alone.  Each chunk is evaluated in one batch per
 weight rank through :func:`aradius.inequalities.evaluate_bounds`, whose
 reports are bitwise each trial's own, and accounting runs in trial
-order.  So neither the blocks nor the chunks change a result.
+order.  So the chunks change no result.
 """
 
 from __future__ import annotations
@@ -144,180 +154,191 @@ _MAX_PERSISTED_VIOLATIONS = 25
 _SQRT2 = np.sqrt(2.0)
 
 
-def _cgauss(rng: np.random.Generator, *shape) -> np.ndarray:
-    # the real parts, then the imaginary parts, from one call
-    re, im = rng.standard_normal((2,) + shape)
-    return (re + 1j * im) / _SQRT2
-
-
 # --------------------------------------------------------------------------
-# random streams: numpy's SeedSequence hash and PCG64 seeding, in bulk
+# counter-based draws: Philox4x32-10 on numpy arrays
 
-#: ``SeedSequence``'s hash constants (``numpy/random/bit_generator.pyx``).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
-#: PCG64's 128-bit LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+#: Stream labels (counter word 2): a trial's weight, its parameters, and
+#: its ``i``-th registry operand at ``_OPERAND + i``.
+_WEIGHT, _PARAMS, _OPERAND = 0, 1, 2
+#: Id word (counter word 3) of the lone draws; every id's CRC is below it.
+_LONE = 2**31
 
-#: Spawn-key labels of a trial's weight, operand and own streams.
-_WEIGHT, _OPERATOR, _TRIAL = 101, 202, 999
-#: Trials whose streams are hashed together (all ids' when they fit, else
-#: one id's), a multiple of ``MAX_BATCH``.  A hash on arrays costs about as
-#: much for 8 keys as for 1000 (250-350 µs); the block bounds memory.
-_SEED_BLOCK = 1024
+#: fdlibm's ``__ieee754_log`` split of ln 2 and its ``Lg1``-``Lg7``.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_LG = (
+    6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01,
+    2.222219843214978396e-01, 1.818357216161805012e-01, 1.531383769920937332e-01,
+    1.479819860511658591e-01,
+)
+#: fdlibm's ``__kernel_sin`` ``S1``-``S6`` and ``__kernel_cos`` ``C1``-``C6``.
+_SIN = (
+    -1.66666666666666324348e-01, 8.33333333332248946124e-03, -1.98412698298579493134e-04,
+    2.75573137070700676789e-06, -2.50507602534068634195e-08, 1.58969099521155010221e-10,
+)
+_COS = (
+    4.16666666666666019037e-02, -1.38888888888741095749e-03, 2.48015872894767294178e-05,
+    -2.75573143513906633035e-07, 2.08757232129817482790e-09, -1.13596475577881948265e-11,
+)
+_QUARTERS = np.array([1.0, 1j, -1.0, -1j])
 
 
-def _wrap(x):
-    """``x`` mod 2**32; uint32 arrays wrap by themselves."""
-    return x & _MASK32 if isinstance(x, int) else x
+def _philox(ctr, key):
+    """Philox4x32-10 of the counter words ``ctr`` under the key words ``key``.
 
-
-def _words(x) -> list:
-    """The uint32 words of ``x``, least significant first.
-
-    A uint32 array stands for one word per key.
+    A word is a Python int or a uint64 array of 32-bit values; the words
+    broadcast, and a product of two words is exact in 64 bits.
     """
-    if isinstance(x, np.ndarray):
-        return [x]
-    n = int(x)
-    out = [n & _MASK32]
-    while n := n >> 32:
-        out.append(n & _MASK32)
+    c0, c1, c2, c3 = ctr
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = c0 * 0xD2511F53, c2 * 0xCD9E8D57
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _MASK32, (p0 >> 32) ^ c3 ^ k1, p0 & _MASK32
+        k0, k1 = (k0 + 0x9E3779B9) & _MASK32, (k1 + 0xBB67AE85) & _MASK32
+    return c0, c1, c2, c3
+
+
+def _key(seed: int) -> tuple[int, int]:
+    """The Philox key of ``seed``: its two low words, each further 64 bits folded in.
+
+    The ``j``-th further ``(lo, hi)`` makes the key the first two words of
+    the block of counter ``(lo, hi, j, 0)`` under it.
+    """
+    key, j = (seed & _MASK32, (seed >> 32) & _MASK32), 1
+    while seed := seed >> 64:
+        key = _philox((seed & _MASK32, (seed >> 32) & _MASK32, j, 0), key)[:2]
+        j += 1
+    return key
+
+
+def _poly(z, coeffs):
+    out = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = c + z * out
     return out
 
 
-def _mix(x, y):
-    r = _wrap(_wrap(x * _MIX_MULT_L) - _wrap(y * _MIX_MULT_R))
-    return r ^ (r >> _XSHIFT)
+def _log(x):
+    """``ln x`` of positive normal floats, fdlibm's reduction and kernel (within 1 ulp)."""
+    m, e = np.frexp(x)
+    low = m < 0.5 * _SQRT2
+    m = np.where(low, 2.0 * m, m)  # m in [sqrt(1/2), sqrt(2))
+    e = e - low
+    f = m - 1.0
+    s = f / (2.0 + f)
+    z = s * s
+    hfsq = 0.5 * f * f
+    return e * _LN2_HI - ((hfsq - (s * (hfsq + z * _poly(z, _LG)) + e * _LN2_LO)) - f)
 
 
-class _Pool:
-    """``SeedSequence``'s entropy pool, for an array of keys.
+def _turn(t):
+    """``exp(2 pi i t)``: fdlibm's kernels to the nearest quarter turn, then a multiple of ``i``."""
+    q = np.rint(4.0 * t)
+    x = (4.0 * t - q) * (0.5 * np.pi)  # in [-pi/4, pi/4]
+    z = x * x
+    sin = x + x * z * _poly(z, _SIN)
+    cos = 1.0 - (0.5 * z - z * z * _poly(z, _COS))
+    # each product with 1, i, -1 or -i is exact
+    return (cos + 1j * sin) * _QUARTERS[q.astype(np.intp) & 3]
 
-    A word is a Python int that every key shares or a uint32 array with
-    one entry per key, so the work the keys share is done once.  The hash
-    constant never depends on the data, so it stays an int.
+
+def _gauss(u):
+    """Standard complex normals ``sqrt(-ln(1 - u0)) exp(2 pi i u1)`` of uniform pairs.
+
+    This is the Box–Muller transform, with ``E|z|^2 = 1``.
     """
-
-    def __init__(self, entropy: list):
-        self._const = _INIT_A
-        pool = [self._hashmix(word) for word in entropy[:_POOL_SIZE]]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], self._hashmix(pool[src]))
-        self.words = pool
-        for word in entropy[_POOL_SIZE:]:
-            self.absorb(word)
-
-    def _hashmix(self, value):
-        value = value ^ self._const
-        self._const = (self._const * _MULT_A) & _MASK32
-        value = _wrap(value * self._const)
-        return value ^ (value >> _XSHIFT)
-
-    def absorb(self, word) -> None:
-        """Mix one more entropy word into the pool."""
-        self.words = [_mix(w, self._hashmix(word)) for w in self.words]
-
-    def generate(self, n_words: int) -> list:
-        """``generate_state(n_words)``, as ``n_words`` words."""
-        out, const = [], _INIT_B
-        for i in range(n_words):
-            value = self.words[i % _POOL_SIZE] ^ const
-            const = (const * _MULT_B) & _MASK32
-            value = _wrap(value * const)
-            out.append(value ^ (value >> _XSHIFT))
-        return out
+    return np.sqrt(-_log(1.0 - u[..., 0])) * _turn(u[..., 1])
 
 
-def _entropy(seed, *key) -> list:
-    """The entropy words of the ``SeedSequence`` of ``seed`` and spawn key ``key``.
+def _blocks(key, requests) -> list[dict]:
+    """The blocks of each request ``(crc, ks, spans)``, all in one Philox pass.
 
-    The seed's words are padded with zeros to the pool size, as numpy pads
-    them before a spawn key, and hashes zeros for a pool without one.
+    ``spans`` maps a stream label to a range of block indices, drawn for
+    each trial of ``ks`` under the id word ``crc``.  Each label gets its
+    uniform pairs ``(len(ks), blocks, 2)`` and the complex normals
+    ``(len(ks), blocks)`` they give.
     """
-    run = _words(seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    return run + [w for k in key for w in _words(k)]
+    ctr = []
+    for crc, ks, spans in requests:
+        sizes = [len(s) for s in spans.values()]
+        index = np.concatenate(
+            [np.arange(s.start, s.stop, dtype=np.uint64) for s in spans.values()]
+        )
+        label = np.repeat(np.array(list(spans), dtype=np.uint64), sizes)
+        trial = np.repeat(np.array(ks, dtype=np.uint64), len(index))
+        k = len(ks)
+        ctr.append((np.tile(index, k), trial, np.tile(label, k), np.full_like(trial, crc)))
+    w0, w1, w2, w3 = _philox([np.concatenate(words) for words in zip(*ctr)], key)
+    u = (np.stack(((w1 << 32) | w0, (w3 << 32) | w2), axis=-1) >> 11) * 2.0**-53
+    z = _gauss(u)
+    out, lo = [], 0
+    for _, ks, spans in requests:
+        sizes = [len(s) for s in spans.values()]
+        shape = (len(ks), sum(sizes))
+        hi = lo + shape[0] * shape[1]
+        cuts = np.cumsum(sizes)[:-1]
+        parts = zip(
+            np.split(u[lo:hi].reshape(shape + (2,)), cuts, axis=1),
+            np.split(z[lo:hi].reshape(shape), cuts, axis=1),
+        )
+        out.append(dict(zip(spans, parts)))
+        lo = hi
+    return out
 
 
-def _hashed(entropy: list, run=lambda pool: pool.generate(8)) -> np.ndarray:
-    """``run(pool)``'s words for each key of ``entropy``, as a (words, keys) array.
-
-    At least one word of ``entropy`` must be an array.
-    """
-    return np.array(run(_Pool(entropy)), dtype=np.uint32)
-
-
-def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
-    """Per key, the ``(state, inc)`` that ``PCG64`` seeds from these words.
-
-    ``words`` holds a ``generate_state(8)`` per key.  Read as four
-    little-endian uint64, it holds the 128-bit seed and stream, which
-    ``pcg_setseq_128_srandom_r`` turns into a state in two LCG steps.
-    """
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in (
-        np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist()
-    ):
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        states.append((((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
-
-
-def _seeded(rng: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:
-    """``rng`` loaded with a PCG64 state, as fresh as a new generator's."""
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state[0], "inc": state[1]},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+def _uniform(u, low: float, high: float):
+    return low + (high - low) * u
 
 
 # --------------------------------------------------------------------------
 # instances
 
 
+def _weight_blocks(spec: GenSpec) -> int:
+    n, rank = spec.dim, spec.effective_rank
+    return {"identity": 0, "diagonal": (n + 1) // 2, "dense_psd": n * n}.get(
+        spec.a_kind, n * n + (rank + 1) // 2
+    )
+
+
+def _operand_blocks(name: str, t_kind: str, n: int) -> int:
+    if name[0].isupper():
+        return {"dense": n * n, "a_commuting": min(max(n - 1, 0), 3) + 1}.get(t_kind, 2 * n * n)
+    return {"values": 3, "r": 1}.get(name, n)
+
+
 def gen_context(spec: GenSpec) -> SemiInnerContext:
-    """Draw a weight of the requested structure and wrap it in a context."""
-    if spec.a_kind == "identity":  # draws nothing
-        return _contexts(spec, [None])[0]
-    ss = np.random.SeedSequence(spec.seed, spawn_key=(_WEIGHT,))
-    return _contexts(spec, [np.random.default_rng(ss)])[0]
+    """Draw a weight of the requested structure and wrap it in a context.
+
+    The draws are trial 0's weight stream under the id word ``_LONE``.
+    """
+    (draws,) = _blocks(_key(spec.seed), [(_LONE, [0], {_WEIGHT: range(_weight_blocks(spec))})])
+    return _contexts(spec, zip(*draws[_WEIGHT]))[0]
 
 
-def _raw_weight(spec: GenSpec, rng: np.random.Generator | None) -> np.ndarray:
-    """The weight drawn from its stream ``rng``, before normalization."""
+def _raw_weight(spec: GenSpec, draw) -> np.ndarray:
+    """A trial's weight from its stream's uniform pairs and normals ``draw``, unnormalized."""
+    u, z = draw
     n = spec.dim
     if spec.a_kind == "identity":
-        return np.eye(n, dtype=np.complex128)  # draws nothing: no stream
+        return np.eye(n, dtype=np.complex128)  # draws nothing
     if spec.a_kind == "diagonal":
-        return np.diag(rng.uniform(0.5, 2.0, n)).astype(np.complex128)
-    g = _cgauss(rng, n, n)
+        return np.diag(_uniform(u.ravel()[:n], 0.5, 2.0)).astype(np.complex128)
+    g = z[: n * n].reshape(n, n)
     if spec.a_kind == "dense_psd":
         return g @ g.conj().T / n + 1e-6 * spec.scale * np.eye(n)
     k = spec.effective_rank
     d = np.zeros(n)
-    d[:k] = rng.uniform(0.5, 2.0, k)
+    d[:k] = _uniform(u[n * n :].ravel()[:k], 0.5, 2.0)
     return g.conj().T @ np.diag(d) @ g
 
 
-def _contexts(spec: GenSpec, rngs) -> list[SemiInnerContext]:
-    """Contexts of the weights drawn from ``rngs``, in one SVD and one eigensolve.
+def _contexts(spec: GenSpec, draws) -> list[SemiInnerContext]:
+    """Contexts of the weights drawn from ``draws``, in one SVD and one eigensolve.
 
-    Each stream is drawn from before the next is taken, so ``rngs`` may load
-    them in turn into one generator; an identity weight, which draws
-    nothing, has ``None``.  Dense weights are scaled to unit spectral norm.
+    Dense weights are scaled to unit spectral norm.
     """
-    stack = np.array([_raw_weight(spec, rng) for rng in rngs])
+    stack = np.array([_raw_weight(spec, draw) for draw in draws])
     if spec.a_kind in ("dense_psd", "rank_deficient"):
         norms = np.linalg.svd(stack, compute_uv=False)[:, :1, None]
         stack /= np.maximum(norms, 1e-300)
@@ -333,99 +354,134 @@ def gen_operator(ctx: SemiInnerContext, spec: GenSpec) -> np.ndarray:
     polynomial in the weight of degree at most ``dim - 1``.  The
     weight-selfadjoint and weight-positive kinds pull a (PSD) Hermitian
     form on the range back through the pseudoinverse, plus an
-    independent block acting inside the kernel.
+    independent block acting inside the kernel.  The draws are trial 0's
+    operand-0 stream under the id word ``_LONE``.
     """
-    ss = np.random.SeedSequence(spec.seed, spawn_key=(_OPERATOR,))
-    return _operator(ctx, spec, spec.t_kind, np.random.default_rng(ss))
+    spans = {_OPERAND: range(_operand_blocks("T", spec.t_kind, spec.dim))}
+    ((_, z),) = _blocks(_key(spec.seed), [(_LONE, [0], spans)])[0].values()
+    return _operators([ctx], spec, spec.t_kind, z)[0]
 
 
-def _operator(ctx: SemiInnerContext, spec: GenSpec, t_kind: str, rng) -> np.ndarray:
-    """An operator of class ``t_kind`` drawn from its stream ``rng``."""
-    n = ctx.dim
-    proj = ctx.range_proj
-    comp = np.eye(n) - proj
-    if t_kind == "dense":
-        g = spec.scale * _cgauss(rng, n, n)
-        return g - proj @ g @ comp
+def _operators(ctxs, spec: GenSpec, t_kind: str, z) -> np.ndarray:
+    """Operators of class ``t_kind``, one per weight, from each trial's normals ``z``."""
+    k, n = len(ctxs), spec.dim
     if t_kind == "a_commuting":
-        deg = min(max(n - 1, 0), 3)
-        coeffs = rng.standard_normal(deg + 1)
-        base = ctx.a / max(spectral_norm(ctx.a), 1e-300)
-        acc = np.zeros((n, n), dtype=np.complex128)
-        for c in coeffs[::-1]:
-            acc = acc @ base + c * np.eye(n)
+        a = np.array([ctx.a for ctx in ctxs])
+        base = a / np.maximum(spectral_norm(a), 1e-300)[:, None, None]
+        acc = np.zeros((k, n, n), dtype=np.complex128)
+        for c in (_SQRT2 * z.real).T[::-1]:  # real normals, highest degree first
+            acc = acc @ base + c[:, None, None] * np.eye(n)
         return spec.scale * acc
-    g = _cgauss(rng, n, n)
+    proj = np.array([ctx.range_proj for ctx in ctxs])
+    comp = np.eye(n) - proj
+    g = z[:, : n * n].reshape(k, n, n)
+    if t_kind == "dense":
+        g = spec.scale * g
+        return g - proj @ g @ comp
     if t_kind == "a_selfadjoint":
-        h = 0.5 * (g + g.conj().T)
+        h = 0.5 * (g + g.conj().swapaxes(-1, -2))
     else:  # a_positive
-        h = g @ g.conj().T / n
-    core = ctx.a_pinv @ (proj @ h @ proj)
-    kern = comp @ _cgauss(rng, n, n) @ comp
+        h = g @ g.conj().swapaxes(-1, -2) / n
+    core = np.array([ctx.a_pinv for ctx in ctxs]) @ (proj @ h @ proj)
+    kern = comp @ z[:, n * n :].reshape(k, n, n) @ comp
     return spec.scale * (core + 0.5 * kern)
 
 
-def _gen_vector(ctx: SemiInnerContext, rng: np.random.Generator, unit: bool = False):
-    for _ in range(256):
-        v = _cgauss(rng, ctx.dim)
-        if not unit:
-            return v
-        # ||v||_A as vec_seminorm computes it, on the validated weight
-        norm = float(np.sqrt(max(np.vdot(v, ctx.a @ v).real, 0.0)))
-        if norm > 1e-8:
-            return v / norm
+def _unit_vectors(ctxs, z, key, crc: int, ks, label: int) -> np.ndarray:
+    """The rows of ``z`` scaled to unit seminorm under each trial's weight.
+
+    A row whose seminorm is at most 1e-8 is first redrawn from the next
+    blocks of its stream ``label``, up to 256 tries in all.
+    """
+    a = np.array([ctx.a for ctx in ctxs])
+    v, n = z.copy(), z.shape[1]
+    for attempt in range(1, 257):
+        form = (v.conj()[:, None, :] @ (a @ v[:, :, None]))[:, 0, 0]
+        norms = np.sqrt(np.maximum(form.real, 0.0))
+        low = np.flatnonzero(norms <= 1e-8)
+        if not len(low):
+            return v / norms[:, None]
+        if attempt < 256:
+            spans = {label: range(attempt * n, (attempt + 1) * n)}
+            v[low] = _blocks(key, [(crc, [ks[i] for i in low], spans)])[0][label][1]
     raise DomainViolation("could not draw a unit vector for this weight")
 
 
-_R_CHOICES = (1.0, 1.25, 1.5, 2.0)
+_R_CHOICES = np.array([1.0, 1.25, 1.5, 2.0])
 
 
-def _uniform(u: float, low: float, high: float) -> float:
-    # Generator.uniform's map of one rng.random() draw
-    return low + (high - low) * u
+def _draw_params(u, iid: str) -> list[BoundParams]:
+    """Each trial's parameters from the first seven uniforms of its stream.
 
-
-def _draw_params(rng: np.random.Generator, iid: str) -> BoundParams:
-    # the uniform and choice draws of one trial, in order, from three calls
-    u_alpha, u_phase, u_beta = rng.random(3).tolist()
-    r = _R_CHOICES[int(rng.integers(0, 4))]
-    u_mu, u_lam, u_p = rng.random(3).tolist()
-    alpha = _uniform(u_alpha, 0.6, 3.0) * np.exp(1j * _uniform(u_phase, 0.0, 2.0 * np.pi))
-    p = _uniform(u_p, 1.3, 4.0)
-    if iid == "thm_2_16":
-        q = p / (p - 1.0)
-        r = max(r, 2.0 / p, 2.0 / q)
-    return BoundParams(
-        alpha=alpha,
-        beta=_uniform(u_beta, 0.0, 4.0),
-        r=r,
-        mu=_uniform(u_mu, 0.0, 1.0),
-        lam=_uniform(u_lam, 0.05, 0.95),
-        p=p,
-    )
-
-
-def _draw_operands(ctx, spec: GenSpec, entry, iid: str, rng, op_rngs):
-    """The id's operands in registry order, each drawn by its kind of name.
-
-    Operators draw from the streams of ``op_rngs`` in turn, everything else
-    from the trial's own stream ``rng``.
+    They give ``|alpha|`` on [0.6, 3), its phase on [0, 2 pi), ``beta`` on
+    [0, 4), ``r`` among 1, 1.25, 1.5 and 2, ``mu`` on [0, 1), ``lam`` on
+    [0.05, 0.95) and ``p`` on [1.3, 4); ``thm_2_16`` raises ``r`` to at
+    least ``2/p`` and ``2/q``.
     """
-    t_kind = _T_KIND_OVERRIDES.get(iid, spec.t_kind)
-    operands: dict = {}
-    for name in entry.operands:
+    u = u.reshape(len(u), -1).T
+    p = _uniform(u[6], 1.3, 4.0)
+    r = _R_CHOICES[(4.0 * u[3]).astype(np.intp)]
+    if iid == "thm_2_16":
+        r = np.maximum(r, np.maximum(2.0 / p, 2.0 / (p / (p - 1.0))))
+    columns = (
+        _uniform(u[0], 0.6, 3.0) * _turn(u[1]),
+        _uniform(u[2], 0.0, 4.0),
+        r,
+        u[4],
+        _uniform(u[5], 0.05, 0.95),
+        p,
+    )
+    fields = ("alpha", "beta", "r", "mu", "lam", "p")
+    return [BoundParams(**dict(zip(fields, row))) for row in zip(*(c.tolist() for c in columns))]
+
+
+def _draw(gen: GenSpec, ids, ks, params, randomize_params) -> list[list]:
+    """Weight, operands and parameters of each trial in ``ks`` of each id, from one pass."""
+    key, plans = _key(gen.seed), []
+    for iid in ids:
+        t_kind = _T_KIND_OVERRIDES.get(iid, gen.t_kind)
+        spans = {_WEIGHT: _weight_blocks(gen), _PARAMS: 4 if randomize_params else 0}
+        for label, name in enumerate(registry_entry(iid).operands, _OPERAND):
+            spans[label] = _operand_blocks(name, t_kind, gen.dim)
+        plans.append((_crc(iid), ks, {label: range(b) for label, b in spans.items()}))
+    return [
+        _build(gen, iid, key, crc, ks, draws, params, randomize_params)
+        for iid, (crc, _, _), draws in zip(ids, plans, _blocks(key, plans))
+    ]
+
+
+def _draw_chunk(gen: GenSpec, iid: str, ks, params, randomize_params) -> list:
+    """Weight, operands and parameters of each trial in ``ks`` of ``iid``."""
+    return _draw(gen, [iid], ks, params, randomize_params)[0]
+
+
+def _build(gen: GenSpec, iid: str, key, crc: int, ks, draws, params, randomize_params) -> list:
+    """The trials of ``iid`` from their blocks ``draws``, each operand built for all at once."""
+    entry, k = registry_entry(iid), len(ks)
+    t_kind = _T_KIND_OVERRIDES.get(iid, gen.t_kind)
+    ctxs = _contexts(gen, zip(*draws[_WEIGHT]))
+    operands = {}
+    for label, name in enumerate(entry.operands, _OPERAND):
+        u, z = draws[label]
         if name[0].isupper():
-            operands[name] = _operator(ctx, spec, t_kind, next(op_rngs))
+            operands[name] = _operators(ctxs, gen, t_kind, z)
         elif name == "values":
-            count = 2 if iid == "jensen" else int(rng.integers(1, 6))
-            operands[name] = [float(v) for v in rng.uniform(0.05, 10.0, count)]
+            slots = u.reshape(k, -1)
+            count = [2] * k if iid == "jensen" else (1 + (5.0 * slots[:, 0]).astype(int)).tolist()
+            vals = _uniform(slots[:, 1:6], 0.05, 10.0).tolist()
+            operands[name] = [row[:c] for row, c in zip(vals, count)]
         elif name == "r":
-            operands[name] = float(rng.uniform(0.0, 2.5))
+            operands[name] = _uniform(u[:, 0, 0], 0.0, 2.5).tolist()
         elif name == "e" or iid == "holder_mccarthy":
-            operands[name] = _gen_vector(ctx, rng, unit=True)
+            operands[name] = _unit_vectors(ctxs, z, key, crc, ks, label)
         else:
-            operands[name] = spec.scale * _gen_vector(ctx, rng)
-    return operands
+            operands[name] = gen.scale * z
+    if randomize_params:
+        trial_params = _draw_params(draws[_PARAMS][0], iid)
+    else:
+        trial_params = [params or BoundParams()] * k
+    rows = zip(ctxs, trial_params, *map(list, operands.values()))
+    return [(ctx, dict(zip(operands, ops)), prm) for ctx, prm, *ops in rows]
 
 
 def _serialize_operand(name: str, value) -> object:
@@ -453,80 +509,6 @@ def _serialize_case(iid, trial, spec, ctx, operands, params, rep) -> dict:
 
 def _crc(iid: str) -> int:
     return zlib.crc32(iid.encode("utf-8")) & 0x7FFFFFFF
-
-
-def _words_and_own(pool: _Pool) -> list:
-    """A trial's eight words, then its own stream's: the two share a pool."""
-    words = pool.generate(8)
-    pool.absorb(_TRIAL)
-    return words + pool.generate(8)
-
-
-class _Streams:
-    """The streams of the trials ``ks`` of each of ``ids``, seeded in two hash passes.
-
-    The first pass gives each trial's words and its own stream, which share
-    their pool up to the trial index; an id's CRC is a word all keys share
-    when there is one id, else a word per key.  The second gives the weight
-    and operand streams those words seed, each key with its label as a
-    word.  The states are loaded into three generators (weight, trial,
-    operand), whose own seeds are never drawn from, as draws begin.
-    """
-
-    def __init__(self, gen: GenSpec, ids, ks):
-        self.gen = gen
-        self._weight_rng, self._trial_rng, self._operand_rng = (
-            np.random.Generator(np.random.PCG64(0)) for _ in range(3)
-        )
-        ids, ks = list(dict.fromkeys(ids)), list(ks)
-        # word 0 seeds the weight (the identity draws nothing), word i operand i - 1
-        first = [] if gen.a_kind == "identity" else [0]
-        cols = {}
-        for iid in ids:
-            names = registry_entry(iid).operands
-            cols[iid] = first + [i for i, name in enumerate(names, 1) if name[0].isupper()]
-        n = len(ks)  # the m-th id's trials are keys m n to m n + n
-        trials = [(iid, k) for iid in ids for k in ks]
-        crcs = np.array([_crc(iid) for iid in ids], dtype=np.uint32)
-        crc = int(crcs[0]) if len(ids) == 1 else crcs.repeat(n)
-        keys = np.tile(np.array(ks, dtype=np.uint32), len(ids))
-        words = _hashed(_entropy(gen.seed, crc, keys), _words_and_own)
-        self.trial = dict(zip(trials, _pcg64_states(words[8:])))
-        seeds = [words[cols[i], m * n : m * n + n].T.ravel() for m, i in enumerate(ids)]
-        labels = [_OPERATOR if c else _WEIGHT for iid in ids for c in cols[iid] * n]
-        states = iter(())
-        if labels:
-            entropy = _entropy(np.concatenate(seeds), np.array(labels, dtype=np.uint32))
-            states = iter(_pcg64_states(_hashed(entropy)))
-        # per trial: its weight's state (None for the identity), then its operands'
-        pad = [None] if gen.a_kind == "identity" else []
-        self.matrices = {t: pad + [next(states) for _ in cols[t[0]]] for t in trials}
-
-    def draw(self, iid: str, ks, params, randomize_params) -> list:
-        """Weight, operands and parameters of each trial in ``ks`` of ``iid``.
-
-        The weights are factored together by :func:`_contexts`.
-        """
-        gen, entry = self.gen, registry_entry(iid)
-        weights = (self.matrices[iid, k][0] for k in ks)
-        ctxs = _contexts(
-            gen, (None if s is None else _seeded(self._weight_rng, s) for s in weights)
-        )
-        draws = []
-        for k, ctx in zip(ks, ctxs):
-            rng = _seeded(self._trial_rng, self.trial[iid, k])
-            trial_params = (
-                _draw_params(rng, iid) if randomize_params else (params or BoundParams())
-            )
-            op_rngs = (_seeded(self._operand_rng, s) for s in self.matrices[iid, k][1:])
-            operands = _draw_operands(ctx, gen, entry, iid, rng, op_rngs)
-            draws.append((ctx, operands, trial_params))
-        return draws
-
-
-def _draw_chunk(gen: GenSpec, iid: str, ks, params, randomize_params):
-    """Weight, operands and parameters of each trial in ``ks``, from its own streams."""
-    return _Streams(gen, [iid], ks).draw(iid, ks, params, randomize_params)
 
 
 def _evaluate_chunk(iid: str, draws) -> list[BoundReport | None]:
@@ -576,54 +558,65 @@ def run_campaign(
     """
     ids = [ids] if isinstance(ids, str) else list(ids)
     trials = as_integer("trials", trials, DomainViolation)
-    if trials < 1:
-        raise DomainViolation("trials must be at least 1")
-    # the trials of all ids are seeded in one block when they fit
-    pooled = len(ids) * trials <= _SEED_BLOCK
-    if pooled:
-        streams = _Streams(gen, ids, range(trials))
-    reports = []
-    for iid in ids:
-        violations = 0
-        skipped = 0
-        slack_sum = 0.0
-        counted = 0
-        min_slack = None
-        sharpest = None
-        violation_cases: list = []
-        for start in range(0, trials, MAX_BATCH):
-            ks = range(start, min(start + MAX_BATCH, trials))
-            if not pooled and start % _SEED_BLOCK == 0:
-                block = range(start, min(start + _SEED_BLOCK, trials))
-                streams = _Streams(gen, [iid], block)
-            draws = streams.draw(iid, ks, params, randomize_params)
-            for k, draw, rep in zip(ks, draws, _evaluate_chunk(iid, draws)):
-                if rep is None or not rep.hypotheses_ok:
-                    skipped += 1
-                    continue
-                counted += 1
-                slack_sum += rep.rel_slack
-                if min_slack is None or rep.rel_slack < min_slack:
-                    min_slack = rep.rel_slack
-                    sharpest = _serialize_case(iid, k, gen, *draw, rep)
-                if rep.violated:
-                    violations += 1
-                    if len(violation_cases) < _MAX_PERSISTED_VIOLATIONS:
-                        violation_cases.append(_serialize_case(iid, k, gen, *draw, rep))
-        reports.append(
-            CampaignReport(
-                inequality_id=iid,
-                trials=trials,
-                violations=violations,
-                min_rel_slack=min_slack,
-                mean_rel_slack=(slack_sum / counted) if counted else None,
-                sharpest_case=sharpest,
-                seed=gen.seed,
-                skipped=skipped,
-                violation_cases=tuple(violation_cases),
-            )
-        )
-    return reports
+    if not 1 <= trials <= 2**32:  # a trial index is one counter word
+        raise DomainViolation("trials must lie in [1, 2**32]")
+    # ids whose trials fit in one chunk share passes of up to MAX_BATCH trials
+    unique = list(dict.fromkeys(ids))
+    step = max(1, MAX_BATCH // trials)
+    reports = {}
+    for i in range(0, len(unique), step):
+        group = unique[i : i + step]
+        if trials <= MAX_BATCH:
+            pooled = _draw(gen, group, range(trials), params, randomize_params)
+            drawn = [[(range(trials), draws)] for draws in pooled]
+        else:
+            drawn = [_chunks(gen, iid, trials, params, randomize_params) for iid in group]
+        for iid, chunks in zip(group, drawn):
+            reports[iid] = _account(iid, gen, trials, chunks)
+    return [reports[iid] for iid in ids]
+
+
+def _chunks(gen: GenSpec, iid: str, trials: int, params, randomize_params):
+    """Each chunk of the trials of ``iid`` with its draws, drawn when it is reached."""
+    for start in range(0, trials, MAX_BATCH):
+        ks = range(start, min(start + MAX_BATCH, trials))
+        yield ks, _draw_chunk(gen, iid, ks, params, randomize_params)
+
+
+def _account(iid: str, gen: GenSpec, trials: int, chunks) -> CampaignReport:
+    """The campaign report of ``iid`` over its drawn chunks ``(ks, draws)``, in trial order."""
+    violations = 0
+    skipped = 0
+    slack_sum = 0.0
+    counted = 0
+    min_slack = None
+    sharpest = None
+    violation_cases: list = []
+    for ks, draws in chunks:
+        for k, draw, rep in zip(ks, draws, _evaluate_chunk(iid, draws)):
+            if rep is None or not rep.hypotheses_ok:
+                skipped += 1
+                continue
+            counted += 1
+            slack_sum += rep.rel_slack
+            if min_slack is None or rep.rel_slack < min_slack:
+                min_slack = rep.rel_slack
+                sharpest = _serialize_case(iid, k, gen, *draw, rep)
+            if rep.violated:
+                violations += 1
+                if len(violation_cases) < _MAX_PERSISTED_VIOLATIONS:
+                    violation_cases.append(_serialize_case(iid, k, gen, *draw, rep))
+    return CampaignReport(
+        inequality_id=iid,
+        trials=trials,
+        violations=violations,
+        min_rel_slack=min_slack,
+        mean_rel_slack=(slack_sum / counted) if counted else None,
+        sharpest_case=sharpest,
+        seed=gen.seed,
+        skipped=skipped,
+        violation_cases=tuple(violation_cases),
+    )
 
 
 def campaign_to_obj(rep: CampaignReport) -> dict:

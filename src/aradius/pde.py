@@ -150,8 +150,9 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     The right-hand sides are drawn as one ``(samples, 2, n)`` array (each
     sample's real part, then its imaginary part), and the solves and both
     seminorms run as stacked matmuls over all samples, each bitwise what
-    one sample alone gives.  A right-hand side with ``||f||_{A_h} < 1e-12``
-    is skipped.
+    one sample alone gives.  A right-hand side with ``||f||_{A_h}`` below
+    ``1e-12`` times the square root of the weight's largest eigenvalue is
+    skipped; the floor scales with the weight, so the ratio does not.
     The sampled radius streams its draws (see
     :func:`~aradius.semihilbert.a_numerical_radius_lower`), so the memory
     floor is its one ``(10000, n)`` real buffer.
@@ -173,7 +174,7 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     parts = np.random.default_rng(seed).standard_normal((samples, 2, spec.n_points))
     f = (parts[:, 0] + 1j * parts[:, 1])[..., None]
     nf = _seminorms(ctx, f)
-    live = nf >= 1e-12
+    live = nf >= 1e-12 * np.sqrt(ctx.lam.max())
     worst = float(np.max(_seminorms(ctx, t_inv @ f[live]) / nf[live], initial=0.0))
     inter = {
         "radius_inverse": radius_inv,

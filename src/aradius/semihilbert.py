@@ -256,7 +256,9 @@ def a_numerical_radius_lower(
     and reduced in blocks of :data:`_SAMPLE_BLOCK` rows (the last may hold
     one more), continuing the same stream, so no ``(samples, dim)``
     complex array is ever made.  A sample whose ``|y|^2`` is at most
-    ``1e-24`` times the largest over all samples (or 1) is dropped.
+    ``1e-24`` times the largest over all samples, or the weight's largest
+    eigenvalue if that is larger, is dropped.  So the floor scales with
+    the weight, and ``c A`` gives the bound of ``A`` for any ``c > 0``.
     """
     if ctx.rank == 0:
         raise DegenerateContext("weight has rank zero")
@@ -278,7 +280,7 @@ def a_numerical_radius_lower(
         y = (g @ v_conj) * ctx.sqrt_lam
         norms_sq[block] = np.sum(np.abs(y) ** 2, axis=1)
         numer[block] = np.abs(np.sum(np.conj(y) * (y @ tilde_t), axis=1))
-    keep = norms_sq > 1e-24 * max(1.0, float(norms_sq.max()))
+    keep = norms_sq > 1e-24 * max(float(ctx.lam.max()), float(norms_sq.max()))
     if not np.any(keep):
         raise DegenerateContext("no sample survived seminorm normalization")
     return float(np.max(numer[keep] / norms_sq[keep]))

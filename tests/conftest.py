@@ -68,7 +68,7 @@ def radius_lower_reference(ctx, t, samples: int, seed: int):
     ty = y @ reduce(ctx, t).T
     norms_sq = np.array([np.sum(np.abs(row) ** 2) for row in y])
     numer = np.array([np.abs(np.sum(np.conj(row) * trow)) for row, trow in zip(y, ty)])
-    keep = norms_sq > 1e-24 * max(1.0, norms_sq.max())
+    keep = norms_sq > 1e-24 * max(ctx.lam.max(), norms_sq.max())
     if not keep.any():
         raise DegenerateContext("no sample survived seminorm normalization")
     return float(np.max(numer[keep] / norms_sq[keep])), int(keep.sum())

@@ -1,24 +1,32 @@
-"""Campaign reports pinned to values recorded before draws were stacked.
+"""Campaign reports pinned to recorded digests.
 
-Every trial draws its weight, parameters and operands from its own random
-streams, so how a campaign batches its draws must change no report.  The
-fixture holds, per report, a sha256 prefix of ``json.dumps`` of its
-``campaign_to_obj`` (every persisted case included): all 36 ids on dims
-2 and 4 x the four weight kinds x seeds 9000 and 4242, and the vector
-lemmas on one criterion-6 cell.
+Every trial's weight, parameters and operands are pure functions of
+``(seed, id, trial, stream, index)``, so how a campaign batches its draws
+must change no report.  The fixture holds, per report, a sha256 prefix of
+``json.dumps`` of its ``campaign_to_obj`` (every persisted case included):
+all 36 ids on dims 2 and 4 x the four weight kinds x seeds 9000 and 4242,
+and the vector lemmas on one criterion-6 cell.
 
-LAPACK results differ in their last bits between BLAS kernels, and numpy's
-bundled OpenBLAS picks its kernels by CPU.  So the fixture holds one set of
-digests per kernel family, each a full run, and the reports must match
-one set in full: ``SkylakeX`` (AVX-512 CPUs), ``Haswell`` (AVX2 CPUs;
-OpenBLAS runs its ``Zen`` kernels to the same bits), ``SandyBridge`` (AVX)
-and ``Prescott`` (SSE3).  When ``OPENBLAS_CORETYPE`` names a recorded
-family, the reports must match that family's set; otherwise the closest
-set.  A mismatch names the reports that moved against it.  To record a
-set, run this module as a script with ``OPENBLAS_CORETYPE`` naming the
-kernel family::
+Two things change the last bits of a report with the CPU.  LAPACK results
+differ between BLAS kernels, and numpy's bundled OpenBLAS picks its
+kernels by CPU.  numpy's float64 ``log``, ``exp`` and ``power`` differ
+between its SIMD dispatch levels (the draws use none of them).  So the
+fixture holds one set of digests per kernel family, each a full run
+recorded with numpy's dispatch matched to that family's CPUs:
 
-    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python3 tests/test_draw_streams.py Haswell
+- ``SkylakeX`` (AVX-512 CPUs): numpy's default dispatch;
+- ``Haswell`` (AVX2 CPUs; OpenBLAS runs its ``Zen`` kernels to the same
+  bits): ``NPY_DISABLE_CPU_FEATURES=X86_V4``;
+- ``SandyBridge`` (AVX) and ``Prescott`` (SSE3):
+  ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4"``.
+
+The reports must match one set in full.  When ``OPENBLAS_CORETYPE`` names
+a recorded family, that family's set; otherwise the closest set.  A
+mismatch names the reports that moved against it.  To record a set, run
+this module as a script with both variables set for the family::
+
+    NPY_DISABLE_CPU_FEATURES=X86_V4 OPENBLAS_CORETYPE=Haswell \
+        PYTHONPATH=src python3 tests/test_draw_streams.py Haswell
 """
 
 import hashlib
@@ -43,6 +51,13 @@ GRID_TRIALS = 2
 #: Criterion 6's rank-deficient cell, its first three chunks and a part.
 C6_CELL = GenSpec(dim=4, a_kind="rank_deficient", seed=6003)
 C6_TRIALS = 100
+#: numpy's ``NPY_DISABLE_CPU_FEATURES`` of each recorded kernel family.
+DISPATCH = {
+    "SkylakeX": "",
+    "Haswell": "X86_V4",
+    "SandyBridge": "X86_V3 X86_V4",
+    "Prescott": "X86_V3 X86_V4",
+}
 
 
 def _digest(rep) -> str:
@@ -75,10 +90,17 @@ def test_campaign_reports_match_the_recorded_digests():
     if closest not in recorded:
         closest = min(moved, key=lambda family: len(moved[family]))
     assert set(got) == set(recorded[closest])
-    assert not moved[closest], f"reports moved against {closest}: {moved[closest]}"
+    assert not moved[closest], (
+        f"reports moved against {closest} (recorded with NPY_DISABLE_CPU_FEATURES="
+        f"{DISPATCH.get(closest)!r}): {moved[closest]}"
+    )
 
 
 if __name__ == "__main__":
+    family = sys.argv[1]
+    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+    if disabled != DISPATCH[family].split():
+        sys.exit(f"record {family} with NPY_DISABLE_CPU_FEATURES={DISPATCH[family]!r}")
     sets = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
-    sets[sys.argv[1]] = _digests()
+    sets[family] = _digests()
     FIXTURE.write_text(json.dumps(sets, indent=1, sort_keys=True) + "\n", encoding="utf-8")

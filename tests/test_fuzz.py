@@ -6,8 +6,14 @@ persisted case) serialize to identical JSON across reruns, and each
 persisted case replays to its stored left/right sides.
 """
 
+import cmath
 import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,107 +189,239 @@ def test_identity_draws_are_bitwise_the_identity_context(dim):
 
 @pytest.mark.parametrize("a_kind", A_KINDS)
 def test_a_chunk_of_weights_is_bitwise_each_weight_drawn_alone(a_kind):
-    # one normalizing SVD and one eigensolve over the chunk, and each
-    # stream loaded into one reused generator just before its draws
+    # one Philox pass, one normalizing SVD and one eigensolve over the chunk
     gen = GenSpec(dim=4, a_kind=a_kind, seed=3)
-    seeds = [11, 12, 13, 14, 15, 16, 17]
-    rng = np.random.default_rng(0)
-    states = [_numpy_state(seed, 101) for seed in seeds]
-    rngs = (None if a_kind == "identity" else fuzz_mod._seeded(rng, s) for s in states)
-    for ctx, seed in zip(fuzz_mod._contexts(gen, rngs), seeds):
-        assert _same_factors(ctx, gen_context(dataclasses.replace(gen, seed=seed)))
+    key, crc = fuzz_mod._key(gen.seed), fuzz_mod._crc("kz")
+    spans = {fuzz_mod._WEIGHT: range(fuzz_mod._weight_blocks(gen))}
+    ks = [11, 12, 13, 14, 15, 16, 17]
+
+    def weights(ks, crc=crc):
+        return fuzz_mod._contexts(gen, zip(*_stream(key, crc, ks, spans)[0]))
+
+    for ctx, k in zip(weights(ks), ks):
+        assert _same_factors(ctx, weights([k])[0])
+    # a lone weight is trial 0 of the lone id word
+    assert _same_factors(gen_context(gen), weights([0], fuzz_mod._LONE)[0])
 
 
 # --------------------------------------------------------------------------
-# random streams, against numpy's own SeedSequence and default_rng
-
-_STREAM_SEEDS = (0, 9000, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
-#: spawn-key words: an id's CRC, the largest CRC, and words of 33 and 41 bits
-_KEY_WORDS = (0x1234ABCD, 2**31 - 1, 2**32, 2**40 + 7)
+# counter-based draws
 
 
-def _numpy_state(seed, *key) -> tuple[int, int]:
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-    state = rng.bit_generator.state
-    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
-    return state["state"]["state"], state["state"]["inc"]
+def _stream(key, crc, ks, spans):
+    """The blocks ``spans`` of trials ``ks`` under the id word ``crc``, in a pass of their own."""
+    return fuzz_mod._blocks(key, [(crc, ks, spans)])[0]
 
 
-def _spread_keys(n_keys):
-    """``n_keys`` trial indices from 0 to about 2**32, as one uint32 array."""
-    step = (2**32 - 5) // max(n_keys - 1, 1)
-    return (np.arange(n_keys, dtype=np.uint64) * step).astype(np.uint32)
+#: Random123's known answers for Philox4x32-10: counter, key, output.
+_PHILOX_KATS = [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    (
+        (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+        (0xA4093822, 0x299F31D0),
+        (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+    ),
+]
 
 
-@pytest.mark.parametrize("n_keys", [1, 32, 1000])
-@pytest.mark.parametrize("seed", _STREAM_SEEDS)
-def test_bulk_trial_words_and_streams_are_numpys(seed, n_keys):
-    # a block's first pass: the words and the own (999) stream of each trial
-    keys = _spread_keys(n_keys)
-    for word in _KEY_WORDS if n_keys < 1000 else _KEY_WORDS[1:3]:
-        out = fuzz_mod._hashed(fuzz_mod._entropy(seed, word, keys), fuzz_mod._words_and_own)
-        states = fuzz_mod._pcg64_states(out[8:])
-        assert out.dtype == np.uint32 and len(states) == n_keys
-        for k, got, state in zip(keys.tolist(), out[:8].T, states):
-            want = np.random.SeedSequence(seed, spawn_key=(word, k)).generate_state(8)
-            assert got.tobytes() == want.tobytes()
-            assert state == _numpy_state(seed, word, k, 999)
-
-
-@pytest.mark.parametrize("n_keys", [1, 32, 1000])
-def test_bulk_matrix_streams_are_numpys(n_keys):
-    # a block's second pass: weight (101) and operand (202) streams seeded
-    # by trial words, with the label as an array or as a shared word
-    words = _spread_keys(n_keys)[::-1].copy()
-    mixed = np.resize(np.array([101, 202, 202], dtype=np.uint32), n_keys)
-    for label in (mixed, 101, 202, 999, 2**33 + 5):
-        states = fuzz_mod._pcg64_states(fuzz_mod._hashed(fuzz_mod._entropy(words, label)))
-        labels = np.broadcast_to(label, n_keys).tolist()
-        for w, lab, state in zip(words.tolist(), labels, states):
-            assert state == _numpy_state(w, lab)
-
-
-@pytest.mark.parametrize("seed", _STREAM_SEEDS)
-def test_single_streams_are_numpys_and_draw_its_values(seed):
-    # streams of a shared seed and a one-word spawn key, hashed in one pass
-    # and loaded in turn into one generator; every load must also clear
-    # the uint32 that integers() buffers
-    labels = np.array([101, 202, 999, 2**32 - 1], dtype=np.uint32)
-    states = fuzz_mod._pcg64_states(fuzz_mod._hashed(fuzz_mod._entropy(seed, labels)))
-    rng = np.random.default_rng(0)
-    for label, state in zip(labels.tolist(), states):
-        assert state == _numpy_state(seed, label)
-        mine = fuzz_mod._seeded(rng, state)
-        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(label,)))
-        for draw in (
-            lambda g: g.integers(0, 4),
-            lambda g: g.standard_normal(3),
-            lambda g: g.random(),
-            lambda g: g.integers(1, 6),
-            lambda g: g.integers(0, 4, size=5),
-        ):
-            assert np.asarray(draw(mine)).tobytes() == np.asarray(draw(ref)).tobytes()
+@pytest.mark.parametrize("ctr,key,want", _PHILOX_KATS, ids=["zeros", "ones", "pi"])
+def test_philox_matches_the_published_known_answers(ctr, key, want):
+    assert fuzz_mod._philox(ctr, key) == want
+    # as arrays, with one word shared as an int
+    words = [np.full(3, c, dtype=np.uint64) for c in ctr[:3]] + [ctr[3]]
+    got = fuzz_mod._philox(words, key)
+    assert all(w.dtype == np.uint64 and w.tolist() == [v] * 3 for w, v in zip(got, want))
 
 
 @pytest.mark.parametrize("a_kind", ["identity", "rank_deficient"])
 def test_block_streams_follow_the_documented_derivation(a_kind):
-    # one id, whose CRC every key shares, and ids pooled with a CRC per
-    # key: operand counts of 2, 0 and 4, and an id given twice
+    # counter (index, trial, label, crc), key from the seed, uniforms
+    # (x >> 11) 2**-53 of the little-endian uint64 pairs, derived here
+    # from Python ints block by block
     gen = GenSpec(dim=3, a_kind=a_kind, seed=2**64 + 3)
-    ks = range(5, 45)
-    for ids in (["thm_2_8"], ["thm_2_8", "jensen", "kz", "thm_2_8"]):
-        streams = fuzz_mod._Streams(gen, ids, ks)
-        for iid in ids:
-            operands = registry_entry(iid).operands
-            matrices = [i for i, name in enumerate(operands) if name[0].isupper()]
-            crc = fuzz_mod._crc(iid)
-            for k in ks:
-                ss = np.random.SeedSequence(gen.seed, spawn_key=(crc, k))
-                words = ss.generate_state(8)
-                assert streams.trial[iid, k] == _numpy_state(gen.seed, crc, k, 999)
-                weight = None if a_kind == "identity" else _numpy_state(words[0], 101)
-                want = [weight] + [_numpy_state(words[i + 1], 202) for i in matrices]
-                assert streams.matrices[iid, k] == want
+    key = fuzz_mod._key(gen.seed)
+    assert key == fuzz_mod._philox((1, 0, 1, 0), (3, 0))[:2]
+    crc = fuzz_mod._crc("thm_2_8")
+    ks = range(5, 45, 7)
+    spans = {0: range(2), 4: range(3, 6)}
+    got = _stream(key, crc, ks, spans)
+    for label, blocks in spans.items():
+        u, z = got[label]
+        assert u.shape == (len(ks), len(blocks), 2) and z.shape == (len(ks), len(blocks))
+        for row, k in enumerate(ks):
+            for col, i in enumerate(blocks):
+                w0, w1, w2, w3 = fuzz_mod._philox((i, k, label, crc), key)
+                want = [((w1 << 32 | w0) >> 11) * 2.0**-53, ((w3 << 32 | w2) >> 11) * 2.0**-53]
+                assert u[row, col].tolist() == want
+    # a campaign's operands come from those streams: thm_2_8's X is operand 0
+    ((ctx, ops, _),) = fuzz_mod._draw_chunk(gen, "thm_2_8", [5], None, False)
+    ((_, z),) = _stream(key, crc, [5], {2: range(9)}).values()
+    g, proj = z[0].reshape(3, 3), ctx.range_proj
+    assert ops["X"].tobytes() == (g - proj @ g @ (np.eye(3) - proj)).tobytes()
+
+
+def test_a_pass_of_several_requests_is_bitwise_each_request_alone():
+    key = fuzz_mod._key(77)
+    requests = [
+        (fuzz_mod._crc("kz"), range(3), {0: range(5), 2: range(2, 4)}),
+        (fuzz_mod._crc("bohr"), [9], {1: range(4), 2: range(0)}),
+        (fuzz_mod._crc("kz"), [0, 40], {0: range(1)}),
+    ]
+    alone = [_stream(key, *request) for request in requests]
+    for one, want in zip(fuzz_mod._blocks(key, requests), alone):
+        assert one.keys() == want.keys()
+        for (u, z), (u2, z2) in zip(one.values(), want.values()):
+            assert u.shape == u2.shape and u.tobytes() == u2.tobytes()
+            assert z.shape == z2.shape and z.tobytes() == z2.tobytes()
+
+
+_KINDS_BY_IID = ["kz", "holder_mccarthy", "mixed_schwarz", "buz_half", "bohr", "jensen", "thm_2_16"]
+
+
+def _same_draws(one, other):
+    (ctx, ops, params), (ctx2, ops2, params2) = one, other
+    assert _same_factors(ctx, ctx2)
+    assert repr(params) == repr(params2)
+    assert ops.keys() == ops2.keys()
+    for name, value in ops.items():
+        assert type(value) is type(ops2[name])
+        if isinstance(value, np.ndarray):
+            assert value.shape == ops2[name].shape and value.tobytes() == ops2[name].tobytes()
+        else:
+            assert value == ops2[name]
+
+
+@pytest.mark.parametrize("t_kind", T_KINDS)
+@pytest.mark.parametrize("a_kind", A_KINDS)
+def test_a_chunk_draws_bitwise_what_each_trial_draws_alone(a_kind, t_kind):
+    gen = GenSpec(dim=3, a_kind=a_kind, t_kind=t_kind, seed=9000)
+    ks = range(7, 7 + 12)
+    for iid in _KINDS_BY_IID:
+        chunk = fuzz_mod._draw_chunk(gen, iid, ks, None, True)
+        for k, draw in zip(ks, chunk):
+            _same_draws(draw, fuzz_mod._draw_chunk(gen, iid, [k], None, True)[0])
+
+
+def test_a_unit_vector_redraws_from_the_next_blocks_of_its_stream():
+    gen = GenSpec(dim=3, a_kind="rank_deficient", seed=4)
+    key, crc, ks = fuzz_mod._key(gen.seed), fuzz_mod._crc("buz_half"), range(3, 8)
+    ((ctx, _, _),) = fuzz_mod._draw_chunk(gen, "buz_half", [3], None, False)
+    z = _stream(key, crc, ks, {4: range(3)})[4][1].copy()
+    z[:2] = 0.0  # the first tries of trials 3 and 4 have seminorm 0
+    got = fuzz_mod._unit_vectors([ctx] * 5, z, key, crc, ks, 4)
+    # the second try takes blocks 3 to 5 of the same stream
+    again = _stream(key, crc, [3, 4], {4: range(3, 6)})[4][1]
+    for v, want in zip(got, np.concatenate([again, z[2:]])):
+        norm = np.sqrt(np.vdot(want, ctx.a @ want).real)
+        assert v.tobytes() == (want / norm).tobytes()
+        assert np.vdot(v, ctx.a @ v).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_unit_vector_gives_up_after_256_tries(monkeypatch):
+    calls = []
+    real = fuzz_mod._blocks
+    monkeypatch.setattr(fuzz_mod, "_blocks", lambda *a: calls.append(a) or real(*a))
+    ctx = make_context(np.zeros((2, 2)))
+    with pytest.raises(DomainViolation, match="unit vector"):
+        fuzz_mod._unit_vectors([ctx], np.ones((1, 2), complex), (1, 2), 3, [0], 4)
+    assert len(calls) == 255
+
+
+def test_seeds_give_distinct_streams():
+    seeds = (0, 3, 2**32, 2**64 + 3, 2**130, 2**130 + 2**64)
+    keys = [fuzz_mod._key(seed) for seed in seeds]
+    assert len(set(keys)) == len(seeds)
+    assert keys[:3] == [(0, 0), (3, 0), (0, 1)]  # a seed below 2**64 is the key
+    streams = {
+        _stream(key, 7, range(4), {0: range(8)})[0][0].tobytes() for key in keys
+    }
+    assert len(streams) == len(seeds)
+
+
+def test_normals_have_standard_moments():
+    # 10**5 complex normals: E z = 0, E|z|^2 = 1, E z^2 = 0, and the real
+    # parts of variance 1/2 have fourth moment 3/4, all to about 5 sigma
+    ((u, z),) = _stream((12345, 678), 9, range(1000), {3: range(100)}).values()
+    n = z.size
+    z = z.ravel()
+    assert abs(z.mean()) < 5 / np.sqrt(n)
+    assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 5 / np.sqrt(n)
+    assert abs(np.mean(z * z)) < 5 * np.sqrt(2 / n)
+    assert abs(np.mean(z.real**4) - 0.75) < 5 * np.sqrt(6 / n)
+    assert abs(u.mean() - 0.5) < 5 * np.sqrt(1 / 12 / u.size)
+    assert 0.0 <= u.min() and u.max() < 1.0
+
+
+def test_log_and_turn_kernels_are_accurate():
+    u = np.random.default_rng(5).integers(0, 2**53, 20000) * 2.0**-53
+    x = np.concatenate([1.0 - u, [1.0, 2.0**-53, 0.5, np.sqrt(0.5)]])
+    want = np.array([math.log(v) for v in x])
+    assert np.all(np.abs(fuzz_mod._log(x) - want) <= np.spacing(np.abs(want)))
+    t = np.concatenate([u, [0.0, 0.125, 0.25, 0.5, 0.75]])
+    want = np.array([cmath.exp(2j * math.pi * v) for v in t])
+    assert np.abs(fuzz_mod._turn(t) - want).max() < 2e-15
+
+
+@pytest.mark.parametrize("seed", [12, 2**64 + 3, 2**130], ids=["12", "2^64+3", "2^130"])
+def test_gen_operator_draws_the_lone_operand_stream(seed):
+    spec = GenSpec(dim=4, a_kind="rank_deficient", t_kind="a_selfadjoint", seed=seed)
+    ctx = gen_context(spec)
+    ((_, z),) = _stream(fuzz_mod._key(seed), fuzz_mod._LONE, [0], {2: range(32)}).values()
+    want = fuzz_mod._operators([ctx], spec, spec.t_kind, z)[0]
+    assert gen_operator(ctx, spec).tobytes() == want.tobytes()
+
+
+def _params_one_by_one(u, iid):
+    """One trial's parameters from its seven uniforms, in scalar Python."""
+    alpha = (0.6 + (3.0 - 0.6) * u[0]) * complex(fuzz_mod._turn(np.array([u[1]]))[0])
+    r = (1.0, 1.25, 1.5, 2.0)[int(4.0 * u[3])]
+    p = 1.3 + (4.0 - 1.3) * u[6]
+    if iid == "thm_2_16":
+        r = max(r, 2.0 / p, 2.0 / (p / (p - 1.0)))
+    lam = 0.05 + (0.95 - 0.05) * u[5]
+    return BoundParams(alpha=alpha, beta=4.0 * u[2], r=r, mu=u[4], lam=lam, p=p)
+
+
+def test_draw_params_is_bitwise_the_one_by_one_draws():
+    for iid in ("kz", "thm_2_16"):
+        ((u, _),) = _stream((1, 2), 3, range(2000), {1: range(4)}).values()
+        got = fuzz_mod._draw_params(u, iid)
+        for row, params in zip(u.reshape(2000, 8).tolist(), got):
+            assert repr(params) == repr(_params_one_by_one(row, iid))
+
+
+def test_draws_do_not_depend_on_numpys_simd_dispatch():
+    # numpy's log, exp and power change bits with its SIMD level; the
+    # draws must not, for any weight or operator kind
+    script = f"""
+import hashlib, numpy as np
+from aradius import A_KINDS, T_KINDS, GenSpec, gen_context, gen_operator
+from aradius.fuzz import _draw_chunk
+h = hashlib.sha256()
+for a_kind in A_KINDS:
+    for t_kind in T_KINDS:
+        gen = GenSpec(dim=3, a_kind=a_kind, t_kind=t_kind, seed=2**64 + 3)
+        ctx = gen_context(gen)
+        h.update(ctx.a.tobytes() + gen_operator(ctx, gen).tobytes())
+        for iid in {_KINDS_BY_IID!r}:
+            for ctx, ops, params in _draw_chunk(gen, iid, range(40), None, True):
+                h.update(ctx.a.tobytes() + repr(params).encode())
+                for v in ops.values():
+                    h.update(np.asarray(v).tobytes())
+print(h.hexdigest())
+"""
+    src = str(Path(fuzz_mod.__file__).parents[1])
+
+    def digest(disabled):
+        env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": disabled}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        return out.stdout
+
+    assert len(digest("").strip()) == 64
+    assert digest("X86_V3 X86_V4") == digest("")
 
 
 @pytest.mark.parametrize("trials", [1, 2, 33])
@@ -302,36 +440,6 @@ def test_pooled_campaigns_are_bytewise_one_campaign_per_id(a_kind, ids, trials):
     assert json.dumps([campaign_to_obj(r) for r in pooled]) == json.dumps(
         [campaign_to_obj(r) for r in alone]
     )
-
-
-@pytest.mark.parametrize("seed", [12, 2**64 + 3, 2**130])
-def test_gen_operator_draws_from_numpys_stream(seed):
-    spec = GenSpec(dim=4, a_kind="rank_deficient", t_kind="a_selfadjoint", seed=seed)
-    ctx = gen_context(spec)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(202,)))
-    want = fuzz_mod._operator(ctx, spec, spec.t_kind, rng)
-    assert gen_operator(ctx, spec).tobytes() == want.tobytes()
-
-
-def _draw_params_one_by_one(rng, iid):
-    """The parameter draws as one ``uniform``/``integers`` call each."""
-    alpha = rng.uniform(0.6, 3.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    beta = rng.uniform(0.0, 4.0)
-    r = (1.0, 1.25, 1.5, 2.0)[int(rng.integers(0, 4))]
-    mu = rng.uniform(0.0, 1.0)
-    lam = rng.uniform(0.05, 0.95)
-    p = rng.uniform(1.3, 4.0)
-    if iid == "thm_2_16":
-        r = max(r, 2.0 / p, 2.0 / (p / (p - 1.0)))
-    return BoundParams(alpha=alpha, beta=beta, r=r, mu=mu, lam=lam, p=p)
-
-
-def test_draw_params_is_bitwise_the_one_by_one_draws():
-    for seed in range(2000):
-        for iid in ("kz", "thm_2_16"):
-            got = fuzz_mod._draw_params(np.random.default_rng(seed), iid)
-            want = _draw_params_one_by_one(np.random.default_rng(seed), iid)
-            assert repr(got) == repr(want)
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import aradius.pde as pde_mod
 from aradius import (
     DomainError,
     EllipticSpec,
@@ -212,7 +213,7 @@ def _amplification_reference(spec, samples, seed):
     for _ in range(samples):
         f = rng.standard_normal(spec.n_points) + 1j * rng.standard_normal(spec.n_points)
         nf = vec_seminorm(ctx, f)
-        if nf < 1e-12:
+        if nf < 1e-12 * np.sqrt(ctx.lam.max()):
             skipped += 1
             continue
         worst = max(worst, vec_seminorm(ctx, t_inv @ f) / nf)
@@ -233,11 +234,24 @@ def test_stability_report_is_bitwise_the_per_sample_loop(n):
     assert rep.intermediates["radius_inverse_sampled"] == sampled
 
 
-def test_stability_report_skips_right_hand_sides_of_tiny_seminorm():
-    spec = EllipticSpec(n_points=8, coeff_a=(5e-26,), coeff_c=1.0)
-    worst, skipped = _amplification_reference(spec, 100, 2)
-    assert 0 < skipped < 100
-    assert stability_report(spec, samples=100, seed=2).lhs == worst
+def test_stability_report_is_invariant_under_weight_scaling(monkeypatch):
+    # the right-hand-side floor and the sampled radius's floor scale with
+    # the weight A_h, so c A_h gives the ratio and the radius of A_h
+    spec = EllipticSpec(n_points=8)
+    base = stability_report(spec, samples=100, seed=2)
+    real = assemble_fd
+    for c in (1e-26, 1e26):
+        monkeypatch.setattr(pde_mod, "assemble_fd", lambda s, c=c: (real(s)[0], c * real(s)[1]))
+        rep = stability_report(spec, samples=100, seed=2)
+        for key in ("sampled_amplification", "radius_inverse_sampled"):
+            assert rep.intermediates[key] == pytest.approx(base.intermediates[key], rel=1e-12)
+    monkeypatch.undo()
+    # a tiny diffusion coefficient skips no right-hand side
+    for seed in (0, 2):
+        tiny = EllipticSpec(n_points=8, coeff_a=(2e-26,))
+        worst, skipped = _amplification_reference(tiny, 100, seed)
+        assert skipped == 0
+        assert stability_report(tiny, samples=100, seed=seed).lhs == worst > 0.0
 
 
 @pytest.mark.parametrize("samples", [-3, True, np.bool_(False), 2.5, "5", None])
