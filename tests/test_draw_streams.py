@@ -22,8 +22,11 @@ recorded with numpy's dispatch matched to that family's CPUs:
 
 The reports must match one set in full.  When ``OPENBLAS_CORETYPE`` names
 a recorded family, that family's set; otherwise the closest set.  A
-mismatch names the reports that moved against it.  To record a set, run
-this module as a script with both variables set for the family::
+mismatch names the reports that moved against it.  The recorder draws
+and evaluates every trial alone (chunks of one trial, one id per pass),
+while the test runs campaigns as they batch, so a match also shows that
+batching changes no report.  To record a set, run this module as a
+script with both variables set for the family::
 
     NPY_DISABLE_CPU_FEATURES=X86_V4 OPENBLAS_CORETYPE=Haswell \
         PYTHONPATH=src python3 tests/test_draw_streams.py Haswell
@@ -35,6 +38,7 @@ import os
 import sys
 from pathlib import Path
 
+import aradius.fuzz as fuzz
 from aradius import (
     A_KINDS,
     GenSpec,
@@ -101,6 +105,7 @@ if __name__ == "__main__":
     disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
     if disabled != DISPATCH[family].split():
         sys.exit(f"record {family} with NPY_DISABLE_CPU_FEATURES={DISPATCH[family]!r}")
+    fuzz.MAX_BATCH = 1
     sets = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
     sets[family] = _digests()
     FIXTURE.write_text(json.dumps(sets, indent=1, sort_keys=True) + "\n", encoding="utf-8")
