@@ -276,7 +276,10 @@ def test_a_pass_of_several_requests_is_bitwise_each_request_alone():
             assert z.shape == z2.shape and z.tobytes() == z2.tobytes()
 
 
-_KINDS_BY_IID = ["kz", "holder_mccarthy", "mixed_schwarz", "buz_half", "bohr", "jensen", "thm_2_16"]
+#: Ids that between them draw every kind of operand and the thm_2_16 parameters.
+_EVERY_OPERAND_KIND = [
+    "kz", "holder_mccarthy", "mixed_schwarz", "buz_half", "bohr", "jensen", "thm_2_16"
+]
 
 
 def _same_draws(one, other):
@@ -297,7 +300,7 @@ def _same_draws(one, other):
 def test_a_chunk_draws_bitwise_what_each_trial_draws_alone(a_kind, t_kind):
     gen = GenSpec(dim=3, a_kind=a_kind, t_kind=t_kind, seed=9000)
     ks = range(7, 7 + 12)
-    for iid in _KINDS_BY_IID:
+    for iid in _EVERY_OPERAND_KIND:
         chunk = fuzz_mod._draw_chunk(gen, iid, ks, None, True)
         for k, draw in zip(ks, chunk):
             _same_draws(draw, fuzz_mod._draw_chunk(gen, iid, [k], None, True)[0])
@@ -404,7 +407,7 @@ for a_kind in A_KINDS:
         gen = GenSpec(dim=3, a_kind=a_kind, t_kind=t_kind, seed=2**64 + 3)
         ctx = gen_context(gen)
         h.update(ctx.a.tobytes() + gen_operator(ctx, gen).tobytes())
-        for iid in {_KINDS_BY_IID!r}:
+        for iid in {_EVERY_OPERAND_KIND!r}:
             for ctx, ops, params in _draw_chunk(gen, iid, range(40), None, True):
                 h.update(ctx.a.tobytes() + repr(params).encode())
                 for v in ops.values():
