@@ -49,6 +49,36 @@ def random_context(rng: np.random.Generator, n: int, rank: int | None = None):
     return make_context(random_psd(rng, n, rank))
 
 
+_DEFAULT_RNG = np.random.default_rng
+
+
+class ShrunkStream:
+    """numpy's normal stream of ``seed`` with the values at stream positions ``where`` times ``by``.
+
+    Each ``standard_normal`` call continues the stream, so the same values
+    are shrunk whether they are drawn in one array or in pieces.
+    """
+
+    def __init__(self, seed, where, by: float):
+        self._rng = _DEFAULT_RNG(seed)
+        self._where = np.asarray(where)
+        self._by = by
+        self._pos = 0
+
+    def standard_normal(self, size):
+        out = self._rng.standard_normal(size)
+        lo, hi = self._pos, self._pos + out.size
+        hit = self._where[(self._where >= lo) & (self._where < hi)]
+        out.reshape(-1)[hit - lo] *= self._by
+        self._pos = hi
+        return out
+
+
+def shrink_stream(monkeypatch, where, by: float) -> None:
+    """Make every ``np.random.default_rng(seed)`` a :class:`ShrunkStream` for the test."""
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: ShrunkStream(seed, where, by))
+
+
 # --------------------------------------------------------------------------
 # independent oracles
 

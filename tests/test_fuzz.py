@@ -261,6 +261,57 @@ def test_block_streams_follow_the_documented_derivation(a_kind):
     assert ops["X"].tobytes() == (g - proj @ g @ (np.eye(3) - proj)).tobytes()
 
 
+_STREAM_SEEDS = (0, 9000, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
+#: id words: a CRC, the largest CRC, and the lone draws' word
+_ID_WORDS = (0x1234ABCD, 2**31 - 1, fuzz_mod._LONE)
+#: numpy's PCG64 multiplier
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _spread_keys(n_keys):
+    """``n_keys`` trial indices from 0 to about 2**32, as one uint32 array."""
+    step = (2**32 - 5) // max(n_keys - 1, 1)
+    return (np.arange(n_keys, dtype=np.uint64) * step).astype(np.uint32)
+
+
+def _numpys_uniforms(words):
+    """numpy's ``Generator.random()`` of each 64-bit word, as a stream of its own.
+
+    A PCG64 of increment 1 stepping to the state ``x`` outputs ``x``.
+    """
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    inverse = pow(_PCG64_MULT, -1, 2**128)
+    out = []
+    for x in words:
+        state = {"state": (x - 1) * inverse % 2**128, "inc": 1}
+        bits.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        out.append(gen.random())
+    return out
+
+
+@pytest.mark.parametrize("n_keys", [1, 32, 1000])
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_bulk_trial_words_and_streams_are_numpys(seed, n_keys):
+    # one pass over trials spread to 2**32: each block's words are Philox
+    # of its counter on Python ints, and its uniforms are what numpy's
+    # Generator.random() makes of those words
+    key = fuzz_mod._key(seed)
+    keys = _spread_keys(n_keys)
+    spans = {fuzz_mod._WEIGHT: range(2), fuzz_mod._OPERAND + 3: range(5, 6)}
+    for word in _ID_WORDS if n_keys < 1000 else _ID_WORDS[1:]:
+        got = _stream(key, word, keys, spans)
+        for label, blocks in spans.items():
+            u = got[label][0]
+            assert u.shape == (n_keys, len(blocks), 2)
+            words = []
+            for k in keys.tolist():
+                for i in blocks:
+                    w0, w1, w2, w3 = fuzz_mod._philox((i, k, label, word), key)
+                    words += [w1 << 32 | w0, w3 << 32 | w2]
+            assert u.ravel().tolist() == _numpys_uniforms(words)
+
+
 def test_a_pass_of_several_requests_is_bitwise_each_request_alone():
     key = fuzz_mod._key(77)
     requests = [

@@ -31,7 +31,7 @@ from aradius import (
     write_convergence_csv,
 )
 
-from conftest import cgauss, radius_lower_reference, random_context
+from conftest import cgauss, radius_lower_reference, random_context, shrink_stream
 
 CONST = EllipticSpec(n_points=9, coeff_a=(1.0,), coeff_c=0.0)
 
@@ -252,6 +252,20 @@ def test_stability_report_is_invariant_under_weight_scaling(monkeypatch):
         worst, skipped = _amplification_reference(tiny, 100, seed)
         assert skipped == 0
         assert stability_report(tiny, samples=100, seed=seed).lhs == worst > 0.0
+
+
+def test_stability_report_skips_right_hand_sides_of_tiny_seminorm(monkeypatch):
+    # right-hand sides shrunk 1e15-fold fall below 1e-12 sqrt(max eig A_h)
+    # and are skipped, at a tiny diffusion coefficient as at any
+    spec = EllipticSpec(n_points=8, coeff_a=(5e-26,), coeff_c=0.0)
+    every = stability_report(spec, samples=100, seed=2).lhs
+    n, kept = spec.n_points, (0, 17, 99)
+    shrunk = np.setdiff1d(np.arange(100), kept)
+    # sample s draws its real, then its imaginary part: stream values 2ns to 2n(s + 1)
+    shrink_stream(monkeypatch, np.add.outer(2 * n * shrunk, np.arange(2 * n)).ravel(), 1e-15)
+    worst, skipped = _amplification_reference(spec, 100, 2)
+    assert skipped == len(shrunk)
+    assert stability_report(spec, samples=100, seed=2).lhs == worst < every
 
 
 @pytest.mark.parametrize("samples", [-3, True, np.bool_(False), 2.5, "5", None])

@@ -38,6 +38,7 @@ from conftest import (
     radius_lower_reference,
     random_context,
     random_psd,
+    shrink_stream,
 )
 
 
@@ -342,6 +343,24 @@ def test_radius_lower_is_invariant_under_weight_scaling(rng):
         got = a_numerical_radius_lower(scaled, t, samples, seed=4)
         assert (got, samples) == radius_lower_reference(scaled, t, samples, 4)
         assert got == pytest.approx(value, rel=1e-12)
+
+
+def test_radius_lower_drops_samples_below_the_global_floor(rng, monkeypatch):
+    # samples shrunk 1e13-fold fall below 1e-24 times the largest |y|^2
+    # and are dropped, at a weight of 3e-25 as at any scale; of the three
+    # kept, the last is the lone last row that joins the block before it
+    dim, samples = 3, 2 * _SAMPLE_BLOCK + 100
+    ctx = make_context(3e-25 * np.eye(dim))
+    t = cgauss(rng, dim, dim)
+    every = a_numerical_radius_lower(ctx, t, samples, seed=4)
+    kept = (1, _SAMPLE_BLOCK + 1, samples - 1)
+    shrunk = np.setdiff1d(np.arange(samples), kept)
+    # the stream holds every real part, then every imaginary part
+    where = (np.add.outer(dim * shrunk, np.arange(dim)).ravel() + [[0], [samples * dim]]).ravel()
+    shrink_stream(monkeypatch, where, 1e-13)
+    value, n_kept = radius_lower_reference(ctx, t, samples, 4)
+    assert n_kept == len(kept)
+    assert a_numerical_radius_lower(ctx, t, samples, seed=4) == value < every
 
 
 @pytest.mark.parametrize("weight,match", [(np.zeros((3, 3)), "rank zero")])
