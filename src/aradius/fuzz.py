@@ -37,35 +37,38 @@ blocks (``a_selfadjoint``, ``a_positive``); ``values`` a count of 1 to 5
 normals.  A unit vector of seminorm at most 1e-8 is redrawn from the
 stream's next ``n`` blocks, up to 256 tries.
 
-Every id is drawn in chunks of at most ``MAX_BATCH`` trials, each in one
-Philox pass; ids whose trials fit in one chunk share passes.  Operands
-and parameters are built for a chunk by stacked array ops and each
-weight by :func:`_raw_weight`.  The chunk's dense weights are normalized
-by one stacked SVD, and all its weights factored by one stacked
-eigensolve (:func:`aradius.semihilbert.make_contexts`), so each trial's
-draws are bitwise what it gets alone.  Each chunk is evaluated in one batch per
-weight rank through :func:`aradius.inequalities.evaluate_bounds`, whose
-reports are bitwise each trial's own, and accounting runs in trial
-order.  So the chunks change no result.
+Passes.  Every id is drawn in chunks of at most ``MAX_BATCH`` trials,
+each in one Philox pass; ids whose trials fit in one chunk share passes.
+A chunk stays stacked (one array per field, trial axis first): one ``(k,
+n, n)`` weight array, normalized by one SVD and factored by one
+eigensolve into a context per rank, operand arrays and validated
+parameter columns.  Each rank group takes one call of the stacked core of
+:func:`aradius.inequalities.evaluate_bounds`, bitwise each trial's own,
+and :func:`_account` reads its result arrays in trial order; only a
+persisted trial gets a context, parameters and a case (:func:`_trial`).
+So the chunks change no result.
 """
 
 from __future__ import annotations
 
 import numbers
 import zlib
-from dataclasses import dataclass
-from types import MappingProxyType
+from dataclasses import astuple, dataclass
+from types import MappingProxyType, SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .inequalities import (
     MAX_BATCH,
+    VIOLATION_RTOL,
     BoundParams,
     BoundReport,
     DomainViolation,
+    _checked_columns,
+    _evaluate_stacked,
+    _trial_params,
     evaluate_bound,
-    evaluate_bounds,
     registry_entry,
 )
 from .linalg import DIM_CAP, DomainError, as_integer, spectral_norm
@@ -76,7 +79,7 @@ from .matio import (
     params_from_obj,
     params_to_obj,
 )
-from .semihilbert import SemiInnerContext, make_context, make_contexts
+from .semihilbert import SemiInnerContext, make_context, rank_contexts, stack_contexts
 
 A_KINDS = ("identity", "diagonal", "dense_psd", "rank_deficient")
 T_KINDS = ("dense", "a_commuting", "a_selfadjoint", "a_positive")
@@ -313,36 +316,38 @@ def gen_context(spec: GenSpec) -> SemiInnerContext:
     The draws are trial 0's weight stream under the id word ``_LONE``.
     """
     (draws,) = _blocks(_key(spec.seed), [(_LONE, [0], {_WEIGHT: range(_weight_blocks(spec))})])
-    return _contexts(spec, zip(*draws[_WEIGHT]))[0]
+    return _contexts(spec, *draws[_WEIGHT])[0][1].trial(0)
 
 
-def _raw_weight(spec: GenSpec, draw) -> np.ndarray:
-    """A trial's weight from its stream's uniform pairs and normals ``draw``, unnormalized."""
-    u, z = draw
-    n = spec.dim
+def _raw_weights(spec: GenSpec, u, z) -> np.ndarray:
+    """The unnormalized weights ``(k, n, n)`` of a chunk's uniform pairs ``u`` and normals ``z``."""
+    k, n, rank = len(z), spec.dim, spec.effective_rank
     if spec.a_kind == "identity":
-        return np.eye(n, dtype=np.complex128)  # draws nothing
+        return np.tile(np.eye(n, dtype=np.complex128), (k, 1, 1))  # draws nothing
     if spec.a_kind == "diagonal":
-        return np.diag(_uniform(u.ravel()[:n], 0.5, 2.0)).astype(np.complex128)
-    g = z[: n * n].reshape(n, n)
+        d = _uniform(u.reshape(k, -1)[:, :n], 0.5, 2.0)
+        return (d[:, :, None] * np.eye(n)).astype(np.complex128)
+    g = z[:, : n * n].reshape(k, n, n)
     if spec.a_kind == "dense_psd":
-        return g @ g.conj().T / n + 1e-6 * spec.scale * np.eye(n)
-    k = spec.effective_rank
-    d = np.zeros(n)
-    d[:k] = _uniform(u[n * n :].ravel()[:k], 0.5, 2.0)
-    return g.conj().T @ np.diag(d) @ g
+        return g @ g.conj().swapaxes(-1, -2) / n + 1e-6 * spec.scale * np.eye(n)
+    d = np.zeros((k, n))
+    d[:, :rank] = _uniform(u[:, n * n :].reshape(k, -1)[:, :rank], 0.5, 2.0)
+    return g.conj().swapaxes(-1, -2) @ (d[:, :, None] * np.eye(n)) @ g
 
 
-def _contexts(spec: GenSpec, draws) -> list[SemiInnerContext]:
-    """Contexts of the weights drawn from ``draws``, in one SVD and one eigensolve.
-
-    Dense weights are scaled to unit spectral norm.
-    """
-    stack = np.array([_raw_weight(spec, draw) for draw in draws])
+def _contexts(spec: GenSpec, u, z) -> list:
+    """The rank groups (:func:`rank_contexts`) of a chunk's weights, dense ones of unit norm."""
+    stack = _raw_weights(spec, u, z)
     if spec.a_kind in ("dense_psd", "rank_deficient"):
         norms = np.linalg.svd(stack, compute_uv=False)[:, :1, None]
         stack /= np.maximum(norms, 1e-300)
-    return make_contexts(stack)
+    return rank_contexts(stack)
+
+
+def _per_trial(groups, name: str) -> np.ndarray:
+    """Context field ``name`` of every trial of the rank groups ``groups``, in trial order."""
+    order = np.argsort(np.concatenate([idx for idx, _ in groups]))
+    return np.concatenate([getattr(ctx, name) for _, ctx in groups])[order]
 
 
 def gen_operator(ctx: SemiInnerContext, spec: GenSpec) -> np.ndarray:
@@ -359,20 +364,20 @@ def gen_operator(ctx: SemiInnerContext, spec: GenSpec) -> np.ndarray:
     """
     spans = {_OPERAND: range(_operand_blocks("T", spec.t_kind, spec.dim))}
     ((_, z),) = _blocks(_key(spec.seed), [(_LONE, [0], spans)])[0].values()
-    return _operators([ctx], spec, spec.t_kind, z)[0]
+    return _operators([([0], stack_contexts([ctx]))], spec, spec.t_kind, z)[0]
 
 
-def _operators(ctxs, spec: GenSpec, t_kind: str, z) -> np.ndarray:
-    """Operators of class ``t_kind``, one per weight, from each trial's normals ``z``."""
-    k, n = len(ctxs), spec.dim
+def _operators(groups, spec: GenSpec, t_kind: str, z) -> np.ndarray:
+    """Operators of class ``t_kind``, one per trial of ``groups``, from its normals ``z``."""
+    k, n = len(z), spec.dim
     if t_kind == "a_commuting":
-        a = np.array([ctx.a for ctx in ctxs])
+        a = _per_trial(groups, "a")
         base = a / np.maximum(spectral_norm(a), 1e-300)[:, None, None]
         acc = np.zeros((k, n, n), dtype=np.complex128)
         for c in (_SQRT2 * z.real).T[::-1]:  # real normals, highest degree first
             acc = acc @ base + c[:, None, None] * np.eye(n)
         return spec.scale * acc
-    proj = np.array([ctx.range_proj for ctx in ctxs])
+    proj = _per_trial(groups, "range_proj")
     comp = np.eye(n) - proj
     g = z[:, : n * n].reshape(k, n, n)
     if t_kind == "dense":
@@ -382,18 +387,17 @@ def _operators(ctxs, spec: GenSpec, t_kind: str, z) -> np.ndarray:
         h = 0.5 * (g + g.conj().swapaxes(-1, -2))
     else:  # a_positive
         h = g @ g.conj().swapaxes(-1, -2) / n
-    core = np.array([ctx.a_pinv for ctx in ctxs]) @ (proj @ h @ proj)
+    core = _per_trial(groups, "a_pinv") @ (proj @ h @ proj)
     kern = comp @ z[:, n * n :].reshape(k, n, n) @ comp
     return spec.scale * (core + 0.5 * kern)
 
 
-def _unit_vectors(ctxs, z, key, crc: int, ks, label: int) -> np.ndarray:
-    """The rows of ``z`` scaled to unit seminorm under each trial's weight.
+def _unit_vectors(a, z, key, crc: int, ks, label: int) -> np.ndarray:
+    """The rows of ``z`` scaled to unit seminorm, row ``i`` under the weight ``a[i]``.
 
     A row whose seminorm is at most 1e-8 is first redrawn from the next
     blocks of its stream ``label``, up to 256 tries in all.
     """
-    a = np.array([ctx.a for ctx in ctxs])
     v, n = z.copy(), z.shape[1]
     for attempt in range(1, 257):
         form = (v.conj()[:, None, :] @ (a @ v[:, :, None]))[:, 0, 0]
@@ -410,33 +414,25 @@ def _unit_vectors(ctxs, z, key, crc: int, ks, label: int) -> np.ndarray:
 _R_CHOICES = np.array([1.0, 1.25, 1.5, 2.0])
 
 
-def _draw_params(u, iid: str) -> list[BoundParams]:
-    """Each trial's parameters from the first seven uniforms of its stream.
+def _draw_params(u, iid: str) -> SimpleNamespace:
+    """The parameter columns of the trials, from the first seven uniforms of each stream.
 
     They give ``|alpha|`` on [0.6, 3), its phase on [0, 2 pi), ``beta`` on
     [0, 4), ``r`` among 1, 1.25, 1.5 and 2, ``mu`` on [0, 1), ``lam`` on
     [0.05, 0.95) and ``p`` on [1.3, 4); ``thm_2_16`` raises ``r`` to at
     least ``2/p`` and ``2/q``.
     """
-    u = u.reshape(len(u), -1).T
+    u = u.reshape(len(u), -1).T.copy()
     p = _uniform(u[6], 1.3, 4.0)
     r = _R_CHOICES[(4.0 * u[3]).astype(np.intp)]
     if iid == "thm_2_16":
         r = np.maximum(r, np.maximum(2.0 / p, 2.0 / (p / (p - 1.0))))
-    columns = (
-        _uniform(u[0], 0.6, 3.0) * _turn(u[1]),
-        _uniform(u[2], 0.0, 4.0),
-        r,
-        u[4],
-        _uniform(u[5], 0.05, 0.95),
-        p,
-    )
-    fields = ("alpha", "beta", "r", "mu", "lam", "p")
-    return [BoundParams(**dict(zip(fields, row))) for row in zip(*(c.tolist() for c in columns))]
+    alpha, lam = _uniform(u[0], 0.6, 3.0) * _turn(u[1]), _uniform(u[5], 0.05, 0.95)
+    return _checked_columns(alpha, _uniform(u[2], 0.0, 4.0), r, u[4], lam, p)
 
 
-def _draw(gen: GenSpec, ids, ks, params, randomize_params) -> list[list]:
-    """Weight, operands and parameters of each trial in ``ks`` of each id, from one pass."""
+def _draw(gen: GenSpec, ids, ks, params, randomize_params) -> list[tuple]:
+    """The chunk (:func:`_build`) of the trials ``ks`` of each id, from one pass."""
     key, plans = _key(gen.seed), []
     for iid in ids:
         t_kind = _T_KIND_OVERRIDES.get(iid, gen.t_kind)
@@ -450,60 +446,60 @@ def _draw(gen: GenSpec, ids, ks, params, randomize_params) -> list[list]:
     ]
 
 
-def _draw_chunk(gen: GenSpec, iid: str, ks, params, randomize_params) -> list:
-    """Weight, operands and parameters of each trial in ``ks`` of ``iid``."""
-    return _draw(gen, [iid], ks, params, randomize_params)[0]
-
-
-def _build(gen: GenSpec, iid: str, key, crc: int, ks, draws, params, randomize_params) -> list:
-    """The trials of ``iid`` from their blocks ``draws``, each operand built for all at once."""
+def _build(gen: GenSpec, iid: str, key, crc: int, ks, draws, params, randomize_params):
+    """The chunk ``(rank groups, operands, parameter columns)`` of ``ks``, value lists padded."""
     entry, k = registry_entry(iid), len(ks)
     t_kind = _T_KIND_OVERRIDES.get(iid, gen.t_kind)
-    ctxs = _contexts(gen, zip(*draws[_WEIGHT]))
-    operands = {}
+    groups = _contexts(gen, *draws[_WEIGHT])
+    ops = {}
     for label, name in enumerate(entry.operands, _OPERAND):
         u, z = draws[label]
         if name[0].isupper():
-            operands[name] = _operators(ctxs, gen, t_kind, z)
+            ops[name] = _operators(groups, gen, t_kind, z)
         elif name == "values":
             slots = u.reshape(k, -1)
-            count = [2] * k if iid == "jensen" else (1 + (5.0 * slots[:, 0]).astype(int)).tolist()
-            vals = _uniform(slots[:, 1:6], 0.05, 10.0).tolist()
-            operands[name] = [row[:c] for row, c in zip(vals, count)]
+            count = np.full(k, 2) if iid == "jensen" else 1 + (5.0 * slots[:, 0]).astype(int)
+            vals = np.where(np.arange(5) < count[:, None], _uniform(slots[:, 1:6], 0.05, 10.0), 0.0)
+            ops[name] = np.ascontiguousarray(vals[:, : count.max()])
         elif name == "r":
-            operands[name] = _uniform(u[:, 0, 0], 0.0, 2.5).tolist()
+            ops[name] = _uniform(u[:, 0, 0], 0.0, 2.5)
         elif name == "e" or iid == "holder_mccarthy":
-            operands[name] = _unit_vectors(ctxs, z, key, crc, ks, label)
+            ops[name] = _unit_vectors(_per_trial(groups, "a"), z, key, crc, ks, label)
         else:
-            operands[name] = gen.scale * z
+            ops[name] = gen.scale * z
     if randomize_params:
-        trial_params = _draw_params(draws[_PARAMS][0], iid)
-    else:
-        trial_params = [params or BoundParams()] * k
-    rows = zip(ctxs, trial_params, *map(list, operands.values()))
-    return [(ctx, dict(zip(operands, ops)), prm) for ctx, prm, *ops in rows]
+        return groups, ops, _draw_params(draws[_PARAMS][0], iid)
+    return groups, ops, _checked_columns(*(np.full(k, v) for v in astuple(params or BoundParams())))
 
 
-def _serialize_operand(name: str, value) -> object:
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return matrix_to_obj(name, value)
+#: A trial's ``r`` is a float and its ``values`` a list, the padding dropped.
+_ROW = {"r": float, "values": lambda row: row[row > 0.0].tolist()}
 
 
-def _serialize_case(iid, trial, spec, ctx, operands, params, rep) -> dict:
+def _trial(chunk, i: int):
+    """Trial ``i`` of a drawn chunk as ``(context, operands, params)``, as cases persist it."""
+    groups, operands, cols = chunk
+    idx, ctx = next(group for group in groups if i in group[0])
+    ops = {name: _ROW.get(name, lambda row: row)(value[i]) for name, value in operands.items()}
+    return ctx.trial(idx.index(i)), ops, _trial_params(cols, i)
+
+
+def _case(iid: str, trial: int, gen: GenSpec, chunk, i: int, sides) -> dict:
+    """The case of trial ``i`` of ``chunk`` (number ``trial``), its sides read from ``sides``."""
+    ctx, ops, params = _trial(chunk, i)
+    lhs, rhs, rel_slack = sides[:3, i].tolist()
+    ops = {k: v if isinstance(v, (float, list)) else matrix_to_obj(k, v) for k, v in ops.items()}
     return {
         "inequality_id": iid,
         "trial": int(trial),
-        "seed": int(spec.seed),
+        "seed": int(gen.seed),
         "weight": matrix_to_obj("A", ctx.a),
-        "operands": {k: _serialize_operand(k, v) for k, v in operands.items()},
+        "operands": ops,
         "params": params_to_obj(params),
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "rel_slack": rep.rel_slack,
-        "hypotheses_ok": rep.hypotheses_ok,
+        "lhs": lhs,
+        "rhs": rhs,
+        "rel_slack": rel_slack,
+        "hypotheses_ok": True,
     }
 
 
@@ -511,32 +507,28 @@ def _crc(iid: str) -> int:
     return zlib.crc32(iid.encode("utf-8")) & 0x7FFFFFFF
 
 
-def _evaluate_chunk(iid: str, draws) -> list[BoundReport | None]:
-    """Reports of the drawn trials, in order, from one batch per weight rank.
+def _evaluate_chunk(iid: str, chunk) -> list:
+    """The core's ``(idx, result)`` per rank group, trial by trial where a group raises."""
+    groups, operands, cols = chunk
 
-    A batch that raises :class:`DomainError` is evaluated trial by trial,
-    and a trial that raises on its own gets ``None`` for its report.
-    """
-    by_rank: dict[int, list[int]] = {}
-    for i, (ctx, _, _) in enumerate(draws):
-        by_rank.setdefault(ctx.rank, []).append(i)
-    reports: list = [None] * len(draws)
-    for idx in by_rank.values():
-        ctxs, ops, prms = zip(*(draws[i] for i in idx))
+    def core(ctx, rows):  # a non-finite operand raises, as in evaluate_bounds
+        ops = {name: value[rows] for name, value in operands.items()}
+        if not all(np.isfinite(value).all() for value in ops.values()):
+            raise DomainError(f"{iid!r}: an operand is not finite")
+        picked = SimpleNamespace(**{key: value[rows] for key, value in vars(cols).items()})
+        return _evaluate_stacked(iid, ctx, ops, picked)
+
+    out = []
+    for idx, ctx in groups:
         try:
-            batch = evaluate_bounds(ctxs, iid, ops, prms)
+            out.append((idx, core(ctx, slice(None) if len(groups) == 1 else idx)))
         except DomainError:
-            batch = [_evaluate_alone(iid, *draws[i]) for i in idx]
-        for i, rep in zip(idx, batch):
-            reports[i] = rep
-    return reports
-
-
-def _evaluate_alone(iid: str, ctx, operands, params) -> BoundReport | None:
-    try:
-        return evaluate_bound(ctx, iid, operands, params)
-    except DomainError:
-        return None
+            for j, i in enumerate(idx):
+                try:
+                    out.append(([i], core(ctx.trial(slice(j, j + 1)), [i])))
+                except DomainError:
+                    out.append(([i], None))
+    return out
 
 
 def run_campaign(
@@ -568,7 +560,7 @@ def run_campaign(
         group = unique[i : i + step]
         if trials <= MAX_BATCH:
             pooled = _draw(gen, group, range(trials), params, randomize_params)
-            drawn = [[(range(trials), draws)] for draws in pooled]
+            drawn = [[(range(trials), chunk)] for chunk in pooled]
         else:
             drawn = [_chunks(gen, iid, trials, params, randomize_params) for iid in group]
         for iid, chunks in zip(group, drawn):
@@ -580,32 +572,31 @@ def _chunks(gen: GenSpec, iid: str, trials: int, params, randomize_params):
     """Each chunk of the trials of ``iid`` with its draws, drawn when it is reached."""
     for start in range(0, trials, MAX_BATCH):
         ks = range(start, min(start + MAX_BATCH, trials))
-        yield ks, _draw_chunk(gen, iid, ks, params, randomize_params)
+        yield ks, _draw(gen, [iid], ks, params, randomize_params)[0]
 
 
 def _account(iid: str, gen: GenSpec, trials: int, chunks) -> CampaignReport:
-    """The campaign report of ``iid`` over its drawn chunks ``(ks, draws)``, in trial order."""
-    violations = 0
-    skipped = 0
-    slack_sum = 0.0
-    counted = 0
-    min_slack = None
-    sharpest = None
-    violation_cases: list = []
-    for ks, draws in chunks:
-        for k, draw, rep in zip(ks, draws, _evaluate_chunk(iid, draws)):
-            if rep is None or not rep.hypotheses_ok:
-                skipped += 1
-                continue
-            counted += 1
-            slack_sum += rep.rel_slack
-            if min_slack is None or rep.rel_slack < min_slack:
-                min_slack = rep.rel_slack
-                sharpest = _serialize_case(iid, k, gen, *draw, rep)
-            if rep.violated:
-                violations += 1
-                if len(violation_cases) < _MAX_PERSISTED_VIOLATIONS:
-                    violation_cases.append(_serialize_case(iid, k, gen, *draw, rep))
+    """The campaign report of ``iid`` over its drawn chunks ``(ks, chunk)``, in trial order."""
+    violations = skipped = counted = 0
+    slack_sum, min_slack, sharpest, violation_cases = 0.0, None, None, []
+    for ks, chunk in chunks:
+        sides = np.zeros((4, len(ks)))  # lhs, rhs, rel_slack, hypotheses held
+        for idx, one in _evaluate_chunk(iid, chunk):
+            if one is not None:
+                sides[:, idx] = one[:4]
+        kept = np.flatnonzero(sides[3])
+        rel = sides[2, kept]
+        skipped += len(ks) - len(kept)
+        counted += len(kept)
+        for slack in rel.tolist():  # a running sum in trial order
+            slack_sum += slack
+        if len(kept) and (min_slack is None or rel.min() < min_slack):
+            i = kept[np.argmin(rel)]
+            min_slack, sharpest = sides[2, i].item(), _case(iid, ks[i], gen, chunk, i, sides)
+        bad = kept[rel < VIOLATION_RTOL]
+        violations += len(bad)
+        for i in bad[: _MAX_PERSISTED_VIOLATIONS - len(violation_cases)]:
+            violation_cases.append(_case(iid, ks[i], gen, chunk, i, sides))
     return CampaignReport(
         inequality_id=iid,
         trials=trials,

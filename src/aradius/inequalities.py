@@ -186,6 +186,22 @@ class ParamGrid:
     ps: tuple = (2.0,)
 
 
+def _checked_columns(alpha, beta, r, mu, lam, p) -> SimpleNamespace:
+    """Parameter columns with ``q``; a bad trial raises what its :class:`BoundParams` would."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cols = SimpleNamespace(alpha=alpha, beta=beta, r=r, mu=mu, lam=lam, p=p, q=p / (p - 1.0))
+    ok = np.isfinite([alpha, beta, r, mu, lam, p]).all(axis=0) & (alpha != 0.0) & (beta >= 0.0)
+    ok &= (r >= 1) & (mu >= 0) & (mu <= 1) & (lam >= 0) & (lam <= 1) & (p > 1) & (cols.q > 1)
+    if not ok.all():
+        _trial_params(cols, int(np.argmin(ok)))  # raises
+    return cols
+
+
+def _trial_params(cols: SimpleNamespace, i: int) -> BoundParams:
+    """Trial ``i``'s :class:`BoundParams` from parameter columns."""
+    return BoundParams(**{f.name: getattr(cols, f.name)[i].item() for f in fields(BoundParams)})
+
+
 def _report(iid, lhs, rhs, intermediates, hypotheses_ok, params) -> BoundReport:
     slack = float(rhs) - float(lhs)
     return BoundReport(
@@ -991,11 +1007,11 @@ def evaluate_bounds(
     entry names: matrix blocks for operator bounds, ``a``/``b``/``e`` for
     vector lemmas, ``values`` for scalar lemmas, ``T``/``x``/``y`` (plus
     scalar ``r``) for the pointwise lemmas.  The weights must share
-    dimension and rank; scalar lemmas accept ``None`` weights.  Every
-    matrix operand goes through one stacked reduction, kernel test and
-    SVD, and the formula runs once over the batch; each trial's report is
-    bitwise the one the batch of that trial alone gives.  A trial whose
-    left or right side overflows raises :class:`DomainViolation`.
+    dimension and rank; scalar lemmas accept ``None`` weights.  This front
+    end validates operands and parameters into arrays, runs the stacked
+    core :func:`_evaluate_stacked` (which campaigns call directly) and
+    wraps each trial's entries in a report, bitwise what the trial alone gets.
+    A trial whose left or right side overflows raises :class:`DomainViolation`.
     """
     entry = registry_entry(inequality_id)
     k = len(operands)
@@ -1015,10 +1031,35 @@ def evaluate_bounds(
         ctx = stack_contexts(list(ctxs) * max(1, len(mats)))
     dim = ctx.dim if ctx else None
     ops = {n: _gather(inequality_id, n, operands, params, dim) for n in entry.operands}
-    # ``ops`` holds the ambient operands until the reductions replace them.
+    keys = [f.name for f in fields(BoundParams)] + ["q"]
+    cols = SimpleNamespace(**{key: np.array([getattr(p, key) for p in params]) for key in keys})
+    lhs, rhs, _, hyp, inter = _evaluate_stacked(inequality_id, ctx, ops, cols)
+    lhs, rhs, hyp = lhs.tolist(), rhs.tolist(), hyp.tolist()
+    cols = {name: v.tolist() for name, v in inter.items()}
+    return [
+        _report(
+            inequality_id, lhs[i], rhs[i], {n: c[i] for n, c in cols.items()}, hyp[i], p
+        )
+        for i, p in enumerate(params)
+    ]
+
+
+def _evaluate_stacked(inequality_id: str, ctx, ops: Mapping, params: SimpleNamespace):
+    """:func:`evaluate_bounds`'s core on a stacked context, operand arrays and parameter columns.
+
+    Returns ``(lhs, rhs, rel_slack, hypotheses_ok, intermediates)``, one entry per trial each.
+    """
+    entry = registry_entry(inequality_id)
+    k = len(params.p)
+    mats = [name for name in entry.operands if name[0].isupper()]
+    vecs = [name for name in entry.operands if name in _VECTORS]
+    # ``ops``, the caller's own dict, holds the ambient operands until the
+    # reductions replace them.
     hyp, inter = entry.check(ctx, ops) if entry.check else (True, {})
     hyp = np.full(k, hyp)
     if mats:
+        if len(ctx.a) < len(mats) * k:  # one row per trial: tile it as evaluate_bounds does
+            ctx = SemiInnerContext(*(np.vstack([f] * len(mats)) for f in (ctx.a, ctx.v_r, ctx.lam)))
         stack = np.concatenate([ops[name] for name in mats])
         # Every operator display hypothesizes that its operands map ker(A)
         # into itself; under it the reduction of a product is the product
@@ -1036,23 +1077,14 @@ def evaluate_bounds(
         v = np.stack([ops[name] for name in vecs])
         red = ctx.sqrt_lam[:k] * (_adj(ctx.v_r[:k]) @ v[..., None])[..., 0]
         ops.update(zip(vecs, red if ctx.rank else np.zeros(v.shape[:2] + (1,))))
-    keys = [f.name for f in fields(BoundParams)] + ["q"]
-    per_field = {key: np.array([getattr(p, key) for p in params]) for key in keys}
     # Finite inputs can still overflow; the check below reports that.
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs, more = entry.fn(ops, SimpleNamespace(**per_field))
-    inter.update(more)
-    # every value has one entry per trial
-    lhs, rhs, hyp = lhs.tolist(), rhs.tolist(), hyp.tolist()
-    if not all(map(math.isfinite, lhs + rhs)):
+        lhs, rhs, more = entry.fn(ops, params)
+        rel_slack = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
         raise DomainViolation(f"{inequality_id!r}: lhs or rhs is not finite")
-    cols = {name: v.tolist() for name, v in inter.items()}
-    return [
-        _report(
-            inequality_id, lhs[i], rhs[i], {n: c[i] for n, c in cols.items()}, hyp[i], p
-        )
-        for i, p in enumerate(params)
-    ]
+    inter.update(more)
+    return lhs, rhs, rel_slack, hyp, inter
 
 
 def evaluate_bound(

@@ -35,13 +35,15 @@ PSD_CLAMP_RTOL = 1e-9
 
 #: Radius kernel: grid size, angle convergence threshold (an angle error e
 #: at a maximum costs at most lambda * e**2 / 2) and a cap on rounds; then
-#: the grid's spacing, angles and the phases of its solved half.
+#: the grid's spacing, angles and the phases of its solved half; then the bytes
+#: of Hermitian parts solved at once (_GRID n x n complex matrices per matrix).
 _GRID = 64
 _ANGLE_TOL = 1e-8
 _MAX_ROUNDS = 64
 _DELTA = 2.0 * math.pi / _GRID
 _THETAS = np.arange(_GRID) * _DELTA
 _GRID_PHASE = np.exp(1j * _THETAS[: _GRID // 2])[:, None, None]
+_GRID_BYTES = 32 * 2**20
 
 
 class DomainError(Exception):
@@ -278,7 +280,11 @@ def _refined_radius(mats: np.ndarray, adj: np.ndarray, nrm: np.ndarray) -> np.nd
     def apply(m_own, x):
         return (m_own @ x[:, :, None])[:, :, 0]
 
-    ends = np.linalg.eigvalsh(hermitian_part(_GRID_PHASE, mats[:, None], adj[:, None]))
+    size = max(1, _GRID_BYTES // (_GRID * 16 * mats.shape[-1] ** 2))
+    ends = np.concatenate([
+        np.linalg.eigvalsh(hermitian_part(_GRID_PHASE, mats[s, None], adj[s, None]))
+        for s in (slice(lo, lo + size) for lo in range(0, len(mats), size))
+    ])
     vals = np.concatenate([ends[:, :, -1], -ends[:, :, 0]], axis=1)
     best = np.max(vals, axis=1)
     ring = np.concatenate([vals[:, -1:], vals, vals[:, :1]], axis=1)

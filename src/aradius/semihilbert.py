@@ -18,10 +18,10 @@ left factor maps ``ker(A)`` into itself, the reduction of ``S T`` is
 matrix of the reduced blocks.  So downstream checkers work on ``r x r``
 matrices only.
 
-Trial axis: :func:`make_contexts` factors a stack of weights, one context
-each, in one eigensolve.  :func:`stack_contexts` joins contexts of one
-dimension and rank into one context whose arrays carry a leading trial
-axis, and :func:`reduce`, :func:`preserves_kernel`,
+Trial axis: :func:`rank_contexts` factors a stack of weights in one
+eigensolve, one context per rank whose arrays carry a leading trial axis
+(:meth:`SemiInnerContext.trial` gives a weight its row); :func:`stack_contexts`
+joins contexts of one rank into one; :func:`reduce`, :func:`preserves_kernel`,
 :func:`is_a_selfadjoint` and :func:`is_a_positive` accept such a context,
 or a stack ``(k, n, n)`` of operators, or both; they return one result
 per trial.  The other functions take one weight and one operator.
@@ -82,13 +82,17 @@ class SemiInnerContext:
     Derived on each access: ``rank`` (the length of ``lam``),
     ``sqrt_lam``, the pseudoinverse ``a_pinv = V_r diag(lam)^-1 V_r*`` and
     the projection ``range_proj = V_r V_r*`` onto ``ran(a)``.  A context
-    made by :func:`stack_contexts` holds the same fields with a leading
-    trial axis on every array, and its derived values carry that axis.
+    made by :func:`stack_contexts` or :func:`rank_contexts` holds the same
+    fields with a leading trial axis, which its derived values carry.
     """
 
     a: np.ndarray
     v_r: np.ndarray
     lam: np.ndarray
+
+    def trial(self, j) -> "SemiInnerContext":
+        """Trial ``j`` (an index or a slice) of a stacked context."""
+        return SemiInnerContext(a=self.a[j], v_r=self.v_r[j], lam=self.lam[j])
 
     @property
     def dim(self) -> int:
@@ -127,18 +131,17 @@ def make_context(a) -> SemiInnerContext:
     identities ``P = A pinv(A) = pinv(A) A = V_r V_r*`` and
     ``A = V_r diag(lam) V_r*`` hold to rounding.  A rank-zero weight
     keeps an ``n x 0`` factor, whose pseudoinverse and projection are
-    zero.  This is :func:`make_contexts` on a stack of one.
+    zero.  This is :func:`rank_contexts` on a stack of one.
     """
-    return _factor(as_matrix(a, square=True)[None])[0]
+    return _factor(as_matrix(a, square=True)[None])[0][1].trial(0)
 
 
-def make_contexts(a) -> list[SemiInnerContext]:
-    """Validate a stack ``(k, n, n)`` of weights and factor each, in one eigensolve.
+def rank_contexts(a) -> list[tuple[list[int], SemiInnerContext]]:
+    """Validate a stack ``(k, n, n)`` of weights and factor it, in one eigensolve.
 
-    Each weight then gets its own clamp and rank decision, so entry ``i``
-    is bitwise :func:`make_context` of weight ``i``; the contexts may
-    differ in rank.  A stack that holds a non-Hermitian or non-PSD weight
-    raises what the first such weight raises alone.
+    One stacked context per rank, ``(idx, ctx)`` in order of first weight:
+    row ``j`` of ``ctx`` is weight ``idx[j]``'s, bitwise its :func:`make_context`.
+    A non-Hermitian or non-PSD weight raises what the first such raises alone.
     """
     mats = as_stack(a, square=True)
     if mats.ndim != 3:
@@ -146,7 +149,7 @@ def make_contexts(a) -> list[SemiInnerContext]:
     return _factor(mats)
 
 
-def _factor(mats: np.ndarray) -> list[SemiInnerContext]:
+def _factor(mats: np.ndarray) -> list[tuple[list[int], SemiInnerContext]]:
     spec = hermitian_eig(mats)
     vals = spec.eigenvalues
     top = np.abs(vals).max(axis=-1)
@@ -161,21 +164,18 @@ def _factor(mats: np.ndarray) -> list[SemiInnerContext]:
     # eigen-reconstruction: symmetrizing is bitwise idempotent, so feeding
     # ``ctx.a`` back through ``make_context`` reproduces every factor
     # bit for bit (persisted cases replay exactly).
-    sym = _frozen(0.5 * (mats + mats.conj().swapaxes(-1, -2)))
+    sym = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
     n = mats.shape[-1]
     by_rank: dict[int, list[int]] = {}
     for i, rank in enumerate(ranks.tolist()):
         by_rank.setdefault(rank, []).append(i)
-    out: list = [None] * len(mats)
+    groups = []
     for rank, idx in by_rank.items():
-        # one frozen array per rank; each context holds rows of it (a
-        # stack of one rank, the usual case, is sliced rather than indexed)
+        # a stack of one rank, the usual case, is sliced rather than indexed
         rows = slice(None) if len(by_rank) == 1 else idx
-        v_r = _frozen(spec.eigenvectors[rows, :, n - rank :])
-        lam = _frozen(clamped[rows, n - rank :])
-        for j, i in enumerate(idx):
-            out[i] = SemiInnerContext(a=sym[i], v_r=v_r[j], lam=lam[j])
-    return out
+        factors = sym[rows], spec.eigenvectors[rows, :, n - rank :], clamped[rows, n - rank :]
+        groups.append((idx, SemiInnerContext(*map(_frozen, factors))))
+    return groups
 
 
 def stack_contexts(ctxs: Sequence[SemiInnerContext]) -> SemiInnerContext:

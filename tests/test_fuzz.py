@@ -7,10 +7,10 @@ persisted case replays to its stored left/right sides.
 """
 
 import cmath
-import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,11 +23,14 @@ from aradius import (
     A_KINDS,
     T_KINDS,
     BoundParams,
+    BoundReport,
     DomainError,
     DomainViolation,
     GenSpec,
+    SemiInnerContext,
     campaign_to_obj,
     evaluate_bound,
+    evaluate_bounds,
     gen_context,
     gen_operator,
     is_a_positive,
@@ -38,7 +41,9 @@ from aradius import (
     registry_ids,
     replay,
     run_campaign,
+    stack_contexts,
 )
+from aradius.inequalities import _checked_columns, _report, _trial_params
 from aradius.matio import MatrixFormatError
 
 _REPLAY_CASES = [
@@ -182,7 +187,7 @@ def _same_factors(ctx, other):
 def test_identity_draws_are_bitwise_the_identity_context(dim):
     gen = GenSpec(dim=dim, a_kind="identity", seed=7)
     eye = make_context(np.eye(dim))
-    draws = fuzz_mod._draw_chunk(gen, "buz_half", range(5), None, True)
+    draws = _draw_chunk(gen, "buz_half", range(5), None, True)
     for ctx in [gen_context(gen)] + [ctx for ctx, _, _ in draws]:
         assert _same_factors(ctx, eye)
 
@@ -196,12 +201,54 @@ def test_a_chunk_of_weights_is_bitwise_each_weight_drawn_alone(a_kind):
     ks = [11, 12, 13, 14, 15, 16, 17]
 
     def weights(ks, crc=crc):
-        return fuzz_mod._contexts(gen, zip(*_stream(key, crc, ks, spans)[0]))
+        out = [None] * len(ks)
+        for idx, ctx in fuzz_mod._contexts(gen, *_stream(key, crc, ks, spans)[0]):
+            for j, i in enumerate(idx):
+                out[i] = ctx.trial(j)
+        return out
 
     for ctx, k in zip(weights(ks), ks):
         assert _same_factors(ctx, weights([k])[0])
     # a lone weight is trial 0 of the lone id word
     assert _same_factors(gen_context(gen), weights([0], fuzz_mod._LONE)[0])
+
+
+def _raw_weight_alone(spec, u, z):
+    """One trial's unnormalized weight from its stream, as a matrix formula of its own."""
+    n = spec.dim
+    if spec.a_kind == "identity":
+        return np.eye(n, dtype=np.complex128)
+    if spec.a_kind == "diagonal":
+        return np.diag(0.5 + 1.5 * u.ravel()[:n]).astype(np.complex128)
+    g = z[: n * n].reshape(n, n)
+    if spec.a_kind == "dense_psd":
+        return g @ g.conj().T / n + 1e-6 * spec.scale * np.eye(n)
+    d = np.zeros(n)
+    d[: spec.effective_rank] = 0.5 + 1.5 * u[n * n :].ravel()[: spec.effective_rank]
+    return g.conj().T @ np.diag(d) @ g
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("a_kind", A_KINDS)
+def test_stacked_weights_are_bitwise_each_trial_built_alone(a_kind, dim):
+    # one (k, n, n) builder for the chunk; a trial alone is a chunk of one
+    # and gives the matrix formula of that trial
+    gen = GenSpec(dim=dim, a_kind=a_kind, scale=3.0, seed=dim)
+    spans = {fuzz_mod._WEIGHT: range(fuzz_mod._weight_blocks(gen))}
+    ks = range(4, 4 + fuzz_mod.MAX_BATCH)
+    u, z = _stream(fuzz_mod._key(gen.seed), fuzz_mod._crc("kz"), ks, spans)[0]
+    stack = fuzz_mod._raw_weights(gen, u, z)
+    assert stack.shape == (len(ks), dim, dim) and stack.dtype == np.complex128
+    for i in range(len(ks)):
+        alone = fuzz_mod._raw_weights(gen, u[i : i + 1], z[i : i + 1])[0]
+        formula = _raw_weight_alone(gen, u[i], z[i])
+        assert stack[i].tobytes() == alone.tobytes() == formula.tobytes()
+
+
+def _draw_chunk(gen, iid, ks, params, randomize_params):
+    """Each trial in ``ks`` of ``iid`` as ``(context, operands, params)``, viewed from its chunk."""
+    chunk = fuzz_mod._draw(gen, [iid], ks, params, randomize_params)[0]
+    return [fuzz_mod._trial(chunk, i) for i in range(len(ks))]
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +302,7 @@ def test_block_streams_follow_the_documented_derivation(a_kind):
                 want = [((w1 << 32 | w0) >> 11) * 2.0**-53, ((w3 << 32 | w2) >> 11) * 2.0**-53]
                 assert u[row, col].tolist() == want
     # a campaign's operands come from those streams: thm_2_8's X is operand 0
-    ((ctx, ops, _),) = fuzz_mod._draw_chunk(gen, "thm_2_8", [5], None, False)
+    ((ctx, ops, _),) = _draw_chunk(gen, "thm_2_8", [5], None, False)
     ((_, z),) = _stream(key, crc, [5], {2: range(9)}).values()
     g, proj = z[0].reshape(3, 3), ctx.range_proj
     assert ops["X"].tobytes() == (g - proj @ g @ (np.eye(3) - proj)).tobytes()
@@ -352,18 +399,18 @@ def test_a_chunk_draws_bitwise_what_each_trial_draws_alone(a_kind, t_kind):
     gen = GenSpec(dim=3, a_kind=a_kind, t_kind=t_kind, seed=9000)
     ks = range(7, 7 + 12)
     for iid in _EVERY_OPERAND_KIND:
-        chunk = fuzz_mod._draw_chunk(gen, iid, ks, None, True)
+        chunk = _draw_chunk(gen, iid, ks, None, True)
         for k, draw in zip(ks, chunk):
-            _same_draws(draw, fuzz_mod._draw_chunk(gen, iid, [k], None, True)[0])
+            _same_draws(draw, _draw_chunk(gen, iid, [k], None, True)[0])
 
 
 def test_a_unit_vector_redraws_from_the_next_blocks_of_its_stream():
     gen = GenSpec(dim=3, a_kind="rank_deficient", seed=4)
     key, crc, ks = fuzz_mod._key(gen.seed), fuzz_mod._crc("buz_half"), range(3, 8)
-    ((ctx, _, _),) = fuzz_mod._draw_chunk(gen, "buz_half", [3], None, False)
+    ((ctx, _, _),) = _draw_chunk(gen, "buz_half", [3], None, False)
     z = _stream(key, crc, ks, {4: range(3)})[4][1].copy()
     z[:2] = 0.0  # the first tries of trials 3 and 4 have seminorm 0
-    got = fuzz_mod._unit_vectors([ctx] * 5, z, key, crc, ks, 4)
+    got = fuzz_mod._unit_vectors(np.array([ctx.a] * 5), z, key, crc, ks, 4)
     # the second try takes blocks 3 to 5 of the same stream
     again = _stream(key, crc, [3, 4], {4: range(3, 6)})[4][1]
     for v, want in zip(got, np.concatenate([again, z[2:]])):
@@ -378,7 +425,7 @@ def test_a_unit_vector_gives_up_after_256_tries(monkeypatch):
     monkeypatch.setattr(fuzz_mod, "_blocks", lambda *a: calls.append(a) or real(*a))
     ctx = make_context(np.zeros((2, 2)))
     with pytest.raises(DomainViolation, match="unit vector"):
-        fuzz_mod._unit_vectors([ctx], np.ones((1, 2), complex), (1, 2), 3, [0], 4)
+        fuzz_mod._unit_vectors(ctx.a[None], np.ones((1, 2), complex), (1, 2), 3, [0], 4)
     assert len(calls) == 255
 
 
@@ -422,7 +469,7 @@ def test_gen_operator_draws_the_lone_operand_stream(seed):
     spec = GenSpec(dim=4, a_kind="rank_deficient", t_kind="a_selfadjoint", seed=seed)
     ctx = gen_context(spec)
     ((_, z),) = _stream(fuzz_mod._key(seed), fuzz_mod._LONE, [0], {2: range(32)}).values()
-    want = fuzz_mod._operators([ctx], spec, spec.t_kind, z)[0]
+    want = fuzz_mod._operators([([0], stack_contexts([ctx]))], spec, spec.t_kind, z)[0]
     assert gen_operator(ctx, spec).tobytes() == want.tobytes()
 
 
@@ -441,8 +488,38 @@ def test_draw_params_is_bitwise_the_one_by_one_draws():
     for iid in ("kz", "thm_2_16"):
         ((u, _),) = _stream((1, 2), 3, range(2000), {1: range(4)}).values()
         got = fuzz_mod._draw_params(u, iid)
-        for row, params in zip(u.reshape(2000, 8).tolist(), got):
-            assert repr(params) == repr(_params_one_by_one(row, iid))
+        assert sorted(vars(got)) == sorted(["alpha", "beta", "r", "mu", "lam", "p", "q"])
+        for i, row in enumerate(u.reshape(2000, 8).tolist()):
+            want = _params_one_by_one(row, iid)
+            assert repr(_trial_params(got, i)) == repr(want)
+            assert got.q[i] == want.q
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"alpha": 0j},
+        {"alpha": complex(math.inf, 0.0)},
+        {"beta": -0.5, "r": 0.5},
+        {"r": 0.99},
+        {"mu": 1.5},
+        {"lam": -0.1},
+        {"p": 1.0},
+        {"p": 1e17},  # q rounds to 1
+        {"mu": math.nan},
+    ],
+)
+def test_checked_parameter_columns_raise_what_bound_params_raises(bad):
+    # trials 2 and 4 lie outside the domain; trial 2 decides the error
+    base = {"alpha": 2.0 + 0j, "beta": 1.0, "r": 1.0, "mu": 0.5, "lam": 0.5, "p": 2.0}
+    rows = [base, base, {**base, **bad}, base, {**base, "beta": -1.0}]
+    cols = {f: np.array([row[f] for row in rows]) for f in base}
+    with pytest.raises(DomainViolation) as want:
+        BoundParams(**rows[2])
+    with pytest.raises(DomainViolation, match=re.escape(str(want.value))):
+        _checked_columns(**cols)
+    good = _checked_columns(**{f: c[:2] for f, c in cols.items()})
+    assert good.q.tolist() == [2.0, 2.0]
 
 
 def test_draws_do_not_depend_on_numpys_simd_dispatch():
@@ -451,7 +528,7 @@ def test_draws_do_not_depend_on_numpys_simd_dispatch():
     script = f"""
 import hashlib, numpy as np
 from aradius import A_KINDS, T_KINDS, GenSpec, gen_context, gen_operator
-from aradius.fuzz import _draw_chunk
+from aradius.fuzz import _draw, _trial
 h = hashlib.sha256()
 for a_kind in A_KINDS:
     for t_kind in T_KINDS:
@@ -459,7 +536,8 @@ for a_kind in A_KINDS:
         ctx = gen_context(gen)
         h.update(ctx.a.tobytes() + gen_operator(ctx, gen).tobytes())
         for iid in {_EVERY_OPERAND_KIND!r}:
-            for ctx, ops, params in _draw_chunk(gen, iid, range(40), None, True):
+            chunk = _draw(gen, [iid], range(40), None, True)[0]
+            for ctx, ops, params in (_trial(chunk, i) for i in range(40)):
                 h.update(ctx.a.tobytes() + repr(params).encode())
                 for v in ops.values():
                     h.update(np.asarray(v).tobytes())
@@ -626,18 +704,14 @@ def test_run_campaign_pointwise_lemmas_use_admissible_classes():
 
 
 def test_run_campaign_counts_violations_and_caps_persistence(monkeypatch):
-    # every id is evaluated in batches; sabotage every report
-    real = fuzz_mod.evaluate_bounds
+    # every id is evaluated by the stacked core; sabotage every trial
+    real = fuzz_mod._evaluate_stacked
 
-    def sabotage(ctxs, iid, operands, params):
-        return [
-            dataclasses.replace(
-                rep, lhs=rep.rhs + 1.0, slack=-1.0, rel_slack=-1.0, hypotheses_ok=True
-            )
-            for rep in real(ctxs, iid, operands, params)
-        ]
+    def sabotage(iid, ctx, ops, params):
+        lhs, rhs, rel_slack, hyp, inter = real(iid, ctx, ops, params)
+        return rhs + 1.0, rhs, np.full_like(rel_slack, -1.0), np.ones_like(hyp), inter
 
-    monkeypatch.setattr(fuzz_mod, "evaluate_bounds", sabotage)
+    monkeypatch.setattr(fuzz_mod, "_evaluate_stacked", sabotage)
     rep = run_campaign("thm_2_10", GenSpec(dim=2, seed=2), trials=30)[0]
     assert rep.violations == 30
     assert len(rep.violation_cases) == 25  # persistence is capped
@@ -646,21 +720,43 @@ def test_run_campaign_counts_violations_and_caps_persistence(monkeypatch):
     json.dumps(obj)  # still serializable with failures attached
 
 
-def test_run_campaign_counts_skips(monkeypatch):
-    real = fuzz_mod.evaluate_bounds
+def test_campaign_builds_per_trial_objects_only_for_persisted_cases(monkeypatch):
+    # the trials stay stacked from draw to accounting: no report, no
+    # parameter object and no context per trial, only per persisted case
+    built = {cls: 0 for cls in (BoundReport, BoundParams, SemiInnerContext)}
+    for cls in built:
+        init = cls.__init__
 
-    def advisory_on_even(ctxs, iid, operands, params):
-        reports = []
-        for rep in real(ctxs, iid, operands, params):
-            trial_is_even = advisory_on_even.calls % 2 == 0
-            advisory_on_even.calls += 1
-            if trial_is_even:
-                rep = dataclasses.replace(rep, hypotheses_ok=False)
-            reports.append(rep)
-        return reports
+        def counted(self, *args, init=init, cls=cls, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    real_case = fuzz_mod._case
+    cases = []
+    monkeypatch.setattr(fuzz_mod, "_case", lambda *a: cases.append(a) or real_case(*a))
+    gen = GenSpec(dim=4, a_kind="rank_deficient", seed=6003)
+    rep = run_campaign("buz_half", gen, 84, randomize_params=True)[0]
+    assert rep.skipped == 0 and rep.violations == 0 and rep.sharpest_case is not None
+    chunks = -(-84 // fuzz_mod.MAX_BATCH)
+    assert 1 <= len(cases) <= chunks
+    assert built[BoundReport] == 0
+    assert built[BoundParams] == len(cases)
+    # one stacked context per chunk (every weight has rank 3), one per case
+    assert built[SemiInnerContext] == chunks + len(cases)
+
+
+def test_run_campaign_counts_skips(monkeypatch):
+    real = fuzz_mod._evaluate_stacked
+
+    def advisory_on_even(iid, ctx, ops, params):
+        lhs, rhs, rel_slack, hyp, inter = real(iid, ctx, ops, params)
+        trial = advisory_on_even.calls + np.arange(len(hyp))
+        advisory_on_even.calls += len(hyp)
+        return lhs, rhs, rel_slack, hyp & (trial % 2 == 1), inter
 
     advisory_on_even.calls = 0
-    monkeypatch.setattr(fuzz_mod, "evaluate_bounds", advisory_on_even)
+    monkeypatch.setattr(fuzz_mod, "_evaluate_stacked", advisory_on_even)
     rep = run_campaign("buzano_beta", GenSpec(dim=2, seed=6), trials=10)[0]
     assert rep.skipped == 5
     assert rep.violations == 0
@@ -711,19 +807,17 @@ def test_replay_reproduces_persisted_case_exactly(iid, a_kind):
 
 def test_replay_of_violation_case(monkeypatch):
     # a sabotaged case still replays through the honest evaluator
-    real = fuzz_mod.evaluate_bounds
+    real = fuzz_mod._evaluate_stacked
 
-    def sabotage(ctxs, iid, operands, params):
-        return [
-            dataclasses.replace(rep, rel_slack=-1.0)
-            for rep in real(ctxs, iid, operands, params)
-        ]
+    def sabotage(iid, ctx, ops, params):
+        lhs, rhs, rel_slack, hyp, inter = real(iid, ctx, ops, params)
+        return lhs, rhs, np.full_like(rel_slack, -1.0), hyp, inter
 
-    monkeypatch.setattr(fuzz_mod, "evaluate_bounds", sabotage)
+    monkeypatch.setattr(fuzz_mod, "_evaluate_stacked", sabotage)
     rep = run_campaign("thm_2_10", GenSpec(dim=2, seed=13), trials=2)[0]
     assert rep.violations == 2
     case = rep.violation_cases[0]
-    monkeypatch.setattr(fuzz_mod, "evaluate_bounds", real)
+    monkeypatch.setattr(fuzz_mod, "_evaluate_stacked", real)
     back = replay(case)
     assert back.lhs == case["lhs"]
     assert back.rhs == case["rhs"]
@@ -778,18 +872,20 @@ def test_sharpest_case_operands_match_registry_shapes():
 
 def _rank_mixing_raw_weight(monkeypatch):
     """Make about every third trial's weight lose one more rank, so chunks mix ranks."""
-    real = fuzz_mod._raw_weight
+    real = fuzz_mod._raw_weights
 
-    def mixed(spec, rng):
-        a = real(spec, rng)
-        # about every third trial, picked by its drawn weight
-        if int(1e6 * abs(a[0, 0])) % 3:
-            return a
-        vals, vecs = np.linalg.eigh(a)
-        vals[-make_context(a).rank] = 0.0
-        return (vecs * vals) @ vecs.conj().T
+    def mixed(spec, u, z):
+        stack = real(spec, u, z)
+        for a in stack:
+            # about every third trial, picked by its drawn weight
+            if int(1e6 * abs(a[0, 0])) % 3:
+                continue
+            vals, vecs = np.linalg.eigh(a)
+            vals[-make_context(a).rank] = 0.0
+            a[...] = (vecs * vals) @ vecs.conj().T
+        return stack
 
-    monkeypatch.setattr(fuzz_mod, "_raw_weight", mixed)
+    monkeypatch.setattr(fuzz_mod, "_raw_weights", mixed)
 
 
 @pytest.mark.parametrize(
@@ -818,7 +914,7 @@ def test_chunked_campaign_matches_per_trial_loop(monkeypatch, iid):
     ranks = set()
     for k in range(trials):
         # each trial drawn alone, a chunk of one
-        ((ctx, ops, params),) = fuzz_mod._draw_chunk(gen, iid, [k], None, True)
+        ((ctx, ops, params),) = _draw_chunk(gen, iid, [k], None, True)
         ranks.add(ctx.rank)
         one = evaluate_bound(ctx, iid, ops, params)
         if one.hypotheses_ok:
@@ -854,13 +950,25 @@ def test_batched_reports_are_bitwise_the_single_reports(iid, dim, a_kind, seed, 
     # the batch (bohr also pads its value lists to the batch's widest)
     gen = GenSpec(dim=dim, a_kind=a_kind, seed=seed)
     ks = range(first, first + fuzz_mod.MAX_BATCH)
-    draws = fuzz_mod._draw_chunk(gen, iid, ks, None, True)
+    draws = _draw_chunk(gen, iid, ks, None, True)
     ctxs, ops, prms = zip(*draws)
-    batch = fuzz_mod.evaluate_bounds(ctxs, iid, ops, prms)
+    batch = evaluate_bounds(ctxs, iid, ops, prms)
     for (ctx, operands, params), rep in zip(draws, batch):
         one = evaluate_bound(ctx, iid, operands, params)
         assert (rep.lhs, rep.rhs) == (one.lhs, one.rhs)
         assert dict(rep.intermediates) == dict(one.intermediates)
+
+
+def _chunk_reports(iid, chunk):
+    """Each trial's report of a drawn chunk as a campaign evaluates it, ``None`` where it raised."""
+    out = [None] * len(chunk[2].p)
+    for idx, one in fuzz_mod._evaluate_chunk(iid, chunk):
+        if one is not None:
+            lhs, rhs, _, hyp, inter = one
+            for j, i in enumerate(idx):
+                row = {name: value[j] for name, value in inter.items()}
+                out[i] = _report(iid, lhs[j], rhs[j], row, hyp[j], _trial_params(chunk[2], i))
+    return out
 
 
 @pytest.mark.parametrize(
@@ -872,7 +980,7 @@ def test_campaign_skips_trials_that_overflow_and_keeps_the_rest(iid, dim, scale)
     # end the whole campaign
     gen = GenSpec(dim=dim, scale=scale)
     trials = 2 * fuzz_mod.MAX_BATCH
-    draws = fuzz_mod._draw_chunk(gen, iid, range(trials), None, True)
+    draws = _draw_chunk(gen, iid, range(trials), None, True)
     solo = []
     for ctx, ops, params in draws:
         try:
@@ -883,7 +991,8 @@ def test_campaign_skips_trials_that_overflow_and_keeps_the_rest(iid, dim, scale)
     assert raised > 0
     chunked = []
     for start in range(0, trials, fuzz_mod.MAX_BATCH):
-        chunked += fuzz_mod._evaluate_chunk(iid, draws[start : start + fuzz_mod.MAX_BATCH])
+        ks = range(start, start + fuzz_mod.MAX_BATCH)
+        chunked += _chunk_reports(iid, fuzz_mod._draw(gen, [iid], ks, None, True)[0])
     assert [repr(rep) for rep in chunked] == [repr(one) for one in solo]
     kept = [one for one in solo if one is not None and one.hypotheses_ok]
     rep = run_campaign(iid, gen, trials, randomize_params=True)[0]

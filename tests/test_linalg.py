@@ -1,5 +1,7 @@
 """Dense kernel: validation, factorizations, spectral quantities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +25,7 @@ from aradius import (
     spectral_norm,
 )
 
-from aradius.linalg import as_vectors
+from aradius.linalg import _GRID, _GRID_BYTES, as_vectors
 
 from conftest import (
     cgauss,
@@ -312,3 +314,19 @@ def test_radius_stack_is_bitwise_per_matrix(rng):
             assert w == pytest.approx(oracle_radius(m), rel=1e-12, abs=1e-300)
         norms = spectral_norm(np.stack(mats))
         assert [spectral_norm(m) for m in mats] == norms.tolist()
+
+
+def test_radius_grid_is_solved_in_slices_within_its_byte_budget(rng):
+    # 24 matrices of 64 x 64 would build 100 MiB of Hermitian parts at
+    # once; solved in slices within the budget the call stays under 48 MiB,
+    # and each radius is bitwise the one its matrix gets alone
+    mats = cgauss(rng, 24, 64, 64)
+    assert _GRID_BYTES // (_GRID * 16 * 64 * 64) < len(mats)  # the stack splits
+    tracemalloc.start()
+    try:
+        stacked = classical_numerical_radius(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _GRID_BYTES + 16 * 2**20
+    assert stacked.tolist() == [classical_numerical_radius(m) for m in mats]

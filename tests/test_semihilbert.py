@@ -19,10 +19,10 @@ from aradius import (
     is_a_positive,
     is_a_selfadjoint,
     make_context,
-    make_contexts,
     op_seminorm,
     preserves_kernel,
     psd_power,
+    rank_contexts,
     reduce,
     semi_inner,
     stack_contexts,
@@ -125,9 +125,15 @@ def _factors_one_by_one(a):
     return {"a": sym, "v_r": vecs[:, keep], "lam": clamped[keep]}
 
 
+def _per_weight(groups):
+    """Each weight's context, in stack order, from :func:`rank_contexts` groups."""
+    rows = {i: ctx.trial(j) for idx, ctx in groups for j, i in enumerate(idx)}
+    return [rows[i] for i in range(len(rows))]
+
+
 def test_stacked_contexts_are_bitwise_each_weight_alone(rng):
     weights = _mixed_rank_weights(rng)
-    stacked = make_contexts(weights)
+    stacked = _per_weight(rank_contexts(weights))
     assert [ctx.rank for ctx in stacked] == [4, 2, 4, 3, 0, 4]
     for a, ctx in zip(weights, stacked):
         alone = make_context(a)
@@ -138,7 +144,7 @@ def test_stacked_contexts_are_bitwise_each_weight_alone(rng):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
             assert not got.flags.writeable
     # any sub-stack, in any order, gives each weight the same factors
-    for ctx, again in zip(stacked[::-1], make_contexts(weights[::-1])):
+    for ctx, again in zip(stacked[::-1], _per_weight(rank_contexts(weights[::-1]))):
         assert ctx.v_r.tobytes() == again.v_r.tobytes()
 
 
@@ -155,14 +161,32 @@ def test_a_stack_with_a_bad_weight_raises_what_it_raises_alone(rng, bad, error):
     weights = _mixed_rank_weights(rng)
     weights[3] = bad
     with pytest.raises(error) as stacked:
-        make_contexts(weights)
+        rank_contexts(weights)
     assert str(stacked.value) == str(alone.value)
 
 
-def test_make_contexts_takes_a_stack_only(rng):
+def test_rank_contexts_stack_each_rank_in_one_context(rng):
+    # one stacked context per rank, in order of first weight; row j of a
+    # group is bitwise the context of weight idx[j] alone
+    weights = _mixed_rank_weights(rng)
+    groups = rank_contexts(weights)
+    assert [(idx, ctx.rank) for idx, ctx in groups] == [
+        ([0, 2, 5], 4), ([1], 2), ([3], 3), ([4], 0)
+    ]
+    for idx, ctx in groups:
+        assert ctx.a.shape == (len(idx), 4, 4) and ctx.lam.shape == (len(idx), ctx.rank)
+        assert not any(f.flags.writeable for f in (ctx.a, ctx.v_r, ctx.lam))
+        for j, i in enumerate(idx):
+            alone = make_context(weights[i])
+            for field in ("a", "v_r", "lam"):
+                got, want = getattr(ctx.trial(j), field), getattr(alone, field)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+
+
+def test_rank_contexts_takes_a_stack_only(rng):
     with pytest.raises(DimensionMismatch):
-        make_contexts(random_psd(rng, 3))
-    assert len(make_contexts(random_psd(rng, 3)[None])) == 1
+        rank_contexts(random_psd(rng, 3))
+    assert len(rank_contexts(random_psd(rng, 3)[None])) == 1
 
 
 def test_semi_inner_matches_quadratic_form(rng):
