@@ -367,8 +367,13 @@ def gen_operator(ctx: SemiInnerContext, spec: GenSpec) -> np.ndarray:
     return _operators([([0], stack_contexts([ctx]))], spec, spec.t_kind, z)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _operators(groups, spec: GenSpec, t_kind: str, z) -> np.ndarray:
-    """Operators of class ``t_kind``, one per trial of ``groups``, from its normals ``z``."""
+    """Operators of class ``t_kind``, one per trial of ``groups``, from its normals ``z``.
+
+    An extreme ``spec.scale`` can overflow an operator to non-finite
+    entries; the evaluation skips its trial.
+    """
     k, n = len(z), spec.dim
     if t_kind == "a_commuting":
         a = _per_trial(groups, "a")
@@ -466,7 +471,8 @@ def _build(gen: GenSpec, iid: str, key, crc: int, ks, draws, params, randomize_p
         elif name == "e" or iid == "holder_mccarthy":
             ops[name] = _unit_vectors(_per_trial(groups, "a"), z, key, crc, ks, label)
         else:
-            ops[name] = gen.scale * z
+            with np.errstate(over="ignore"):  # a non-finite vector's trial is skipped
+                ops[name] = gen.scale * z
     if randomize_params:
         return groups, ops, _draw_params(draws[_PARAMS][0], iid)
     return groups, ops, _checked_columns(*(np.full(k, v) for v in astuple(params or BoundParams())))

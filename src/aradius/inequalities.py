@@ -802,20 +802,25 @@ def _single_terms(ops, r):
 
 
 def _product_terms(ops, r):
-    """``S* T`` for the anti-diagonal ``T`` of ``T1, T2`` and ``S`` of ``S1, S2``."""
+    """``S* T`` for the anti-diagonal ``T`` of ``T1, T2`` and ``S`` of ``S1, S2``.
+
+    ``S* T = diag(S2~* T2~, S1~* T1~)``, and the radius of a direct sum is
+    the larger radius of its summands.
+    """
     t1, t2, s1, s2 = ops["T1"], ops["T2"], ops["S1"], ops["S2"]
-    ss, tt = _antidiag(s1.t, s2.t), _antidiag(t1.t, t2.t)
-    w_prod = classical_numerical_radius(_adj(ss) @ tt)
     n = _each(
         spectral_norm,
         t2.abs_pow(4.0 * r) + s2.abs_pow(4.0 * r),
         t1.abs_pow(4.0 * r) + s1.abs_pow(4.0 * r),
     )
-    v = _each(
+    w_2, w_1, *v = _each(
         classical_numerical_radius,
+        _adj(s2.t) @ t2.t,
+        _adj(s1.t) @ t1.t,
         s2.abs_pow(2.0) @ t2.abs_pow(2.0),
         s1.abs_pow(2.0) @ t1.abs_pow(2.0),
     )
+    w_prod = np.maximum(w_2, w_1)
     inter = {
         "power_sum_2": n[0],
         "power_sum_1": n[1],
@@ -1044,10 +1049,13 @@ def evaluate_bounds(
     ]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _evaluate_stacked(inequality_id: str, ctx, ops: Mapping, params: SimpleNamespace):
     """:func:`evaluate_bounds`'s core on a stacked context, operand arrays and parameter columns.
 
     Returns ``(lhs, rhs, rel_slack, hypotheses_ok, intermediates)``, one entry per trial each.
+    Finite operands can still overflow at extreme scales: a non-finite
+    reduction, left side or right side raises :class:`DomainViolation`.
     """
     entry = registry_entry(inequality_id)
     k = len(params.p)
@@ -1069,6 +1077,8 @@ def _evaluate_stacked(inequality_id: str, ctx, ops: Mapping, params: SimpleNames
         # A rank-zero weight reduces every operand to the empty matrix; a
         # 1x1 zero stands in for it, so every formula takes its zero value.
         reduced = reduce(ctx, stack) if ctx.rank else np.zeros((len(stack), 1, 1), complex)
+        if not np.isfinite(reduced).all():
+            raise DomainViolation(f"{inequality_id!r}: a reduced operand is not finite")
         ops.update(zip(mats, _Factors.of(reduced).split(len(mats))))
         inter = {"scale": np.max([ops[name].norm for name in mats], axis=0), **inter}
     if vecs:
@@ -1077,10 +1087,8 @@ def _evaluate_stacked(inequality_id: str, ctx, ops: Mapping, params: SimpleNames
         v = np.stack([ops[name] for name in vecs])
         red = ctx.sqrt_lam[:k] * (_adj(ctx.v_r[:k]) @ v[..., None])[..., 0]
         ops.update(zip(vecs, red if ctx.rank else np.zeros(v.shape[:2] + (1,))))
-    # Finite inputs can still overflow; the check below reports that.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs, more = entry.fn(ops, params)
-        rel_slack = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
+    lhs, rhs, more = entry.fn(ops, params)
+    rel_slack = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
     if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
         raise DomainViolation(f"{inequality_id!r}: lhs or rhs is not finite")
     inter.update(more)

@@ -4,7 +4,12 @@ Everything downstream works on plain numpy complex matrices.  The helpers
 here pin down the numerical conventions the weighted operator calculus
 relies on: symmetrization before Hermitian eigensolves, eigenvalue
 clamping for positive-semidefinite functional calculus, and a
-grid-seeded Newton refinement for the classical numerical radius.
+grid-seeded Newton refinement for the classical numerical radius.  The
+radius short-circuits Hermitian and normal matrices to eigenvalues, and
+solves an anti-diagonal block matrix ``[[0, X], [Y, 0]]`` at half its size
+through ``w = max_phi ||X + e^{i phi} Y*|| / 2`` (Hirzallah, Kittaneh and
+Shebrawi, 2011), with ``X`` and ``Y`` first scaled by a power of two so
+their squares neither overflow nor underflow.
 
 Stacks: :func:`spectral_norm`, :func:`classical_numerical_radius` and
 :func:`hermitian_eig` take either one matrix or a stack ``(k, rows,
@@ -35,14 +40,17 @@ PSD_CLAMP_RTOL = 1e-9
 
 #: Radius kernel: grid size, angle convergence threshold (an angle error e
 #: at a maximum costs at most lambda * e**2 / 2) and a cap on rounds; then
-#: the grid's spacing, angles and the phases of its solved half; then the bytes
-#: of Hermitian parts solved at once (_GRID n x n complex matrices per matrix).
+#: the grid's spacing, angles and the phases of its solved half, and the
+#: phases of the _GRID // 2 angles of the full circle at twice the spacing;
+#: then the bytes of Hermitian parts solved at once (_GRID n x n complex
+#: matrices per matrix).
 _GRID = 64
 _ANGLE_TOL = 1e-8
 _MAX_ROUNDS = 64
 _DELTA = 2.0 * math.pi / _GRID
 _THETAS = np.arange(_GRID) * _DELTA
 _GRID_PHASE = np.exp(1j * _THETAS[: _GRID // 2])[:, None, None]
+_CIRCLE_PHASE = np.exp(2j * _THETAS[: _GRID // 2])[:, None, None]
 _GRID_BYTES = 32 * 2**20
 
 
@@ -214,55 +222,97 @@ def classical_numerical_radius(m):
 
     ``m`` is one square matrix (the result is a float) or a stack
     ``(k, n, n)`` (the result is an array of ``k`` radii, each bitwise what
-    its matrix alone gives).  The zero matrix gives 0, and Hermitian and
-    normal matrices (``||M - M*||_F <= 1e-12 ||M||_F``, ``||[M, M*]||_F <=
-    1e-12 ||M||_F^2``: relative, so any scale qualifies) short-circuit to
-    exact eigenvalues.  Every other matrix maximizes ``lambda(theta)``, the
-    top eigenvalue of the Hermitian part ``H`` of ``exp(i*theta) * M``.  A
-    ``_GRID``-angle sweep (half of it solved, since ``H(theta + pi) =
-    -H(theta)``) keeps the matrix's local maxima within the Lipschitz slack
-    ``||M||_2 * delta`` of its best.  Each starts at the vertex of the
-    parabola through its grid neighbours and takes safeguarded Newton steps
-    on ``lambda'`` in ``[theta - delta, theta + delta]``, the candidates of
-    all matrices in one stacked ``eigh`` per round: with ``K =
-    dH/dtheta``, ``lambda' = x* K x`` and ``lambda'' = -lambda + 2 sum_j
-    |v_j* K x|^2 / (lambda - lambda_j)`` over the other eigenpairs.  A step
-    becomes bisection when ``lambda'' >= 0`` or it leaves the bracket; a
-    candidate stops when its angle has converged to ``_ANGLE_TOL``.  Each
-    matrix gets the largest ``lambda(theta)`` evaluated for it: at most its
-    radius up to rounding, but no certified bound.
+    its matrix alone gives).  The zero matrix gives 0, and three classes
+    short-circuit.  Hermitian and normal matrices (``||M - M*||_F <= 1e-12
+    ||M||_F``, ``||[M, M*]||_F <= 1e-12 ||M||_F^2``: relative, so any scale
+    qualifies) take exact eigenvalues.  An anti-diagonal block matrix ``M =
+    [[0, X], [Y, 0]]`` (even size ``2m``, both ``m x m`` diagonal blocks
+    exactly zero) is solved at size ``m``: ``w(M) = max_phi ||X + e^{i phi}
+    Y*|| / 2`` (Hirzallah, Kittaneh and Shebrawi, 2011), so ``w(M)^2`` is the
+    largest ``lambda_max`` of ``P + e^{i phi} Q + e^{-i phi} Q*`` with ``P =
+    (X*X + YY*) / 4`` and ``Q = X*Y* / 4``.  ``X`` and ``Y`` are first
+    divided by a power of two near their largest entry, so the squares
+    neither overflow nor underflow, and the root is multiplied back.
+
+    Every other matrix maximizes ``lambda(theta)``, the top eigenvalue of
+    the Hermitian part of ``exp(i*theta) * M``: the same family with ``P =
+    0`` and ``Q = M / 2``.  See :func:`_refined_radius` for the grid and the
+    Newton search.  Each matrix gets the largest value evaluated for it: at
+    most its radius up to rounding, but no certified bound.
     """
     arr = as_stack(m, square=True)
     mats = arr.reshape((-1,) + arr.shape[-2:])
+    half = mats.shape[-1] // 2
+    anti = np.zeros(len(mats), dtype=bool)
+    if mats.shape[-1] % 2 == 0 and not mats[:, 0, 0].all():  # else no block is anti-diagonal
+        diag = mats[:, :half, :half].any(axis=(1, 2)) | mats[:, half:, half:].any(axis=(1, 2))
+        anti = ~diag & mats.any(axis=(1, 2))
+    try:
+        if not anti.any():
+            return _per_input(_dense_radius(mats), arr)
+        out = np.zeros(len(mats))
+        out[anti] = _antidiagonal_radius(mats[anti])
+        if not anti.all():
+            out[~anti] = _dense_radius(mats[~anti])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"radius eigensolve failed: {exc}") from exc
+    return _per_input(out, arr)
+
+
+def _antidiagonal_radius(blocks: np.ndarray) -> np.ndarray:
+    """Radii of a stack of nonzero ``[[0, X], [Y, 0]]``."""
+    half = blocks.shape[-1] // 2
+    top = np.abs(blocks.view(np.float64)).max(axis=(1, 2))
+    scale = np.ldexp(1.0, np.frexp(top)[1] - 1)  # entries of X / scale lie below 2
+    x = blocks[:, :half, half:] / scale[:, None, None]
+    y = blocks[:, half:, :half] / scale[:, None, None]
+    x_adj, y_adj = x.conj().transpose(0, 2, 1), y.conj().transpose(0, 2, 1)
+    p = 0.25 * (x_adj @ x + y @ y_adj)
+    q = 0.25 * (x_adj @ y_adj)
+    lip = 2.0 * np.linalg.svd(q, compute_uv=False)[:, 0]
+    return scale * np.sqrt(np.maximum(_refined_radius(p, q, lip), 0.0))
+
+
+def _dense_radius(mats: np.ndarray) -> np.ndarray:
+    """Radii of a stack of matrices that are not anti-diagonal blocks."""
     adj = mats.conj().transpose(0, 2, 1)
     nrm = np.linalg.svd(mats, compute_uv=False)[:, 0]
     fro = np.linalg.norm(mats, axis=(1, 2))
     skew = np.linalg.norm(mats - adj, axis=(1, 2)) > 1e-12 * fro
     herm, rest = np.flatnonzero((nrm > 0.0) & ~skew), np.flatnonzero(skew)
     out = np.zeros(len(mats))
-    try:
-        if herm.size:
-            sym = 0.5 * (mats[herm] + adj[herm])
-            out[herm] = np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
-        if rest.size:
-            m_r, a_r = mats[rest], adj[rest]
-            comm = np.linalg.norm(m_r @ a_r - a_r @ m_r, axis=(1, 2))
-            normal = comm <= 1e-12 * fro[rest] ** 2
-            if normal.any():
-                out[rest[normal]] = np.abs(np.linalg.eigvals(m_r[normal])).max(axis=1)
-            general = ~normal
-            if general.any():
-                out[rest[general]] = _refined_radius(
-                    m_r[general], a_r[general], nrm[rest[general]]
-                )
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"radius eigensolve failed: {exc}") from exc
-    return _per_input(out, arr)
+    if herm.size:
+        sym = 0.5 * (mats[herm] + adj[herm])
+        out[herm] = np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
+    if rest.size:
+        m_r, a_r = mats[rest], adj[rest]
+        comm = np.linalg.norm(m_r @ a_r - a_r @ m_r, axis=(1, 2))
+        normal = comm <= 1e-12 * fro[rest] ** 2
+        if normal.any():
+            out[rest[normal]] = np.abs(np.linalg.eigvals(m_r[normal])).max(axis=1)
+        general = ~normal
+        if general.any():
+            out[rest[general]] = _refined_radius(None, 0.5 * m_r[general], nrm[rest[general]])
+    return out
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _refined_radius(mats: np.ndarray, adj: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-    """Grid and Newton refinement of :func:`classical_numerical_radius`.
+def _refined_radius(p, q: np.ndarray, lip: np.ndarray) -> np.ndarray:
+    """The largest ``lambda_max`` over ``phi`` of each ``F(phi) = P + e^{i phi} Q + e^{-i phi} Q*``.
+
+    ``p`` is ``None`` for ``P = 0``, where ``F(phi + pi) = -F(phi)``: the
+    ``_GRID``-angle circle then needs only its first half solved.  With a
+    ``P`` the circle is ``_GRID // 2`` angles, all solved.  ``lip`` bounds
+    ``|lambda'|`` (``2 ||Q||``).  The grid keeps each matrix's local maxima
+    within ``lip * delta`` of its best.  Each starts at the vertex of the
+    parabola through its grid neighbours and takes safeguarded Newton steps
+    on ``lambda'`` in ``[phi - delta, phi + delta]``, the candidates of all
+    matrices in one stacked ``eigh`` per round: with ``K = dF/dphi = i(e^{i
+    phi} Q - e^{-i phi} Q*)``, ``lambda' = x* K x`` and ``lambda'' = x* P x
+    - lambda + 2 sum_j |v_j* K x|^2 / (lambda - lambda_j)`` over the other
+    eigenpairs.  A step becomes bisection when ``lambda'' >= 0`` or it
+    leaves the bracket; a candidate stops when its angle has converged to
+    ``_ANGLE_TOL``.
 
     Candidate ``c`` belongs to matrix ``owner[c]``; every per-candidate
     quantity is computed by elementwise or per-matrix numpy calls, so a
@@ -271,44 +321,53 @@ def _refined_radius(mats: np.ndarray, adj: np.ndarray, nrm: np.ndarray) -> np.nd
     bracket test and ``isfinite`` absorb the results.
     """
 
-    def hermitian_part(phase, m, a):
-        h = phase * m
-        h += np.conj(phase) * a
-        h *= 0.5
-        return h
+    def family(phase, q, q_adj, p=None):
+        f = phase * q
+        f += np.conj(phase) * q_adj
+        if p is not None:
+            f += p
+        return f
 
     def apply(m_own, x):
         return (m_own @ x[:, :, None])[:, :, 0]
 
-    size = max(1, _GRID_BYTES // (_GRID * 16 * mats.shape[-1] ** 2))
+    if p is None:
+        phases, thetas, delta = _GRID_PHASE, _THETAS, _DELTA
+    else:
+        phases, thetas, delta = _CIRCLE_PHASE, 2.0 * _THETAS[: _GRID // 2], 2.0 * _DELTA
+    parts = [q, q.conj().transpose(0, 2, 1)] + ([] if p is None else [p])
+    size = max(1, _GRID_BYTES // (_GRID * 16 * q.shape[-1] ** 2))
     ends = np.concatenate([
-        np.linalg.eigvalsh(hermitian_part(_GRID_PHASE, mats[s, None], adj[s, None]))
-        for s in (slice(lo, lo + size) for lo in range(0, len(mats), size))
+        np.linalg.eigvalsh(family(phases, *(part[lo : lo + size, None] for part in parts)))
+        for lo in range(0, len(q), size)
     ])
-    vals = np.concatenate([ends[:, :, -1], -ends[:, :, 0]], axis=1)
+    vals = ends[:, :, -1]
+    if p is None:
+        vals = np.concatenate([vals, -ends[:, :, 0]], axis=1)
     best = np.max(vals, axis=1)
     ring = np.concatenate([vals[:, -1:], vals, vals[:, :1]], axis=1)
     sel = (
         (vals >= ring[:, :-2])
         & (vals >= ring[:, 2:])
-        & (vals + nrm[:, None] * _DELTA >= best[:, None])
+        & (vals + lip[:, None] * delta >= best[:, None])
     )
     owner, idx = np.nonzero(sel)
-    prev, mid, nxt, t = ring[:, :-2][sel], vals[sel], ring[:, 2:][sel], _THETAS[idx]
-    lo, hi = t - _DELTA, t + _DELTA
-    shift = np.nan_to_num(0.5 * _DELTA * (prev - nxt) / (prev - 2 * mid + nxt))
-    t = t + np.clip(shift, -0.5 * _DELTA, 0.5 * _DELTA)
-    m_own, a_own = mats[owner], adj[owner]
+    prev, mid, nxt, t = ring[:, :-2][sel], vals[sel], ring[:, 2:][sel], thetas[idx]
+    lo, hi = t - delta, t + delta
+    shift = np.nan_to_num(0.5 * delta * (prev - nxt) / (prev - 2 * mid + nxt))
+    t = t + np.clip(shift, -0.5 * delta, 0.5 * delta)
+    own = [part[owner] for part in parts]
     for _ in range(_MAX_ROUNDS):
         phase = np.exp(1j * t)[:, None]
-        lams, vecs = np.linalg.eigh(hermitian_part(phase[:, :, None], m_own, a_own))
+        lams, vecs = np.linalg.eigh(family(phase[:, :, None], *own))
         lam, x = lams[:, -1], vecs[:, :, -1]
         np.maximum.at(best, owner, lam)
-        kx = 0.5j * (phase * apply(m_own, x) - np.conj(phase) * apply(a_own, x))
+        kx = 1j * (phase * apply(own[0], x) - np.conj(phase) * apply(own[1], x))
         coup = apply(vecs.conj().transpose(0, 2, 1), kx)
         d1 = coup[:, -1].real
         gaps = lam[:, None] - lams[:, :-1]
-        d2 = -lam + 2.0 * np.sum(np.abs(coup[:, :-1]) ** 2 / gaps, axis=1)
+        curv = -lam if p is None else (x.conj() * apply(own[2], x)).sum(axis=1).real - lam
+        d2 = curv + 2.0 * np.sum(np.abs(coup[:, :-1]) ** 2 / gaps, axis=1)
         step = t - d1 / d2
         lo = np.where(d1 > 0.0, t, lo)
         hi = np.where(d1 < 0.0, t, hi)
@@ -318,5 +377,5 @@ def _refined_radius(mats: np.ndarray, adj: np.ndarray, nrm: np.ndarray) -> np.nd
         if not moving.any():
             break
         t, lo, hi = t_new[moving], lo[moving], hi[moving]
-        owner, m_own, a_own = owner[moving], m_own[moving], a_own[moving]
+        owner, own = owner[moving], [part[moving] for part in own]
     return best

@@ -329,9 +329,12 @@ def is_a_positive(ctx: SemiInnerContext, t):
     """True when ``A T`` is Hermitian PSD within relative tolerance, per trial for stacks.
 
     The smallest eigenvalue must be at least ``-STRUCTURE_RTOL`` times the
-    largest modulus.
+    largest modulus.  A finite ``T`` whose ``A T`` overflows raises
+    :class:`~aradius.linalg.DomainError`.
     """
     sym, ok = _a_hermitian(ctx, t)
+    if not np.isfinite(sym).all():
+        raise DomainError("A T is not finite")
     vals = np.linalg.eigvalsh(sym)
     ok = ok & (vals[..., 0] >= -STRUCTURE_RTOL * np.max(np.abs(vals), axis=-1))
     return ok if ok.ndim else bool(ok)

@@ -973,11 +973,19 @@ def _chunk_reports(iid, chunk):
 
 @pytest.mark.parametrize(
     "iid,dim,scale",
-    [("moby_a1", 2, 1e100), ("ramadan1", 3, 1e40)],
+    [
+        ("moby_a1", 2, 1e100),
+        ("ramadan1", 3, 1e40),
+        ("ramadan1", 2, 1e300),
+        ("ramadan1", 2, 1.7e308),
+        ("holder_mccarthy", 4, 1.7e308),
+    ],
 )
 def test_campaign_skips_trials_that_overflow_and_keeps_the_rest(iid, dim, scale):
     # at these scales some trials' sides overflow; one such trial used to
-    # end the whole campaign
+    # end the whole campaign.  At the largest scales the draws, the
+    # reductions and A T overflow as well: those trials are skipped too,
+    # with no warning
     gen = GenSpec(dim=dim, scale=scale)
     trials = 2 * fuzz_mod.MAX_BATCH
     draws = _draw_chunk(gen, iid, range(trials), None, True)

@@ -24,6 +24,7 @@ from aradius import (
     check_scalar_lemma,
     check_single_operator_bound,
     check_vector_lemma,
+    classical_numerical_radius,
     evaluate_bound,
     gen_context,
     gen_operator,
@@ -301,6 +302,30 @@ def test_product_bounds_vanish_at_zero(iid, identity_ctx):
     rep = check_product_bound(identity_ctx, iid, ops, BoundParams())
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("iid", ["prod1", "prod2"])
+def test_product_radius_is_the_radius_of_the_assembled_product(iid, rng):
+    # T = [[0, T1], [T2, 0]] and S = [[0, S1], [S2, 0]] give S* T =
+    # diag(S2* T2, S1* T1), whose radius is the larger of its blocks' radii
+    ctx = make_context(np.eye(3))
+    zero = np.zeros((3, 3))
+    for _ in range(5):
+        ops = {name: cgauss(rng, 3, 3) for name in registry_entry(iid).operands}
+        t = np.block([[zero, ops["T1"]], [ops["T2"], zero]])
+        s = np.block([[zero, ops["S1"]], [ops["S2"], zero]])
+        whole = classical_numerical_radius(s.conj().T @ t)
+        rep = check_product_bound(ctx, iid, ops, BoundParams())
+        assert rep.intermediates["radius_product"] == pytest.approx(whole, rel=1e-12)
+
+
+def test_a_reduction_that_overflows_raises_domain_violation():
+    # the blocks are finite, but A^(1/2) X (A^(1/2))^+ doubles an entry
+    # near the largest float
+    ctx = make_context(np.diag([4.0, 1.0]))
+    x = np.array([[0.0, 1.5e308], [0.0, 0.0]])
+    with pytest.raises(DomainViolation, match="reduced operand"):
+        check_matrix_bound(ctx, "ramadan1", {"X": x, "Y": x}, BoundParams())
 
 
 @pytest.mark.parametrize("iid", MATRIX_IDS + SINGLE_IDS + PRODUCT_IDS)

@@ -25,7 +25,7 @@ from aradius import (
     spectral_norm,
 )
 
-from aradius.linalg import _GRID, _GRID_BYTES, as_vectors
+from aradius.linalg import _GRID, _GRID_BYTES, _dense_radius, as_vectors
 
 from conftest import (
     cgauss,
@@ -293,9 +293,16 @@ def test_radius_refinement_matches_oracles(rng, scale):
         assert w - grid <= 1e-7 * w
 
 
+def _antidiag(x, y):
+    """``[[0, X], [Y, 0]]`` of each pair of a stack, or of one pair."""
+    zero = np.zeros_like(x)
+    return np.block([[zero, x], [y, zero]])
+
+
 def test_radius_stack_is_bitwise_per_matrix(rng):
-    # zero, Hermitian, normal, Jordan and random matrices at three scales:
-    # every short-circuit and the refinement run in one stacked call
+    # zero, Hermitian, normal, Jordan, anti-diagonal block and random
+    # matrices at three scales: every short-circuit and the refinement run
+    # in one stacked call
     for n in range(1, 9):
         g = cgauss(rng, n, n)
         u, _ = np.linalg.qr(cgauss(rng, n, n))
@@ -305,6 +312,8 @@ def test_radius_stack_is_bitwise_per_matrix(rng):
             (u * cgauss(rng, n)) @ u.conj().T,
             3.0 * np.eye(n, k=1),
         ] + [s * cgauss(rng, n, n) for s in (1e-6, 1.0, 1e6) for _ in range(2)]
+        if n % 2 == 0:
+            mats.append(_antidiag(*cgauss(rng, 2, n // 2, n // 2)))
         stacked = classical_numerical_radius(np.stack(mats))
         assert stacked.shape == (len(mats),)
         for m, w in zip(mats, stacked):
@@ -330,3 +339,55 @@ def test_radius_grid_is_solved_in_slices_within_its_byte_budget(rng):
         tracemalloc.stop()
     assert peak < _GRID_BYTES + 16 * 2**20
     assert stacked.tolist() == [classical_numerical_radius(m) for m in mats]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 32])
+def test_antidiagonal_radius_matches_the_general_path(rng, m):
+    # [[0, X], [Y, 0]] is solved at size m; the general path solves the
+    # same block at size 2m.  At m = 32 the stack fills more than one grid
+    # slice of either path.
+    k = 6 if m < 32 else _GRID_BYTES // (_GRID * 16 * m * m) + 2
+    mats = _antidiag(cgauss(rng, k, m, m), cgauss(rng, k, m, m))
+    got, general = classical_numerical_radius(mats), _dense_radius(mats)
+    assert np.allclose(got, general, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_antidiagonal_radius_closed_forms(rng, m):
+    x, y = cgauss(rng, 2, m, m)
+    zero = np.zeros((m, m))
+    norm = spectral_norm(x)
+    # [[0, X], [X*, 0]] is Hermitian with eigenvalues +-s_j(X)
+    assert classical_numerical_radius(_antidiag(x, x.conj().T)) == pytest.approx(norm, rel=1e-13)
+    # [[0, X], [X, 0]] is unitarily similar to diag(X, -X)
+    w_x = classical_numerical_radius(x)
+    assert classical_numerical_radius(_antidiag(x, x)) == pytest.approx(w_x, rel=1e-13)
+    # a nilpotent block: W is the disk of radius ||X|| / 2
+    assert classical_numerical_radius(_antidiag(x, zero)) == pytest.approx(norm / 2, rel=1e-13)
+    assert classical_numerical_radius(_antidiag(zero, y)) == pytest.approx(
+        spectral_norm(y) / 2, rel=1e-13
+    )
+    assert classical_numerical_radius(_antidiag(zero, zero)) == 0.0
+
+
+def test_antidiagonal_radius_is_invariant_under_swap_and_rotation(rng):
+    for m in range(1, 9):
+        x, y = cgauss(rng, 2, m, m)
+        w = classical_numerical_radius(_antidiag(x, y))
+        assert classical_numerical_radius(_antidiag(y, x)) == pytest.approx(w, rel=1e-13)
+        for t in (0.3, 1.1, 2.9):
+            rotated = _antidiag(x, np.exp(1j * t) * y)
+            assert classical_numerical_radius(rotated) == pytest.approx(w, rel=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0**-600, 2.0**600])
+def test_antidiagonal_radius_scales_with_its_input(rng, scale):
+    # squares of 1e-200 underflow and squares of 1e200 overflow; the blocks
+    # are divided by a power of two first, so a power-of-two scale moves
+    # the radius exactly
+    mats = _antidiag(cgauss(rng, 8, 3, 3), cgauss(rng, 8, 3, 3))
+    unit = classical_numerical_radius(mats)
+    got = classical_numerical_radius(scale * mats)
+    assert np.allclose(got, scale * unit, rtol=1e-13, atol=0.0)
+    if np.log2(scale).is_integer():
+        assert got.tolist() == (scale * unit).tolist()
