@@ -37,15 +37,18 @@ blocks (``a_selfadjoint``, ``a_positive``); ``values`` a count of 1 to 5
 normals.  A unit vector of seminorm at most 1e-8 is redrawn from the
 stream's next ``n`` blocks, up to 256 tries.
 
-Passes.  Every id is drawn in chunks of at most ``MAX_BATCH`` trials,
-each in one Philox pass; ids whose trials fit in one chunk share passes.
-A chunk stays stacked (one array per field, trial axis first): one ``(k,
-n, n)`` weight array, normalized by one SVD and factored by one
-eigensolve into a context per rank, operand arrays and validated
-parameter columns.  Each rank group takes one call of the stacked core of
-:func:`aradius.inequalities.evaluate_bounds`, bitwise each trial's own,
-and :func:`_account` reads its result arrays in trial order; only a
-persisted trial gets a context, parameters and a case (:func:`_trial`).
+Passes.  A pass draws at most ``_CHUNK_ENTRIES`` stacked matrix entries
+per operand: ``_CHUNK_ENTRIES // n**2`` trials at dimension ``n``, at
+least one.  An id whose trials overflow a pass is drawn in chunks of that
+many; ids whose trials fit share passes, one chunk each.  A chunk stays
+stacked (one array per field, trial axis first): one ``(k, n, n)`` weight
+array, normalized by one SVD and factored by one eigensolve into a
+context per rank, operand arrays and validated parameter columns.  Each
+rank group takes one call of the stacked core of
+:func:`aradius.inequalities.evaluate_bounds`, bitwise each trial's own (a
+group that raises is halved until the trials that raise are alone), and
+:class:`_Tally` reads its result arrays in trial order; only a persisted
+trial gets a context, parameters and a case (:func:`_trial`).
 So the chunks change no result.
 """
 
@@ -60,7 +63,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .inequalities import (
-    MAX_BATCH,
+    _CHUNK_ENTRIES,
     VIOLATION_RTOL,
     BoundParams,
     BoundReport,
@@ -513,27 +516,59 @@ def _crc(iid: str) -> int:
     return zlib.crc32(iid.encode("utf-8")) & 0x7FFFFFFF
 
 
-def _evaluate_chunk(iid: str, chunk) -> list:
-    """The core's ``(idx, result)`` per rank group, trial by trial where a group raises."""
-    groups, operands, cols = chunk
+#: A group of at most this many trials that raises is evaluated trial by
+#: trial, a larger one is split in halves: where most trials raise,
+#: halving costs twice the evaluations of trying each trial alone.
+_HALVING_FLOOR = 32
 
-    def core(ctx, rows):  # a non-finite operand raises, as in evaluate_bounds
+
+def _evaluate_chunk(iid: str, chunk) -> list:
+    """The core's ``(idx, result)`` per rank group, ``None`` for each trial that raises alone.
+
+    A trial with a non-finite operand or side raises alone, as in
+    :func:`~aradius.inequalities.evaluate_bounds`; the stack shows which.
+    A group whose evaluation raises is split in halves, recursively, down
+    to ``_HALVING_FLOOR`` trials and then trial by trial, so the trials
+    that raise are found alone and the rest stay stacked.
+    """
+    groups, operands, cols = chunk
+    finite = np.ones(len(cols.p), dtype=bool)
+    for value in operands.values():
+        finite &= np.isfinite(value.reshape(len(value), -1)).all(axis=1)
+
+    def dropped(idx, keep):  # None for the trials outside keep; the kept trials
+        idx = np.asarray(idx)
+        return [([i], None) for i in idx[~keep].tolist()], idx[keep].tolist()
+
+    def stacked(idx, ctx, rows):
         ops = {name: value[rows] for name, value in operands.items()}
-        if not all(np.isfinite(value).all() for value in ops.values()):
-            raise DomainError(f"{iid!r}: an operand is not finite")
         picked = SimpleNamespace(**{key: value[rows] for key, value in vars(cols).items()})
-        return _evaluate_stacked(iid, ctx, ops, picked)
+        try:
+            one = _evaluate_stacked(iid, ctx, ops, picked)
+        except DomainError:
+            if len(idx) == 1:
+                return [(idx, None)]
+            cuts = [0, len(idx) // 2] if len(idx) > _HALVING_FLOOR else list(range(len(idx)))
+            return [
+                piece
+                for lo, hi in zip(cuts, cuts[1:] + [len(idx)])
+                for piece in stacked(idx[lo:hi], ctx.trial(slice(lo, hi)), idx[lo:hi])
+            ]
+        keep = np.isfinite(one[0]) & np.isfinite(one[1])
+        if keep.all():
+            return [(idx, one)]
+        out, kept = dropped(idx, keep)
+        inter = {name: value[keep] for name, value in one[4].items()}
+        return out + ([(kept, (*(value[keep] for value in one[:4]), inter))] if kept else [])
 
     out = []
     for idx, ctx in groups:
-        try:
-            out.append((idx, core(ctx, slice(None) if len(groups) == 1 else idx)))
-        except DomainError:
-            for j, i in enumerate(idx):
-                try:
-                    out.append(([i], core(ctx.trial(slice(j, j + 1)), [i])))
-                except DomainError:
-                    out.append(([i], None))
+        keep = finite[idx]
+        if keep.all():
+            out += stacked(idx, ctx, slice(None) if len(groups) == 1 else idx)
+        else:
+            none, kept = dropped(idx, keep)
+            out += none + (stacked(kept, ctx.trial(keep), kept) if kept else [])
     return out
 
 
@@ -558,62 +593,63 @@ def run_campaign(
     trials = as_integer("trials", trials, DomainViolation)
     if not 1 <= trials <= 2**32:  # a trial index is one counter word
         raise DomainViolation("trials must lie in [1, 2**32]")
-    # ids whose trials fit in one chunk share passes of up to MAX_BATCH trials
+    # a pass holds at most cap trials: one id's in chunks, or several ids' whole
     unique = list(dict.fromkeys(ids))
-    step = max(1, MAX_BATCH // trials)
-    reports = {}
+    cap = max(1, _CHUNK_ENTRIES // gen.dim**2)
+    per, step = min(trials, cap), max(1, cap // trials)
+    tallies = {iid: _Tally(iid, gen, trials) for iid in unique}
     for i in range(0, len(unique), step):
         group = unique[i : i + step]
-        if trials <= MAX_BATCH:
-            pooled = _draw(gen, group, range(trials), params, randomize_params)
-            drawn = [[(range(trials), chunk)] for chunk in pooled]
-        else:
-            drawn = [_chunks(gen, iid, trials, params, randomize_params) for iid in group]
-        for iid, chunks in zip(group, drawn):
-            reports[iid] = _account(iid, gen, trials, chunks)
+        for start in range(0, trials, per):
+            ks = range(start, min(start + per, trials))
+            for iid, chunk in zip(group, _draw(gen, group, ks, params, randomize_params)):
+                tallies[iid].add(ks, chunk)
+    reports = {iid: tally.report() for iid, tally in tallies.items()}
     return [reports[iid] for iid in ids]
 
 
-def _chunks(gen: GenSpec, iid: str, trials: int, params, randomize_params):
-    """Each chunk of the trials of ``iid`` with its draws, drawn when it is reached."""
-    for start in range(0, trials, MAX_BATCH):
-        ks = range(start, min(start + MAX_BATCH, trials))
-        yield ks, _draw(gen, [iid], ks, params, randomize_params)[0]
+class _Tally:
+    """The campaign report of one id, built from its drawn chunks in trial order."""
 
+    def __init__(self, iid: str, gen: GenSpec, trials: int):
+        self.iid, self.gen, self.trials = iid, gen, trials
+        self.violations = self.skipped = self.counted = 0
+        self.slack_sum, self.min_slack, self.sharpest, self.violation_cases = 0.0, None, None, []
 
-def _account(iid: str, gen: GenSpec, trials: int, chunks) -> CampaignReport:
-    """The campaign report of ``iid`` over its drawn chunks ``(ks, chunk)``, in trial order."""
-    violations = skipped = counted = 0
-    slack_sum, min_slack, sharpest, violation_cases = 0.0, None, None, []
-    for ks, chunk in chunks:
+    def add(self, ks, chunk) -> None:
+        """Account the chunk ``chunk`` of the trials ``ks``, the next in trial order."""
+        iid, gen = self.iid, self.gen
         sides = np.zeros((4, len(ks)))  # lhs, rhs, rel_slack, hypotheses held
         for idx, one in _evaluate_chunk(iid, chunk):
             if one is not None:
                 sides[:, idx] = one[:4]
         kept = np.flatnonzero(sides[3])
         rel = sides[2, kept]
-        skipped += len(ks) - len(kept)
-        counted += len(kept)
+        self.skipped += len(ks) - len(kept)
+        self.counted += len(kept)
         for slack in rel.tolist():  # a running sum in trial order
-            slack_sum += slack
-        if len(kept) and (min_slack is None or rel.min() < min_slack):
+            self.slack_sum += slack
+        if len(kept) and (self.min_slack is None or rel.min() < self.min_slack):
             i = kept[np.argmin(rel)]
-            min_slack, sharpest = sides[2, i].item(), _case(iid, ks[i], gen, chunk, i, sides)
+            self.min_slack = sides[2, i].item()
+            self.sharpest = _case(iid, ks[i], gen, chunk, i, sides)
         bad = kept[rel < VIOLATION_RTOL]
-        violations += len(bad)
-        for i in bad[: _MAX_PERSISTED_VIOLATIONS - len(violation_cases)]:
-            violation_cases.append(_case(iid, ks[i], gen, chunk, i, sides))
-    return CampaignReport(
-        inequality_id=iid,
-        trials=trials,
-        violations=violations,
-        min_rel_slack=min_slack,
-        mean_rel_slack=(slack_sum / counted) if counted else None,
-        sharpest_case=sharpest,
-        seed=gen.seed,
-        skipped=skipped,
-        violation_cases=tuple(violation_cases),
-    )
+        self.violations += len(bad)
+        for i in bad[: _MAX_PERSISTED_VIOLATIONS - len(self.violation_cases)]:
+            self.violation_cases.append(_case(iid, ks[i], gen, chunk, i, sides))
+
+    def report(self) -> CampaignReport:
+        return CampaignReport(
+            inequality_id=self.iid,
+            trials=self.trials,
+            violations=self.violations,
+            min_rel_slack=self.min_slack,
+            mean_rel_slack=(self.slack_sum / self.counted) if self.counted else None,
+            sharpest_case=self.sharpest,
+            seed=self.gen.seed,
+            skipped=self.skipped,
+            violation_cases=tuple(self.violation_cases),
+        )
 
 
 def campaign_to_obj(rep: CampaignReport) -> dict:

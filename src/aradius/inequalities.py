@@ -88,8 +88,12 @@ from .semihilbert import (
 #: Reports with relative slack at or above this floor count as satisfied.
 VIOLATION_RTOL = -1e-8
 
-#: Most trials evaluated in one batch: campaign chunks and parameter grids.
-MAX_BATCH = 32
+#: Stacked matrix entries per operand in one batch (campaign passes and
+#: parameter grids): a batch holds ``max(1, _CHUNK_ENTRIES // n**2)``
+#: trials of ``n x n`` operands.  ``2**13`` is 32 trials at ``n = 16``;
+#: per-trial time stops falling near 4,096 entries at ``n = 4``, and at
+#: ``n = 16`` a batch of 128 trials is slower than one of 32.
+_CHUNK_ENTRIES = 2**13
 
 
 class UnknownId(DomainError):
@@ -1039,6 +1043,8 @@ def evaluate_bounds(
     keys = [f.name for f in fields(BoundParams)] + ["q"]
     cols = SimpleNamespace(**{key: np.array([getattr(p, key) for p in params]) for key in keys})
     lhs, rhs, _, hyp, inter = _evaluate_stacked(inequality_id, ctx, ops, cols)
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise DomainViolation(f"{inequality_id!r}: lhs or rhs is not finite")
     lhs, rhs, hyp = lhs.tolist(), rhs.tolist(), hyp.tolist()
     cols = {name: v.tolist() for name, v in inter.items()}
     return [
@@ -1055,7 +1061,8 @@ def _evaluate_stacked(inequality_id: str, ctx, ops: Mapping, params: SimpleNames
 
     Returns ``(lhs, rhs, rel_slack, hypotheses_ok, intermediates)``, one entry per trial each.
     Finite operands can still overflow at extreme scales: a non-finite
-    reduction, left side or right side raises :class:`DomainViolation`.
+    reduction raises :class:`DomainViolation`, and a side that overflows is
+    returned as it is, for the caller to raise on or to skip.
     """
     entry = registry_entry(inequality_id)
     k = len(params.p)
@@ -1089,8 +1096,6 @@ def _evaluate_stacked(inequality_id: str, ctx, ops: Mapping, params: SimpleNames
         ops.update(zip(vecs, red if ctx.rank else np.zeros(v.shape[:2] + (1,))))
     lhs, rhs, more = entry.fn(ops, params)
     rel_slack = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
-    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
-        raise DomainViolation(f"{inequality_id!r}: lhs or rhs is not finite")
     inter.update(more)
     return lhs, rhs, rel_slack, hyp, inter
 
@@ -1281,9 +1286,10 @@ def optimize_params(
     Only parameters the id actually consumes are swept.  For ``mohd1``
     the right side is monotone in ``beta`` (nondecreasing toward the
     ``beta -> inf`` limit), so only the endpoints of the beta range are
-    evaluated.  The grid is evaluated in batches of at most ``MAX_BATCH``
-    combinations; the first combination with the smallest right side
-    wins.
+    evaluated.  The grid is evaluated in batches of at most
+    ``_CHUNK_ENTRIES`` stacked matrix entries (``_CHUNK_ENTRIES //
+    dim**2`` combinations, at least one); the first combination with the
+    smallest right side wins.
     """
     entry = registry_entry(inequality_id)
     if entry.kind not in ("matrix", "single", "product"):
@@ -1308,8 +1314,9 @@ def optimize_params(
         for combo in _cartesian(*(axes[n] for n in names))
     ]
     reports: list[BoundReport] = []
-    for start in range(0, len(combos), MAX_BATCH):
-        batch = combos[start : start + MAX_BATCH]
+    size = max(1, _CHUNK_ENTRIES // ctx.dim**2)
+    for start in range(0, len(combos), size):
+        batch = combos[start : start + size]
         k = len(batch)
         reports += evaluate_bounds([ctx] * k, inequality_id, [operands] * k, batch)
     return min(reports, key=lambda rep: rep.rhs)

@@ -5,11 +5,11 @@ here pin down the numerical conventions the weighted operator calculus
 relies on: symmetrization before Hermitian eigensolves, eigenvalue
 clamping for positive-semidefinite functional calculus, and a
 grid-seeded Newton refinement for the classical numerical radius.  The
-radius short-circuits Hermitian and normal matrices to eigenvalues, and
-solves an anti-diagonal block matrix ``[[0, X], [Y, 0]]`` at half its size
-through ``w = max_phi ||X + e^{i phi} Y*|| / 2`` (Hirzallah, Kittaneh and
-Shebrawi, 2011), with ``X`` and ``Y`` first scaled by a power of two so
-their squares neither overflow nor underflow.
+radius scales each matrix by a power of two so its norms and squares
+neither overflow nor underflow, short-circuits Hermitian and normal
+matrices to eigenvalues, and solves an anti-diagonal block matrix ``[[0,
+X], [Y, 0]]`` at half its size through ``w = max_phi ||X + e^{i phi} Y*||
+/ 2`` (Hirzallah, Kittaneh and Shebrawi, 2011).
 
 Stacks: :func:`spectral_norm`, :func:`classical_numerical_radius` and
 :func:`hermitian_eig` take either one matrix or a stack ``(k, rows,
@@ -222,17 +222,17 @@ def classical_numerical_radius(m):
 
     ``m`` is one square matrix (the result is a float) or a stack
     ``(k, n, n)`` (the result is an array of ``k`` radii, each bitwise what
-    its matrix alone gives).  The zero matrix gives 0, and three classes
-    short-circuit.  Hermitian and normal matrices (``||M - M*||_F <= 1e-12
-    ||M||_F``, ``||[M, M*]||_F <= 1e-12 ||M||_F^2``: relative, so any scale
-    qualifies) take exact eigenvalues.  An anti-diagonal block matrix ``M =
+    its matrix alone gives).  Each matrix is first divided by a power of
+    two near its largest entry, so its norms and squares neither overflow
+    nor underflow, and its radius is multiplied back.  The zero matrix
+    gives 0, and three classes short-circuit.  Hermitian and normal
+    matrices (``||M - M*||_F <= 1e-12 ||M||_F``, ``||[M, M*]||_F <= 1e-12
+    ||M||_F^2``: relative, so any scale qualifies) take exact eigenvalues.  An anti-diagonal block matrix ``M =
     [[0, X], [Y, 0]]`` (even size ``2m``, both ``m x m`` diagonal blocks
     exactly zero) is solved at size ``m``: ``w(M) = max_phi ||X + e^{i phi}
     Y*|| / 2`` (Hirzallah, Kittaneh and Shebrawi, 2011), so ``w(M)^2`` is the
     largest ``lambda_max`` of ``P + e^{i phi} Q + e^{-i phi} Q*`` with ``P =
-    (X*X + YY*) / 4`` and ``Q = X*Y* / 4``.  ``X`` and ``Y`` are first
-    divided by a power of two near their largest entry, so the squares
-    neither overflow nor underflow, and the root is multiplied back.
+    (X*X + YY*) / 4`` and ``Q = X*Y* / 4``.
 
     Every other matrix maximizes ``lambda(theta)``, the top eigenvalue of
     the Hermitian part of ``exp(i*theta) * M``: the same family with ``P =
@@ -259,11 +259,16 @@ def classical_numerical_radius(m):
     return _per_input(out, arr)
 
 
+def _entry_scale(mats: np.ndarray) -> np.ndarray:
+    """A power of two per matrix of a C-contiguous stack: its entries divided by it lie below 2."""
+    top = np.abs(mats.view(np.float64)).max(axis=(1, 2))
+    return np.ldexp(1.0, np.frexp(top)[1] - 1)
+
+
 def _antidiagonal_radius(blocks: np.ndarray) -> np.ndarray:
     """Radii of a stack of nonzero ``[[0, X], [Y, 0]]``."""
     half = blocks.shape[-1] // 2
-    top = np.abs(blocks.view(np.float64)).max(axis=(1, 2))
-    scale = np.ldexp(1.0, np.frexp(top)[1] - 1)  # entries of X / scale lie below 2
+    scale = _entry_scale(blocks)
     x = blocks[:, :half, half:] / scale[:, None, None]
     y = blocks[:, half:, :half] / scale[:, None, None]
     x_adj, y_adj = x.conj().transpose(0, 2, 1), y.conj().transpose(0, 2, 1)
@@ -275,25 +280,27 @@ def _antidiagonal_radius(blocks: np.ndarray) -> np.ndarray:
 
 def _dense_radius(mats: np.ndarray) -> np.ndarray:
     """Radii of a stack of matrices that are not anti-diagonal blocks."""
-    adj = mats.conj().transpose(0, 2, 1)
-    nrm = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    fro = np.linalg.norm(mats, axis=(1, 2))
-    skew = np.linalg.norm(mats - adj, axis=(1, 2)) > 1e-12 * fro
+    scale = _entry_scale(mats)
+    unit = mats / scale[:, None, None]
+    adj = unit.conj().transpose(0, 2, 1)
+    nrm = np.linalg.svd(unit, compute_uv=False)[:, 0]
+    fro = np.linalg.norm(unit, axis=(1, 2))
+    skew = np.linalg.norm(unit - adj, axis=(1, 2)) > 1e-12 * fro
     herm, rest = np.flatnonzero((nrm > 0.0) & ~skew), np.flatnonzero(skew)
-    out = np.zeros(len(mats))
+    out = np.zeros(len(mats))  # radii of unit
     if herm.size:
-        sym = 0.5 * (mats[herm] + adj[herm])
+        sym = 0.5 * (unit[herm] + adj[herm])
         out[herm] = np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
     if rest.size:
-        m_r, a_r = mats[rest], adj[rest]
+        m_r, a_r = unit[rest], adj[rest]
         comm = np.linalg.norm(m_r @ a_r - a_r @ m_r, axis=(1, 2))
-        normal = comm <= 1e-12 * fro[rest] ** 2
-        if normal.any():
-            out[rest[normal]] = np.abs(np.linalg.eigvals(m_r[normal])).max(axis=1)
-        general = ~normal
-        if general.any():
-            out[rest[general]] = _refined_radius(None, 0.5 * m_r[general], nrm[rest[general]])
-    return out
+        is_normal = comm <= 1e-12 * fro[rest] ** 2
+        normal, general = rest[is_normal], rest[~is_normal]
+        if normal.size:  # eigvals of unit would move last bits; LAPACK scales extremes itself
+            out[normal] = np.abs(np.linalg.eigvals(mats[normal])).max(axis=1) / scale[normal]
+        if general.size:
+            out[general] = _refined_radius(None, 0.5 * unit[general], nrm[general])
+    return scale * out
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -28,7 +28,7 @@ def complex_to_pairs(m) -> list:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise MatrixFormatError("matrix data must be two-dimensional")
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
 def complex_from_pairs(data) -> np.ndarray:

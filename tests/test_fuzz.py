@@ -13,7 +13,9 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,7 +46,14 @@ from aradius import (
     stack_contexts,
 )
 from aradius.inequalities import _checked_columns, _report, _trial_params
+from aradius.linalg import _GRID_BYTES
 from aradius.matio import MatrixFormatError
+
+
+def _chunk_trials(dim):
+    """Trials of dimension ``dim`` in one campaign pass under the current budget."""
+    return max(1, fuzz_mod._CHUNK_ENTRIES // dim**2)
+
 
 _REPLAY_CASES = [
     ("thm_2_10", "dense_psd"),
@@ -235,7 +244,7 @@ def test_stacked_weights_are_bitwise_each_trial_built_alone(a_kind, dim):
     # and gives the matrix formula of that trial
     gen = GenSpec(dim=dim, a_kind=a_kind, scale=3.0, seed=dim)
     spans = {fuzz_mod._WEIGHT: range(fuzz_mod._weight_blocks(gen))}
-    ks = range(4, 4 + fuzz_mod.MAX_BATCH)
+    ks = range(4, 4 + _chunk_trials(dim))
     u, z = _stream(fuzz_mod._key(gen.seed), fuzz_mod._crc("kz"), ks, spans)[0]
     stack = fuzz_mod._raw_weights(gen, u, z)
     assert stack.shape == (len(ks), dim, dim) and stack.dtype == np.complex128
@@ -556,7 +565,9 @@ print(h.hexdigest())
     assert digest("X86_V3 X86_V4") == digest("")
 
 
-@pytest.mark.parametrize("trials", [1, 2, 33])
+# four ids fill a pass at the last count, so the five distinct ids of the
+# first call take two passes
+@pytest.mark.parametrize("trials", [1, 2, 33, _chunk_trials(3) // 4])
 @pytest.mark.parametrize(
     "a_kind,ids",
     [
@@ -738,7 +749,7 @@ def test_campaign_builds_per_trial_objects_only_for_persisted_cases(monkeypatch)
     gen = GenSpec(dim=4, a_kind="rank_deficient", seed=6003)
     rep = run_campaign("buz_half", gen, 84, randomize_params=True)[0]
     assert rep.skipped == 0 and rep.violations == 0 and rep.sharpest_case is not None
-    chunks = -(-84 // fuzz_mod.MAX_BATCH)
+    chunks = -(-84 // _chunk_trials(gen.dim))
     assert 1 <= len(cases) <= chunks
     assert built[BoundReport] == 0
     assert built[BoundParams] == len(cases)
@@ -905,10 +916,12 @@ def _rank_mixing_raw_weight(monkeypatch):
     ],
 )
 def test_chunked_campaign_matches_per_trial_loop(monkeypatch, iid):
-    # bohr draws one to five values per trial, so its chunks pad ragged lists
+    # bohr draws one to five values per trial, so its chunks pad ragged lists;
+    # passes of 32 trials keep the per-trial loop short and still split the run
     _rank_mixing_raw_weight(monkeypatch)
     gen = GenSpec(dim=4, a_kind="rank_deficient", seed=58)
-    trials = fuzz_mod.MAX_BATCH + 5
+    monkeypatch.setattr(fuzz_mod, "_CHUNK_ENTRIES", 32 * gen.dim**2)
+    trials = _chunk_trials(gen.dim) + 5
     rep = run_campaign(iid, gen, trials, randomize_params=True)[0]
     kept = []
     ranks = set()
@@ -949,7 +962,7 @@ def test_batched_reports_are_bitwise_the_single_reports(iid, dim, a_kind, seed, 
     # broadcast exponent or a masked power once made the results depend on
     # the batch (bohr also pads its value lists to the batch's widest)
     gen = GenSpec(dim=dim, a_kind=a_kind, seed=seed)
-    ks = range(first, first + fuzz_mod.MAX_BATCH)
+    ks = range(first, first + _chunk_trials(dim))
     draws = _draw_chunk(gen, iid, ks, None, True)
     ctxs, ops, prms = zip(*draws)
     batch = evaluate_bounds(ctxs, iid, ops, prms)
@@ -981,13 +994,14 @@ def _chunk_reports(iid, chunk):
         ("holder_mccarthy", 4, 1.7e308),
     ],
 )
-def test_campaign_skips_trials_that_overflow_and_keeps_the_rest(iid, dim, scale):
+def test_campaign_skips_trials_that_overflow_and_keeps_the_rest(monkeypatch, iid, dim, scale):
     # at these scales some trials' sides overflow; one such trial used to
     # end the whole campaign.  At the largest scales the draws, the
     # reductions and A T overflow as well: those trials are skipped too,
-    # with no warning
+    # with no warning.  Passes of 32 trials keep the per-trial loop short
     gen = GenSpec(dim=dim, scale=scale)
-    trials = 2 * fuzz_mod.MAX_BATCH
+    monkeypatch.setattr(fuzz_mod, "_CHUNK_ENTRIES", 32 * dim**2)
+    trials = 2 * _chunk_trials(dim)
     draws = _draw_chunk(gen, iid, range(trials), None, True)
     solo = []
     for ctx, ops, params in draws:
@@ -998,8 +1012,8 @@ def test_campaign_skips_trials_that_overflow_and_keeps_the_rest(iid, dim, scale)
     raised = sum(one is None for one in solo)
     assert raised > 0
     chunked = []
-    for start in range(0, trials, fuzz_mod.MAX_BATCH):
-        ks = range(start, start + fuzz_mod.MAX_BATCH)
+    for start in range(0, trials, _chunk_trials(dim)):
+        ks = range(start, start + _chunk_trials(dim))
         chunked += _chunk_reports(iid, fuzz_mod._draw(gen, [iid], ks, None, True)[0])
     assert [repr(rep) for rep in chunked] == [repr(one) for one in solo]
     kept = [one for one in solo if one is not None and one.hypotheses_ok]
@@ -1007,3 +1021,82 @@ def test_campaign_skips_trials_that_overflow_and_keeps_the_rest(iid, dim, scale)
     assert rep.trials == trials
     assert rep.skipped == trials - len(kept)
     assert rep.min_rel_slack == (min(one.rel_slack for one in kept) if kept else None)
+
+
+
+def _per_trial_fallback(iid, chunk):
+    """:func:`fuzz._evaluate_chunk` as it was: a rank group that raises is evaluated trial by trial."""
+    groups, operands, cols = chunk
+
+    def core(ctx, rows):  # raises where evaluate_bounds raises
+        ops = {name: value[rows] for name, value in operands.items()}
+        if not all(np.isfinite(value).all() for value in ops.values()):
+            raise DomainError(f"{iid!r}: an operand is not finite")
+        picked = SimpleNamespace(**{key: value[rows] for key, value in vars(cols).items()})
+        one = fuzz_mod._evaluate_stacked(iid, ctx, ops, picked)
+        if not (np.isfinite(one[0]).all() and np.isfinite(one[1]).all()):
+            raise DomainError(f"{iid!r}: lhs or rhs is not finite")
+        return one
+
+    out = []
+    for idx, ctx in groups:
+        try:
+            out.append((idx, core(ctx, idx)))
+        except DomainError:
+            for j, i in enumerate(idx):
+                try:
+                    out.append(([i], core(ctx.trial(slice(j, j + 1)), [i])))
+                except DomainError:
+                    out.append(([i], None))
+    return out
+
+
+@pytest.mark.parametrize(
+    "iid,dim,scale,trials",
+    [
+        ("thm_2_16", 3, 1e20, 512),  # a few trials raise inside the evaluation
+        ("ramadan1", 3, 1e40, 300),  # some sides overflow
+        ("moby_a1", 2, 1e100, 300),  # every side overflows
+        ("ramadan1", 2, 1e300, 300),  # every trial raises inside the evaluation
+        ("holder_mccarthy", 4, 1.7e308, 64),  # operands overflow
+    ],
+)
+def test_raising_groups_are_halved_to_the_per_trial_report(monkeypatch, iid, dim, scale, trials):
+    # one chunk each: only the trials that raise alone are skipped, a trial
+    # with a non-finite operand is never evaluated, and where few trials
+    # raise, halving evaluates far fewer stacks than trying each
+    gen = GenSpec(dim=dim, scale=scale, seed=5)
+    assert trials <= _chunk_trials(dim)
+    real, sizes, finite = fuzz_mod._evaluate_stacked, [], []
+
+    def counted(iid, ctx, ops, params):
+        sizes.append(len(params.p))
+        finite.append(all(np.isfinite(value).all() for value in ops.values()))
+        return real(iid, ctx, ops, params)
+
+    monkeypatch.setattr(fuzz_mod, "_evaluate_stacked", counted)
+    rep = run_campaign(iid, gen, trials, randomize_params=True)[0]
+    assert all(finite)
+    halved, sizes[:] = len(sizes), []
+    monkeypatch.setattr(fuzz_mod, "_evaluate_chunk", _per_trial_fallback)
+    ref = run_campaign(iid, gen, trials, randomize_params=True)[0]
+    assert rep.skipped > 0
+    assert json.dumps(campaign_to_obj(rep)) == json.dumps(campaign_to_obj(ref))
+    if rep.skipped < trials // 10:
+        assert halved < len(sizes) // 4
+
+
+def test_a_campaign_pass_of_large_matrices_stays_within_its_memory_budget():
+    # a pass holds 2**13 stacked entries: two trials of 64 x 64, whose kz
+    # evaluation stays under the radius grid's slice budget plus 16 MiB.
+    # Passes of four trials would not
+    gen = GenSpec(dim=64, a_kind="rank_deficient", t_kind="a_selfadjoint", seed=1)
+    assert _chunk_trials(gen.dim) == 2
+    tracemalloc.start()
+    try:
+        rep = run_campaign("kz", gen, 4)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.skipped == 0
+    assert peak < _GRID_BYTES + 16 * 2**20

@@ -25,7 +25,7 @@ from aradius import (
     spectral_norm,
 )
 
-from aradius.linalg import _GRID, _GRID_BYTES, _dense_radius, as_vectors
+from aradius.linalg import _GRID, _GRID_BYTES, _dense_radius, _refined_radius, as_vectors
 
 from conftest import (
     cgauss,
@@ -200,6 +200,39 @@ def test_radius_normal_is_spectral_radius(rng):
     m = u @ d @ u.conj().T
     expected = float(np.max(np.abs(np.diag(d))))
     assert classical_numerical_radius(m) == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 0.37, 1.0, 3.1, 1e6])
+def test_radius_at_ordinary_scales_is_the_unscaled_solve(rng, scale):
+    # each matrix is divided by a power of two before it is classed and
+    # solved; at ordinary scales that moves no bit of any class's radius
+    for n in range(2, 9):
+        g = scale * cgauss(rng, 5, n, n)
+        herm = 0.5 * (g + g.conj().transpose(0, 2, 1))
+        u = np.linalg.qr(cgauss(rng, 5, n, n))[0]
+        normal = u @ (scale * cgauss(rng, 5, n)[:, :, None] * u.conj().transpose(0, 2, 1))
+        assert classical_numerical_radius(g).tolist() == (
+            _refined_radius(None, 0.5 * g, spectral_norm(g)).tolist()
+        )
+        assert classical_numerical_radius(herm).tolist() == (
+            np.abs(np.linalg.eigvalsh(herm)).max(axis=1).tolist()
+        )
+        assert classical_numerical_radius(normal).tolist() == (
+            np.abs(np.linalg.eigvals(normal)).max(axis=1).tolist()
+        )
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-200, 2.0**-600, 2.0**600])
+def test_general_radius_scales_with_its_input(rng, scale):
+    # entries above about 1.3e154 once overflowed the Frobenius norms, so a
+    # general matrix was classed as Hermitian; a power-of-two scale moves
+    # the radius exactly
+    mats = cgauss(rng, 8, 3, 3)
+    unit = classical_numerical_radius(mats)
+    got = classical_numerical_radius(scale * mats)
+    assert np.allclose(got, scale * unit, rtol=1e-13, atol=0.0)
+    if np.log2(scale).is_integer():
+        assert got.tolist() == (scale * unit).tolist()
 
 
 def test_radius_nilpotent_shift():

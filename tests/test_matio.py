@@ -24,7 +24,11 @@ from conftest import cgauss
 
 def test_complex_pairs_roundtrip(rng):
     m = cgauss(rng, 3, 2)
-    back = complex_from_pairs(complex_to_pairs(m))
+    m[0, 0] = complex(-0.0, -0.0)  # signed zeros are written as such
+    data = complex_to_pairs(m)
+    assert json.dumps(data) == json.dumps([[[z.real, z.imag] for z in row] for row in m.tolist()])
+    assert '[-0.0, -0.0]' in json.dumps(data)
+    back = complex_from_pairs(data)
     assert np.array_equal(back, m)
 
 
