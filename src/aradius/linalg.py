@@ -9,7 +9,9 @@ radius scales each matrix by a power of two so its norms and squares
 neither overflow nor underflow, short-circuits Hermitian and normal
 matrices to eigenvalues, and solves an anti-diagonal block matrix ``[[0,
 X], [Y, 0]]`` at half its size through ``w = max_phi ||X + e^{i phi} Y*||
-/ 2`` (Hirzallah, Kittaneh and Shebrawi, 2011).
+/ 2`` (Hirzallah, Kittaneh and Shebrawi, 2011).  The range of a real
+matrix is symmetric about the real axis, so only half of its angle grid is
+solved.
 
 Stacks: :func:`spectral_norm`, :func:`classical_numerical_radius` and
 :func:`hermitian_eig` take either one matrix or a stack ``(k, rows,
@@ -236,9 +238,12 @@ def classical_numerical_radius(m):
 
     Every other matrix maximizes ``lambda(theta)``, the top eigenvalue of
     the Hermitian part of ``exp(i*theta) * M``: the same family with ``P =
-    0`` and ``Q = M / 2``.  See :func:`_refined_radius` for the grid and the
-    Newton search.  Each matrix gets the largest value evaluated for it: at
-    most its radius up to rounding, but no certified bound.
+    0`` and ``Q = M / 2``.  A real matrix, or an anti-diagonal block of real
+    ``X`` and ``Y``, has a numerical range symmetric about the real axis, so
+    only the half circle ``[0, pi]`` of its family is solved.  See
+    :func:`_refined_radius` for the grid and the Newton search.  Each
+    matrix gets the largest value evaluated for it: at most its radius up
+    to rounding, but no certified bound.
     """
     arr = as_stack(m, square=True)
     mats = arr.reshape((-1,) + arr.shape[-2:])
@@ -309,7 +314,13 @@ def _refined_radius(p, q: np.ndarray, lip: np.ndarray) -> np.ndarray:
 
     ``p`` is ``None`` for ``P = 0``, where ``F(phi + pi) = -F(phi)``: the
     ``_GRID``-angle circle then needs only its first half solved.  With a
-    ``P`` the circle is ``_GRID // 2`` angles, all solved.  ``lip`` bounds
+    ``P`` the circle is ``_GRID // 2`` angles, all solved.  A family whose
+    ``P`` and ``Q`` have no imaginary part has ``F(-phi) = conj F(phi)``, so
+    ``lambda(-phi) = lambda(phi)``: it solves the ``_GRID // 4 + 1`` angles
+    of ``[0, pi]`` (with ``P = 0``, of ``[0, pi / 2]``), fills in the rest
+    of the circle by that symmetry, and starts Newton only from maxima on
+    ``[0, pi]``; one at angle 0, where ``lambda'`` vanishes, is bracketed
+    by ``[0, delta]``.  Each stack is split by that per-matrix test.  ``lip`` bounds
     ``|lambda'|`` (``2 ||Q||``).  The grid keeps each matrix's local maxima
     within ``lip * delta`` of its best.  Each starts at the vertex of the
     parabola through its grid neighbours and takes safeguarded Newton steps
@@ -343,14 +354,26 @@ def _refined_radius(p, q: np.ndarray, lip: np.ndarray) -> np.ndarray:
     else:
         phases, thetas, delta = _CIRCLE_PHASE, 2.0 * _THETAS[: _GRID // 2], 2.0 * _DELTA
     parts = [q, q.conj().transpose(0, 2, 1)] + ([] if p is None else [p])
+    real = ~q.imag.any(axis=(1, 2))
+    if p is not None:
+        real &= ~p.imag.any(axis=(1, 2))
     size = max(1, _GRID_BYTES // (_GRID * 16 * q.shape[-1] ** 2))
-    ends = np.concatenate([
-        np.linalg.eigvalsh(family(phases, *(part[lo : lo + size, None] for part in parts)))
-        for lo in range(0, len(q), size)
-    ])
-    vals = ends[:, :, -1]
-    if p is None:
-        vals = np.concatenate([vals, -ends[:, :, 0]], axis=1)
+    vals = np.empty((len(q), len(thetas)))
+    for rows, count in ((~real, len(phases)), (real, _GRID // 4 + 1)):
+        if not rows.any():
+            continue
+        sub = [part[rows] for part in parts]
+        ends = np.concatenate([
+            np.linalg.eigvalsh(family(phases[:count], *(part[lo : lo + size, None] for part in sub)))
+            for lo in range(0, len(sub[0]), size)
+        ])
+        arc = ends[:, :, -1]
+        if p is None:  # lambda(phi + pi) = -lambda_min(phi)
+            bottom = -ends[:, :, 0]
+            arc = np.concatenate([arc, bottom if count == len(phases) else bottom[:, -2::-1]], axis=1)
+        if count < len(phases):  # arc is [0, pi], and lambda(-phi) = lambda(phi)
+            arc = np.concatenate([arc, arc[:, -2:0:-1]], axis=1)
+        vals[rows] = arc
     best = np.max(vals, axis=1)
     ring = np.concatenate([vals[:, -1:], vals, vals[:, :1]], axis=1)
     sel = (
@@ -358,9 +381,13 @@ def _refined_radius(p, q: np.ndarray, lip: np.ndarray) -> np.ndarray:
         & (vals >= ring[:, 2:])
         & (vals + lip[:, None] * delta >= best[:, None])
     )
+    sel[real, len(thetas) // 2 + 1 :] = False  # the mirror images of [0, pi]
     owner, idx = np.nonzero(sel)
     prev, mid, nxt, t = ring[:, :-2][sel], vals[sel], ring[:, 2:][sel], thetas[idx]
     lo, hi = t - delta, t + delta
+    # lambda'(0) of a real family is exactly zero, so its bracket could not
+    # shrink; by symmetry, (0, delta] holds a maximum near angle 0
+    lo[real[owner] & (idx == 0)] = 0.0
     shift = np.nan_to_num(0.5 * delta * (prev - nxt) / (prev - 2 * mid + nxt))
     t = t + np.clip(shift, -0.5 * delta, 0.5 * delta)
     own = [part[owner] for part in parts]

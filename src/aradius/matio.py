@@ -33,7 +33,7 @@ def complex_to_pairs(m) -> list:
 
 def complex_from_pairs(data) -> np.ndarray:
     try:
-        arr = np.asarray(data, dtype=float)
+        arr = np.array(data, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
         raise MatrixFormatError(f"ragged or non-numeric matrix data: {exc}") from None
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -42,7 +42,8 @@ def complex_from_pairs(data) -> np.ndarray:
         )
     if not np.all(np.isfinite(arr)):
         raise MatrixFormatError("matrix entries must be finite")
-    return np.ascontiguousarray(arr[..., 0] + 1j * arr[..., 1])
+    # a view keeps each part's sign; re + 1j * im turns -0.0 into 0.0
+    return arr.view(np.complex128)[..., 0]
 
 
 def matrix_to_obj(name: str, m) -> dict:

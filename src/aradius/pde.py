@@ -29,14 +29,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .inequalities import BoundParams, BoundReport, _report
-from .linalg import DomainError, as_integer
+from .linalg import DomainError, as_integer, classical_numerical_radius, spectral_norm
 from .semihilbert import (
     SemiInnerContext,
-    a_adjoint,
-    a_numerical_radius,
     a_numerical_radius_lower,
     make_context,
-    op_seminorm,
+    reduce,
     vec_seminorm,
 )
 
@@ -143,9 +141,14 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     reports the radius ``w_{A_h}(T_h^{-1})`` alongside, together with the
     half-sum bound ``(||T_h^{-1}||_{A_h} + ||(T_h^#)^{-1}||_{A_h}) / 2``
     that the anti-diagonal embedding of the inverse satisfies.  The
-    radius can undercut the norm, which is why only the norm inequality
-    is asserted.  ``samples > 0`` adds ``radius_inverse_sampled``, a
-    10000-draw lower bound for the radius.
+    A-adjoint preserves the seminorm (the reduction of ``T^#`` is ``T~*``),
+    so ``half_sum_bound`` equals the inverse seminorm and is reported as
+    that value.  The radius can undercut the norm, which is why only the
+    norm inequality is asserted.  ``samples > 0`` adds
+    ``radius_inverse_sampled``, a 10000-draw lower bound for the radius.
+    A singular ``T_h``, or a weight with a numerically zero eigenvalue
+    (whose A-adjoint ``pinv(A_h) T_h* A_h`` is then singular), raises
+    :class:`SingularOperator`.
 
     The right-hand sides are drawn as one ``(samples, 2, n)`` array (each
     sample's real part, then its imaginary part), and the solves and both
@@ -161,15 +164,13 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     if samples < 0:
         raise InvalidSpec(f"samples must be nonnegative, got {samples}")
     t_h, _, ctx = _solve_context(spec)
-    t_inv = np.linalg.inv(t_h)
-    norm_inv = op_seminorm(ctx, t_inv)
-    radius_inv = a_numerical_radius(ctx, t_inv)
-    adj = a_adjoint(ctx, t_h)
-    adj_eigs = np.linalg.eigvals(adj)
-    if np.min(np.abs(adj_eigs)) <= 1e-12 * np.max(np.abs(adj_eigs)):
+    # the A-adjoint pinv(A) T_h* A is singular exactly when the weight is
+    if ctx.rank < spec.n_points:
         raise SingularOperator("adjoint operator is numerically singular")
-    norm_adj_inv = op_seminorm(ctx, np.linalg.inv(adj))
-    half_sum = 0.5 * (norm_inv + norm_adj_inv)
+    t_inv = np.linalg.inv(t_h)
+    tilde = reduce(ctx, t_inv)
+    norm_inv = spectral_norm(tilde)
+    radius_inv = classical_numerical_radius(tilde)
     # each sample draws its real part, then its imaginary part
     parts = np.random.default_rng(seed).standard_normal((samples, 2, spec.n_points))
     f = (parts[:, 0] + 1j * parts[:, 1])[..., None]
@@ -178,7 +179,7 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     worst = float(np.max(_seminorms(ctx, t_inv @ f[live]) / nf[live], initial=0.0))
     inter = {
         "radius_inverse": radius_inv,
-        "half_sum_bound": half_sum,
+        "half_sum_bound": norm_inv,
         "seminorm_inverse": norm_inv,
         "sampled_amplification": worst,
         "h": spec.h,
@@ -236,8 +237,9 @@ def richardson_contraction(
     if svals[-1] <= 1e-12 * max(svals[0], 1.0):
         raise SingularPreconditioner("preconditioner is numerically singular")
     m = np.eye(ctx.dim) - np.linalg.solve(p, t)
-    rho = a_numerical_radius(ctx, m)
-    seminorm_m = op_seminorm(ctx, m)
+    tilde = reduce(ctx, m)
+    rho = classical_numerical_radius(tilde) if ctx.rank else 0.0
+    seminorm_m = spectral_norm(tilde) if ctx.rank else 0.0
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
     n0 = vec_seminorm(ctx, e)
@@ -330,7 +332,8 @@ def convergence_rows(spec: EllipticSpec, levels: int = 3) -> list[dict]:
     """Stability quantities and observed order per refinement level.
 
     Row fields: ``N``, ``h``, ``norm`` (inverse seminorm), ``radius``
-    (inverse radius), ``bound`` (half-sum), ``observed_order`` (defect
+    (inverse radius), ``bound`` (half-sum, which equals ``norm`` because
+    the A-adjoint preserves the seminorm), ``observed_order`` (defect
     order between this level and the previous one; empty on the first).
     """
     rows = []

@@ -1,5 +1,6 @@
 """Dense kernel: validation, factorizations, spectral quantities."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -260,11 +261,13 @@ def test_radius_zero_matrix():
     assert classical_numerical_radius(np.zeros((3, 3))) == 0.0
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-7, 1e-6, 1.0, 1e6])
 def test_radius_jordan_block_closed_form(n, scale):
     # W(J_n) is the disk of radius cos(pi/(n+1)), so lambda(theta) is flat:
     # lambda' and lambda'' vanish and the refinement runs on bisection.
+    # J_n is real, so it solves half the grid and starts from every angle
+    # of [0, pi].
     # Tiny scales check that the normal short-circuit is scale-invariant:
     # J_n is far from normal at every scale.
     m = scale * np.eye(n, k=1)
@@ -345,8 +348,10 @@ def test_radius_stack_is_bitwise_per_matrix(rng):
             (u * cgauss(rng, n)) @ u.conj().T,
             3.0 * np.eye(n, k=1),
         ] + [s * cgauss(rng, n, n) for s in (1e-6, 1.0, 1e6) for _ in range(2)]
+        mats.append(rng.standard_normal((n, n)))  # a real family solves half the grid
         if n % 2 == 0:
             mats.append(_antidiag(*cgauss(rng, 2, n // 2, n // 2)))
+            mats.append(_antidiag(*rng.standard_normal((2, n // 2, n // 2))))
         stacked = classical_numerical_radius(np.stack(mats))
         assert stacked.shape == (len(mats),)
         for m, w in zip(mats, stacked):
@@ -424,3 +429,58 @@ def test_antidiagonal_radius_scales_with_its_input(rng, scale):
     assert np.allclose(got, scale * unit, rtol=1e-13, atol=0.0)
     if np.log2(scale).is_integer():
         assert got.tolist() == (scale * unit).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16, 31, 63])
+def test_real_radius_matches_the_rotated_complex_path(rng, n):
+    # W(M) of a real M is symmetric about the real axis, so its family is
+    # solved on [0, pi] only; e^{i pi/7} M has the same radius and takes
+    # the complex path, which solves the whole circle
+    k = 6 if n <= 8 else 2
+    rot = np.exp(1j * np.pi / 7)
+    mats = [rng.standard_normal((k, n, n))]
+    if n % 2 == 0:
+        mats.append(_antidiag(*rng.standard_normal((2, k, n // 2, n // 2))))
+    for real in mats:
+        got = classical_numerical_radius(real)
+        assert np.allclose(got, classical_numerical_radius(rot * real), rtol=1e-13, atol=0.0)
+
+
+def test_real_families_solve_17_of_32_grid_angles(rng, monkeypatch):
+    # a real general matrix solves angles 0 to pi / 2 (each Hermitian part
+    # also gives lambda at the angle plus pi), a real anti-diagonal block
+    # angles 0 to pi of its circle; complex matrices solve 32 angles
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        solved.append(int(np.prod(a.shape[:-2])))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    general, blocks = rng.standard_normal((5, 6, 6)), rng.standard_normal((2, 3, 3, 3))
+    for mats, grids in [
+        (general, 17 * 5),
+        (_antidiag(*blocks), 17 * 3),
+        (cgauss(rng, 4, 6, 6), 32 * 4),
+        (np.concatenate([general, cgauss(rng, 4, 6, 6)]), 17 * 5 + 32 * 4),
+    ]:
+        solved.clear()
+        classical_numerical_radius(mats)
+        assert sum(solved) == grids
+
+
+def test_real_radius_off_the_real_axis():
+    # W([[1, -2], [1, 1]]) is the ellipse about 1 with semi-axes 1/2 and
+    # 3/2 (foci at the eigenvalues 1 +- i sqrt(2)); |z| peaks at z = 9/8 +-
+    # 3 sqrt(15) i / 8, where |z|^2 = 27/8, between two grid angles
+    m = np.array([[1.0, -2.0], [1.0, 1.0]])
+    assert classical_numerical_radius(m) == pytest.approx(math.sqrt(27 / 8), rel=1e-14)
+    # here lambda(theta) has a local minimum at 0 between maxima at +-0.044,
+    # inside one grid cell; lambda'(0) is exactly zero, so a search
+    # bracketed about 0 stays at 0, 3.9e-7 below the radius (and so does
+    # the alternating ascent of oracle_radius)
+    m = np.array([[0.12652561, 1.19049467], [-0.37533842, 0.90986133]])
+    w = classical_numerical_radius(m)
+    assert w == pytest.approx(classical_numerical_radius(np.exp(1j * np.pi / 7) * m), rel=1e-13)
+    assert w >= oracle_radius_grid(m) > oracle_radius(m) + 3e-7

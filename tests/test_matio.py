@@ -30,6 +30,8 @@ def test_complex_pairs_roundtrip(rng):
     assert '[-0.0, -0.0]' in json.dumps(data)
     back = complex_from_pairs(data)
     assert np.array_equal(back, m)
+    assert np.signbit(back[0, 0].real) and np.signbit(back[0, 0].imag)
+    assert back.flags.c_contiguous
 
 
 def test_pairs_promote_vectors_to_columns(rng):

@@ -17,12 +17,15 @@ from aradius import (
     DomainError,
     EllipticSpec,
     InvalidSpec,
+    SingularOperator,
     SingularPreconditioner,
+    a_adjoint,
     assemble_fd,
     consistency_order,
     convergence_rows,
     a_numerical_radius_lower,
     make_context,
+    op_seminorm,
     preconditioner_report,
     richardson_contraction,
     stability_report,
@@ -181,6 +184,29 @@ def test_stability_report_certifies_solve_bound():
     assert inter["radius_inverse"] <= inter["seminorm_inverse"] + 1e-9
     assert inter["half_sum_bound"] >= inter["radius_inverse"] - 1e-9
     assert rep.rhs == pytest.approx(inter["seminorm_inverse"])
+
+
+@pytest.mark.parametrize("n", [8, 31])
+def test_half_sum_bound_is_the_inverse_seminorm(n):
+    # the A-adjoint preserves the seminorm, so ||(T_h^#)^{-1}||_A, taken
+    # here the long way, equals ||T_h^{-1}||_A
+    spec = EllipticSpec(n_points=n)
+    inter = stability_report(spec, samples=0).intermediates
+    assert inter["half_sum_bound"] == inter["seminorm_inverse"]
+    t_h, a_h = assemble_fd(spec)
+    ctx = make_context(a_h)
+    norm_adj_inv = op_seminorm(ctx, np.linalg.inv(a_adjoint(ctx, t_h)))
+    half_sum = 0.5 * (op_seminorm(ctx, np.linalg.inv(t_h)) + norm_adj_inv)
+    assert inter["half_sum_bound"] == pytest.approx(half_sum, rel=1e-12)
+
+
+def test_stability_report_rejects_a_weight_that_vanishes_at_a_node():
+    # a(x) = (x - 1/2)^2 is positive at every midpoint but zero at the node
+    # x_5 = 1/2, so A_h, and with it the A-adjoint of T_h, is singular
+    spec = EllipticSpec(n_points=9, coeff_a=(0.25, -1.0, 1.0), coeff_c=0.0)
+    assert assemble_fd(spec)[1][4, 4] == 0.0
+    with pytest.raises(SingularOperator):
+        stability_report(spec)
 
 
 def test_stability_report_zero_samples():
