@@ -368,7 +368,9 @@ def _refined_radius(p, q: np.ndarray, lip: np.ndarray) -> np.ndarray:
             for lo in range(0, len(sub[0]), size)
         ])
         arc = ends[:, :, -1]
-        if p is None:  # lambda(phi + pi) = -lambda_min(phi)
+        # lambda(phi + pi) = -lambda_min(phi), and for a real family on [0,
+        # pi] also lambda(pi - phi), which fills angles pi / 2 to pi
+        if p is None:
             bottom = -ends[:, :, 0]
             arc = np.concatenate([arc, bottom if count == len(phases) else bottom[:, -2::-1]], axis=1)
         if count < len(phases):  # arc is [0, pi], and lambda(-phi) = lambda(phi)
