@@ -5,7 +5,8 @@ diagonal pair demonstrating sharpness of the refined norm bound, a
 rank-one-weight pair exercising the fourth-power anti-diagonal bound,
 and an upper/lower-triangular pair used in the application write-up).
 The audit recomputes every quantity from first principles with this
-toolkit and tabulates reported against computed values.
+toolkit and tabulates reported against computed values.  Block radii are
+taken of the assembled block, independently of the checkers' route.
 
 Agreement is informational: several reported rows are arithmetically
 inconsistent with their own definitions (wrong adjoints propagate into

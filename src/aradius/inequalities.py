@@ -71,6 +71,7 @@ import numpy as np
 
 from .linalg import (
     DomainError,
+    antidiagonal_radius,
     as_matrix,
     as_vectors,
     classical_numerical_radius,
@@ -308,11 +309,6 @@ def _each(fn, *stacks):
     return np.split(fn(np.concatenate(stacks)), len(stacks))
 
 
-def _antidiag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    zero = np.zeros_like(x)
-    return np.block([[zero, x], [y, zero]])
-
-
 # Reduced vectors hold one row per trial: ``<x, y>_A`` is ``y~* x~`` and
 # ``||x||_A`` is the Euclidean norm of ``x~``.
 
@@ -540,7 +536,7 @@ def _m_thm_2_7(ops, params):
     n2 = y.norm_pow(2.0 * (1.0 - lam))
     n3 = y.norm_pow(2.0 * lam)
     n4 = x.norm_pow(2.0 * (1.0 - lam))
-    lhs = classical_numerical_radius(_antidiag(x.t, y.t))
+    lhs = antidiagonal_radius(x.t, y.t)
     rhs = 0.5 * np.maximum(n1 + n2, n3 + n4)
     inter = {
         "norm_abs_x_pow": n1,
@@ -556,7 +552,7 @@ def _m_thm_2_8(ops, params):
     x, y = ops["X"], ops["Y"]
     u, v = x.norm, y.norm
     lam_star, bound = _refined_alpha_min(u, v)
-    lhs = classical_numerical_radius(_antidiag(x.t, y.t))
+    lhs = antidiagonal_radius(x.t, y.t)
     # Minimizing the four-term family over l lands at l = 1/2 (each
     # pairing is convex in l and the two swap under l <-> 1-l), so the
     # optimized certified bound is the plain half-sum of seminorms.  The
@@ -580,7 +576,7 @@ def _radius_pair_bound(ops, r, lam):
     s1 = x.abs_pow(2.0 * r * lam) + y.adj_abs_pow(2.0 * r * (1.0 - lam))
     s2 = y.abs_pow(2.0 * r * lam) + x.adj_abs_pow(2.0 * r * (1.0 - lam))
     w1, w2 = _each(classical_numerical_radius, s1, s2)
-    w_block = classical_numerical_radius(_antidiag(x.t, y.t))
+    w_block = antidiagonal_radius(x.t, y.t)
     lhs = w_block**r
     rhs = 2.0 ** (r - 2.0) * np.sqrt(w1) * np.sqrt(w2)
     inter = {"radius_sum_1": w1, "radius_sum_2": w2, "block_radius": w_block}
@@ -618,7 +614,7 @@ def _m_thm_2_16(ops, params):
         xy.abs_pow(lam * p * r) / pm + xy.adj_abs_pow((1.0 - lam) * q * r) / qm,
         yx.abs_pow(lam * p * r) / pm + yx.adj_abs_pow((1.0 - lam) * q * r) / qm,
     )
-    lhs = classical_numerical_radius(_antidiag(x.t, y.t)) ** (4.0 * r)
+    lhs = antidiagonal_radius(x.t, y.t) ** (4.0 * r)
     rhs = _ramadan_rhs(be, np.maximum(lam_r, delta_r), np.maximum(rho, sigma))
     inter = {
         "power_sum_1": lam_r,
@@ -639,11 +635,8 @@ def _kz_core(ops):
         f.abs_pow(2.0) + x.adj_abs_pow(2.0),
         k.abs_pow(2.0) + y.adj_abs_pow(2.0),
     )
-    w_r, w_full = _each(
-        classical_numerical_radius,
-        _antidiag(x.t @ k.t, y.t @ f.t),
-        np.block([[f.t, x.t], [y.t, k.t]]),
-    )
+    w_r = antidiagonal_radius(x.t @ k.t, y.t @ f.t)
+    w_full = classical_numerical_radius(np.block([[f.t, x.t], [y.t, k.t]]))
     return a_val, b_val, c_val, d_val, w_r, w_full
 
 
@@ -789,7 +782,7 @@ def _pair_terms(ops, r):
     x, y = ops["X"], ops["Y"]
     n = _power_sum_norms(x, y, r)
     v = _each(classical_numerical_radius, x.t @ y.t, y.t @ x.t)
-    w = classical_numerical_radius(_antidiag(x.t, y.t))
+    w = antidiagonal_radius(x.t, y.t)
     inter = {
         "power_sum_1": n[0],
         "power_sum_2": n[1],
@@ -1179,8 +1172,9 @@ def check_matrix_bound(
     ``blocks`` supplies the named blocks the id needs (``X``/``Y``, plus
     ``F``/``K`` for the full-matrix bounds).  The left side is the
     appropriate power of the radius of the block matrix over
-    ``diag(A, A)``, evaluated as the classical radius of the block of
-    reduced blocks; the right side follows the registered display.
+    ``diag(A, A)``: the classical radius of the block of reduced blocks,
+    from ``X~`` and ``Y~`` by :func:`antidiagonal_radius` for ``[[0, X~],
+    [Y~, 0]]``; the right side follows the registered display.
     """
     _require_kind(inequality_id, "matrix")
     return evaluate_bound(ctx, inequality_id, blocks, params)

@@ -6,21 +6,20 @@ relies on: symmetrization before Hermitian eigensolves, eigenvalue
 clamping for positive-semidefinite functional calculus, and a
 grid-seeded Newton refinement for the classical numerical radius.  The
 radius scales each matrix by a power of two so its norms and squares
-neither overflow nor underflow, short-circuits Hermitian and normal
-matrices to eigenvalues, and solves an anti-diagonal block matrix ``[[0,
-X], [Y, 0]]`` at half its size through ``w = max_phi ||X + e^{i phi} Y*||
-/ 2`` (Hirzallah, Kittaneh and Shebrawi, 2011).  The range of a real
-matrix is symmetric about the real axis, so only half of its angle grid is
-solved.
+neither overflow nor underflow and short-circuits Hermitian and normal
+matrices to eigenvalues.  :func:`antidiagonal_radius` solves ``[[0, X],
+[Y, 0]]`` from its blocks at half size through ``w = max_phi ||X + e^{i
+phi} Y*|| / 2`` (Hirzallah, Kittaneh and Shebrawi, 2011).  A real matrix
+has a range symmetric about the real axis, so half its grid is solved.
 
 Stacks: :func:`spectral_norm`, :func:`classical_numerical_radius` and
 :func:`hermitian_eig` take either one matrix or a stack ``(k, rows,
-cols)`` of matrices of one shape (see :func:`as_stack`).  A stack's
-results carry a leading axis of length ``k`` whose entry ``i`` is bitwise
-what matrix ``i`` alone gives; a 2-D input is a stack of one, and the
-norm and the radius then return a float.  Validation and every numpy call
-run once per stack, which is what makes batched evaluation cheap at small
-``n``.
+cols)`` of matrices of one shape (see :func:`as_stack`), and
+:func:`antidiagonal_radius` a pair of them.  A stack's results carry a
+leading axis of length ``k`` whose entry ``i`` is bitwise what matrix
+``i`` alone gives; a 2-D input is a stack of one, and the norm and the
+radii then return a float.  Validation and every numpy call run once per
+stack, which is what makes batched evaluation cheap at small ``n``.
 """
 
 from __future__ import annotations
@@ -204,7 +203,7 @@ def psd_power(m, p: float) -> np.ndarray:
     """
     if p < 0.0:
         raise ValueError("power must be nonnegative")
-    spec = hermitian_eig(m)
+    spec = hermitian_eig(as_matrix(m, square=True))
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     if float(vals[0]) < -PSD_CLAMP_RTOL * float(np.max(np.abs(vals))):
         raise NotPSD(f"eigenvalue {vals[0]:.3e} below PSD clamp threshold")
@@ -227,85 +226,80 @@ def classical_numerical_radius(m):
     its matrix alone gives).  Each matrix is first divided by a power of
     two near its largest entry, so its norms and squares neither overflow
     nor underflow, and its radius is multiplied back.  The zero matrix
-    gives 0, and three classes short-circuit.  Hermitian and normal
-    matrices (``||M - M*||_F <= 1e-12 ||M||_F``, ``||[M, M*]||_F <= 1e-12
-    ||M||_F^2``: relative, so any scale qualifies) take exact eigenvalues.  An anti-diagonal block matrix ``M =
-    [[0, X], [Y, 0]]`` (even size ``2m``, both ``m x m`` diagonal blocks
-    exactly zero) is solved at size ``m``: ``w(M) = max_phi ||X + e^{i phi}
-    Y*|| / 2`` (Hirzallah, Kittaneh and Shebrawi, 2011), so ``w(M)^2`` is the
-    largest ``lambda_max`` of ``P + e^{i phi} Q + e^{-i phi} Q*`` with ``P =
-    (X*X + YY*) / 4`` and ``Q = X*Y* / 4``.
+    gives 0, and two classes short-circuit: Hermitian and normal matrices
+    (``||M - M*||_F <= 1e-12 ||M||_F``, ``||[M, M*]||_F <= 1e-12
+    ||M||_F^2``: relative, so any scale qualifies) take exact eigenvalues.
 
     Every other matrix maximizes ``lambda(theta)``, the top eigenvalue of
-    the Hermitian part of ``exp(i*theta) * M``: the same family with ``P =
-    0`` and ``Q = M / 2``.  A real matrix, or an anti-diagonal block of real
-    ``X`` and ``Y``, has a numerical range symmetric about the real axis, so
-    only the half circle ``[0, pi]`` of its family is solved.  See
-    :func:`_refined_radius` for the grid and the Newton search.  Each
-    matrix gets the largest value evaluated for it: at most its radius up
-    to rounding, but no certified bound.
+    the Hermitian part of ``exp(i*theta) * M``: the family of
+    :func:`_refined_radius` with ``P = 0`` and ``Q = M / 2``.  A real
+    matrix has a numerical range symmetric about the real axis, so only
+    the half circle ``[0, pi]`` of its family is solved.  Each matrix gets
+    the largest value evaluated for it: at most its radius up to rounding,
+    but no certified bound.  :func:`antidiagonal_radius` solves an
+    anti-diagonal block ``[[0, X], [Y, 0]]`` from its blocks at half size.
     """
     arr = as_stack(m, square=True)
     mats = arr.reshape((-1,) + arr.shape[-2:])
-    half = mats.shape[-1] // 2
-    anti = np.zeros(len(mats), dtype=bool)
-    if mats.shape[-1] % 2 == 0 and not mats[:, 0, 0].all():  # else no block is anti-diagonal
-        diag = mats[:, :half, :half].any(axis=(1, 2)) | mats[:, half:, half:].any(axis=(1, 2))
-        anti = ~diag & mats.any(axis=(1, 2))
-    try:
-        if not anti.any():
-            return _per_input(_dense_radius(mats), arr)
-        out = np.zeros(len(mats))
-        out[anti] = _antidiagonal_radius(mats[anti])
-        if not anti.all():
-            out[~anti] = _dense_radius(mats[~anti])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"radius eigensolve failed: {exc}") from exc
-    return _per_input(out, arr)
-
-
-def _entry_scale(mats: np.ndarray) -> np.ndarray:
-    """A power of two per matrix of a C-contiguous stack: its entries divided by it lie below 2."""
-    top = np.abs(mats.view(np.float64)).max(axis=(1, 2))
-    return np.ldexp(1.0, np.frexp(top)[1] - 1)
-
-
-def _antidiagonal_radius(blocks: np.ndarray) -> np.ndarray:
-    """Radii of a stack of nonzero ``[[0, X], [Y, 0]]``."""
-    half = blocks.shape[-1] // 2
-    scale = _entry_scale(blocks)
-    x = blocks[:, :half, half:] / scale[:, None, None]
-    y = blocks[:, half:, :half] / scale[:, None, None]
-    x_adj, y_adj = x.conj().transpose(0, 2, 1), y.conj().transpose(0, 2, 1)
-    p = 0.25 * (x_adj @ x + y @ y_adj)
-    q = 0.25 * (x_adj @ y_adj)
-    lip = 2.0 * np.linalg.svd(q, compute_uv=False)[:, 0]
-    return scale * np.sqrt(np.maximum(_refined_radius(p, q, lip), 0.0))
-
-
-def _dense_radius(mats: np.ndarray) -> np.ndarray:
-    """Radii of a stack of matrices that are not anti-diagonal blocks."""
     scale = _entry_scale(mats)
     unit = mats / scale[:, None, None]
     adj = unit.conj().transpose(0, 2, 1)
-    nrm = np.linalg.svd(unit, compute_uv=False)[:, 0]
-    fro = np.linalg.norm(unit, axis=(1, 2))
-    skew = np.linalg.norm(unit - adj, axis=(1, 2)) > 1e-12 * fro
-    herm, rest = np.flatnonzero((nrm > 0.0) & ~skew), np.flatnonzero(skew)
-    out = np.zeros(len(mats))  # radii of unit
-    if herm.size:
-        sym = 0.5 * (unit[herm] + adj[herm])
-        out[herm] = np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
-    if rest.size:
-        m_r, a_r = unit[rest], adj[rest]
-        comm = np.linalg.norm(m_r @ a_r - a_r @ m_r, axis=(1, 2))
-        is_normal = comm <= 1e-12 * fro[rest] ** 2
-        normal, general = rest[is_normal], rest[~is_normal]
-        if normal.size:  # eigvals of unit would move last bits; LAPACK scales extremes itself
-            out[normal] = np.abs(np.linalg.eigvals(mats[normal])).max(axis=1) / scale[normal]
-        if general.size:
-            out[general] = _refined_radius(None, 0.5 * unit[general], nrm[general])
-    return scale * out
+    try:
+        nrm = np.linalg.svd(unit, compute_uv=False)[:, 0]
+        fro = np.linalg.norm(unit, axis=(1, 2))
+        skew = np.linalg.norm(unit - adj, axis=(1, 2)) > 1e-12 * fro
+        herm, rest = np.flatnonzero((nrm > 0.0) & ~skew), np.flatnonzero(skew)
+        out = np.zeros(len(mats))  # radii of unit
+        if herm.size:
+            sym = 0.5 * (unit[herm] + adj[herm])
+            out[herm] = np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
+        if rest.size:
+            m_r, a_r = unit[rest], adj[rest]
+            comm = np.linalg.norm(m_r @ a_r - a_r @ m_r, axis=(1, 2))
+            is_normal = comm <= 1e-12 * fro[rest] ** 2
+            normal, general = rest[is_normal], rest[~is_normal]
+            if normal.size:  # eigvals of unit would move last bits; LAPACK scales extremes itself
+                out[normal] = np.abs(np.linalg.eigvals(mats[normal])).max(axis=1) / scale[normal]
+            if general.size:
+                out[general] = _refined_radius(None, 0.5 * unit[general], nrm[general])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"radius eigensolve failed: {exc}") from exc
+    return _per_input(scale * out, arr)
+
+
+def antidiagonal_radius(x, y):
+    """Numerical radius of ``[[0, X], [Y, 0]]``, solved at the size of ``X``.
+
+    ``x`` and ``y`` are one pair of square blocks (the result is a float)
+    or two stacks ``(k, m, m)`` of pairs, each radius bitwise what its pair
+    alone gives.  ``w = max_phi ||X + e^{i phi} Y*|| / 2`` (Hirzallah,
+    Kittaneh and Shebrawi, 2011), so ``w^2`` is the maximum of
+    :func:`_refined_radius` with ``P = (X*X + YY*) / 4`` and ``Q = X*Y* /
+    4``.  Both blocks are divided by the power of two that
+    :func:`classical_numerical_radius` takes for the assembled block, whose
+    radius this is to rounding.
+    """
+    arr, other = as_stack(x, square=True), as_stack(y, square=True)
+    if arr.shape != other.shape:
+        raise DimensionMismatch(f"blocks differ in shape: {arr.shape} and {other.shape}")
+    xs, ys = (b.reshape((-1,) + b.shape[-2:]) for b in (arr, other))
+    scale = _entry_scale(xs, ys)
+    xs, ys = xs / scale[:, None, None], ys / scale[:, None, None]
+    x_adj, y_adj = xs.conj().transpose(0, 2, 1), ys.conj().transpose(0, 2, 1)
+    p = 0.25 * (x_adj @ xs + ys @ y_adj)
+    q = 0.25 * (x_adj @ y_adj)
+    try:
+        lip = 2.0 * np.linalg.svd(q, compute_uv=False)[:, 0]
+        out = np.sqrt(np.maximum(_refined_radius(p, q, lip), 0.0))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"radius eigensolve failed: {exc}") from exc
+    return _per_input(scale * out, arr)
+
+
+def _entry_scale(*stacks: np.ndarray) -> np.ndarray:
+    """A power of two per matrix of C-contiguous stacks: the entries of each divided by it lie below 2."""
+    top = np.max([np.abs(m.view(np.float64)).max(axis=(1, 2)) for m in stacks], axis=0)
+    return np.ldexp(1.0, np.frexp(top)[1] - 1)
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -32,7 +32,7 @@ from .inequalities import BoundParams, BoundReport, _report
 from .linalg import DomainError, as_integer, classical_numerical_radius, spectral_norm
 from .semihilbert import (
     SemiInnerContext,
-    a_numerical_radius_lower,
+    _sampled_radius,
     make_context,
     reduce,
     vec_seminorm,
@@ -67,7 +67,7 @@ class EllipticSpec:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.n_points < 1:
+        if as_integer("n_points", self.n_points, InvalidSpec) < 1:
             raise InvalidSpec("n_points must be at least 1")
         if not self.coeff_a:
             raise InvalidSpec("coeff_a must have at least one coefficient")
@@ -102,7 +102,7 @@ def assemble_fd(spec: EllipticSpec) -> tuple[np.ndarray, np.ndarray]:
     n, h = spec.n_points, spec.h
     x = spec.grid()
     a_mid = spec.a_of(np.concatenate(([x[0] - 0.5 * h], x + 0.5 * h)))
-    if np.min(a_mid) <= 0.0:
+    if not np.all(a_mid > 0.0):  # a NaN coefficient fails too
         raise InvalidSpec("diffusion coefficient must be positive on the domain")
     t_h = np.zeros((n, n))
     diag = (a_mid[:-1] + a_mid[1:]) / h**2 + spec.coeff_c
@@ -185,9 +185,7 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
         "h": spec.h,
     }
     if samples:
-        inter["radius_inverse_sampled"] = a_numerical_radius_lower(
-            ctx, t_inv, samples=10000, seed=seed
-        )
+        inter["radius_inverse_sampled"] = _sampled_radius(ctx, tilde, 10000, seed)
     return _report("pde_stability", worst, norm_inv, inter, True, BoundParams())
 
 
@@ -247,9 +245,10 @@ def richardson_contraction(
         e = np.ones(ctx.dim, dtype=np.complex128)
         n0 = vec_seminorm(ctx, e)
     errors = []
-    for _ in range(iterations):
-        e = m @ e
-        errors.append(e)
+    with np.errstate(over="ignore", invalid="ignore"):  # _seminorms rejects overflows
+        for _ in range(iterations):
+            e = m @ e
+            errors.append(e)
     ratios = (_seminorms(ctx, np.array(errors)[..., None]) / n0).tolist()
     monotone = all(
         b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip([1.0] + ratios[:-1], ratios)
@@ -308,7 +307,9 @@ def truncation_error(spec: EllipticSpec) -> float:
 
 
 def refined_specs(spec: EllipticSpec, levels: int = 3) -> list[EllipticSpec]:
-    """The spec and its dyadic refinements (h, h/2, h/4, ...)."""
+    """The spec and its dyadic refinements (h, h/2, h/4, ...); ``levels`` is at least 1."""
+    if as_integer("levels", levels, InvalidSpec) < 1:
+        raise InvalidSpec(f"levels must be at least 1, got {levels}")
     out = []
     n = spec.n_points
     for _ in range(levels):
@@ -318,7 +319,9 @@ def refined_specs(spec: EllipticSpec, levels: int = 3) -> list[EllipticSpec]:
 
 
 def consistency_order(spec: EllipticSpec, levels: int = 3) -> float:
-    """Least-squares slope of log(defect) against log(h) over refinements."""
+    """Least-squares slope of log(defect) against log(h) over ``levels >= 2`` refinements."""
+    if as_integer("levels", levels, InvalidSpec) < 2:
+        raise InvalidSpec(f"a slope needs at least 2 levels, got {levels}")
     specs = refined_specs(spec, levels)
     hs = np.array([s.h for s in specs])
     errs = np.array([truncation_error(s) for s in specs])

@@ -265,7 +265,11 @@ def a_numerical_radius_lower(
     samples = as_integer("samples", samples, ValueError)
     if samples < 1:
         raise ValueError("samples must be positive")
-    tilde_t = reduce(ctx, t).T
+    return _sampled_radius(ctx, reduce(ctx, t), samples, seed)
+
+
+def _sampled_radius(ctx: SemiInnerContext, tilde: np.ndarray, samples: int, seed) -> float:
+    """:func:`a_numerical_radius_lower` of the operator whose reduction is ``tilde``."""
     v_conj = ctx.v_r.conj()
     rng = np.random.default_rng(seed)
     real = rng.standard_normal((samples, ctx.dim))
@@ -279,7 +283,7 @@ def a_numerical_radius_lower(
         g = real[block] + 1j * rng.standard_normal(real[block].shape)
         y = (g @ v_conj) * ctx.sqrt_lam
         norms_sq[block] = np.sum(np.abs(y) ** 2, axis=1)
-        numer[block] = np.abs(np.sum(np.conj(y) * (y @ tilde_t), axis=1))
+        numer[block] = np.abs(np.sum(np.conj(y) * (y @ tilde.T), axis=1))
     keep = norms_sq > 1e-24 * max(float(ctx.lam.max()), float(norms_sq.max()))
     if not np.any(keep):
         raise DegenerateContext("no sample survived seminorm normalization")

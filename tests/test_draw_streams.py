@@ -9,7 +9,8 @@ and the vector lemmas on one criterion-6 cell.
 
 Two things change the last bits of a report with the CPU.  LAPACK results
 differ between BLAS kernels, and numpy's bundled OpenBLAS picks its
-kernels by CPU.  numpy's float64 ``log``, ``exp`` and ``power`` differ
+kernels by CPU.  The digests were recorded with numpy 2.4.6 and the
+OpenBLAS it bundles; another numpy release may bundle other kernels.  numpy's float64 ``log``, ``exp`` and ``power`` differ
 between its SIMD dispatch levels (the draws use none of them).  So the
 fixture holds one set of digests per kernel family, each a full run
 recorded with numpy's dispatch matched to that family's CPUs:

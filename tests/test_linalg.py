@@ -16,6 +16,7 @@ from aradius import (
     NotHermitian,
     NotPSD,
     a_numerical_radius,
+    antidiagonal_radius,
     as_matrix,
     as_stack,
     as_vector,
@@ -26,7 +27,7 @@ from aradius import (
     spectral_norm,
 )
 
-from aradius.linalg import _GRID, _GRID_BYTES, _dense_radius, _refined_radius, as_vectors
+from aradius.linalg import _GRID, _GRID_BYTES, _refined_radius, as_vectors
 
 from conftest import (
     cgauss,
@@ -149,6 +150,12 @@ def test_hermitian_eig_rejects_asymmetric(rng):
 def test_psd_power_rejects_indefinite():
     with pytest.raises(NotPSD):
         psd_power(np.diag([1.0, -1.0]), 0.5)
+
+
+@pytest.mark.parametrize("m", [np.stack([np.eye(3)] * 2), np.eye(3)[None], np.eye(3)[0]])
+def test_psd_power_takes_one_matrix(m):
+    with pytest.raises(DimensionMismatch):
+        psd_power(m, 0.5)
 
 
 def test_psd_power_special_exponents(rng):
@@ -336,9 +343,9 @@ def _antidiag(x, y):
 
 
 def test_radius_stack_is_bitwise_per_matrix(rng):
-    # zero, Hermitian, normal, Jordan, anti-diagonal block and random
-    # matrices at three scales: every short-circuit and the refinement run
-    # in one stacked call
+    # zero, Hermitian, normal, Jordan, anti-diagonal block (at full size)
+    # and random matrices at three scales: every short-circuit and the
+    # refinement run in one stacked call
     for n in range(1, 9):
         g = cgauss(rng, n, n)
         u, _ = np.linalg.qr(cgauss(rng, n, n))
@@ -381,13 +388,47 @@ def test_radius_grid_is_solved_in_slices_within_its_byte_budget(rng):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 32])
 def test_antidiagonal_radius_matches_the_general_path(rng, m):
-    # [[0, X], [Y, 0]] is solved at size m; the general path solves the
-    # same block at size 2m.  At m = 32 the stack fills more than one grid
-    # slice of either path.
+    # [[0, X], [Y, 0]] is solved at size m from its blocks; the general
+    # path solves the assembled block at size 2m.  At m = 32 the stack
+    # fills more than one grid slice of either path.
     k = 6 if m < 32 else _GRID_BYTES // (_GRID * 16 * m * m) + 2
-    mats = _antidiag(cgauss(rng, k, m, m), cgauss(rng, k, m, m))
-    got, general = classical_numerical_radius(mats), _dense_radius(mats)
+    x, y = cgauss(rng, 2, k, m, m)
+    got, general = antidiagonal_radius(x, y), classical_numerical_radius(_antidiag(x, y))
     assert np.allclose(got, general, rtol=1e-13, atol=0.0)
+
+
+def test_antidiagonal_radius_of_a_pair_stack_is_bitwise_per_pair(rng):
+    # complex pairs at three scales, a real pair, a Hermitian block and
+    # zero blocks in one stacked call, each against the assembled block
+    for m in range(1, 7):
+        x, y = cgauss(rng, 2, m, m)
+        zero = np.zeros((m, m))
+        pairs = [(x, y), (x, x.conj().T), (x, zero), (zero, y), (zero, zero)]
+        pairs += [tuple(rng.standard_normal((2, m, m)))]
+        pairs += [tuple(s * cgauss(rng, 2, m, m)) for s in (1e-6, 1.0, 1e6)]
+        xs, ys = (np.stack(blocks) for blocks in zip(*pairs))
+        stacked = antidiagonal_radius(xs, ys)
+        assert stacked.shape == (len(pairs),)
+        for (a, b), w in zip(pairs, stacked):
+            assert w == antidiagonal_radius(a, b)
+            assert w == pytest.approx(oracle_radius(_antidiag(a, b)), rel=1e-12, abs=1e-300)
+
+
+def test_antidiagonal_radius_takes_one_pair_or_equal_stacks(rng):
+    x, y = cgauss(rng, 2, 3, 3)
+    assert isinstance(antidiagonal_radius(x, y), float)
+    for other in (cgauss(rng, 2, 2), y[None], cgauss(rng, 2, 3, 3)):
+        with pytest.raises(DimensionMismatch):
+            antidiagonal_radius(x, other)
+    with pytest.raises(NonSquare):
+        antidiagonal_radius(x[:, :2], y[:, :2])
+    for bad in (np.nan, np.inf):
+        broken = y.copy()
+        broken[1, 2] = bad
+        with pytest.raises(DomainError):
+            antidiagonal_radius(x, broken)
+        with pytest.raises(DomainError):
+            antidiagonal_radius(broken, x)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
@@ -396,36 +437,35 @@ def test_antidiagonal_radius_closed_forms(rng, m):
     zero = np.zeros((m, m))
     norm = spectral_norm(x)
     # [[0, X], [X*, 0]] is Hermitian with eigenvalues +-s_j(X)
-    assert classical_numerical_radius(_antidiag(x, x.conj().T)) == pytest.approx(norm, rel=1e-13)
+    assert antidiagonal_radius(x, x.conj().T) == pytest.approx(norm, rel=1e-13)
     # [[0, X], [X, 0]] is unitarily similar to diag(X, -X)
     w_x = classical_numerical_radius(x)
-    assert classical_numerical_radius(_antidiag(x, x)) == pytest.approx(w_x, rel=1e-13)
+    assert antidiagonal_radius(x, x) == pytest.approx(w_x, rel=1e-13)
     # a nilpotent block: W is the disk of radius ||X|| / 2
-    assert classical_numerical_radius(_antidiag(x, zero)) == pytest.approx(norm / 2, rel=1e-13)
-    assert classical_numerical_radius(_antidiag(zero, y)) == pytest.approx(
-        spectral_norm(y) / 2, rel=1e-13
-    )
-    assert classical_numerical_radius(_antidiag(zero, zero)) == 0.0
+    assert antidiagonal_radius(x, zero) == pytest.approx(norm / 2, rel=1e-13)
+    assert antidiagonal_radius(zero, y) == pytest.approx(spectral_norm(y) / 2, rel=1e-13)
+    assert antidiagonal_radius(zero, zero) == 0.0
 
 
 def test_antidiagonal_radius_is_invariant_under_swap_and_rotation(rng):
     for m in range(1, 9):
         x, y = cgauss(rng, 2, m, m)
-        w = classical_numerical_radius(_antidiag(x, y))
-        assert classical_numerical_radius(_antidiag(y, x)) == pytest.approx(w, rel=1e-13)
+        w = antidiagonal_radius(x, y)
+        assert antidiagonal_radius(y, x) == pytest.approx(w, rel=1e-13)
         for t in (0.3, 1.1, 2.9):
-            rotated = _antidiag(x, np.exp(1j * t) * y)
-            assert classical_numerical_radius(rotated) == pytest.approx(w, rel=1e-13)
+            assert antidiagonal_radius(x, np.exp(1j * t) * y) == pytest.approx(w, rel=1e-13)
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0**-600, 2.0**600])
 def test_antidiagonal_radius_scales_with_its_input(rng, scale):
-    # squares of 1e-200 underflow and squares of 1e200 overflow; the blocks
-    # are divided by a power of two first, so a power-of-two scale moves
-    # the radius exactly
-    mats = _antidiag(cgauss(rng, 8, 3, 3), cgauss(rng, 8, 3, 3))
-    unit = classical_numerical_radius(mats)
-    got = classical_numerical_radius(scale * mats)
+    # squares of 1e-200 underflow and squares of 1e200 overflow; both
+    # blocks are divided by one power of two first, the larger block's, so
+    # a power-of-two scale moves the radius exactly, also where one block
+    # is zero
+    x, y = cgauss(rng, 2, 8, 3, 3)
+    x[0], y[1] = 0.0, 0.0
+    unit = antidiagonal_radius(x, y)
+    got = antidiagonal_radius(scale * x, scale * y)
     assert np.allclose(got, scale * unit, rtol=1e-13, atol=0.0)
     if np.log2(scale).is_integer():
         assert got.tolist() == (scale * unit).tolist()
@@ -436,20 +476,21 @@ def test_real_radius_matches_the_rotated_complex_path(rng, n):
     # W(M) of a real M is symmetric about the real axis, so its family is
     # solved on [0, pi] only; e^{i pi/7} M has the same radius and takes
     # the complex path, which solves the whole circle
+    # (and so does a pair of blocks of size n, against the rotated pair)
     k = 6 if n <= 8 else 2
     rot = np.exp(1j * np.pi / 7)
-    mats = [rng.standard_normal((k, n, n))]
-    if n % 2 == 0:
-        mats.append(_antidiag(*rng.standard_normal((2, k, n // 2, n // 2))))
-    for real in mats:
-        got = classical_numerical_radius(real)
-        assert np.allclose(got, classical_numerical_radius(rot * real), rtol=1e-13, atol=0.0)
+    real = rng.standard_normal((k, n, n))
+    got = classical_numerical_radius(real)
+    assert np.allclose(got, classical_numerical_radius(rot * real), rtol=1e-13, atol=0.0)
+    x, y = rng.standard_normal((2, k, n, n))
+    got = antidiagonal_radius(x, y)
+    assert np.allclose(got, antidiagonal_radius(rot * x, rot * y), rtol=1e-13, atol=0.0)
 
 
 def test_real_families_solve_17_of_32_grid_angles(rng, monkeypatch):
     # a real general matrix solves angles 0 to pi / 2 (each Hermitian part
-    # also gives lambda at the angle plus pi), a real anti-diagonal block
-    # angles 0 to pi of its circle; complex matrices solve 32 angles
+    # also gives lambda at the angle plus pi), a pair of real blocks angles
+    # 0 to pi of its circle; complex matrices and pairs solve 32 angles
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -459,14 +500,16 @@ def test_real_families_solve_17_of_32_grid_angles(rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     general, blocks = rng.standard_normal((5, 6, 6)), rng.standard_normal((2, 3, 3, 3))
-    for mats, grids in [
-        (general, 17 * 5),
-        (_antidiag(*blocks), 17 * 3),
-        (cgauss(rng, 4, 6, 6), 32 * 4),
-        (np.concatenate([general, cgauss(rng, 4, 6, 6)]), 17 * 5 + 32 * 4),
+    mixed = np.concatenate([general, cgauss(rng, 4, 6, 6)])
+    for radius, operands, grids in [
+        (classical_numerical_radius, [general], 17 * 5),
+        (antidiagonal_radius, blocks, 17 * 3),
+        (antidiagonal_radius, cgauss(rng, 2, 3, 3, 3), 32 * 3),
+        (classical_numerical_radius, [cgauss(rng, 4, 6, 6)], 32 * 4),
+        (classical_numerical_radius, [mixed], 17 * 5 + 32 * 4),
     ]:
         solved.clear()
-        classical_numerical_radius(mats)
+        radius(*operands)
         assert sum(solved) == grids
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import aradius.pde as pde_mod
+import aradius.semihilbert as semihilbert_mod
 from aradius import (
     DomainError,
     EllipticSpec,
@@ -33,6 +34,7 @@ from aradius import (
     vec_seminorm,
     write_convergence_csv,
 )
+from aradius.pde import refined_specs
 
 from conftest import cgauss, radius_lower_reference, random_context, shrink_stream
 
@@ -53,6 +55,10 @@ CONST = EllipticSpec(n_points=9, coeff_a=(1.0,), coeff_c=0.0)
         {"domain": (1.0, 1.0)},
         {"domain": (2.0, 1.0)},
         {"domain": (0.0, float("inf"))},
+        {"n_points": 2.5},
+        {"n_points": 8.0},
+        {"n_points": "8"},
+        {"n_points": True},
     ],
 )
 def test_spec_rejects_bad_fields(kwargs):
@@ -87,6 +93,13 @@ def test_assemble_requires_two_interior_points():
 def test_assemble_rejects_nonelliptic_coefficient():
     with pytest.raises(InvalidSpec):
         assemble_fd(EllipticSpec(n_points=8, coeff_a=(1.0, -4.0)))
+
+
+@pytest.mark.parametrize("coeff_a", [(float("nan"),), (1.0, float("nan")), (1.0, -2.0, float("nan"))])
+def test_assemble_rejects_a_nan_coefficient(coeff_a):
+    # NaN compares false with zero both ways, so it is not positive either
+    with pytest.raises(InvalidSpec):
+        assemble_fd(EllipticSpec(n_points=8, coeff_a=coeff_a))
 
 
 def test_assemble_constant_coefficient_stencil():
@@ -152,13 +165,26 @@ def test_consistency_order_is_second(spec):
 
 
 def test_refined_specs_halve_h():
-    from aradius.pde import refined_specs
-
     specs = refined_specs(EllipticSpec(n_points=8), levels=3)
     assert [s.n_points for s in specs] == [8, 17, 35]
     hs = [s.h for s in specs]
     assert hs[0] == pytest.approx(2 * hs[1], rel=1e-15)
     assert hs[1] == pytest.approx(2 * hs[2], rel=1e-15)
+
+
+@pytest.mark.parametrize("fn", [refined_specs, consistency_order, convergence_rows])
+@pytest.mark.parametrize("levels", [0, -2, 2.5, 3.0, "3", True, None])
+def test_refinements_take_a_positive_integer_count_of_levels(fn, levels):
+    with pytest.raises(InvalidSpec, match="levels"):
+        fn(EllipticSpec(n_points=4), levels=levels)
+
+
+def test_consistency_order_needs_two_levels():
+    # one level has no slope; a fit through one point is meaningless
+    assert len(refined_specs(EllipticSpec(n_points=4), levels=1)) == 1
+    assert len(convergence_rows(EllipticSpec(n_points=4), levels=1)) == 1
+    with pytest.raises(InvalidSpec, match="levels"):
+        consistency_order(EllipticSpec(n_points=4), levels=1)
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +284,23 @@ def test_stability_report_is_bitwise_the_per_sample_loop(n):
     t_h, a_h = assemble_fd(spec)
     sampled = radius_lower_reference(make_context(a_h), np.linalg.inv(t_h), 10000, 9000)[0]
     assert rep.intermediates["radius_inverse_sampled"] == sampled
+
+
+def test_stability_report_reduces_the_inverse_once(monkeypatch):
+    # the seminorm, the radius and the sampled radius share one reduction
+    reduced = []
+    real = semihilbert_mod.reduce
+
+    def counting(ctx, t):
+        reduced.append(t)
+        return real(ctx, t)
+
+    for mod in (pde_mod, semihilbert_mod):
+        monkeypatch.setattr(mod, "reduce", counting)
+    for samples in (0, 20):
+        reduced.clear()
+        stability_report(EllipticSpec(n_points=8), samples=samples)
+        assert len(reduced) == 1
 
 
 def test_stability_report_is_invariant_under_weight_scaling(monkeypatch):
