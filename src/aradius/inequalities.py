@@ -6,17 +6,19 @@ and right sides of one displayed bound on concrete inputs, reported as a
 displayed (no algebraic simplification), so a genuinely violated display
 surfaces as negative slack instead of being normalized away.
 
-Twelve ids are four display families, each right side written once,
-over four operand shapes.  The families are the delta (at r = 1),
-Ramadan, beta-mean and alpha displays; the shapes are the pair ``X, Y``
-(the operator matrix ``[[0, X], [Y, 0]]``), a single ``M`` (the pair at
-``X = Y = M``), the product ``T1, T2, S1, S2`` and the Gram pair ``F, K``
-(the product at ``T1 = T2 = F``, ``S1 = S2 = K``).  :data:`REGISTRY` is
-one table that binds them, and every id of a family reports the same
+Sixteen ids are six display families, each right side written once,
+over their operand shapes.  The delta (at r = 1), Ramadan, beta-mean and
+alpha displays take the pair ``X, Y`` (the operator matrix ``[[0, X],
+[Y, 0]]``), a single ``M`` (the pair at ``X = Y = M``), the product
+``T1, T2, S1, S2`` and the Gram pair ``F, K`` (the product at ``T1 = T2
+= F``, ``S1 = S2 = K``).  The kz and modified-kz displays take the full
+block ``[[F, X], [Y, K]]`` and its collapse at ``F = X = Y = K = M``,
+whose right side is the block's divided by 16.  :data:`REGISTRY` is one
+table that binds them, and every id of a family reports the same
 intermediates: the shape's power sums (``power_sum_1``/``power_sum_2``,
-or ``power_sum`` for a one-operator shape) and radii, the delta
-coefficients, and for the beta-mean family ``limit_bound``, the right
-side's limit as beta grows.
+or ``power_sum`` for a one-operator shape) or norms, its radii, the
+delta or chi coefficients, and for the beta-mean family
+``limit_bound``, the right side's limit as beta grows.
 
 Five displays ship with corrected right sides because the published
 form is refuted either by an exact equality case (the identity weight
@@ -626,128 +628,6 @@ def _m_thm_2_16(ops, params):
     return lhs, rhs, inter
 
 
-def _kz_core(ops):
-    f, x, y, k = ops["F"], ops["X"], ops["Y"], ops["K"]
-    a_val, b_val, c_val, d_val = _each(
-        spectral_norm,
-        f.abs_pow(4.0) + x.adj_abs_pow(4.0),
-        k.abs_pow(4.0) + y.adj_abs_pow(4.0),
-        f.abs_pow(2.0) + x.adj_abs_pow(2.0),
-        k.abs_pow(2.0) + y.adj_abs_pow(2.0),
-    )
-    w_r = antidiagonal_radius(x.t @ k.t, y.t @ f.t)
-    w_full = classical_numerical_radius(np.block([[f.t, x.t], [y.t, k.t]]))
-    return a_val, b_val, c_val, d_val, w_r, w_full
-
-
-def _m_kz(ops, params):
-    chi1, chi2, _, _ = _chi(params.alpha, params.beta)
-    a_val, b_val, c_val, d_val, w_r, w_full = _kz_core(ops)
-    lhs = w_full**4
-    rhs = (
-        (2.0 + 4.0 * chi1) * np.maximum(a_val, b_val)
-        + 4.0 * chi2 * np.maximum(c_val, d_val) * w_r
-        + 4.0 * w_r**2
-    )
-    inter = {
-        "chi_1": chi1,
-        "chi_2": chi2,
-        "norm_quartic_f": a_val,
-        "norm_quartic_k": b_val,
-        "norm_quad_f": c_val,
-        "norm_quad_k": d_val,
-        "radius_cross": w_r,
-        "rhs_as_displayed": rhs - 2.0 * w_r**2,
-    }
-    return lhs, rhs, inter
-
-
-def _m_modified_kz(ops, params):
-    chi1, chi2, chi3, chi4 = _chi(params.alpha, params.beta)
-    mu = params.mu
-    a_val, b_val, c_val, d_val, w_r, w_full = _kz_core(ops)
-    lhs = w_full**4
-    rhs = (
-        (2.0 + 2.0 * chi1 + 2.0 * chi3) * np.maximum(a_val, b_val)
-        + (2.0 * chi2 + 2.0 * mu * chi4) * np.maximum(c_val, d_val) * w_r
-        + (4.0 + 4.0 * (1.0 - mu) * chi4) * w_r**2
-    )
-    inter = {
-        "chi_1": chi1,
-        "chi_2": chi2,
-        "chi_3": chi3,
-        "chi_4": chi4,
-        "norm_quartic_f": a_val,
-        "norm_quartic_k": b_val,
-        "norm_quad_f": c_val,
-        "norm_quad_k": d_val,
-        "radius_cross": w_r,
-    }
-    return lhs, rhs, inter
-
-
-# -- single-operator corollaries -----------------------------------------
-
-
-def _abs_sum_norm(m, s):
-    """``|| |M~|^s + |M~*|^s ||``: the seminorm of ``(M#M)^(s/2) + (MM#)^(s/2)``."""
-    return spectral_norm(m.abs_pow(s) + m.adj_abs_pow(s))
-
-
-def _single_core(m, r):
-    n_r = _abs_sum_norm(m, 2.0 * r)
-    w_sq, w_m = _each(classical_numerical_radius, m.t @ m.t, m.t)
-    return n_r, w_sq, w_m
-
-
-def _s_college1(ops, params):
-    m = ops["M"]
-    chi1, chi2, _, _ = _chi(params.alpha, params.beta)
-    quart = _abs_sum_norm(m, 4.0)
-    quad, w_sq, w_m = _single_core(m, 1.0)
-    lhs = w_m**4
-    rhs = (
-        (1.0 + 2.0 * chi1) / 8.0 * quart
-        + 0.25 * chi2 * quad * w_sq
-        + 0.25 * w_sq**2
-    )
-    inter = {
-        "chi_1": chi1,
-        "chi_2": chi2,
-        "norm_quartic": quart,
-        "norm_quad": quad,
-        "radius_sq": w_sq,
-        "rhs_as_displayed": (1.0 + 2.0 * chi1) / 8.0 * quart
-        + 0.125 * w_sq
-        + 0.25 * chi2 * quad * w_sq,
-    }
-    return lhs, rhs, inter
-
-
-def _s_modified_kz_cor(ops, params):
-    m = ops["M"]
-    chi1, chi2, chi3, chi4 = _chi(params.alpha, params.beta)
-    mu = params.mu
-    quart = _abs_sum_norm(m, 4.0)
-    quad, w_sq, w_m = _single_core(m, 1.0)
-    lhs = w_m**4
-    rhs = (
-        (1.0 + chi1 + chi3) / 8.0 * quart
-        + (chi2 + mu * chi4) / 8.0 * quad * w_sq
-        + (1.0 + (1.0 - mu) * chi4) / 4.0 * w_sq**2
-    )
-    inter = {
-        "chi_1": chi1,
-        "chi_2": chi2,
-        "chi_3": chi3,
-        "chi_4": chi4,
-        "norm_quartic": quart,
-        "norm_quad": quad,
-        "radius_sq": w_sq,
-    }
-    return lhs, rhs, inter
-
-
 # -- product bounds -------------------------------------------------------
 
 
@@ -794,7 +674,9 @@ def _pair_terms(ops, r):
 
 def _single_terms(ops, r):
     """The pair shape at ``X = Y = M``: ``w(M~)``, its power sum and ``w(M~^2)``."""
-    n_r, w_sq, w_m = _single_core(ops["M"], r)
+    m = ops["M"]
+    n_r = spectral_norm(m.abs_pow(2.0 * r) + m.adj_abs_pow(2.0 * r))
+    w_sq, w_m = _each(classical_numerical_radius, m.t @ m.t, m.t)
     return w_m, (n_r, n_r), (w_sq, w_sq), {"power_sum": n_r, "radius_sq": w_sq}
 
 
@@ -881,6 +763,93 @@ def _alpha(terms, ops, params):
     return w ** (2.0 * r), c1 * np.maximum(*n) + c2 * np.maximum(*v) ** r, inter
 
 
+# The kz displays bound the full block [[F, X], [Y, K]] and specialize it
+# to F = X = Y = K = M.  A shape ``terms(ops)`` gives the radius, a pair of
+# quartic norms, a pair of quadratic norms, the cross radius ``v`` and a
+# factor, which multiplies each coefficient of the family's right side.
+
+
+def _block_terms(ops):
+    """``[[F~, X~], [Y~, K~]]``: its radius, norm pairs, the radius of ``[[0, X~K~], [Y~F~, 0]]``."""
+    f, x, y, k = ops["F"], ops["X"], ops["Y"], ops["K"]
+    a, b, c, d = _each(
+        spectral_norm,
+        f.abs_pow(4.0) + x.adj_abs_pow(4.0),
+        k.abs_pow(4.0) + y.adj_abs_pow(4.0),
+        f.abs_pow(2.0) + x.adj_abs_pow(2.0),
+        k.abs_pow(2.0) + y.adj_abs_pow(2.0),
+    )
+    v = antidiagonal_radius(x.t @ k.t, y.t @ f.t)
+    w = classical_numerical_radius(np.block([[f.t, x.t], [y.t, k.t]]))
+    inter = {
+        "norm_quartic_f": a,
+        "norm_quartic_k": b,
+        "norm_quad_f": c,
+        "norm_quad_k": d,
+        "radius_cross": v,
+    }
+    return w, (a, b), (c, d), v, 1.0, inter
+
+
+def _collapsed_terms(ops):
+    """The block at ``F = X = Y = K = M``, of radius ``2 w(M~)``: ``w(M~)``, factor 1/16.
+
+    Its norm pairs repeat ``|| |M~|^4 + |M~*|^4 ||`` and ``|| |M~|^2 +
+    |M~*|^2 ||``, and ``v = w(M~^2)``.  A power of two scales each
+    coefficient exactly.
+    """
+    m = ops["M"]
+    w_m, (quad, _), (w_sq, _), _ = _single_terms(ops, 1.0)
+    quart = spectral_norm(m.abs_pow(4.0) + m.adj_abs_pow(4.0))
+    inter = {"norm_quartic": quart, "norm_quad": quad, "radius_sq": w_sq}
+    return w_m, (quart, quart), (quad, quad), w_sq, 1.0 / 16.0, inter
+
+
+def _kz_coeffs(params):
+    """kz's coefficients ``2 + 4 chi1, 4 chi2, 4`` and the chi it reports."""
+    chi1, chi2, _, _ = _chi(params.alpha, params.beta)
+    return (2.0 + 4.0 * chi1, 4.0 * chi2, 4.0), {"chi_1": chi1, "chi_2": chi2}
+
+
+def _modified_kz_coeffs(params):
+    """``2 + 2 chi1 + 2 chi3, 2 chi2 + 2 mu chi4, 4 + 4 (1 - mu) chi4`` and the chi."""
+    chi1, chi2, chi3, chi4 = _chi(params.alpha, params.beta)
+    mu = params.mu
+    coeffs = (
+        2.0 + 2.0 * chi1 + 2.0 * chi3,
+        2.0 * chi2 + 2.0 * mu * chi4,
+        4.0 + 4.0 * (1.0 - mu) * chi4,
+    )
+    return coeffs, {"chi_1": chi1, "chi_2": chi2, "chi_3": chi3, "chi_4": chi4}
+
+
+def _kz_family(coeffs, terms, ops, params):
+    """``w^4 <= c1 max(n4) + c2 max(n2) v + c3 v^2``, each ``c`` times the shape's factor."""
+    w, n4, n2, v, factor, inter = terms(ops)
+    (c1, c2, c3), chi = coeffs(params)
+    c1, c2, c3 = factor * c1, factor * c2, factor * c3
+    rhs = c1 * np.maximum(*n4) + c2 * np.maximum(*n2) * v + c3 * v**2
+    return w**4, rhs, {**chi, **inter}
+
+
+def _m_kz(ops, params):
+    # kz ships the final term as 4 w^2: the displayed 2 w^2 fails at the
+    # identity equality case.
+    lhs, rhs, inter = _kz_family(_kz_coeffs, _block_terms, ops, params)
+    return lhs, rhs, {**inter, "rhs_as_displayed": rhs - 2.0 * inter["radius_cross"] ** 2}
+
+
+def _s_college1(ops, params):
+    # college1 ships kz's collapse, whose last term is (1/4) w(M~^2)^2; the
+    # display prints (1/8) w(M~^2) as its middle term instead.
+    lhs, rhs, inter = _kz_family(_kz_coeffs, _collapsed_terms, ops, params)
+    chi1, chi2, quart, quad, w_sq = (
+        inter[key] for key in ("chi_1", "chi_2", "norm_quartic", "norm_quad", "radius_sq")
+    )
+    shown = (1.0 + 2.0 * chi1) / 8.0 * quart + 0.125 * w_sq + 0.25 * chi2 * quad * w_sq
+    return lhs, rhs, {**inter, "rhs_as_displayed": shown}
+
+
 # -- registry -------------------------------------------------------------
 
 
@@ -927,13 +896,17 @@ REGISTRY: Mapping[str, RegistryEntry] = MappingProxyType({
     "thm_alpha": RegistryEntry("matrix", _XY, _AR, partial(_alpha, _pair_terms)),
     "thm_2_16": RegistryEntry("matrix", _XY, ("beta", "r", "lam", "p"), _m_thm_2_16),
     "kz": RegistryEntry("matrix", _FXYK, _AB, _m_kz),
-    "modified_kz": RegistryEntry("matrix", _FXYK, _AB + ("mu",), _m_modified_kz),
+    "modified_kz": RegistryEntry(
+        "matrix", _FXYK, _AB + ("mu",), partial(_kz_family, _modified_kz_coeffs, _block_terms)
+    ),
     "moby_a2": RegistryEntry("single", _M, _AB, partial(_delta, _single_terms)),
     "ramadan1_cor": RegistryEntry("single", _M, _BR, partial(_ramadan, _single_terms)),
     "mohd1": RegistryEntry("single", _M, _BR, partial(_beta_mean, _single_terms)),
     "alpha_cor": RegistryEntry("single", _M, _AR, partial(_alpha, _single_terms)),
     "college1": RegistryEntry("single", _M, _AB, _s_college1),
-    "modified_kz_cor": RegistryEntry("single", _M, _AB + ("mu",), _s_modified_kz_cor),
+    "modified_kz_cor": RegistryEntry(
+        "single", _M, _AB + ("mu",), partial(_kz_family, _modified_kz_coeffs, _collapsed_terms)
+    ),
     "prod1": RegistryEntry("product", _TS, _BR, partial(_ramadan, _product_terms)),
     "prod2": RegistryEntry("product", _TS, _BR, partial(_beta_mean, _product_terms)),
     "cor_prod": RegistryEntry("product", _FK, _BR, partial(_ramadan, _gram_terms)),
@@ -1022,15 +995,11 @@ def evaluate_bounds(
             "a batch needs one weight, operand set and parameter set per trial"
         )
     params = [p or BoundParams() for p in params]
-    mats = [name for name in entry.operands if name[0].isupper()]
-    vecs = [name for name in entry.operands if name in _VECTORS]
     ctx = None
-    if mats or vecs:
+    if entry.kind != "scalar":
         if any(c is None for c in ctxs):
             raise DomainViolation(f"{inequality_id!r} requires a weight context")
-        # Row j * k + i is trial i's weight, for matrix operand j; the
-        # first k rows serve the vectors and the ambient check.
-        ctx = stack_contexts(list(ctxs) * max(1, len(mats)))
+        ctx = stack_contexts(ctxs)
     dim = ctx.dim if ctx else None
     ops = {n: _gather(inequality_id, n, operands, params, dim) for n in entry.operands}
     keys = [f.name for f in fields(BoundParams)] + ["q"]
@@ -1052,6 +1021,7 @@ def evaluate_bounds(
 def _evaluate_stacked(inequality_id: str, ctx, ops: Mapping, params: SimpleNamespace):
     """:func:`evaluate_bounds`'s core on a stacked context, operand arrays and parameter columns.
 
+    ``ctx`` holds one row per trial; the core tiles it for the matrix operands.
     Returns ``(lhs, rhs, rel_slack, hypotheses_ok, intermediates)``, one entry per trial each.
     Finite operands can still overflow at extreme scales: a non-finite
     reduction raises :class:`DomainViolation`, and a side that overflows is
@@ -1066,7 +1036,7 @@ def _evaluate_stacked(inequality_id: str, ctx, ops: Mapping, params: SimpleNames
     hyp, inter = entry.check(ctx, ops) if entry.check else (True, {})
     hyp = np.full(k, hyp)
     if mats:
-        if len(ctx.a) < len(mats) * k:  # one row per trial: tile it as evaluate_bounds does
+        if len(mats) > 1:  # row j * k + i is trial i's weight, for matrix operand j
             ctx = SemiInnerContext(*(np.vstack([f] * len(mats)) for f in (ctx.a, ctx.v_r, ctx.lam)))
         stack = np.concatenate([ops[name] for name in mats])
         # Every operator display hypothesizes that its operands map ker(A)

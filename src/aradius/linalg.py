@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -176,15 +177,18 @@ def hermitian_eig(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
     Each matrix must be Hermitian to relative tolerance: ``||M - M*||_F <=
-    HERMITIAN_RTOL * ||M||_F``, so any scale qualifies and the zero matrix
-    passes.  It is symmetrized before the solve so downstream
+    HERMITIAN_RTOL * ||M||_F``, compared after dividing by a power of two
+    near its largest entry, so any finite scale qualifies and the zero
+    matrix passes.  It is symmetrized before the solve so downstream
     reconstruction identities hold to rounding.  A stack ``(k, n, n)``
     gives eigenvalues ``(k, n)`` and eigenvectors ``(k, n, n)`` in one
     solve, entry ``i`` bitwise what matrix ``i`` alone gives.
     """
     mat = as_stack(m, square=True)
     adj = mat.conj().swapaxes(-1, -2)
-    if np.any(_frobenius_sq(mat - adj) > HERMITIAN_RTOL**2 * _frobenius_sq(mat)):
+    unit = mat / _entry_scale(mat)[..., None, None]
+    gap = _frobenius_sq(unit - unit.conj().swapaxes(-1, -2))
+    if np.any(gap > HERMITIAN_RTOL**2 * _frobenius_sq(unit)):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     try:
         vals, vecs = np.linalg.eigh(0.5 * (mat + adj))
@@ -298,7 +302,7 @@ def antidiagonal_radius(x, y):
 
 def _entry_scale(*stacks: np.ndarray) -> np.ndarray:
     """A power of two per matrix of C-contiguous stacks: the entries of each divided by it lie below 2."""
-    top = np.max([np.abs(m.view(np.float64)).max(axis=(1, 2)) for m in stacks], axis=0)
+    top = reduce(np.maximum, (np.abs(m.view(np.float64)).max(axis=(-2, -1)) for m in stacks))
     return np.ldexp(1.0, np.frexp(top)[1] - 1)
 
 

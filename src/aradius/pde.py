@@ -69,8 +69,8 @@ class EllipticSpec:
     def __post_init__(self):
         if as_integer("n_points", self.n_points, InvalidSpec) < 1:
             raise InvalidSpec("n_points must be at least 1")
-        if not self.coeff_a:
-            raise InvalidSpec("coeff_a must have at least one coefficient")
+        if not (self.coeff_a and np.all(np.isfinite(self.coeff_a))):
+            raise InvalidSpec("coeff_a must have at least one coefficient, all finite")
         if not (np.isfinite(self.coeff_c) and self.coeff_c >= 0.0):
             raise InvalidSpec("coeff_c must be finite and nonnegative")
         lo, hi = self.domain
@@ -95,23 +95,27 @@ def assemble_fd(spec: EllipticSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(T_h, A_h)``: the real symmetric tridiagonal operator and
     ``A_h = diag(a(x_j))``.  Raises :class:`InvalidSpec` when fewer than
-    two interior points are requested or ellipticity fails at a midpoint.
+    two interior points are requested, ellipticity fails at a midpoint,
+    or an entry of ``T_h`` or ``A_h`` overflows.
     """
     if spec.n_points < 2:
         raise InvalidSpec("assembly needs at least 2 interior points")
     n, h = spec.n_points, spec.h
     x = spec.grid()
-    a_mid = spec.a_of(np.concatenate(([x[0] - 0.5 * h], x + 0.5 * h)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_mid = spec.a_of(np.concatenate(([x[0] - 0.5 * h], x + 0.5 * h)))
+        a_x = spec.a_of(x)
+        diag = (a_mid[:-1] + a_mid[1:]) / h**2 + spec.coeff_c
+        off = -a_mid[1:-1] / h**2
     if not np.all(a_mid > 0.0):  # a NaN coefficient fails too
         raise InvalidSpec("diffusion coefficient must be positive on the domain")
+    if not np.isfinite(np.concatenate([a_x, diag, off])).all():
+        raise InvalidSpec("the discrete operator or weight overflows")
     t_h = np.zeros((n, n))
-    diag = (a_mid[:-1] + a_mid[1:]) / h**2 + spec.coeff_c
-    off = -a_mid[1:-1] / h**2
     t_h[np.arange(n), np.arange(n)] = diag
     t_h[np.arange(n - 1), np.arange(1, n)] = off
     t_h[np.arange(1, n), np.arange(n - 1)] = off
-    a_h = np.diag(spec.a_of(x))
-    return t_h, a_h
+    return t_h, np.diag(a_x)
 
 
 def _solve_context(spec: EllipticSpec):

@@ -37,6 +37,7 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     DomainError,
+    _entry_scale,
     as_integer,
     as_matrix,
     as_stack,
@@ -312,14 +313,16 @@ def _a_hermitian(ctx: SemiInnerContext, t):
     """Hermitian part of ``A T``; whether it is Hermitian within tolerance.
 
     The rule ``||A T - (A T)*||_F <= STRUCTURE_RTOL ||A T||_F`` is
-    relative, so no verdict depends on the scale of ``T``.
+    relative and compared after dividing ``A T`` by a power of two near
+    its largest entry, so no verdict depends on the scale of ``T``.
     """
     mat = as_stack(t, square=True)
     _check_dim(ctx, mat)
     at = ctx.a @ mat
     adj = at.conj().swapaxes(-1, -2)
-    gap = np.linalg.norm(at - adj, axis=(-2, -1))
-    ok = gap <= STRUCTURE_RTOL * np.linalg.norm(at, axis=(-2, -1))
+    scale = _entry_scale(at)[..., None, None]
+    gap = np.linalg.norm((at - adj) / scale, axis=(-2, -1))
+    ok = gap <= STRUCTURE_RTOL * np.linalg.norm(at / scale, axis=(-2, -1))
     return 0.5 * (at + adj), ok
 
 

@@ -479,20 +479,49 @@ def test_buz_beta_alpha_two_matches_ramadan_kareem(rng):
 
 def test_kz_collapse_matches_college1_scaled(rng):
     # with all four blocks equal the full-matrix bound is exactly 16x the
-    # single-operator corollary (both sides quartic in the doubled block)
-    for _ in range(10):
-        ctx = random_context(rng, 3)
-        m = cgauss(rng, 3, 3)
-        params = BoundParams(alpha=2.0, beta=rng.uniform(0.0, 3.0))
-        rep_kz = check_matrix_bound(
-            ctx, "kz", {"F": m, "X": m, "Y": m, "K": m}, params
+    # single-operator corollary (both sides quartic in the doubled block);
+    # modified_kz and modified_kz_cor are the same collapse at any mu
+    for block_id, single_id in (("kz", "college1"), ("modified_kz", "modified_kz_cor")):
+        for _ in range(10):
+            ctx = random_context(rng, 3)
+            m = cgauss(rng, 3, 3)
+            params = BoundParams(
+                alpha=2.0, beta=rng.uniform(0.0, 3.0), mu=rng.uniform(0.0, 1.0)
+            )
+            rep_kz = check_matrix_bound(
+                ctx, block_id, {"F": m, "X": m, "Y": m, "K": m}, params
+            )
+            rep_c1 = check_single_operator_bound(ctx, single_id, m, params)
+            assert rep_kz.rhs == pytest.approx(
+                16.0 * rep_c1.rhs, abs=1e-9 * (1 + rep_kz.rhs)
+            )
+            assert rep_kz.lhs == pytest.approx(
+                16.0 * rep_c1.lhs, abs=1e-9 * (1 + rep_kz.lhs)
+            )
+
+
+def test_collapsed_kz_right_sides_are_their_displays_exactly(rng):
+    # the one-operator kz sides are the block's coefficients times 1/16, a
+    # power of two, so they equal the corollaries as written to the last bit
+    for _ in range(20):
+        ctx = random_context(rng, int(rng.integers(2, 5)))
+        m = cgauss(rng, ctx.dim, ctx.dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+        alpha = rng.uniform(0.6, 3.0) * np.exp(2j * np.pi * rng.uniform())
+        params = BoundParams(alpha=alpha, beta=rng.uniform(0.0, 4.0), mu=rng.uniform())
+        rep = check_single_operator_bound(ctx, "college1", m, params)
+        i = rep.intermediates
+        quart, quad, w_sq = i["norm_quartic"], i["norm_quad"], i["radius_sq"]
+        assert rep.rhs == (
+            (1.0 + 2.0 * i["chi_1"]) / 8.0 * quart
+            + 0.25 * i["chi_2"] * quad * w_sq
+            + 0.25 * (w_sq * w_sq)
         )
-        rep_c1 = check_single_operator_bound(ctx, "college1", m, params)
-        assert rep_kz.rhs == pytest.approx(
-            16.0 * rep_c1.rhs, abs=1e-9 * (1 + rep_kz.rhs)
-        )
-        assert rep_kz.lhs == pytest.approx(
-            16.0 * rep_c1.lhs, abs=1e-9 * (1 + rep_kz.lhs)
+        rep = check_single_operator_bound(ctx, "modified_kz_cor", m, params)
+        i, mu = rep.intermediates, params.mu
+        assert rep.rhs == (
+            (1.0 + i["chi_1"] + i["chi_3"]) / 8.0 * quart
+            + (i["chi_2"] + mu * i["chi_4"]) / 8.0 * quad * w_sq
+            + (1.0 + (1.0 - mu) * i["chi_4"]) / 4.0 * (w_sq * w_sq)
         )
 
 

@@ -143,6 +143,18 @@ def test_hermitian_eig_rejects_asymmetric(rng):
         hermitian_eig(g)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e200, 1e-200, 2.0**600, 2.0**-600])
+def test_hermitian_eig_tolerance_holds_at_extreme_scales(scale):
+    # the squared Frobenius norms would overflow or underflow unscaled
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NotHermitian):
+        hermitian_eig(scale * jordan)
+    with pytest.raises(NotHermitian):
+        hermitian_eig(scale * np.stack([np.eye(2), jordan]))
+    spec = hermitian_eig(scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert np.allclose(spec.eigenvalues / scale, [1.0, 3.0], rtol=1e-14)
+
+
 # --------------------------------------------------------------------------
 # matrix functions
 

@@ -59,6 +59,8 @@ CONST = EllipticSpec(n_points=9, coeff_a=(1.0,), coeff_c=0.0)
         {"n_points": 8.0},
         {"n_points": "8"},
         {"n_points": True},
+        {"coeff_a": (1.0, 0.0, float("inf"))},
+        {"coeff_a": (float("-inf"),)},
     ],
 )
 def test_spec_rejects_bad_fields(kwargs):
@@ -100,6 +102,24 @@ def test_assemble_rejects_a_nan_coefficient(coeff_a):
     # NaN compares false with zero both ways, so it is not positive either
     with pytest.raises(InvalidSpec):
         assemble_fd(EllipticSpec(n_points=8, coeff_a=coeff_a))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        EllipticSpec(n_points=400, coeff_a=(1e305,)),
+        EllipticSpec(n_points=8, coeff_a=(1e308, 1e308)),
+        EllipticSpec(n_points=8, coeff_a=(1e308, -1e308, 1e308)),
+    ],
+)
+def test_assemble_rejects_an_operator_that_overflows(spec):
+    # finite coefficients whose samples or stencil overflow, with no warning
+    with pytest.raises(InvalidSpec, match="overflows"):
+        assemble_fd(spec)
+    with pytest.raises(InvalidSpec, match="overflows"):
+        stability_report(spec, samples=0)
+    with pytest.raises(InvalidSpec, match="overflows"):
+        preconditioner_report(spec, "jacobi")
 
 
 def test_assemble_constant_coefficient_stencil():

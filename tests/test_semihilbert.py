@@ -522,7 +522,9 @@ def test_preserves_kernel_detects_leak():
     assert preserves_kernel(ctx, np.stack([leak, keep])).tolist() == [False, True]
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize(
+    "scale", [1.0, 1e-6, 1e-9, 1e-12, 1e160, 1e-160, 1e200, 1e-200, 2.0**600, 2.0**-600]
+)
 def test_structural_verdicts_do_not_depend_on_scale(scale):
     # every verdict is the one at scale 1: the tolerances are relative
     ctx = make_context(np.diag([1.0, 0.0]))
