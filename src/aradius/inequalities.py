@@ -73,6 +73,7 @@ import numpy as np
 
 from .linalg import (
     DomainError,
+    _entry_scale,
     antidiagonal_radius,
     as_matrix,
     as_vectors,
@@ -476,10 +477,15 @@ def _v_drag(q, params):
 
 def _commutes_with_weight(ctx, raw):
     # The displayed hypothesis of mixed_schwarz: ``||T A - A T||_F <= 1e-8
-    # ||A|| ||T||``, relative, so any scale qualifies.
+    # ||A|| ||T||``, relative, so any scale qualifies.  T and A are first
+    # divided by powers of two near their largest entries, so the Frobenius
+    # norm neither underflows nor overflows; the commutator is scaled back.
     t, a = raw["T"], ctx.a
-    comm = np.linalg.norm(t @ a - a @ t, axis=(1, 2))
-    return comm <= 1e-8 * spectral_norm(a) * spectral_norm(t), {"commutator": comm}
+    st, sa = _entry_scale(t), _entry_scale(a)
+    unit_t, unit_a = t / st[:, None, None], a / sa[..., None, None]
+    comm = np.linalg.norm(unit_t @ unit_a - unit_a @ unit_t, axis=(1, 2))
+    ok = comm <= 1e-8 * (spectral_norm(a) / sa) * (spectral_norm(t) / st)
+    return ok, {"commutator": comm * st * sa}
 
 
 def _f_mixed_schwarz(ops, params):

@@ -160,9 +160,11 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     one sample alone gives.  A right-hand side with ``||f||_{A_h}`` below
     ``1e-12`` times the square root of the weight's largest eigenvalue is
     skipped; the floor scales with the weight, so the ratio does not.
-    The sampled radius streams its draws (see
-    :func:`~aradius.semihilbert.a_numerical_radius_lower`), so the memory
-    floor is its one ``(10000, n)`` real buffer.
+    The sampled radius draws its imaginary parts on a helper thread while
+    the calling thread reduces, and projects through the diagonal ``A_h``
+    by column selection (see
+    :func:`~aradius.semihilbert.a_numerical_radius_lower`); its memory
+    floor is its one ``(10000, n)`` array of real parts.
     """
     samples = as_integer("samples", samples, InvalidSpec)
     if samples < 0:

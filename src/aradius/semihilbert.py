@@ -29,6 +29,8 @@ per trial.  The other functions take one weight and one operator.
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,7 +67,9 @@ RANK_TOL = 1e-10
 #: :func:`is_a_selfadjoint` and :func:`is_a_positive`.
 STRUCTURE_RTOL = 1e-8
 
-#: Rows of samples that :func:`a_numerical_radius_lower` projects at once.
+#: Rows of samples whose imaginary parts :func:`a_numerical_radius_lower`
+#: draws on its helper thread, and then projects and reduces, at once (the
+#: last block may hold one more).
 _SAMPLE_BLOCK = 512
 
 
@@ -253,13 +257,21 @@ def a_numerical_radius_lower(
 
     The stream holds every real part, then every imaginary part.  So the
     real parts are drawn as one ``(samples, dim)`` float array, the memory
-    floor of the function; the imaginary parts are then drawn, projected
-    and reduced in blocks of :data:`_SAMPLE_BLOCK` rows (the last may hold
-    one more), continuing the same stream, so no ``(samples, dim)``
-    complex array is ever made.  A sample whose ``|y|^2`` is at most
-    ``1e-24`` times the largest over all samples, or the weight's largest
-    eigenvalue if that is larger, is dropped.  So the floor scales with
-    the weight, and ``c A`` gives the bound of ``A`` for any ``c > 0``.
+    floor of the function.  A helper thread, started and joined within the
+    call, then draws the imaginary parts in blocks of :data:`_SAMPLE_BLOCK`
+    rows (the last may hold one more), continuing the same stream (a normal
+    stream gives the same values drawn whole or in pieces), and holds at
+    most two blocks at a time.  The calling thread projects and reduces
+    each block as it arrives, so the arithmetic overlaps the drawing and
+    no ``(samples, dim)`` complex array is ever made.  It does all of the
+    arithmetic and re-raises what the helper raises; no thread outlives the
+    call.  When every column of ``V_r`` holds one nonzero entry and that
+    entry is exactly ``+-1`` (a diagonal weight), ``g V_r*`` is taken by
+    column selection, which equals the product bit for bit: its other
+    terms are exact zeros.  A sample whose ``|y|^2`` is at most ``1e-24``
+    times the largest over all samples, or the weight's largest eigenvalue
+    if that is larger, is dropped.  So the floor scales with the weight,
+    and ``c A`` gives the bound of ``A`` for any ``c > 0``.
     """
     if ctx.rank == 0:
         raise DegenerateContext("weight has rank zero")
@@ -271,24 +283,87 @@ def a_numerical_radius_lower(
 
 def _sampled_radius(ctx: SemiInnerContext, tilde: np.ndarray, samples: int, seed) -> float:
     """:func:`a_numerical_radius_lower` of the operator whose reduction is ``tilde``."""
-    v_conj = ctx.v_r.conj()
     rng = np.random.default_rng(seed)
+    # a lone last row joins the block before it: numpy multiplies a
+    # single row by a matrix-vector product, which rounds differently
+    blocks = [
+        slice(lo, lo + _SAMPLE_BLOCK if lo + _SAMPLE_BLOCK < samples - 1 else samples)
+        for lo in range(0, max(samples - 1, 1), _SAMPLE_BLOCK)
+    ]
+    # imaginary parts pass through ``pieces``; ``slots`` lets the helper
+    # hold two of them at a time, drawn or being drawn
+    pieces: deque = deque()
+    slots, ready, stop = threading.Semaphore(2), threading.Semaphore(0), threading.Event()
+
+    def draw() -> None:
+        try:
+            for block in blocks:
+                slots.acquire()
+                if stop.is_set():
+                    return
+                pieces.append(rng.standard_normal((block.stop - block.start, ctx.dim)))
+                ready.release()
+        except BaseException as exc:  # raised again by the calling thread
+            pieces.append(exc)
+            ready.release()
+
+    def take() -> np.ndarray:
+        ready.acquire()
+        piece = pieces.popleft()
+        if isinstance(piece, BaseException):
+            raise piece
+        slots.release()
+        return piece
+
+    project = _projection(ctx)
     real = rng.standard_normal((samples, ctx.dim))
     numer = np.empty(samples)
     norms_sq = np.empty(samples)
-    for lo in range(0, max(samples - 1, 1), _SAMPLE_BLOCK):
-        # a lone last row joins the block before it: numpy multiplies a
-        # single row by a matrix-vector product, which rounds differently
-        hi = lo + _SAMPLE_BLOCK if lo + _SAMPLE_BLOCK < samples - 1 else samples
-        block = slice(lo, hi)
-        g = real[block] + 1j * rng.standard_normal(real[block].shape)
-        y = (g @ v_conj) * ctx.sqrt_lam
-        norms_sq[block] = np.sum(np.abs(y) ** 2, axis=1)
-        numer[block] = np.abs(np.sum(np.conj(y) * (y @ tilde.T), axis=1))
+    helper = threading.Thread(target=draw)
+    helper.start()
+    try:
+        for block in blocks:
+            norms_sq[block], numer[block] = _quotients(project(real[block] + 1j * take()), tilde)
+    finally:
+        # the helper acquires at most one more slot before it sees ``stop``
+        stop.set()
+        slots.release()
+        helper.join()
     keep = norms_sq > 1e-24 * max(float(ctx.lam.max()), float(norms_sq.max()))
     if not np.any(keep):
         raise DegenerateContext("no sample survived seminorm normalization")
     return float(np.max(numer[keep] / norms_sq[keep]))
+
+
+def _quotients(y: np.ndarray, tilde: np.ndarray):
+    """``|y|^2`` and ``|y* T~ y|`` of each row of ``y``, which is conjugated in place.
+
+    Conjugating is exact, so in place it only saves an array.  The complex
+    product is not taken in place: numpy can round a product written over
+    its own input differently (seen on one-element arrays).
+    """
+    norms_sq = np.sum(np.abs(y) ** 2, axis=1)
+    ty = y @ tilde.T
+    return norms_sq, np.abs(np.sum(np.conj(y, out=y) * ty, axis=1))
+
+
+def _projection(ctx: SemiInnerContext):
+    """``g -> (g @ conj(V_r)) * sqrt_lam`` on a block of samples ``g``.
+
+    A ``V_r`` whose every column holds one nonzero entry, exactly ``+-1``,
+    selects and signs columns of ``g`` instead: every other term of the
+    product is an exact zero, so the two agree bit for bit under any BLAS
+    kernel.  ``np.take`` keeps the result C-ordered, as the product's is;
+    the later product with ``T~`` rounds differently on other layouts.
+    """
+    nonzero = ctx.v_r != 0
+    rows = np.argmax(nonzero, axis=0)
+    entries = ctx.v_r[rows, np.arange(ctx.rank)]
+    if (nonzero.sum(axis=0) == 1).all() and np.isin(entries, (-1.0, 1.0)).all():
+        coef = entries.real * ctx.sqrt_lam
+        return lambda g: np.take(g, rows, axis=1) * coef
+    v_conj = ctx.v_r.conj()
+    return lambda g: (g @ v_conj) * ctx.sqrt_lam
 
 
 def a_abs_power(ctx: SemiInnerContext, t, p: float) -> np.ndarray:

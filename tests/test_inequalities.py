@@ -387,6 +387,31 @@ def test_hypothesis_verdicts_do_not_depend_on_scale(scale):
     assert check_mixed_schwarz(weight, scale * np.diag([3.0, 5.0]), x, y).hypotheses_ok
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_commutator_hypothesis_holds_its_verdict_at_extreme_scales(scale):
+    # unscaled, the random T's commutator norm underflows to 0 at 1e-200
+    # and the commuting T's overflows to inf at 1e200
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal((3, 3))
+    a = g @ g.T + np.eye(3)
+    ctx = make_context(a)
+    x = y = np.array([1.0, 0.0, 0.0])
+    dense = cgauss(rng, 3, 3)
+    rep = check_mixed_schwarz(ctx, scale * dense, x, y)
+    assert not rep.hypotheses_ok
+    assert rep.intermediates["commutator"] == pytest.approx(
+        scale * np.linalg.norm(dense @ ctx.a - ctx.a @ dense), rel=1e-14
+    )
+    assert check_mixed_schwarz(ctx, scale * (a @ a + a), x, y).hypotheses_ok
+
+
+def test_commutator_intermediate_is_the_unscaled_norm_at_ordinary_scales(rng):
+    ctx = random_context(rng, 4)
+    for t in (cgauss(rng, 4, 4), 3.0 * ctx.a @ ctx.a + 0.25 * ctx.a):
+        rep = check_mixed_schwarz(ctx, t, np.eye(4)[0], np.eye(4)[1])
+        assert rep.intermediates["commutator"] == np.linalg.norm(t @ ctx.a - ctx.a @ t)
+
+
 # --------------------------------------------------------------------------
 # cross-id consistency
 

@@ -294,16 +294,17 @@ def _amplification_reference(spec, samples, seed):
 
 @pytest.mark.parametrize("n", [8, 9, 31, 64, 127])
 def test_stability_report_is_bitwise_the_per_sample_loop(n):
+    # the diagonal weight A_h takes the sampled radius's column selection
     for k, (coeff_a, coeff_c) in enumerate(_COEFFS):
         spec = EllipticSpec(n_points=n, coeff_a=coeff_a, coeff_c=coeff_c)
+        t_h, a_h = assemble_fd(spec)
+        ctx, t_inv = make_context(a_h), np.linalg.inv(t_h)
         for seed, samples in ((0, 100), (9000, (1, 50, 100)[k])):
             rep = stability_report(spec, samples=samples, seed=seed)
             worst = _amplification_reference(spec, samples, seed)[0]
             assert rep.lhs == rep.intermediates["sampled_amplification"] == worst
-    # the sampled radius of the last report
-    t_h, a_h = assemble_fd(spec)
-    sampled = radius_lower_reference(make_context(a_h), np.linalg.inv(t_h), 10000, 9000)[0]
-    assert rep.intermediates["radius_inverse_sampled"] == sampled
+            sampled = radius_lower_reference(ctx, t_inv, 10000, seed)[0]
+            assert rep.intermediates["radius_inverse_sampled"] == sampled
 
 
 def test_stability_report_reduces_the_inverse_once(monkeypatch):

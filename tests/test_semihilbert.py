@@ -1,5 +1,7 @@
 """Weighted geometry: contexts, adjoints, reductions, radii."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,7 +31,8 @@ from aradius import (
     vec_seminorm,
 )
 
-from aradius.semihilbert import _SAMPLE_BLOCK, RANK_TOL
+import aradius.semihilbert as semihilbert_mod
+from aradius.semihilbert import _SAMPLE_BLOCK, RANK_TOL, SemiInnerContext
 
 from conftest import (
     a_unit_vector,
@@ -338,6 +341,159 @@ def test_radius_lower_streams_bitwise_the_whole_array_bound(samples, dim, rank):
     assert a_numerical_radius_lower(ctx, t, samples, seed) == (
         radius_lower_reference(ctx, t, samples, seed)[0]
     )
+
+
+#: diagonal weights: full rank, with zero entries, rank one, and n = 1
+_DIAGONAL_WEIGHTS = {
+    "full": np.linspace(0.5, 2.0, 6),
+    "zeros": np.array([1.5, 0.0, 0.25, 0.0, 3.0, 1.0]),
+    "rank1": np.array([0.0, 0.0, 2.0, 0.0]),
+    "n1": np.array([0.7]),
+}
+
+
+def _count_takes(monkeypatch) -> list:
+    """Record each ``np.take`` call, the sampled radius's column selection."""
+    calls, take = [], np.take
+    monkeypatch.setattr(np, "take", lambda *args, **kw: calls.append(args) or take(*args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "samples", [1, 2, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 2, 10000]
+)
+@pytest.mark.parametrize("kind", sorted(_DIAGONAL_WEIGHTS))
+def test_radius_lower_selects_columns_of_diagonal_weights_bitwise(kind, samples, monkeypatch):
+    diag = _DIAGONAL_WEIGHTS[kind]
+    dim = len(diag)
+    ctx = make_context(np.diag(diag))
+    rng = np.random.default_rng(dim + samples)
+    ops = (cgauss(rng, dim, dim), rng.standard_normal((dim, dim)))
+    expected = [radius_lower_reference(ctx, t, samples, 11)[0] for t in ops]
+    threads = threading.active_count()
+    taken = _count_takes(monkeypatch)
+    assert [a_numerical_radius_lower(ctx, t, samples, 11) for t in ops] == expected
+    assert len(taken) == 2 * len(range(0, max(samples - 1, 1), _SAMPLE_BLOCK))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("entries,blocks_taken", [((-1.0, 1.0, -1.0, -1.0), 3), ((1j, 1.0, -1.0, 1.0), 0)])
+def test_radius_lower_selects_signed_permuted_columns_bitwise(entries, blocks_taken, monkeypatch):
+    # eigenvectors +-e_k in a shuffled order: the selection takes each
+    # column's row and sign; a unit entry that is not +-1 (i e_3) takes
+    # the product instead
+    lam = np.array([0.5, 2.0, 1.25, 3.0])
+    v_r = np.zeros((5, 4), complex)
+    v_r[[3, 0, 4, 1], np.arange(4)] = entries
+    ctx = SemiInnerContext(a=(v_r * lam) @ v_r.conj().T, v_r=v_r, lam=lam)
+    t = cgauss(np.random.default_rng(8), 5, 5)
+    samples = 2 * _SAMPLE_BLOCK + 2
+    expected = radius_lower_reference(ctx, t, samples, 5)[0]
+    taken = _count_takes(monkeypatch)
+    assert a_numerical_radius_lower(ctx, t, samples, 5) == expected
+    assert len(taken) == blocks_taken
+
+
+def test_radius_lower_multiplies_real_dense_weights_bitwise(monkeypatch):
+    rng = np.random.default_rng(23)
+    g = rng.standard_normal((5, 5))
+    ctx = make_context(g @ g.T + 0.1 * np.eye(5))
+    t = rng.standard_normal((5, 5))
+    samples = 2 * _SAMPLE_BLOCK + 2
+    expected = radius_lower_reference(ctx, t, samples, 3)[0]
+    taken = _count_takes(monkeypatch)
+    assert a_numerical_radius_lower(ctx, t, samples, 3) == expected
+    assert taken == []
+
+
+class _StreamBroke(Exception):
+    pass
+
+
+_DEFAULT_RNG = np.random.default_rng
+
+
+class _BreakingStream:
+    """numpy's normal stream of ``seed`` that raises on its ``after``-th draw (from zero)."""
+
+    def __init__(self, seed, after: int):
+        self._rng = _DEFAULT_RNG(seed)
+        self._left = after
+
+    def standard_normal(self, size):
+        if self._left == 0:
+            raise _StreamBroke("stream broke")
+        self._left -= 1
+        return self._rng.standard_normal(size)
+
+
+def _within(seconds: float, fn, *args):
+    """``fn(*args)`` run on a daemon thread, failing the test if it has not returned in ``seconds``."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn(*args)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "the call did not return"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.mark.parametrize("after", [0, 1, 3, 5])
+def test_radius_lower_reraises_a_stream_that_breaks_partway(after, monkeypatch):
+    # 4 * BLOCK + 10 samples are five blocks: draw 0 is every real part,
+    # draws 1-5 the imaginary parts of the blocks
+    ctx = make_context(np.diag([1.0, 2.0, 3.0]))
+    threads = threading.active_count()
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _BreakingStream(seed, after))
+    with pytest.raises(_StreamBroke, match="stream broke"):
+        _within(30.0, a_numerical_radius_lower, ctx, np.eye(3), 4 * _SAMPLE_BLOCK + 10, 1)
+    assert threading.active_count() == threads
+
+
+def test_radius_lower_stops_its_drawing_thread_when_the_caller_raises(monkeypatch):
+    # the caller fails on its second block while the drawing thread waits
+    # to pass on more of the 10000 samples
+    ctx = make_context(np.diag([1.0, 2.0, 3.0]))
+    project = semihilbert_mod._projection(ctx)
+    calls = []
+
+    def failing(g):
+        calls.append(1)
+        if len(calls) == 2:
+            raise _StreamBroke("caller broke")
+        return project(g)
+
+    monkeypatch.setattr(semihilbert_mod, "_projection", lambda ctx: failing)
+    threads = threading.active_count()
+    with pytest.raises(_StreamBroke, match="caller broke"):
+        _within(30.0, a_numerical_radius_lower, ctx, np.eye(3), 10000, 1)
+    assert threading.active_count() == threads
+
+
+def test_radius_lower_holds_its_bits_under_frequent_thread_switches(rng):
+    # a short switch interval interleaves the drawing thread and the
+    # caller at many more points; every call keeps the reference's bits
+    ctx = random_context(rng, 4, 3)
+    t = cgauss(rng, 4, 4)
+    samples = 3 * _SAMPLE_BLOCK + 1
+    expected = [radius_lower_reference(ctx, t, samples, seed)[0] for seed in range(6)]
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [a_numerical_radius_lower(ctx, t, samples, seed) for seed in range(6)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert threading.active_count() == threads
 
 
 def test_radius_lower_joins_a_lone_last_row_to_its_block():
