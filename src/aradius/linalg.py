@@ -44,8 +44,8 @@ PSD_CLAMP_RTOL = 1e-9
 #: at a maximum costs at most lambda * e**2 / 2) and a cap on rounds; then
 #: the grid's spacing, angles and the phases of its solved half, and the
 #: phases of the _GRID // 2 angles of the full circle at twice the spacing;
-#: then the bytes of Hermitian parts solved at once (_GRID n x n complex
-#: matrices per matrix).
+#: then the bytes of Hermitian parts (16 n**2 each) solved at once, cut
+#: across angles when one matrix's family is larger.
 _GRID = 64
 _ANGLE_TOL = 1e-8
 _MAX_ROUNDS = 64
@@ -53,7 +53,7 @@ _DELTA = 2.0 * math.pi / _GRID
 _THETAS = np.arange(_GRID) * _DELTA
 _GRID_PHASE = np.exp(1j * _THETAS[: _GRID // 2])[:, None, None]
 _CIRCLE_PHASE = np.exp(2j * _THETAS[: _GRID // 2])[:, None, None]
-_GRID_BYTES = 32 * 2**20
+_GRID_BYTES = 2**20
 
 
 class DomainError(Exception):
@@ -355,16 +355,22 @@ def _refined_radius(p, q: np.ndarray, lip: np.ndarray) -> np.ndarray:
     real = ~q.imag.any(axis=(1, 2))
     if p is not None:
         real &= ~p.imag.any(axis=(1, 2))
-    size = max(1, _GRID_BYTES // (_GRID * 16 * q.shape[-1] ** 2))
+    size = max(1, _GRID_BYTES // (16 * q.shape[-1] ** 2))
     vals = np.empty((len(q), len(thetas)))
     for rows, count in ((~real, len(phases)), (real, _GRID // 4 + 1)):
         if not rows.any():
             continue
         sub = [part[rows] for part in parts]
-        ends = np.concatenate([
-            np.linalg.eigvalsh(family(phases[:count], *(part[lo : lo + size, None] for part in sub)))
-            for lo in range(0, len(sub[0]), size)
-        ])
+        # slices of whole matrices, or of one matrix's angles when its
+        # family alone is more than ``size`` Hermitian parts
+        per, span, solved = max(1, size // count), min(size, count), phases[:count]
+        ends = np.empty((len(sub[0]), count, q.shape[-1]))
+        for lo in range(0, len(ends), per):
+            mats = [part[lo : lo + per, None] for part in sub]
+            for at in range(0, count, span):
+                ends[lo : lo + per, at : at + span] = np.linalg.eigvalsh(
+                    family(solved[at : at + span], *mats)
+                )
         arc = ends[:, :, -1]
         # lambda(phi + pi) = -lambda_min(phi), and for a real family on [0,
         # pi] also lambda(pi - phi), which fills angles pi / 2 to pi

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,11 +161,14 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     one sample alone gives.  A right-hand side with ``||f||_{A_h}`` below
     ``1e-12`` times the square root of the weight's largest eigenvalue is
     skipped; the floor scales with the weight, so the ratio does not.
-    The sampled radius draws its imaginary parts on a helper thread while
-    the calling thread reduces, and projects through the diagonal ``A_h``
-    by column selection (see
-    :func:`~aradius.semihilbert.a_numerical_radius_lower`); its memory
-    floor is its one ``(10000, n)`` array of real parts.
+    The sampled radius draws on a helper thread from the start of the
+    call, so the inverse, its seminorm, its kernel radius and the
+    right-hand sides overlap the draws, and projects through the diagonal
+    ``A_h`` by column selection (see
+    :func:`~aradius.semihilbert.a_numerical_radius_lower`).  Its memory
+    floor is its one ``(10000, n)`` array of real parts; the kernel radius,
+    computed while that array is held, solves its grid in 1 MiB slices.
+    ``samples == 0`` starts no thread.
     """
     samples = as_integer("samples", samples, InvalidSpec)
     if samples < 0:
@@ -173,25 +177,27 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     # the A-adjoint pinv(A) T_h* A is singular exactly when the weight is
     if ctx.rank < spec.n_points:
         raise SingularOperator("adjoint operator is numerically singular")
-    t_inv = np.linalg.inv(t_h)
-    tilde = reduce(ctx, t_inv)
-    norm_inv = spectral_norm(tilde)
-    radius_inv = classical_numerical_radius(tilde)
-    # each sample draws its real part, then its imaginary part
-    parts = np.random.default_rng(seed).standard_normal((samples, 2, spec.n_points))
-    f = (parts[:, 0] + 1j * parts[:, 1])[..., None]
-    nf = _seminorms(ctx, f)
-    live = nf >= 1e-12 * np.sqrt(ctx.lam.max())
-    worst = float(np.max(_seminorms(ctx, t_inv @ f[live]) / nf[live], initial=0.0))
-    inter = {
-        "radius_inverse": radius_inv,
-        "half_sum_bound": norm_inv,
-        "seminorm_inverse": norm_inv,
-        "sampled_amplification": worst,
-        "h": spec.h,
-    }
-    if samples:
-        inter["radius_inverse_sampled"] = _sampled_radius(ctx, tilde, 10000, seed)
+    # the sampled radius's draws start here and overlap the work below
+    with _sampled_radius(ctx, 10000, seed) if samples else nullcontext() as sampled_radius:
+        t_inv = np.linalg.inv(t_h)
+        tilde = reduce(ctx, t_inv)
+        norm_inv = spectral_norm(tilde)
+        radius_inv = classical_numerical_radius(tilde)
+        # each sample draws its real part, then its imaginary part
+        parts = np.random.default_rng(seed).standard_normal((samples, 2, spec.n_points))
+        f = (parts[:, 0] + 1j * parts[:, 1])[..., None]
+        nf = _seminorms(ctx, f)
+        live = nf >= 1e-12 * np.sqrt(ctx.lam.max())
+        worst = float(np.max(_seminorms(ctx, t_inv @ f[live]) / nf[live], initial=0.0))
+        inter = {
+            "radius_inverse": radius_inv,
+            "half_sum_bound": norm_inv,
+            "seminorm_inverse": norm_inv,
+            "sampled_amplification": worst,
+            "h": spec.h,
+        }
+        if samples:
+            inter["radius_inverse_sampled"] = sampled_radius(tilde)
     return _report("pde_stability", worst, norm_inv, inter, True, BoundParams())
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,9 +68,10 @@ RANK_TOL = 1e-10
 #: :func:`is_a_selfadjoint` and :func:`is_a_positive`.
 STRUCTURE_RTOL = 1e-8
 
-#: Rows of samples whose imaginary parts :func:`a_numerical_radius_lower`
-#: draws on its helper thread, and then projects and reduces, at once (the
-#: last block may hold one more).
+#: Rows of samples whose real, and then imaginary, parts
+#: :func:`a_numerical_radius_lower` draws on its helper thread at once, and
+#: whose imaginary parts it then projects and reduces at once (the last
+#: block may hold one more).
 _SAMPLE_BLOCK = 512
 
 
@@ -255,34 +257,43 @@ def a_numerical_radius_lower(
     ``|y* T~ y| / |y|^2``, which is ``|<Tx, x>_A| / ||x||_A^2`` for ``x`` the
     projection of ``g`` onto ``ran(A)``.  Deterministic for a fixed seed.
 
-    The stream holds every real part, then every imaginary part.  So the
-    real parts are drawn as one ``(samples, dim)`` float array, the memory
-    floor of the function.  A helper thread, started and joined within the
-    call, then draws the imaginary parts in blocks of :data:`_SAMPLE_BLOCK`
-    rows (the last may hold one more), continuing the same stream (a normal
-    stream gives the same values drawn whole or in pieces), and holds at
-    most two blocks at a time.  The calling thread projects and reduces
-    each block as it arrives, so the arithmetic overlaps the drawing and
-    no ``(samples, dim)`` complex array is ever made.  It does all of the
-    arithmetic and re-raises what the helper raises; no thread outlives the
-    call.  When every column of ``V_r`` holds one nonzero entry and that
-    entry is exactly ``+-1`` (a diagonal weight), ``g V_r*`` is taken by
-    column selection, which equals the product bit for bit: its other
-    terms are exact zeros.  A sample whose ``|y|^2`` is at most ``1e-24``
-    times the largest over all samples, or the weight's largest eigenvalue
-    if that is larger, is dropped.  So the floor scales with the weight,
-    and ``c A`` gives the bound of ``A`` for any ``c > 0``.
+    The stream holds every real part, then every imaginary part.  A helper
+    thread, started before ``T`` is reduced and joined within the call,
+    draws it in blocks of :data:`_SAMPLE_BLOCK` rows (the last may hold one
+    more; a normal stream gives the same values drawn whole or in pieces).
+    It copies the real blocks into one ``(samples, dim)`` float array that
+    the calling thread allocated, the memory floor of the function, and
+    then holds at most two imaginary blocks at a time.  The calling thread
+    projects and reduces each block as it arrives, so the arithmetic
+    overlaps the drawing and no ``(samples, dim)`` complex array is ever
+    made.  It does all of the arithmetic and re-raises what the helper
+    raises; no thread outlives the call.  When every column of ``V_r``
+    holds one nonzero entry and that entry is exactly ``+-1`` (a diagonal
+    weight), ``g V_r*`` is taken by column selection, which equals the
+    product bit for bit: its other terms are exact zeros.  A sample whose
+    ``|y|^2`` is at most ``1e-24`` times the largest over all samples, or
+    the weight's largest eigenvalue if that is larger, is dropped.  So the
+    floor scales with the weight, and ``c A`` gives the bound of ``A`` for
+    any ``c > 0``.
     """
     if ctx.rank == 0:
         raise DegenerateContext("weight has rank zero")
     samples = as_integer("samples", samples, ValueError)
     if samples < 1:
         raise ValueError("samples must be positive")
-    return _sampled_radius(ctx, reduce(ctx, t), samples, seed)
+    with _sampled_radius(ctx, samples, seed) as radius:
+        return radius(reduce(ctx, t))
 
 
-def _sampled_radius(ctx: SemiInnerContext, tilde: np.ndarray, samples: int, seed) -> float:
-    """:func:`a_numerical_radius_lower` of the operator whose reduction is ``tilde``."""
+@contextmanager
+def _sampled_radius(ctx: SemiInnerContext, samples: int, seed):
+    """Draw the samples of :func:`a_numerical_radius_lower` on a helper thread.
+
+    Yields ``radius(tilde)``, the bound of the operator whose reduction is
+    ``tilde``, to be called at most once; the drawing starts on entry, so
+    work done before that call overlaps it.  On exit the helper is stopped
+    and joined.
+    """
     rng = np.random.default_rng(seed)
     # a lone last row joins the block before it: numpy multiplies a
     # single row by a matrix-vector product, which rounds differently
@@ -290,22 +301,32 @@ def _sampled_radius(ctx: SemiInnerContext, tilde: np.ndarray, samples: int, seed
         slice(lo, lo + _SAMPLE_BLOCK if lo + _SAMPLE_BLOCK < samples - 1 else samples)
         for lo in range(0, max(samples - 1, 1), _SAMPLE_BLOCK)
     ]
-    # imaginary parts pass through ``pieces``; ``slots`` lets the helper
-    # hold two of them at a time, drawn or being drawn
+    real = np.empty((samples, ctx.dim))
+    # the filled ``real``, then each block's imaginary parts, pass through
+    # ``pieces``; ``slots`` lets the helper hold two of them at a time,
+    # drawn or being drawn
     pieces: deque = deque()
     slots, ready, stop = threading.Semaphore(2), threading.Semaphore(0), threading.Event()
 
+    def post(piece) -> None:
+        pieces.append(piece)
+        ready.release()
+
     def draw() -> None:
         try:
+            slots.acquire()
+            for block in blocks:
+                if stop.is_set():
+                    return
+                real[block] = rng.standard_normal((block.stop - block.start, ctx.dim))
+            post(real)
             for block in blocks:
                 slots.acquire()
                 if stop.is_set():
                     return
-                pieces.append(rng.standard_normal((block.stop - block.start, ctx.dim)))
-                ready.release()
+                post(rng.standard_normal((block.stop - block.start, ctx.dim)))
         except BaseException as exc:  # raised again by the calling thread
-            pieces.append(exc)
-            ready.release()
+            post(exc)
 
     def take() -> np.ndarray:
         ready.acquire()
@@ -315,24 +336,27 @@ def _sampled_radius(ctx: SemiInnerContext, tilde: np.ndarray, samples: int, seed
         slots.release()
         return piece
 
-    project = _projection(ctx)
-    real = rng.standard_normal((samples, ctx.dim))
-    numer = np.empty(samples)
-    norms_sq = np.empty(samples)
+    def radius(tilde: np.ndarray) -> float:
+        project = _projection(ctx)
+        numer = np.empty(samples)
+        norms_sq = np.empty(samples)
+        take()  # ``real`` is filled
+        for block in blocks:
+            norms_sq[block], numer[block] = _quotients(project(real[block] + 1j * take()), tilde)
+        keep = norms_sq > 1e-24 * max(float(ctx.lam.max()), float(norms_sq.max()))
+        if not np.any(keep):
+            raise DegenerateContext("no sample survived seminorm normalization")
+        return float(np.max(numer[keep] / norms_sq[keep]))
+
     helper = threading.Thread(target=draw)
     helper.start()
     try:
-        for block in blocks:
-            norms_sq[block], numer[block] = _quotients(project(real[block] + 1j * take()), tilde)
+        yield radius
     finally:
         # the helper acquires at most one more slot before it sees ``stop``
         stop.set()
         slots.release()
         helper.join()
-    keep = norms_sq > 1e-24 * max(float(ctx.lam.max()), float(norms_sq.max()))
-    if not np.any(keep):
-        raise DegenerateContext("no sample survived seminorm normalization")
-    return float(np.max(numer[keep] / norms_sq[keep]))
 
 
 def _quotients(y: np.ndarray, tilde: np.ndarray):

@@ -9,6 +9,8 @@ oracle is evidence rather than tautology.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -77,6 +79,25 @@ class ShrunkStream:
 def shrink_stream(monkeypatch, where, by: float) -> None:
     """Make every ``np.random.default_rng(seed)`` a :class:`ShrunkStream` for the test."""
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: ShrunkStream(seed, where, by))
+
+
+def within(seconds: float, fn, *args):
+    """``fn(*args)`` run on a daemon thread, failing the test if it has not returned in ``seconds``."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn(*args)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "the call did not return"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 # --------------------------------------------------------------------------

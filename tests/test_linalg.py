@@ -12,6 +12,7 @@ from aradius import (
     ConvergenceFailure,
     DimensionMismatch,
     DomainError,
+    EllipticSpec,
     NonSquare,
     NotHermitian,
     NotPSD,
@@ -20,10 +21,12 @@ from aradius import (
     as_matrix,
     as_stack,
     as_vector,
+    assemble_fd,
     classical_numerical_radius,
     hermitian_eig,
     make_context,
     psd_power,
+    reduce,
     spectral_norm,
 )
 
@@ -382,20 +385,46 @@ def test_radius_stack_is_bitwise_per_matrix(rng):
         assert [spectral_norm(m) for m in mats] == norms.tolist()
 
 
-def test_radius_grid_is_solved_in_slices_within_its_byte_budget(rng):
-    # 24 matrices of 64 x 64 would build 100 MiB of Hermitian parts at
-    # once; solved in slices within the budget the call stays under 48 MiB,
-    # and each radius is bitwise the one its matrix gets alone
-    mats = cgauss(rng, 24, 64, 64)
-    assert _GRID_BYTES // (_GRID * 16 * 64 * 64) < len(mats)  # the stack splits
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran."""
     tracemalloc.start()
     try:
-        stacked = classical_numerical_radius(mats)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _GRID_BYTES + 16 * 2**20
+
+
+def test_radius_grid_is_solved_in_slices_within_its_byte_budget(rng):
+    # 24 matrices of 64 x 64 would build 100 MiB of Hermitian parts at
+    # once; solved in slices within the budget the call stays under 48 MiB
+    # (the Newton rounds on every matrix's candidates are not sliced), and
+    # each radius is bitwise the one its matrix gets alone
+    mats = cgauss(rng, 24, 64, 64)
+    assert _GRID_BYTES // (16 * 64 * 64) < _GRID // 2  # one matrix's angles split
+    stacked, peak = _traced_peak(classical_numerical_radius, mats)
+    assert peak < 48 * 2**20
     assert stacked.tolist() == [classical_numerical_radius(m) for m in mats]
+
+
+def test_radius_of_a_large_real_matrix_is_solved_in_angle_slices_bitwise(rng):
+    # the reduced inverse of the 127-point stability problem is real and
+    # non-normal; its 17 Hermitian parts of [0, pi] (4 MiB) are solved a
+    # few angles at a time, so the call stays under 5 MiB, and its radius
+    # is the same alone and in a stack, whose neighbours are sliced alike
+    t_h, a_h = assemble_fd(EllipticSpec(n_points=127))
+    ctx = make_context(a_h)
+    tilde = reduce(ctx, np.linalg.inv(t_h))
+    assert not tilde.imag.any()
+    assert _GRID_BYTES // (16 * 127 * 127) < _GRID // 4 + 1
+    alone, peak = _traced_peak(classical_numerical_radius, tilde)
+    assert peak <= 5 * 2**20
+    stack = np.stack([cgauss(rng, 127, 127), tilde, rng.standard_normal((127, 127)), tilde.T])
+    assert classical_numerical_radius(stack).tolist() == [
+        classical_numerical_radius(m) for m in stack
+    ]
+    assert classical_numerical_radius(stack)[1] == alone
+    assert alone == pytest.approx(oracle_radius(tilde), rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 32])
@@ -403,7 +432,7 @@ def test_antidiagonal_radius_matches_the_general_path(rng, m):
     # [[0, X], [Y, 0]] is solved at size m from its blocks; the general
     # path solves the assembled block at size 2m.  At m = 32 the stack
     # fills more than one grid slice of either path.
-    k = 6 if m < 32 else _GRID_BYTES // (_GRID * 16 * m * m) + 2
+    k = 6 if m < 32 else _GRID_BYTES // (_GRID // 2 * 16 * m * m) + 2
     x, y = cgauss(rng, 2, k, m, m)
     got, general = antidiagonal_radius(x, y), classical_numerical_radius(_antidiag(x, y))
     assert np.allclose(got, general, rtol=1e-13, atol=0.0)

@@ -8,6 +8,7 @@ eigenvector whose consistency defect is computable in closed form.
 
 import csv
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import aradius.pde as pde_mod
 import aradius.semihilbert as semihilbert_mod
 from aradius import (
+    ConvergenceFailure,
     DomainError,
     EllipticSpec,
     InvalidSpec,
@@ -36,7 +38,7 @@ from aradius import (
 )
 from aradius.pde import refined_specs
 
-from conftest import cgauss, radius_lower_reference, random_context, shrink_stream
+from conftest import cgauss, radius_lower_reference, random_context, shrink_stream, within
 
 CONST = EllipticSpec(n_points=9, coeff_a=(1.0,), coeff_c=0.0)
 
@@ -322,6 +324,31 @@ def test_stability_report_reduces_the_inverse_once(monkeypatch):
         reduced.clear()
         stability_report(EllipticSpec(n_points=8), samples=samples)
         assert len(reduced) == 1
+
+
+def test_stability_report_joins_its_drawing_thread_when_the_radius_fails(monkeypatch):
+    # the sampled radius's draws start before the kernel radius, which
+    # fails here; the call raises and leaves no thread behind
+    def failing(m):
+        raise ConvergenceFailure("radius eigensolve failed")
+
+    monkeypatch.setattr(pde_mod, "classical_numerical_radius", failing)
+    threads = threading.active_count()
+    with pytest.raises(ConvergenceFailure):
+        within(30.0, stability_report, EllipticSpec(n_points=127), 100, 1)
+    assert threading.active_count() == threads
+
+
+def test_stability_report_starts_a_thread_only_for_the_sampled_radius(monkeypatch):
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    spec = EllipticSpec(n_points=8)
+    stability_report(spec, samples=0)
+    convergence_rows(spec, levels=2)
+    assert started == []
+    stability_report(spec, samples=5)
+    assert len(started) == 1
+    assert not started[0].is_alive()
 
 
 def test_stability_report_is_invariant_under_weight_scaling(monkeypatch):

@@ -42,6 +42,7 @@ from conftest import (
     random_context,
     random_psd,
     shrink_stream,
+    within,
 )
 
 
@@ -427,34 +428,15 @@ class _BreakingStream:
         return self._rng.standard_normal(size)
 
 
-def _within(seconds: float, fn, *args):
-    """``fn(*args)`` run on a daemon thread, failing the test if it has not returned in ``seconds``."""
-    outcome = {}
-
-    def run():
-        try:
-            outcome["value"] = fn(*args)
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(seconds)
-    assert not worker.is_alive(), "the call did not return"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
-@pytest.mark.parametrize("after", [0, 1, 3, 5])
+@pytest.mark.parametrize("after", [0, 1, 3, 5, 7, 9])
 def test_radius_lower_reraises_a_stream_that_breaks_partway(after, monkeypatch):
-    # 4 * BLOCK + 10 samples are five blocks: draw 0 is every real part,
-    # draws 1-5 the imaginary parts of the blocks
+    # 4 * BLOCK + 10 samples are five blocks: draws 0-4 are the real parts
+    # of the blocks, draws 5-9 their imaginary parts
     ctx = make_context(np.diag([1.0, 2.0, 3.0]))
     threads = threading.active_count()
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _BreakingStream(seed, after))
     with pytest.raises(_StreamBroke, match="stream broke"):
-        _within(30.0, a_numerical_radius_lower, ctx, np.eye(3), 4 * _SAMPLE_BLOCK + 10, 1)
+        within(30.0, a_numerical_radius_lower, ctx, np.eye(3), 4 * _SAMPLE_BLOCK + 10, 1)
     assert threading.active_count() == threads
 
 
@@ -474,7 +456,7 @@ def test_radius_lower_stops_its_drawing_thread_when_the_caller_raises(monkeypatc
     monkeypatch.setattr(semihilbert_mod, "_projection", lambda ctx: failing)
     threads = threading.active_count()
     with pytest.raises(_StreamBroke, match="caller broke"):
-        _within(30.0, a_numerical_radius_lower, ctx, np.eye(3), 10000, 1)
+        within(30.0, a_numerical_radius_lower, ctx, np.eye(3), 10000, 1)
     assert threading.active_count() == threads
 
 
