@@ -73,7 +73,9 @@ import numpy as np
 
 from .linalg import (
     DomainError,
-    _entry_scale,
+    _commutator,
+    _hermitian_part,
+    _unit,
     antidiagonal_radius,
     as_matrix,
     as_vectors,
@@ -476,15 +478,11 @@ def _v_drag(q, params):
 
 
 def _commutes_with_weight(ctx, raw):
-    # The displayed hypothesis of mixed_schwarz: ``||T A - A T||_F <= 1e-8
-    # ||A|| ||T||``, relative, so any scale qualifies.  T and A are first
-    # divided by powers of two near their largest entries, so the Frobenius
-    # norm neither underflows nor overflows; the commutator is scaled back.
+    # mixed_schwarz's hypothesis ``||T A - A T||_F <= 1e-8 ||A|| ||T||``, on T
+    # and A in linalg's unit form so any scale qualifies; comm is scaled back.
     t, a = raw["T"], ctx.a
-    st, sa = _entry_scale(t), _entry_scale(a)
-    unit_t, unit_a = t / st[:, None, None], a / sa[..., None, None]
-    comm = np.linalg.norm(unit_t @ unit_a - unit_a @ unit_t, axis=(1, 2))
-    ok = comm <= 1e-8 * (spectral_norm(a) / sa) * (spectral_norm(t) / st)
+    (unit_t, st), (unit_a, sa) = _unit(t), _unit(a)
+    comm, ok = _commutator(unit_t, unit_a, 1e-8 * (spectral_norm(a) / sa) * (spectral_norm(t) / st))
     return ok, {"commutator": comm * st * sa}
 
 
@@ -513,7 +511,7 @@ def _f_holder_mccarthy(ops, params):
     # part of T~, negative eigenvalues clamped and 0^r = 0.
     t, x, r = ops["T"].t, ops["x"], ops["r"]
     _require_unit(x, "vector")
-    sym = 0.5 * (t + _adj(t))
+    sym = _hermitian_part(t, 0.0)[0]  # A-positivity is _holder_inputs's verdict
     vals, vecs = np.linalg.eigh(sym)
     vals = _rowpow(np.clip(vals, 0.0, None), r)
     base = np.maximum(_form(sym, x, x).real, 0.0)

@@ -2,7 +2,7 @@
 
 Everything downstream works on plain numpy complex matrices.  The helpers
 here pin down the numerical conventions the weighted operator calculus
-relies on: symmetrization before Hermitian eigensolves, eigenvalue
+relies on: scale-free Hermitian parts and relative tests, eigenvalue
 clamping for positive-semidefinite functional calculus, and a
 grid-seeded Newton refinement for the classical numerical radius.  The
 radius scales each matrix by a power of two so its norms and squares
@@ -176,25 +176,26 @@ def _frobenius_sq(mats: np.ndarray) -> np.ndarray:
 def hermitian_eig(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
-    Each matrix must be Hermitian to relative tolerance: ``||M - M*||_F <=
-    HERMITIAN_RTOL * ||M||_F``, compared after dividing by a power of two
-    near its largest entry, so any finite scale qualifies and the zero
-    matrix passes.  It is symmetrized before the solve so downstream
-    reconstruction identities hold to rounding.  A stack ``(k, n, n)``
-    gives eigenvalues ``(k, n)`` and eigenvectors ``(k, n, n)`` in one
-    solve, entry ``i`` bitwise what matrix ``i`` alone gives.
+    Each matrix must be Hermitian to relative tolerance, ``||M - M*||_F <=
+    HERMITIAN_RTOL * ||M||_F`` as :func:`_hermitian_part` takes it, so any
+    finite scale qualifies and the zero matrix passes.  Its Hermitian part
+    is solved, so downstream reconstruction identities hold to rounding.  A
+    stack ``(k, n, n)`` gives eigenvalues ``(k, n)`` and eigenvectors ``(k,
+    n, n)`` in one solve, entry ``i`` bitwise what matrix ``i`` alone gives.
     """
-    mat = as_stack(m, square=True)
-    adj = mat.conj().swapaxes(-1, -2)
-    unit = mat / _entry_scale(mat)[..., None, None]
-    gap = _frobenius_sq(unit - unit.conj().swapaxes(-1, -2))
-    if np.any(gap > HERMITIAN_RTOL**2 * _frobenius_sq(unit)):
+    return Spectrum(*_hermitian_eig(as_stack(m, square=True))[1:])
+
+
+def _hermitian_eig(mats: np.ndarray):
+    """A validated stack's Hermitian part, and the eigenvalues and eigenvectors :func:`hermitian_eig` gives."""
+    sym, ok = _hermitian_part(mats, HERMITIAN_RTOL)
+    if not ok.all():
         raise NotHermitian("matrix is not Hermitian within tolerance")
     try:
-        vals, vecs = np.linalg.eigh(0.5 * (mat + adj))
+        vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolve failed: {exc}") from exc
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    return sym, vals, vecs
 
 
 def psd_power(m, p: float) -> np.ndarray:
@@ -207,8 +208,7 @@ def psd_power(m, p: float) -> np.ndarray:
     """
     if p < 0.0:
         raise ValueError("power must be nonnegative")
-    spec = hermitian_eig(as_matrix(m, square=True))
-    vals, vecs = spec.eigenvalues, spec.eigenvectors
+    vals, vecs = _hermitian_eig(as_matrix(m, square=True))[1:]
     if float(vals[0]) < -PSD_CLAMP_RTOL * float(np.max(np.abs(vals))):
         raise NotPSD(f"eigenvalue {vals[0]:.3e} below PSD clamp threshold")
     vals = np.clip(vals, 0.0, None)
@@ -230,9 +230,9 @@ def classical_numerical_radius(m):
     its matrix alone gives).  Each matrix is first divided by a power of
     two near its largest entry, so its norms and squares neither overflow
     nor underflow, and its radius is multiplied back.  The zero matrix
-    gives 0, and two classes short-circuit: Hermitian and normal matrices
-    (``||M - M*||_F <= 1e-12 ||M||_F``, ``||[M, M*]||_F <= 1e-12
-    ||M||_F^2``: relative, so any scale qualifies) take exact eigenvalues.
+    gives 0, and two classes short-circuit to exact eigenvalues: Hermitian
+    (:func:`_hermitian_part` at ``rtol = 1e-12``) and normal matrices
+    (``||[M, M*]||_F <= 1e-12 ||M||_F^2``), both tested on the divided matrix.
 
     Every other matrix maximizes ``lambda(theta)``, the top eigenvalue of
     the Hermitian part of ``exp(i*theta) * M``: the family of
@@ -245,27 +245,24 @@ def classical_numerical_radius(m):
     """
     arr = as_stack(m, square=True)
     mats = arr.reshape((-1,) + arr.shape[-2:])
-    scale = _entry_scale(mats)
-    unit = mats / scale[:, None, None]
-    adj = unit.conj().transpose(0, 2, 1)
+    unit, scale = _unit(mats)
     try:
         nrm = np.linalg.svd(unit, compute_uv=False)[:, 0]
-        fro = np.linalg.norm(unit, axis=(1, 2))
-        skew = np.linalg.norm(unit - adj, axis=(1, 2)) > 1e-12 * fro
-        herm, rest = np.flatnonzero((nrm > 0.0) & ~skew), np.flatnonzero(skew)
+        sym, hermitian = _hermitian_part(unit, 1e-12, unit)
+        herm, rest = np.flatnonzero((nrm > 0.0) & hermitian), np.flatnonzero(~hermitian)
         out = np.zeros(len(mats))  # radii of unit
         if herm.size:
-            sym = 0.5 * (unit[herm] + adj[herm])
-            out[herm] = np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
+            out[herm] = np.abs(np.linalg.eigvalsh(sym[herm])).max(axis=1)
         if rest.size:
-            m_r, a_r = unit[rest], adj[rest]
-            comm = np.linalg.norm(m_r @ a_r - a_r @ m_r, axis=(1, 2))
-            is_normal = comm <= 1e-12 * fro[rest] ** 2
+            m_r = unit[rest]
+            is_normal = _commutator(m_r, m_r.conj().transpose(0, 2, 1), 1e-12 * _frobenius_sq(m_r))[1]
             normal, general = rest[is_normal], rest[~is_normal]
+            half = 0.5 * unit[general]
+            del sym, unit, m_r  # so the grid holds only its input and its slice
             if normal.size:  # eigvals of unit would move last bits; LAPACK scales extremes itself
                 out[normal] = np.abs(np.linalg.eigvals(mats[normal])).max(axis=1) / scale[normal]
             if general.size:
-                out[general] = _refined_radius(None, 0.5 * unit[general], nrm[general])
+                out[general] = _refined_radius(None, half, nrm[general])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"radius eigensolve failed: {exc}") from exc
     return _per_input(scale * out, arr)
@@ -286,9 +283,7 @@ def antidiagonal_radius(x, y):
     arr, other = as_stack(x, square=True), as_stack(y, square=True)
     if arr.shape != other.shape:
         raise DimensionMismatch(f"blocks differ in shape: {arr.shape} and {other.shape}")
-    xs, ys = (b.reshape((-1,) + b.shape[-2:]) for b in (arr, other))
-    scale = _entry_scale(xs, ys)
-    xs, ys = xs / scale[:, None, None], ys / scale[:, None, None]
+    xs, ys, scale = _unit(*(b.reshape((-1,) + b.shape[-2:]) for b in (arr, other)))
     x_adj, y_adj = xs.conj().transpose(0, 2, 1), ys.conj().transpose(0, 2, 1)
     p = 0.25 * (x_adj @ xs + ys @ y_adj)
     q = 0.25 * (x_adj @ y_adj)
@@ -300,10 +295,29 @@ def antidiagonal_radius(x, y):
     return _per_input(scale * out, arr)
 
 
-def _entry_scale(*stacks: np.ndarray) -> np.ndarray:
-    """A power of two per matrix of C-contiguous stacks: the entries of each divided by it lie below 2."""
+def _unit(*stacks: np.ndarray):
+    """C-contiguous complex stacks divided by the power of two per matrix index that puts the largest entry in ``[1, 2)``; that power."""
     top = reduce(np.maximum, (np.abs(m.view(np.float64)).max(axis=(-2, -1)) for m in stacks))
-    return np.ldexp(1.0, np.frexp(top)[1] - 1)
+    scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
+    return (*(m / scale[..., None, None] for m in stacks), scale)
+
+
+def _hermitian_part(mats: np.ndarray, rtol: float, unit=None):
+    """``0.5 M + 0.5 M*`` of each matrix ``M`` of a stack, and whether ``||M - M*||_F <= rtol ||M||_F``.
+
+    The half sums cannot overflow, and equal ``0.5 (M + M*)`` bit for bit
+    unless an entry is below ``2**-1021``.  The test is taken on ``unit``
+    (``M`` by :func:`_unit`, or the caller's), so it holds at any scale.
+    """
+    unit = _unit(mats)[0] if unit is None else unit
+    gap = _frobenius_sq(unit - unit.conj().swapaxes(-1, -2))
+    return 0.5 * mats + 0.5 * mats.conj().swapaxes(-1, -2), gap <= rtol**2 * _frobenius_sq(unit)
+
+
+def _commutator(x: np.ndarray, y: np.ndarray, bound):
+    """``||X Y - Y X||_F`` of stacks in :func:`_unit` form, and whether it is at most ``bound``."""
+    comm = np.linalg.norm(x @ y - y @ x, axis=(-2, -1))
+    return comm, comm <= bound
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -360,7 +374,7 @@ def _refined_radius(p, q: np.ndarray, lip: np.ndarray) -> np.ndarray:
     for rows, count in ((~real, len(phases)), (real, _GRID // 4 + 1)):
         if not rows.any():
             continue
-        sub = [part[rows] for part in parts]
+        sub = parts if rows.all() else [part[rows] for part in parts]
         # slices of whole matrices, or of one matrix's angles when its
         # family alone is more than ``size`` Hermitian parts
         per, span, solved = max(1, size // count), min(size, count), phases[:count]

@@ -40,13 +40,13 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     DomainError,
-    _entry_scale,
+    _hermitian_eig,
+    _hermitian_part,
     as_integer,
     as_matrix,
     as_stack,
     as_vector,
     classical_numerical_radius,
-    hermitian_eig,
     psd_power,
     spectral_norm,
 )
@@ -157,8 +157,10 @@ def rank_contexts(a) -> list[tuple[list[int], SemiInnerContext]]:
 
 
 def _factor(mats: np.ndarray) -> list[tuple[list[int], SemiInnerContext]]:
-    spec = hermitian_eig(mats)
-    vals = spec.eigenvalues
+    # The stored weight is the Hermitian part solved, not the reconstruction:
+    # taking it is bitwise idempotent, so ``ctx.a`` fed back to make_context
+    # gives every factor bit for bit (persisted cases replay exactly).
+    sym, vals, vecs = _hermitian_eig(mats)
     top = np.abs(vals).max(axis=-1)
     negative = vals[:, 0] < -1e-9 * top
     if negative.any():
@@ -167,11 +169,6 @@ def _factor(mats: np.ndarray) -> list[tuple[list[int], SemiInnerContext]]:
     clamped = np.maximum(vals, 0.0)
     # eigenvalues ascend, so each weight keeps its last ``rank`` eigenpairs
     ranks = (clamped > RANK_TOL * top[:, None]).sum(axis=-1)
-    # The stored weight is the exact symmetrization of the input, not the
-    # eigen-reconstruction: symmetrizing is bitwise idempotent, so feeding
-    # ``ctx.a`` back through ``make_context`` reproduces every factor
-    # bit for bit (persisted cases replay exactly).
-    sym = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
     n = mats.shape[-1]
     by_rank: dict[int, list[int]] = {}
     for i, rank in enumerate(ranks.tolist()):
@@ -180,7 +177,7 @@ def _factor(mats: np.ndarray) -> list[tuple[list[int], SemiInnerContext]]:
     for rank, idx in by_rank.items():
         # a stack of one rank, the usual case, is sliced rather than indexed
         rows = slice(None) if len(by_rank) == 1 else idx
-        factors = sym[rows], spec.eigenvectors[rows, :, n - rank :], clamped[rows, n - rank :]
+        factors = sym[rows], vecs[rows, :, n - rank :], clamped[rows, n - rank :]
         groups.append((idx, SemiInnerContext(*map(_frozen, factors))))
     return groups
 
@@ -409,20 +406,10 @@ def a_abs_power(ctx: SemiInnerContext, t, p: float) -> np.ndarray:
 
 
 def _a_hermitian(ctx: SemiInnerContext, t):
-    """Hermitian part of ``A T``; whether it is Hermitian within tolerance.
-
-    The rule ``||A T - (A T)*||_F <= STRUCTURE_RTOL ||A T||_F`` is
-    relative and compared after dividing ``A T`` by a power of two near
-    its largest entry, so no verdict depends on the scale of ``T``.
-    """
+    """Hermitian part of ``A T``, and whether ``A T`` is Hermitian to ``STRUCTURE_RTOL`` at any scale."""
     mat = as_stack(t, square=True)
     _check_dim(ctx, mat)
-    at = ctx.a @ mat
-    adj = at.conj().swapaxes(-1, -2)
-    scale = _entry_scale(at)[..., None, None]
-    gap = np.linalg.norm((at - adj) / scale, axis=(-2, -1))
-    ok = gap <= STRUCTURE_RTOL * np.linalg.norm(at / scale, axis=(-2, -1))
-    return 0.5 * (at + adj), ok
+    return _hermitian_part(ctx.a @ mat, STRUCTURE_RTOL)
 
 
 def is_a_selfadjoint(ctx: SemiInnerContext, t):
@@ -435,8 +422,8 @@ def is_a_positive(ctx: SemiInnerContext, t):
     """True when ``A T`` is Hermitian PSD within relative tolerance, per trial for stacks.
 
     The smallest eigenvalue must be at least ``-STRUCTURE_RTOL`` times the
-    largest modulus.  A finite ``T`` whose ``A T`` overflows raises
-    :class:`~aradius.linalg.DomainError`.
+    largest modulus.  Only a product ``A T`` that overflows makes the
+    Hermitian part infinite: it raises :class:`~aradius.linalg.DomainError`.
     """
     sym, ok = _a_hermitian(ctx, t)
     if not np.isfinite(sym).all():

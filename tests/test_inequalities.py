@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, strategies as st
 
 from aradius import (
     A_KINDS,
+    T_KINDS,
     BoundParams,
+    DomainError,
     DomainViolation,
     NotAPositive,
     NotUnitVector,
@@ -29,15 +32,21 @@ from aradius import (
     gen_context,
     gen_operator,
     GenSpec,
+    hermitian_eig,
+    is_a_positive,
+    is_a_selfadjoint,
     make_context,
     op_seminorm,
     optimize_params,
     optimize_refined_alpha_bound,
+    preserves_kernel,
     registry_entry,
     registry_ids,
     semi_inner,
     vec_seminorm,
 )
+import aradius.fuzz as fuzz_mod
+import aradius.linalg as linalg_mod
 from aradius.inequalities import refined_alpha_critical_point
 
 from conftest import a_unit_vector, cgauss, random_context
@@ -410,6 +419,122 @@ def test_commutator_intermediate_is_the_unscaled_norm_at_ordinary_scales(rng):
     for t in (cgauss(rng, 4, 4), 3.0 * ctx.a @ ctx.a + 0.25 * ctx.a):
         rep = check_mixed_schwarz(ctx, t, np.eye(4)[0], np.eye(4)[1])
         assert rep.intermediates["commutator"] == np.linalg.norm(t @ ctx.a - ctx.a @ t)
+
+
+#: The powers of two of the scaling sweep, and the degree of each operator
+#: id's sides in its matrix operands at the default parameters (``None``:
+#: holder_mccarthy's is its operand ``r``).
+POW2_KS = (1, -1, 64, -64, 500, -500, 1000, -1000)
+OPERATOR_DEGREES = {
+    **dict.fromkeys(("thm_2_7", "thm_2_8", "thm_2_10", "cor_2_11", "rem_2_12"), 1),
+    **dict.fromkeys(("moby_a1", "ramadan1", "thm_beta", "thm_2_16", "kz", "modified_kz"), 4),
+    "thm_alpha": 2,
+    **dict.fromkeys(("moby_a2", "ramadan1_cor", "mohd1", "college1", "modified_kz_cor"), 4),
+    "alpha_cor": 2,
+    **dict.fromkeys(("prod1", "prod2", "cor_prod", "cor_prod_a"), 8),
+    "power_2r": 4,
+    "mixed_schwarz": 1,
+    "holder_mccarthy": None,
+}
+
+
+def _power_of_two_verdicts(k, monkeypatch):
+    """Every structural verdict on fixed inputs whose operators (and weights) are scaled by ``2**k``.
+
+    A verdict that raises a :class:`DomainError` reads as the error's name.
+    """
+    rng = np.random.default_rng(2024)
+    s = 2.0**k
+
+    def verdict(fn, *args):
+        try:
+            out = fn(*args)
+        except DomainError as exc:
+            return type(exc).__name__
+        return out.tolist() if isinstance(out, np.ndarray) else out
+
+    out = {}
+    for name, ctx in (("deficient", random_context(rng, 3, rank=2)), ("full", random_context(rng, 3))):
+        ts = np.stack(
+            [gen_operator(ctx, GenSpec(dim=3, t_kind=kind, seed=5)) for kind in T_KINDS]
+            + [cgauss(rng, 3, 3)]  # maps ker A out of itself for the deficient weight
+        )
+        out[name, "selfadjoint"] = verdict(is_a_selfadjoint, ctx, s * ts)
+        out[name, "positive"] = verdict(is_a_positive, ctx, s * ts)
+        out[name, "kernel"] = verdict(preserves_kernel, ctx, s * ts)
+        commutes = registry_entry("mixed_schwarz").check
+        out[name, "commutes"] = verdict(lambda t: commutes(ctx, {"T": t})[0], s * ts)
+        out[name, "rank"] = verdict(lambda a: make_context(a).rank, s * ctx.a)
+    g = cgauss(rng, 3, 3)
+    q = np.linalg.qr(cgauss(rng, 3, 3))[0]
+    kernel_inputs = np.stack(
+        [g + g.conj().T, (q * cgauss(rng, 3)) @ q.conj().T, g, g.real, np.zeros((3, 3))]
+    )
+    for i, m in enumerate(kernel_inputs):
+        out["hermitian_eig", i] = verdict(lambda m: hermitian_eig(m).eigenvalues.shape, s * m)
+        out["make_context", i] = verdict(lambda a: make_context(a).rank, s * (m @ m.conj().T))
+        out["make_context", i, "raw"] = verdict(lambda a: make_context(a).rank, s * m)
+    # the kernel's Hermitian and normal short-circuits, as the kernel takes them
+    classes = []
+
+    def spy(real):
+        def record(*args):
+            out = real(*args)
+            classes.append(out[1].tolist())
+            return out
+
+        return record
+
+    with monkeypatch.context() as patch:
+        for name in ("_hermitian_part", "_commutator"):
+            patch.setattr(linalg_mod, name, spy(getattr(linalg_mod, name)))
+        classical_numerical_radius(s * kernel_inputs)
+    out["kernel classes"] = classes
+    return out
+
+
+@pytest.mark.parametrize("k", POW2_KS)
+def test_verdicts_survive_power_of_two_scaling(monkeypatch, k):
+    # each verdict at 2**k is the one at k = 0, or a named DomainError (read
+    # as its name); the suite turns any warning into a failure
+    base, scaled = _power_of_two_verdicts(0, monkeypatch), _power_of_two_verdicts(k, monkeypatch)
+    assert base.keys() == scaled.keys()
+    for key, value in scaled.items():
+        assert value == base[key] or isinstance(value, str), (key, value, base[key])
+    assert base["kernel classes"] == [[True, False, False, False, True], [True, False, False]]
+
+
+def _times_pow2(x: float, e: Fraction) -> float | None:
+    """``x * 2**e``, exact for an integer ``e``; ``None`` where it is not a normal float."""
+    n = math.floor(e)
+    y = x * 2.0 ** float(e - n)
+    return math.ldexp(y, n) if -1021 < math.frexp(y)[1] + n < 1024 else None
+
+
+@pytest.mark.parametrize("k", POW2_KS)
+def test_operator_sides_follow_power_of_two_scaling(k):
+    # scaling every matrix operand by 2**k scales each side by 2**(k d):
+    # wherever both scaled sides are normal floats, to 1e-14 relative, with
+    # the same hypothesis verdict; a DomainError only where one would not be
+    for a_kind in ("dense_psd", "rank_deficient"):
+        gen = GenSpec(dim=3, a_kind=a_kind, seed=7)
+        for iid, degree in OPERATOR_DEGREES.items():
+            chunk = fuzz_mod._draw(gen, [iid], range(2), None, False)[0]
+            for i in range(2):
+                ctx, ops, params = fuzz_mod._trial(chunk, i)
+                base = evaluate_bound(ctx, iid, ops, params)
+                e = k * Fraction(ops["r"] if degree is None else degree)
+                want = [_times_pow2(side, e) for side in (base.lhs, base.rhs)]
+                scaled = {n: v * 2.0**k if n[0].isupper() else v for n, v in ops.items()}
+                try:
+                    rep = evaluate_bound(ctx, iid, scaled, params)
+                except DomainError:
+                    assert None in want, (iid, i)
+                    continue
+                assert rep.hypotheses_ok == base.hypotheses_ok, (iid, i)
+                for got, expected in zip((rep.lhs, rep.rhs), want):
+                    if expected is not None:
+                        assert got == pytest.approx(expected, rel=1e-14, abs=0.0), (iid, i)
 
 
 # --------------------------------------------------------------------------

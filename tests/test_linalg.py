@@ -146,9 +146,12 @@ def test_hermitian_eig_rejects_asymmetric(rng):
         hermitian_eig(g)
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e200, 1e-200, 2.0**600, 2.0**-600])
+@pytest.mark.parametrize(
+    "scale", [1e160, 1e-160, 1e200, 1e-200, 2.0**600, 2.0**-600, 2.0**1022]
+)
 def test_hermitian_eig_tolerance_holds_at_extreme_scales(scale):
-    # the squared Frobenius norms would overflow or underflow unscaled
+    # the squared Frobenius norms would overflow or underflow unscaled, and
+    # at 2**1022 so would the sum M + M*
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NotHermitian):
         hermitian_eig(scale * jordan)

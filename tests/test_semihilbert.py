@@ -661,10 +661,13 @@ def test_preserves_kernel_detects_leak():
 
 
 @pytest.mark.parametrize(
-    "scale", [1.0, 1e-6, 1e-9, 1e-12, 1e160, 1e-160, 1e200, 1e-200, 2.0**600, 2.0**-600]
+    "scale",
+    [1.0, 1e-6, 1e-9, 1e-12, 1e160, 1e-160, 1e200, 1e-200, 2.0**600, 2.0**-600]
+    + [2.0**1022, 5e307],
 )
 def test_structural_verdicts_do_not_depend_on_scale(scale):
-    # every verdict is the one at scale 1: the tolerances are relative
+    # every verdict is the one at scale 1: the tolerances are relative.  At
+    # the last two scales A T + (A T)* and A T - (A T)* would overflow
     ctx = make_context(np.diag([1.0, 0.0]))
     leak = scale * np.array([[0.0, 1.0], [0.0, 0.0]])  # maps ker(A) onto ran(A)
     assert not preserves_kernel(ctx, leak)
@@ -681,6 +684,9 @@ def test_structural_verdicts_do_not_depend_on_scale(scale):
     assert preserves_kernel(ctx, zero) and is_a_positive(ctx, zero)
     with pytest.raises(NotHermitian):
         make_context(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert make_context(scale * np.diag([1.0, 3.0])).rank == 2
+    skew = scale * np.array([[0.0, 2.0], [-2.0, 0.0]])  # [[0, 1e308], [-1e308, 0]] at 5e307
+    assert not is_a_selfadjoint(make_context(np.eye(2)), skew)
 
 
 def test_full_rank_everything_preserves_kernel(rng):
