@@ -118,6 +118,25 @@ class NotAPositive(DomainError):
     """Operator is not A-positive where the bound requires it."""
 
 
+#: The domain of :class:`BoundParams`, as ordered ``(holds, message)`` rules
+#: that take one trial's parameters or parameter columns alike.  A trial
+#: outside it raises the message of the first rule it fails; ``q`` is
+#: tested after ``p > 1``, so a scalar ``q`` is only computed where it exists.
+_DOMAIN = (
+    (
+        lambda v: np.isfinite((v.alpha, v.beta, v.r, v.mu, v.lam, v.p)).all(axis=0),
+        "bound parameters must be finite",
+    ),
+    (lambda v: v.alpha != 0.0, "alpha must be nonzero"),
+    (lambda v: v.beta >= 0.0, "beta must be nonnegative"),
+    (lambda v: v.r >= 1.0, "r must be at least 1"),
+    (lambda v: (v.mu >= 0.0) & (v.mu <= 1.0), "mu must lie in [0, 1]"),
+    (lambda v: (v.lam >= 0.0) & (v.lam <= 1.0), "lam must lie in [0, 1]"),
+    (lambda v: v.p > 1.0, "p and q must exceed 1"),
+    (lambda v: v.q > 1.0, "p and q must exceed 1"),
+)
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Parameters shared across the registered bounds.
@@ -137,23 +156,9 @@ class BoundParams:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
-        values = (
-            self.alpha.real, self.alpha.imag, self.beta, self.r, self.mu, self.lam, self.p
-        )
-        if not all(map(math.isfinite, values)):
-            raise DomainViolation("bound parameters must be finite")
-        if abs(self.alpha) == 0.0:
-            raise DomainViolation("alpha must be nonzero")
-        if not self.beta >= 0.0:
-            raise DomainViolation("beta must be nonnegative")
-        if not self.r >= 1.0:
-            raise DomainViolation("r must be at least 1")
-        if not 0.0 <= self.mu <= 1.0:
-            raise DomainViolation("mu must lie in [0, 1]")
-        if not 0.0 <= self.lam <= 1.0:
-            raise DomainViolation("lam must lie in [0, 1]")
-        if not (self.p > 1.0 and self.q > 1.0):
-            raise DomainViolation("p and q must exceed 1")
+        for holds, message in _DOMAIN:
+            if not holds(self):
+                raise DomainViolation(message)
 
     @property
     def q(self) -> float:
@@ -200,8 +205,7 @@ def _checked_columns(alpha, beta, r, mu, lam, p) -> SimpleNamespace:
     """Parameter columns with ``q``; a bad trial raises what its :class:`BoundParams` would."""
     with np.errstate(divide="ignore", invalid="ignore"):
         cols = SimpleNamespace(alpha=alpha, beta=beta, r=r, mu=mu, lam=lam, p=p, q=p / (p - 1.0))
-    ok = np.isfinite([alpha, beta, r, mu, lam, p]).all(axis=0) & (alpha != 0.0) & (beta >= 0.0)
-    ok &= (r >= 1) & (mu >= 0) & (mu <= 1) & (lam >= 0) & (lam <= 1) & (p > 1) & (cols.q > 1)
+    ok = np.logical_and.reduce([holds(cols) for holds, _ in _DOMAIN])
     if not ok.all():
         _trial_params(cols, int(np.argmin(ok)))  # raises
     return cols

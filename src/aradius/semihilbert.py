@@ -29,8 +29,6 @@ per trial.  The other functions take one weight and one operator.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,6 +40,7 @@ from .linalg import (
     DomainError,
     _hermitian_eig,
     _hermitian_part,
+    _unit,
     as_integer,
     as_matrix,
     as_stack,
@@ -69,9 +68,9 @@ RANK_TOL = 1e-10
 STRUCTURE_RTOL = 1e-8
 
 #: Rows of samples whose real, and then imaginary, parts
-#: :func:`a_numerical_radius_lower` draws on its helper thread at once, and
-#: whose imaginary parts it then projects and reduces at once (the last
-#: block may hold one more).
+#: :func:`a_numerical_radius_lower` draws in one task of its worker thread,
+#: and whose imaginary parts it then projects and reduces at once (the
+#: last block may hold one more).
 _SAMPLE_BLOCK = 512
 
 
@@ -254,16 +253,17 @@ def a_numerical_radius_lower(
     ``|y* T~ y| / |y|^2``, which is ``|<Tx, x>_A| / ||x||_A^2`` for ``x`` the
     projection of ``g`` onto ``ran(A)``.  Deterministic for a fixed seed.
 
-    The stream holds every real part, then every imaginary part.  A helper
-    thread, started before ``T`` is reduced and joined within the call,
-    draws it in blocks of :data:`_SAMPLE_BLOCK` rows (the last may hold one
-    more; a normal stream gives the same values drawn whole or in pieces).
-    It copies the real blocks into one ``(samples, dim)`` float array that
-    the calling thread allocated, the memory floor of the function, and
-    then holds at most two imaginary blocks at a time.  The calling thread
+    The stream holds every real part, then every imaginary part.  The one
+    worker of a thread pool, started before ``T`` is reduced and joined
+    within the call, draws it in blocks of :data:`_SAMPLE_BLOCK` rows (the
+    last may hold one more; a normal stream gives the same values drawn
+    whole or in pieces).  It copies the real blocks into one
+    ``(samples, dim)`` float array that the calling thread allocated, the
+    memory floor of the function, and then draws each imaginary block at
+    most two blocks ahead of the one being used.  The calling thread
     projects and reduces each block as it arrives, so the arithmetic
     overlaps the drawing and no ``(samples, dim)`` complex array is ever
-    made.  It does all of the arithmetic and re-raises what the helper
+    made.  It does all of the arithmetic and re-raises what a draw
     raises; no thread outlives the call.  When every column of ``V_r``
     holds one nonzero entry and that entry is exactly ``+-1`` (a diagonal
     weight), ``g V_r*`` is taken by column selection, which equals the
@@ -284,13 +284,20 @@ def a_numerical_radius_lower(
 
 @contextmanager
 def _sampled_radius(ctx: SemiInnerContext, samples: int, seed):
-    """Draw the samples of :func:`a_numerical_radius_lower` on a helper thread.
+    """Draw the samples of :func:`a_numerical_radius_lower` on a one-worker executor.
 
     Yields ``radius(tilde)``, the bound of the operator whose reduction is
-    ``tilde``, to be called at most once; the drawing starts on entry, so
-    work done before that call overlaps it.  On exit the helper is stopped
-    and joined.
+    ``tilde``, to be called at most once.  The worker runs its tasks in the
+    order submitted: on entry, the fill of ``real``, then the first two
+    imaginary blocks, so work done before that call overlaps them.  The
+    caller submits block ``i + 2`` as it takes block ``i``, so at most two
+    imaginary blocks are drawn ahead of the one in use.  On exit the draws
+    not yet started are cancelled and the worker is joined.
     """
+    # imported here: every other caller of the package would pay its
+    # import time and memory
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(seed)
     # a lone last row joins the block before it: numpy multiplies a
     # single row by a matrix-vector product, which rounds differently
@@ -299,61 +306,39 @@ def _sampled_radius(ctx: SemiInnerContext, samples: int, seed):
         for lo in range(0, max(samples - 1, 1), _SAMPLE_BLOCK)
     ]
     real = np.empty((samples, ctx.dim))
-    # the filled ``real``, then each block's imaginary parts, pass through
-    # ``pieces``; ``slots`` lets the helper hold two of them at a time,
-    # drawn or being drawn
-    pieces: deque = deque()
-    slots, ready, stop = threading.Semaphore(2), threading.Semaphore(0), threading.Event()
 
-    def post(piece) -> None:
-        pieces.append(piece)
-        ready.release()
+    def draw(block: slice) -> np.ndarray:
+        return rng.standard_normal((block.stop - block.start, ctx.dim))
 
-    def draw() -> None:
-        try:
-            slots.acquire()
-            for block in blocks:
-                if stop.is_set():
-                    return
-                real[block] = rng.standard_normal((block.stop - block.start, ctx.dim))
-            post(real)
-            for block in blocks:
-                slots.acquire()
-                if stop.is_set():
-                    return
-                post(rng.standard_normal((block.stop - block.start, ctx.dim)))
-        except BaseException as exc:  # raised again by the calling thread
-            post(exc)
-
-    def take() -> np.ndarray:
-        ready.acquire()
-        piece = pieces.popleft()
-        if isinstance(piece, BaseException):
-            raise piece
-        slots.release()
-        return piece
+    def fill() -> None:
+        for block in blocks:
+            real[block] = draw(block)
 
     def radius(tilde: np.ndarray) -> float:
         project = _projection(ctx)
         numer = np.empty(samples)
         norms_sq = np.empty(samples)
-        take()  # ``real`` is filled
-        for block in blocks:
-            norms_sq[block], numer[block] = _quotients(project(real[block] + 1j * take()), tilde)
+        filled.result()
+        for i, block in enumerate(blocks):
+            if i + 2 < len(blocks):
+                ahead.append(pool.submit(draw, blocks[i + 2]))
+            # no name holds the drawn block or the complex samples, so each
+            # is freed as soon as it has been used
+            norms_sq[block], numer[block] = _quotients(
+                project(real[block] + 1j * ahead.pop(0).result()), tilde
+            )
         keep = norms_sq > 1e-24 * max(float(ctx.lam.max()), float(norms_sq.max()))
         if not np.any(keep):
             raise DegenerateContext("no sample survived seminorm normalization")
         return float(np.max(numer[keep] / norms_sq[keep]))
 
-    helper = threading.Thread(target=draw)
-    helper.start()
+    pool = ThreadPoolExecutor(max_workers=1)
     try:
+        filled = pool.submit(fill)
+        ahead = [pool.submit(draw, block) for block in blocks[:2]]
         yield radius
     finally:
-        # the helper acquires at most one more slot before it sees ``stop``
-        stop.set()
-        slots.release()
-        helper.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def _quotients(y: np.ndarray, tilde: np.ndarray):
@@ -406,10 +391,15 @@ def a_abs_power(ctx: SemiInnerContext, t, p: float) -> np.ndarray:
 
 
 def _a_hermitian(ctx: SemiInnerContext, t):
-    """Hermitian part of ``A T``, and whether ``A T`` is Hermitian to ``STRUCTURE_RTOL`` at any scale."""
+    """Hermitian part of ``A T`` over a power of two, and whether ``A T`` is Hermitian to ``STRUCTURE_RTOL``.
+
+    The product is taken of ``A`` and ``T`` in :func:`~aradius.linalg._unit`
+    form, so it cannot overflow; a power of two changes neither the relative
+    Hermitian test nor the sign of an eigenvalue ratio.
+    """
     mat = as_stack(t, square=True)
     _check_dim(ctx, mat)
-    return _hermitian_part(ctx.a @ mat, STRUCTURE_RTOL)
+    return _hermitian_part(_unit(ctx.a)[0] @ _unit(mat)[0], STRUCTURE_RTOL)
 
 
 def is_a_selfadjoint(ctx: SemiInnerContext, t):
@@ -422,12 +412,10 @@ def is_a_positive(ctx: SemiInnerContext, t):
     """True when ``A T`` is Hermitian PSD within relative tolerance, per trial for stacks.
 
     The smallest eigenvalue must be at least ``-STRUCTURE_RTOL`` times the
-    largest modulus.  Only a product ``A T`` that overflows makes the
-    Hermitian part infinite: it raises :class:`~aradius.linalg.DomainError`.
+    largest modulus.  The test holds at any scale, even where ``A T``
+    itself would overflow.
     """
     sym, ok = _a_hermitian(ctx, t)
-    if not np.isfinite(sym).all():
-        raise DomainError("A T is not finite")
     vals = np.linalg.eigvalsh(sym)
     ok = ok & (vals[..., 0] >= -STRUCTURE_RTOL * np.max(np.abs(vals), axis=-1))
     return ok if ok.ndim else bool(ok)

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -460,6 +461,44 @@ def test_radius_lower_stops_its_drawing_thread_when_the_caller_raises(monkeypatc
     assert threading.active_count() == threads
 
 
+class _CountingStream:
+    """numpy's normal stream of ``seed`` that counts its draws."""
+
+    def __init__(self, seed):
+        self._rng = _DEFAULT_RNG(seed)
+        self.draws = 0
+
+    def standard_normal(self, size):
+        self.draws += 1
+        return self._rng.standard_normal(size)
+
+
+def test_radius_lower_draws_at_most_two_imaginary_blocks_ahead(monkeypatch):
+    # the memory bound: when block i is projected, the imaginary parts of
+    # blocks i + 1 and i + 2 at most have been drawn besides its own.  The
+    # first projection waits, so the drawing thread runs as far ahead as it
+    # is allowed to
+    ctx = make_context(np.diag([1.0, 2.0, 3.0]))
+    blocks = 8
+    samples = blocks * _SAMPLE_BLOCK
+    expected = radius_lower_reference(ctx, np.eye(3), samples, 1)[0]
+    stream = _CountingStream(1)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: stream)
+    project = semihilbert_mod._projection(ctx)
+    imaginary_drawn = []
+
+    def counting(g):
+        if not imaginary_drawn:
+            time.sleep(0.1)
+        imaginary_drawn.append(stream.draws - blocks)
+        return project(g)
+
+    monkeypatch.setattr(semihilbert_mod, "_projection", lambda ctx: counting)
+    assert within(30.0, a_numerical_radius_lower, ctx, np.eye(3), samples, 1) == expected
+    assert len(imaginary_drawn) == blocks
+    assert all(drawn <= i + 3 for i, drawn in enumerate(imaginary_drawn)), imaginary_drawn
+
+
 def test_radius_lower_holds_its_bits_under_frequent_thread_switches(rng):
     # a short switch interval interleaves the drawing thread and the
     # caller at many more points; every call keeps the reference's bits
@@ -687,6 +726,8 @@ def test_structural_verdicts_do_not_depend_on_scale(scale):
     assert make_context(scale * np.diag([1.0, 3.0])).rank == 2
     skew = scale * np.array([[0.0, 2.0], [-2.0, 0.0]])  # [[0, 1e308], [-1e308, 0]] at 5e307
     assert not is_a_selfadjoint(make_context(np.eye(2)), skew)
+    large = make_context(np.diag([scale, 1.0]))  # A T itself overflows from 1e160 on
+    assert is_a_selfadjoint(large, keep) and is_a_positive(large, keep)
 
 
 def test_full_rank_everything_preserves_kernel(rng):
