@@ -46,9 +46,11 @@ array, normalized by one SVD and factored by one eigensolve into a
 context per rank, operand arrays and validated parameter columns.  Each
 rank group takes one call of the stacked core of
 :func:`aradius.inequalities.evaluate_bounds`, bitwise each trial's own (a
-group that raises is halved until the trials that raise are alone), and
-:class:`_Tally` reads its result arrays in trial order; only a persisted
-trial gets a context, parameters and a case (:func:`_trial`).
+stack that raises is halved until the trials that raise are alone).
+:func:`_evaluate_chunk` writes the results into one array per side and
+per intermediate, one entry per trial and NaN where a trial is not
+evaluated, and :class:`_Tally` reads the sides in trial order; only a
+persisted trial gets a context, parameters and a case (:func:`_trial`).
 So the chunks change no result.
 """
 
@@ -516,60 +518,53 @@ def _crc(iid: str) -> int:
     return zlib.crc32(iid.encode("utf-8")) & 0x7FFFFFFF
 
 
-#: A group of at most this many trials that raises is evaluated trial by
-#: trial, a larger one is split in halves: where most trials raise,
-#: halving costs twice the evaluations of trying each trial alone.
-_HALVING_FLOOR = 32
+def _evaluate_chunk(iid: str, chunk):
+    """The core's per-trial arrays ``(sides, inter)`` of a drawn chunk, NaN where a trial is not evaluated.
 
-
-def _evaluate_chunk(iid: str, chunk) -> list:
-    """The core's ``(idx, result)`` per rank group, ``None`` for each trial that raises alone.
-
-    A trial with a non-finite operand or side raises alone, as in
-    :func:`~aradius.inequalities.evaluate_bounds`; the stack shows which.
-    A group whose evaluation raises is split in halves, recursively, down
-    to ``_HALVING_FLOOR`` trials and then trial by trial, so the trials
-    that raise are found alone and the rest stay stacked.
+    ``sides`` holds lhs, rhs, rel_slack and hypotheses held (1.0 or 0.0),
+    ``inter`` each intermediate.  A trial with a non-finite operand or side
+    raises alone, as in :func:`~aradius.inequalities.evaluate_bounds`, so
+    it is not evaluated; a non-finite operand never reaches the core.
     """
     groups, operands, cols = chunk
-    finite = np.ones(len(cols.p), dtype=bool)
+    k = len(cols.p)
+    finite = np.ones(k, dtype=bool)
     for value in operands.values():
-        finite &= np.isfinite(value.reshape(len(value), -1)).all(axis=1)
-
-    def dropped(idx, keep):  # None for the trials outside keep; the kept trials
-        idx = np.asarray(idx)
-        return [([i], None) for i in idx[~keep].tolist()], idx[keep].tolist()
-
-    def stacked(idx, ctx, rows):
-        ops = {name: value[rows] for name, value in operands.items()}
-        picked = SimpleNamespace(**{key: value[rows] for key, value in vars(cols).items()})
-        try:
-            one = _evaluate_stacked(iid, ctx, ops, picked)
-        except DomainError:
-            if len(idx) == 1:
-                return [(idx, None)]
-            cuts = [0, len(idx) // 2] if len(idx) > _HALVING_FLOOR else list(range(len(idx)))
-            return [
-                piece
-                for lo, hi in zip(cuts, cuts[1:] + [len(idx)])
-                for piece in stacked(idx[lo:hi], ctx.trial(slice(lo, hi)), idx[lo:hi])
-            ]
-        keep = np.isfinite(one[0]) & np.isfinite(one[1])
-        if keep.all():
-            return [(idx, one)]
-        out, kept = dropped(idx, keep)
-        inter = {name: value[keep] for name, value in one[4].items()}
-        return out + ([(kept, (*(value[keep] for value in one[:4]), inter))] if kept else [])
-
-    out = []
+        finite &= np.isfinite(value.reshape(k, -1)).all(axis=1)
+    out = np.full((4, k), np.nan), {}
     for idx, ctx in groups:
+        idx = np.asarray(idx)
         keep = finite[idx]
         if keep.all():
-            out += stacked(idx, ctx, slice(None) if len(groups) == 1 else idx)
-        else:
-            none, kept = dropped(idx, keep)
-            out += none + (stacked(kept, ctx.trial(keep), kept) if kept else [])
+            _evaluate_rows(iid, chunk, idx, ctx, out)
+        elif keep.any():
+            _evaluate_rows(iid, chunk, idx[keep], ctx.trial(keep), out)
     return out
+
+
+def _evaluate_rows(iid: str, chunk, idx, ctx, out) -> None:
+    """Write the core's results for the trials ``idx`` of ``chunk``, under ``ctx``, into ``out``.
+
+    A stack that raises is split in halves, recursively, down to single
+    trials.  A module function: a recursive closure would keep its chunk in
+    a reference cycle until the garbage collector runs.
+    """
+    _, operands, cols = chunk
+    sides, inter = out
+    ops = {name: value[idx] for name, value in operands.items()}
+    picked = SimpleNamespace(**{key: value[idx] for key, value in vars(cols).items()})
+    try:
+        *one, more = _evaluate_stacked(iid, ctx, ops, picked)
+    except DomainError:
+        half = len(idx) // 2
+        if half:
+            _evaluate_rows(iid, chunk, idx[:half], ctx.trial(slice(None, half)), out)
+            _evaluate_rows(iid, chunk, idx[half:], ctx.trial(slice(half, None)), out)
+        return
+    keep = np.isfinite(one[0]) & np.isfinite(one[1])
+    sides[:, idx[keep]] = [value[keep] for value in one]
+    for name, value in more.items():
+        inter.setdefault(name, np.full(sides.shape[1], np.nan))[idx[keep]] = value[keep]
 
 
 def run_campaign(
@@ -609,7 +604,7 @@ def run_campaign(
 
 
 class _Tally:
-    """The campaign report of one id, built from its drawn chunks in trial order."""
+    """The campaign report of one id, built from its chunks' per-trial sides in trial order."""
 
     def __init__(self, iid: str, gen: GenSpec, trials: int):
         self.iid, self.gen, self.trials = iid, gen, trials
@@ -619,11 +614,8 @@ class _Tally:
     def add(self, ks, chunk) -> None:
         """Account the chunk ``chunk`` of the trials ``ks``, the next in trial order."""
         iid, gen = self.iid, self.gen
-        sides = np.zeros((4, len(ks)))  # lhs, rhs, rel_slack, hypotheses held
-        for idx, one in _evaluate_chunk(iid, chunk):
-            if one is not None:
-                sides[:, idx] = one[:4]
-        kept = np.flatnonzero(sides[3])
+        sides = _evaluate_chunk(iid, chunk)[0]
+        kept = np.flatnonzero(sides[3] == 1.0)
         rel = sides[2, kept]
         self.skipped += len(ks) - len(kept)
         self.counted += len(kept)

@@ -296,7 +296,8 @@ def antidiagonal_radius(x, y):
 
 
 def _unit(*stacks: np.ndarray):
-    """C-contiguous complex stacks divided by the power of two per matrix index that puts the largest entry in ``[1, 2)``; that power."""
+    """Stacks as C-contiguous complex arrays, divided by the power of two per matrix index that puts the largest entry in ``[1, 2)``; that power."""
+    stacks = [np.asarray(m, dtype=np.complex128, order="C") for m in stacks]
     top = reduce(np.maximum, (np.abs(m.view(np.float64)).max(axis=(-2, -1)) for m in stacks))
     scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
     return (*(m / scale[..., None, None] for m in stacks), scale)

@@ -32,6 +32,7 @@ from numpy.polynomial import polynomial as npoly
 from .inequalities import BoundParams, BoundReport, _report
 from .linalg import DomainError, as_integer, classical_numerical_radius, spectral_norm
 from .semihilbert import (
+    DegenerateContext,
     SemiInnerContext,
     _sampled_radius,
     make_context,
@@ -236,11 +237,16 @@ def richardson_contraction(
 
     The steps ``e <- M e`` run one after another; the seminorms of all
     ``iterations`` errors are then taken in one stacked pass, each bitwise
-    what :func:`~aradius.semihilbert.vec_seminorm` gives.
+    what :func:`~aradius.semihilbert.vec_seminorm` gives.  A starting
+    error with ``||e_0||_A`` below ``1e-12 sqrt(lam_max)`` is replaced by
+    all ones, so the ratios do not depend on the weight's scale.  A
+    rank-zero weight raises :class:`~aradius.semihilbert.DegenerateContext`.
     """
     iterations = as_integer("iterations", iterations, InvalidSpec)
     if iterations < 1:
         raise InvalidSpec("iterations must be at least 1")
+    if ctx.rank == 0:
+        raise DegenerateContext("weight has rank zero")
     t = np.asarray(t, dtype=np.complex128)
     p = np.asarray(p, dtype=np.complex128)
     svals = np.linalg.svd(p, compute_uv=False)
@@ -248,12 +254,12 @@ def richardson_contraction(
         raise SingularPreconditioner("preconditioner is numerically singular")
     m = np.eye(ctx.dim) - np.linalg.solve(p, t)
     tilde = reduce(ctx, m)
-    rho = classical_numerical_radius(tilde) if ctx.rank else 0.0
-    seminorm_m = spectral_norm(tilde) if ctx.rank else 0.0
+    rho = classical_numerical_radius(tilde)
+    seminorm_m = spectral_norm(tilde)
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
     n0 = vec_seminorm(ctx, e)
-    if n0 < 1e-12:
+    if n0 < 1e-12 * np.sqrt(ctx.lam.max()):
         e = np.ones(ctx.dim, dtype=np.complex128)
         n0 = vec_seminorm(ctx, e)
     errors = []

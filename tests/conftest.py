@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the code paths used by the package:
 spectral norms come from power iteration on the Gram matrix, numerical
-radii from alternating ascent over the field of values (and from a flat
+radii from alternating ascent over the field of values backed by a
+golden-section search over an angle grid's best cells (and from a flat
 dense angle grid with no refinement), so agreement between package and
 oracle is evidence rather than tautology.
 """
@@ -142,13 +143,15 @@ def oracle_spectral_norm(m, iters: int = 600, seed: int = 0) -> float:
 
 
 def oracle_radius(m, restarts: int = 24, iters: int = 120, seed: int = 0) -> float:
-    """Classical numerical radius by alternating ascent.
+    """Classical numerical radius: the larger of an alternating ascent and :func:`_golden_radius`.
 
     For a fixed angle the maximizer of ``Re e^{-i t} <Mx, x>`` over unit
     vectors is the top eigenvector of the Hermitian part of
     ``e^{-i t} M``; updating the angle to ``arg <Mx, x>`` and repeating
-    climbs to a local maximum of ``|<Mx, x>|``.  Multi-start makes it a
-    reliable global value at the dimensions used in this suite.
+    climbs to a local maximum of ``|<Mx, x>|``.  The ascent can stall
+    where the derivative of ``lambda_max`` in the angle vanishes at a
+    local minimum (a real matrix at angle 0, say), so the golden-section
+    search over the best grid cells backs it up.
     """
     m = np.asarray(m, dtype=np.complex128)
     n = m.shape[0]
@@ -172,7 +175,43 @@ def oracle_radius(m, restarts: int = 24, iters: int = 120, seed: int = 0) -> flo
                 break
             x = x_new
         best = max(best, abs(complex(np.vdot(x, m @ x))))
-    return float(best)
+    return max(float(best), _golden_radius(m))
+
+
+def _top_eigenvalues(m, thetas) -> np.ndarray:
+    """``lambda_max`` of the Hermitian part of ``e^{-i t} M`` at each angle ``t`` of ``thetas``.
+
+    The Hermitian parts are solved about 2**20 entries at a time.
+    """
+    step = max(1, 2**20 // m.size)
+    tops = []
+    for lo in range(0, len(thetas), step):
+        phases = np.exp(-1j * thetas[lo : lo + step])[:, None, None]
+        h = 0.5 * (phases * m[None, :, :] + np.conj(phases) * m.conj().T[None, :, :])
+        tops.append(np.linalg.eigvalsh(h)[:, -1])
+    return np.concatenate(tops)
+
+
+def _golden_radius(m, k: int = 1024, cells: int = 4, steps: int = 60) -> float:
+    """Numerical radius by golden-section maximization of ``lambda_max`` on a ``k``-angle grid's best cells.
+
+    Each of the ``cells`` best grid angles brackets its two neighbouring
+    cells, and ``steps`` golden-section steps shrink every bracket at once
+    to the rounding level of the angle.  Every value is ``lambda_max`` at
+    an angle, so the result is the radius up to rounding from below.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    grid = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
+    tops = _top_eigenvalues(m, grid)
+    mid = grid[np.argsort(tops)[-cells:]]
+    lo, hi = mid - 2.0 * np.pi / k, mid + 2.0 * np.pi / k
+    ratio = 0.5 * (np.sqrt(5.0) - 1.0)
+    for _ in range(steps):
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        at_a, at_b = np.split(_top_eigenvalues(m, np.concatenate([a, b])), 2)
+        left = at_a >= at_b  # the maximum lies in [lo, b]
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+    return float(max(tops.max(), _top_eigenvalues(m, 0.5 * (lo + hi)).max()))
 
 
 def oracle_radius_grid(m, k: int = 16384) -> float:
@@ -183,11 +222,7 @@ def oracle_radius_grid(m, k: int = 16384) -> float:
     quadratic grid error.
     """
     m = np.asarray(m, dtype=np.complex128)
-    thetas = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
-    phases = np.exp(-1j * thetas)[:, None, None]
-    h = 0.5 * (phases * m[None, :, :] + np.conj(phases) * m.conj().T[None, :, :])
-    tops = np.linalg.eigvalsh(h)[:, -1]
-    return float(np.max(tops))
+    return float(np.max(_top_eigenvalues(m, np.linspace(0.0, 2.0 * np.pi, k, endpoint=False))))
 
 
 def half_factors(ctx):

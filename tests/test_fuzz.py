@@ -974,16 +974,15 @@ def test_batched_reports_are_bitwise_the_single_reports(iid, dim, a_kind, seed, 
 
 def _chunk_reports(iid, chunk):
     """Each trial's report of a drawn chunk as a campaign evaluates it, ``None`` where it raised."""
-    out = [None] * len(chunk[2].p)
-    for idx, one in fuzz_mod._evaluate_chunk(iid, chunk):
-        if one is not None:
-            lhs, rhs, _, hyp, inter = one
-            for j, i in enumerate(idx):
-                row = {name: value[j] for name, value in inter.items()}
-                out[i] = _report(iid, lhs[j], rhs[j], row, hyp[j], _trial_params(chunk[2], i))
+    sides, inter = fuzz_mod._evaluate_chunk(iid, chunk)
+    out = []
+    for i, (lhs, rhs, _, hyp) in enumerate(sides.T):
+        row = {name: value[i] for name, value in inter.items()}
+        out.append(None if np.isnan(hyp) else _report(iid, lhs, rhs, row, hyp, _trial_params(chunk[2], i)))
     return out
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize(
     "iid,dim,scale",
     [
@@ -1025,32 +1024,36 @@ def test_campaign_skips_trials_that_overflow_and_keeps_the_rest(monkeypatch, iid
 
 
 def _per_trial_fallback(iid, chunk):
-    """:func:`fuzz._evaluate_chunk` as it was: a rank group that raises is evaluated trial by trial."""
+    """:func:`fuzz._evaluate_chunk` by a reference rule: a rank group that raises is evaluated trial by trial."""
     groups, operands, cols = chunk
+    k = len(cols.p)
+    sides, inter = np.full((4, k), np.nan), {}
 
     def core(ctx, rows):  # raises where evaluate_bounds raises
         ops = {name: value[rows] for name, value in operands.items()}
         if not all(np.isfinite(value).all() for value in ops.values()):
             raise DomainError(f"{iid!r}: an operand is not finite")
         picked = SimpleNamespace(**{key: value[rows] for key, value in vars(cols).items()})
-        one = fuzz_mod._evaluate_stacked(iid, ctx, ops, picked)
+        *one, more = fuzz_mod._evaluate_stacked(iid, ctx, ops, picked)
         if not (np.isfinite(one[0]).all() and np.isfinite(one[1]).all()):
             raise DomainError(f"{iid!r}: lhs or rhs is not finite")
-        return one
+        sides[:, rows] = one
+        for name, value in more.items():
+            inter.setdefault(name, np.full(k, np.nan))[rows] = value
 
-    out = []
     for idx, ctx in groups:
         try:
-            out.append((idx, core(ctx, idx)))
+            core(ctx, idx)
         except DomainError:
             for j, i in enumerate(idx):
                 try:
-                    out.append(([i], core(ctx.trial(slice(j, j + 1)), [i])))
+                    core(ctx.trial(slice(j, j + 1)), [i])
                 except DomainError:
-                    out.append(([i], None))
-    return out
+                    pass
+    return sides, inter
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize(
     "iid,dim,scale,trials",
     [

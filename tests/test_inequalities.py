@@ -134,6 +134,7 @@ def test_scalar_lemmas_reject_non_finite_values(iid, bad):
         check_scalar_lemma(iid, [bad, 1.0])
 
 
+@pytest.mark.per_family
 def test_overflowing_sides_raise_naming_the_id():
     # Finite inputs whose lhs and rhs overflow to inf would give a NaN
     # slack that counts as satisfied.
@@ -328,6 +329,7 @@ def test_product_radius_is_the_radius_of_the_assembled_product(iid, rng):
         assert rep.intermediates["radius_product"] == pytest.approx(whole, rel=1e-12)
 
 
+@pytest.mark.per_family
 def test_a_reduction_that_overflows_raises_domain_violation():
     # the blocks are finite, but A^(1/2) X (A^(1/2))^+ doubles an entry
     # near the largest float
@@ -383,6 +385,7 @@ def test_thm_2_7_reduces_to_half_sum_at_center(rng):
     assert rep.rhs == pytest.approx(rep.intermediates["rhs_as_displayed"], abs=1e-9)
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
 def test_hypothesis_verdicts_do_not_depend_on_scale(scale):
     ctx = make_context(np.diag([1.0, 0.0]))
@@ -396,6 +399,7 @@ def test_hypothesis_verdicts_do_not_depend_on_scale(scale):
     assert check_mixed_schwarz(weight, scale * np.diag([3.0, 5.0]), x, y).hypotheses_ok
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
 def test_commutator_hypothesis_holds_its_verdict_at_extreme_scales(scale):
     # unscaled, the random T's commutator norm underflows to 0 at 1e-200
@@ -493,6 +497,7 @@ def _power_of_two_verdicts(k, monkeypatch):
     return out
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize("k", POW2_KS)
 def test_verdicts_survive_power_of_two_scaling(monkeypatch, k):
     # each verdict at 2**k is the one at k = 0, or a named DomainError (read
@@ -511,6 +516,7 @@ def _times_pow2(x: float, e: Fraction) -> float | None:
     return math.ldexp(y, n) if -1021 < math.frexp(y)[1] + n < 1024 else None
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize("k", POW2_KS)
 def test_operator_sides_follow_power_of_two_scaling(k):
     # scaling every matrix operand by 2**k scales each side by 2**(k d):

@@ -146,6 +146,7 @@ def test_hermitian_eig_rejects_asymmetric(rng):
         hermitian_eig(g)
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize(
     "scale", [1e160, 1e-160, 1e200, 1e-200, 2.0**600, 2.0**-600, 2.0**1022]
 )
@@ -565,9 +566,10 @@ def test_real_radius_off_the_real_axis():
     assert classical_numerical_radius(m) == pytest.approx(math.sqrt(27 / 8), rel=1e-14)
     # here lambda(theta) has a local minimum at 0 between maxima at +-0.044,
     # inside one grid cell; lambda'(0) is exactly zero, so a search
-    # bracketed about 0 stays at 0, 3.9e-7 below the radius (and so does
-    # the alternating ascent of oracle_radius)
+    # bracketed about 0 stays at 0, 3.9e-7 below the radius (and so does an
+    # alternating ascent alone; oracle_radius's golden-section search does not)
     m = np.array([[0.12652561, 1.19049467], [-0.37533842, 0.90986133]])
     w = classical_numerical_radius(m)
     assert w == pytest.approx(classical_numerical_radius(np.exp(1j * np.pi / 7) * m), rel=1e-13)
-    assert w >= oracle_radius_grid(m) > oracle_radius(m) + 3e-7
+    assert w >= oracle_radius_grid(m)
+    assert w == pytest.approx(oracle_radius(m), rel=1e-12)

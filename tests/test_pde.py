@@ -17,6 +17,7 @@ import aradius.pde as pde_mod
 import aradius.semihilbert as semihilbert_mod
 from aradius import (
     ConvergenceFailure,
+    DegenerateContext,
     DomainError,
     EllipticSpec,
     InvalidSpec,
@@ -505,6 +506,24 @@ def test_perfect_preconditioner_kills_error_immediately():
     assert rep.rho == pytest.approx(0.0, abs=1e-12)
     assert all(r == pytest.approx(0.0, abs=1e-14) for r in rep.error_ratios)
     assert rep.monotone and rep.within_power_bound and rep.contractive
+
+
+def test_richardson_ratios_do_not_depend_on_the_weight_scale():
+    # the starting error's seminorm floor scales with the weight: an
+    # absolute 1e-12 once replaced the error of c A_h by all ones at c = 1e-30
+    spec = EllipticSpec(n_points=8)
+    t_h, a_h = assemble_fd(spec)
+    jacobi = np.diag(np.diag(t_h))
+    ref = richardson_contraction(make_context(a_h), t_h, jacobi, 5).error_ratios
+    for c in (1e-30, 1e30):
+        rep = richardson_contraction(make_context(c * a_h), t_h, jacobi, 5)
+        assert rep.error_ratios == pytest.approx(ref, rel=1e-12)
+
+
+def test_richardson_rejects_a_rank_zero_weight():
+    t = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(DegenerateContext, match="rank zero"):
+        richardson_contraction(make_context(np.zeros((3, 3))), t, np.eye(3))
 
 
 # --------------------------------------------------------------------------

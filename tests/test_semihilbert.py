@@ -18,6 +18,7 @@ from aradius import (
     a_adjoint,
     a_numerical_radius,
     a_numerical_radius_lower,
+    check_mixed_schwarz,
     classical_numerical_radius,
     is_a_positive,
     is_a_selfadjoint,
@@ -699,6 +700,7 @@ def test_preserves_kernel_detects_leak():
     assert preserves_kernel(ctx, np.stack([leak, keep])).tolist() == [False, True]
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize(
     "scale",
     [1.0, 1e-6, 1e-9, 1e-12, 1e160, 1e-160, 1e200, 1e-200, 2.0**600, 2.0**-600]
@@ -728,6 +730,30 @@ def test_structural_verdicts_do_not_depend_on_scale(scale):
     assert not is_a_selfadjoint(make_context(np.eye(2)), skew)
     large = make_context(np.diag([scale, 1.0]))  # A T itself overflows from 1e160 on
     assert is_a_selfadjoint(large, keep) and is_a_positive(large, keep)
+
+
+@pytest.mark.parametrize(
+    "layout", [np.asfortranarray, lambda a: a.real.astype(np.int64)], ids=["fortran", "integer"]
+)
+def test_structural_verdicts_of_hand_built_weights(layout):
+    # a hand-built context may hold a Fortran-ordered or an integer weight;
+    # its verdicts are make_context's, with no warning
+    weight = np.array([[2, 1, 0], [1, 1, 0], [0, 0, 0]])
+    ctx = make_context(weight)
+    built = SemiInnerContext(a=layout(ctx.a), v_r=ctx.v_r, lam=ctx.lam)
+    x, y = np.array([1.0, 2.0, 0.5]), np.array([0.0, 1.0, 1.0j])
+    operators = [
+        weight @ weight + 2 * weight,  # commutes with A, A-positive
+        np.diag([1.0, -2.0, 1.0]),  # neither
+        np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),  # maps ker(A) onto ran(A)
+    ]
+    for t in operators:
+        assert is_a_positive(built, t) == is_a_positive(ctx, t)
+        assert is_a_selfadjoint(built, t) == is_a_selfadjoint(ctx, t)
+        ours, theirs = check_mixed_schwarz(built, t, x, y), check_mixed_schwarz(ctx, t, x, y)
+        assert ours.hypotheses_ok == theirs.hypotheses_ok
+    assert [is_a_positive(ctx, t) for t in operators] == [True, False, False]
+    assert [check_mixed_schwarz(ctx, t, x, y).hypotheses_ok for t in operators] == [True, False, False]
 
 
 def test_full_rank_everything_preserves_kernel(rng):
