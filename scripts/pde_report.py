@@ -42,13 +42,12 @@ def main():
         domain=tuple(args.domain),
     )
 
-    print(f"{'N':>5}  {'h':>10}  {'norm':>12}  {'radius':>12}  "
-          f"{'bound':>12}  order")
+    print(f"{'N':>5}  {'h':>10}  {'norm':>12}  {'radius':>12}  order")
     for row in convergence_rows(spec, levels=args.levels):
         order = row["observed_order"]
         order_s = f"{order:.3f}" if order != "" else "  -  "
         print(f"{row['N']:>5}  {row['h']:>10.6f}  {row['norm']:>12.6g}  "
-              f"{row['radius']:>12.6g}  {row['bound']:>12.6g}  {order_s}")
+              f"{row['radius']:>12.6g}  {order_s}")
     print(f"\nleast-squares consistency order: "
           f"{consistency_order(spec, args.levels):.4f}")
 

@@ -84,7 +84,7 @@ from .matio import (
     params_from_obj,
     params_to_obj,
 )
-from .semihilbert import SemiInnerContext, make_context, rank_contexts, stack_contexts
+from .semihilbert import SemiInnerContext, _a_form, make_context, rank_contexts, stack_contexts
 
 A_KINDS = ("identity", "diagonal", "dense_psd", "rank_deficient")
 T_KINDS = ("dense", "a_commuting", "a_selfadjoint", "a_positive")
@@ -410,8 +410,7 @@ def _unit_vectors(a, z, key, crc: int, ks, label: int) -> np.ndarray:
     """
     v, n = z.copy(), z.shape[1]
     for attempt in range(1, 257):
-        form = (v.conj()[:, None, :] @ (a @ v[:, :, None]))[:, 0, 0]
-        norms = np.sqrt(np.maximum(form.real, 0.0))
+        norms = np.sqrt(np.maximum(_a_form(a, v, v).real, 0.0))
         low = np.flatnonzero(norms <= 1e-8)
         if not len(low):
             return v / norms[:, None]

@@ -35,6 +35,7 @@ from .semihilbert import (
     DegenerateContext,
     SemiInnerContext,
     _sampled_radius,
+    _seminorms,
     make_context,
     reduce,
     vec_seminorm,
@@ -129,39 +130,24 @@ def _solve_context(spec: EllipticSpec):
     return t_h, a_h, ctx
 
 
-def _seminorms(ctx: SemiInnerContext, x: np.ndarray) -> np.ndarray:
-    """``||x||_A`` of each vector of a stack ``(k, n, 1)``, bitwise :func:`vec_seminorm`."""
-    if not np.all(np.isfinite(x)):
-        raise DomainError("vector contains non-finite entries")
-    q = (x.conj().swapaxes(-1, -2) @ (ctx.a @ x))[:, 0, 0]
-    if np.any(np.abs(q.imag) > 1e-10 * np.maximum(1.0, np.abs(q))):
-        raise ValueError("quadratic form unexpectedly non-real")
-    return np.sqrt(np.maximum(q.real, 0.0))
-
-
 def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> BoundReport:
     """Certify the discrete solve bound in the coefficient seminorm.
 
     Checks ``||T_h^{-1} f||_{A_h} <= ||T_h^{-1}||_{A_h} ||f||_{A_h}`` on
     random right-hand sides (the literally-true stability estimate) and
-    reports the radius ``w_{A_h}(T_h^{-1})`` alongside, together with the
-    half-sum bound ``(||T_h^{-1}||_{A_h} + ||(T_h^#)^{-1}||_{A_h}) / 2``
-    that the anti-diagonal embedding of the inverse satisfies.  The
-    A-adjoint preserves the seminorm (the reduction of ``T^#`` is ``T~*``),
-    so ``half_sum_bound`` equals the inverse seminorm and is reported as
-    that value.  The radius can undercut the norm, which is why only the
-    norm inequality is asserted.  ``samples > 0`` adds
-    ``radius_inverse_sampled``, a 10000-draw lower bound for the radius.
-    A singular ``T_h``, or a weight with a numerically zero eigenvalue
-    (whose A-adjoint ``pinv(A_h) T_h* A_h`` is then singular), raises
-    :class:`SingularOperator`.
+    reports the radius ``w_{A_h}(T_h^{-1})`` alongside.  The radius can
+    undercut the norm, which is why only the norm inequality is asserted.
+    ``samples > 0`` adds ``radius_inverse_sampled``, a 10000-draw lower
+    bound for the radius.  A singular ``T_h``, or a weight with a
+    numerically zero eigenvalue (whose A-adjoint ``pinv(A_h) T_h* A_h`` is
+    then singular), raises :class:`SingularOperator`.
 
     The right-hand sides are drawn as one ``(samples, 2, n)`` array (each
     sample's real part, then its imaginary part), and the solves and both
-    seminorms run as stacked matmuls over all samples, each bitwise what
-    one sample alone gives.  A right-hand side with ``||f||_{A_h}`` below
-    ``1e-12`` times the square root of the weight's largest eigenvalue is
-    skipped; the floor scales with the weight, so the ratio does not.
+    seminorms run stacked over all samples, each bitwise what one sample
+    alone gives.  A right-hand side with ``||f||_{A_h}`` below ``1e-12``
+    times the square root of the weight's largest eigenvalue is skipped;
+    the floor scales with the weight, so the ratio does not.
     The sampled radius draws on a helper thread from the start of the
     call, so the inverse, its seminorm, its kernel radius and the
     right-hand sides overlap the draws, and projects through the diagonal
@@ -186,13 +172,13 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
         radius_inv = classical_numerical_radius(tilde)
         # each sample draws its real part, then its imaginary part
         parts = np.random.default_rng(seed).standard_normal((samples, 2, spec.n_points))
-        f = (parts[:, 0] + 1j * parts[:, 1])[..., None]
-        nf = _seminorms(ctx, f)
+        f = parts[:, 0] + 1j * parts[:, 1]
+        nf = _seminorms(ctx.a, f)
         live = nf >= 1e-12 * np.sqrt(ctx.lam.max())
-        worst = float(np.max(_seminorms(ctx, t_inv @ f[live]) / nf[live], initial=0.0))
+        u = (t_inv @ f[live, :, None])[:, :, 0]
+        worst = float(np.max(_seminorms(ctx.a, u) / nf[live], initial=0.0))
         inter = {
             "radius_inverse": radius_inv,
-            "half_sum_bound": norm_inv,
             "seminorm_inverse": norm_inv,
             "sampled_amplification": worst,
             "h": spec.h,
@@ -240,7 +226,9 @@ def richardson_contraction(
     what :func:`~aradius.semihilbert.vec_seminorm` gives.  A starting
     error with ``||e_0||_A`` below ``1e-12 sqrt(lam_max)`` is replaced by
     all ones, so the ratios do not depend on the weight's scale.  A
-    rank-zero weight raises :class:`~aradius.semihilbert.DegenerateContext`.
+    rank-zero weight raises :class:`~aradius.semihilbert.DegenerateContext`,
+    and a ``P`` whose smallest singular value is at most ``1e-12`` times its
+    largest (a zero ``P`` too) :class:`SingularPreconditioner`, at any scale.
     """
     iterations = as_integer("iterations", iterations, InvalidSpec)
     if iterations < 1:
@@ -250,7 +238,7 @@ def richardson_contraction(
     t = np.asarray(t, dtype=np.complex128)
     p = np.asarray(p, dtype=np.complex128)
     svals = np.linalg.svd(p, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(svals[0], 1.0):
+    if svals[-1] <= 1e-12 * svals[0]:
         raise SingularPreconditioner("preconditioner is numerically singular")
     m = np.eye(ctx.dim) - np.linalg.solve(p, t)
     tilde = reduce(ctx, m)
@@ -267,7 +255,7 @@ def richardson_contraction(
         for _ in range(iterations):
             e = m @ e
             errors.append(e)
-    ratios = (_seminorms(ctx, np.array(errors)[..., None]) / n0).tolist()
+    ratios = (_seminorms(ctx.a, np.array(errors)) / n0).tolist()
     monotone = all(
         b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip([1.0] + ratios[:-1], ratios)
     )
@@ -353,9 +341,8 @@ def convergence_rows(spec: EllipticSpec, levels: int = 3) -> list[dict]:
     """Stability quantities and observed order per refinement level.
 
     Row fields: ``N``, ``h``, ``norm`` (inverse seminorm), ``radius``
-    (inverse radius), ``bound`` (half-sum, which equals ``norm`` because
-    the A-adjoint preserves the seminorm), ``observed_order`` (defect
-    order between this level and the previous one; empty on the first).
+    (inverse radius), ``observed_order`` (defect order between this level
+    and the previous one; empty on the first).
     """
     rows = []
     prev = None
@@ -371,7 +358,6 @@ def convergence_rows(spec: EllipticSpec, levels: int = 3) -> list[dict]:
                 "h": level_spec.h,
                 "norm": rep.intermediates["seminorm_inverse"],
                 "radius": rep.intermediates["radius_inverse"],
-                "bound": rep.intermediates["half_sum_bound"],
                 "observed_order": order,
             }
         )
@@ -382,8 +368,6 @@ def convergence_rows(spec: EllipticSpec, levels: int = 3) -> list[dict]:
 def write_convergence_csv(path, spec: EllipticSpec, levels: int = 3) -> None:
     rows = convergence_rows(spec, levels)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["N", "h", "norm", "radius", "bound", "observed_order"]
-        )
+        writer = csv.DictWriter(fh, fieldnames=["N", "h", "norm", "radius", "observed_order"])
         writer.writeheader()
         writer.writerows(rows)

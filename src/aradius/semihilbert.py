@@ -195,19 +195,31 @@ def stack_contexts(ctxs: Sequence[SemiInnerContext]) -> SemiInnerContext:
     )
 
 
+def _a_form(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``y_i* A_i x_i`` for the rows of stacks ``(k, n)``, under one weight or one per row."""
+    return (y.conj()[:, None, :] @ (a @ x[:, :, None]))[:, 0, 0]
+
+
+def _seminorms(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``||x_i||_{A_i}`` of finite rows weighted as by :func:`_a_form`; each form must be real to rounding."""
+    if not np.all(np.isfinite(x)):
+        raise DomainError("vector contains non-finite entries")
+    q = _a_form(a, x, x)
+    if np.any(np.abs(q.imag) > 1e-10 * np.maximum(1.0, np.abs(q))):
+        raise ValueError("quadratic form unexpectedly non-real")
+    return np.sqrt(np.maximum(q.real, 0.0))
+
+
 def semi_inner(ctx: SemiInnerContext, x, y) -> complex:
     """Semi-inner product ``<x, y>_A = <A x, y>``, conjugate-linear in ``y``."""
     xv = as_vector(x, dim=ctx.dim)
     yv = as_vector(y, dim=ctx.dim)
-    return complex(np.vdot(yv, ctx.a @ xv))
+    return complex(_a_form(ctx.a, xv[None], yv[None])[0])
 
 
 def vec_seminorm(ctx: SemiInnerContext, x) -> float:
     """Seminorm ``||x||_A``; the quadratic form must be real to rounding."""
-    q = semi_inner(ctx, x, x)
-    if abs(q.imag) > 1e-10 * max(1.0, abs(q)):
-        raise ValueError("quadratic form unexpectedly non-real")
-    return float(np.sqrt(max(q.real, 0.0)))
+    return float(_seminorms(ctx.a, as_vector(x, dim=ctx.dim)[None])[0])
 
 
 def a_adjoint(ctx: SemiInnerContext, t) -> np.ndarray:

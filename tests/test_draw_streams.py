@@ -51,6 +51,9 @@ from aradius import (
     run_campaign,
 )
 
+#: every test here holds per kernel family, so CI runs them under each
+pytestmark = pytest.mark.per_family
+
 FIXTURE = Path(__file__).parent / "data" / "draw_streams.json"
 GRID_DIMS = (2, 4)
 GRID_SEEDS = (9000, 4242)

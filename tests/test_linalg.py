@@ -114,6 +114,7 @@ def test_as_vectors_raises_what_as_vector_raises(rng, bad, error):
     assert str(stacked.value) == str(alone.value)
 
 
+@pytest.mark.per_family
 def test_hermitian_eig_of_a_stack_is_bitwise_each_matrix_alone(rng):
     mats = np.array([(g + g.conj().T) for g in cgauss(rng, 5, 4, 4)])
     spec = hermitian_eig(mats)
@@ -361,6 +362,7 @@ def _antidiag(x, y):
     return np.block([[zero, x], [y, zero]])
 
 
+@pytest.mark.per_family
 def test_radius_stack_is_bitwise_per_matrix(rng):
     # zero, Hermitian, normal, Jordan, anti-diagonal block (at full size)
     # and random matrices at three scales: every short-circuit and the
@@ -399,6 +401,7 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+@pytest.mark.per_family
 def test_radius_grid_is_solved_in_slices_within_its_byte_budget(rng):
     # 24 matrices of 64 x 64 would build 100 MiB of Hermitian parts at
     # once; solved in slices within the budget the call stays under 48 MiB
@@ -411,6 +414,7 @@ def test_radius_grid_is_solved_in_slices_within_its_byte_budget(rng):
     assert stacked.tolist() == [classical_numerical_radius(m) for m in mats]
 
 
+@pytest.mark.per_family
 def test_radius_of_a_large_real_matrix_is_solved_in_angle_slices_bitwise(rng):
     # the reduced inverse of the 127-point stability problem is real and
     # non-normal; its 17 Hermitian parts of [0, pi] (4 MiB) are solved a
@@ -442,6 +446,7 @@ def test_antidiagonal_radius_matches_the_general_path(rng, m):
     assert np.allclose(got, general, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.per_family
 def test_antidiagonal_radius_of_a_pair_stack_is_bitwise_per_pair(rng):
     # complex pairs at three scales, a real pair, a Hermitian block and
     # zero blocks in one stacked call, each against the assembled block

@@ -202,6 +202,27 @@ def test_semi_inner_matches_quadratic_form(rng):
     assert semi_inner(ctx, x, y) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.per_family
+@pytest.mark.parametrize("n", [1, 2, 127])
+def test_a_form_is_bitwise_a_vdot_per_vector(n):
+    # one weight for all rows, or one per row; x = y and x != y
+    rng = np.random.default_rng(n)
+    ctx = random_context(rng, n)
+    per_row = np.array([random_psd(rng, n) for _ in range(5)])
+    x, y = cgauss(rng, 5, n), cgauss(rng, 5, n)
+    for a in (ctx.a, per_row):
+        weights = [a if a.ndim == 2 else a[i] for i in range(5)]
+        for xs, ys in ((x, x), (x, y)):
+            want = [np.vdot(ys[i], w @ xs[i]) for i, w in enumerate(weights)]
+            assert semihilbert_mod._a_form(a, xs, ys).tobytes() == np.array(want).tobytes()
+        forms = [np.vdot(x[i], w @ x[i]).real for i, w in enumerate(weights)]
+        want = np.sqrt(np.maximum(forms, 0.0))
+        assert semihilbert_mod._seminorms(a, x).tobytes() == want.tobytes()
+    for i in range(5):
+        assert semi_inner(ctx, x[i], y[i]) == complex(np.vdot(y[i], ctx.a @ x[i]))
+        assert vec_seminorm(ctx, x[i]) == np.sqrt(np.vdot(x[i], ctx.a @ x[i]).real)
+
+
 def test_kernel_vector_has_zero_seminorm(rng):
     ctx = random_context(rng, 3, rank=2)
     k = (np.eye(3) - ctx.range_proj) @ cgauss(rng, 3)
@@ -323,6 +344,7 @@ def test_radius_dominates_quadratic_samples(rng):
         assert abs(semi_inner(ctx, t @ x, x)) <= w + 1e-7
 
 
+@pytest.mark.per_family
 def test_radius_lower_is_a_lower_bound(rng):
     for _ in range(10):
         ctx = random_context(rng, 3)
@@ -332,6 +354,7 @@ def test_radius_lower_is_a_lower_bound(rng):
         assert lo <= w + 1e-9
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize(
     "samples", [1, 2, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 2, 10000]
 )
@@ -362,6 +385,7 @@ def _count_takes(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize(
     "samples", [1, 2, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 2, 10000]
 )
@@ -380,6 +404,7 @@ def test_radius_lower_selects_columns_of_diagonal_weights_bitwise(kind, samples,
     assert threading.active_count() == threads
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize("entries,blocks_taken", [((-1.0, 1.0, -1.0, -1.0), 3), ((1j, 1.0, -1.0, 1.0), 0)])
 def test_radius_lower_selects_signed_permuted_columns_bitwise(entries, blocks_taken, monkeypatch):
     # eigenvectors +-e_k in a shuffled order: the selection takes each
@@ -397,6 +422,7 @@ def test_radius_lower_selects_signed_permuted_columns_bitwise(entries, blocks_ta
     assert len(taken) == blocks_taken
 
 
+@pytest.mark.per_family
 def test_radius_lower_multiplies_real_dense_weights_bitwise(monkeypatch):
     rng = np.random.default_rng(23)
     g = rng.standard_normal((5, 5))
@@ -430,6 +456,7 @@ class _BreakingStream:
         return self._rng.standard_normal(size)
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize("after", [0, 1, 3, 5, 7, 9])
 def test_radius_lower_reraises_a_stream_that_breaks_partway(after, monkeypatch):
     # 4 * BLOCK + 10 samples are five blocks: draws 0-4 are the real parts
@@ -442,6 +469,7 @@ def test_radius_lower_reraises_a_stream_that_breaks_partway(after, monkeypatch):
     assert threading.active_count() == threads
 
 
+@pytest.mark.per_family
 def test_radius_lower_stops_its_drawing_thread_when_the_caller_raises(monkeypatch):
     # the caller fails on its second block while the drawing thread waits
     # to pass on more of the 10000 samples
@@ -474,6 +502,7 @@ class _CountingStream:
         return self._rng.standard_normal(size)
 
 
+@pytest.mark.per_family
 def test_radius_lower_draws_at_most_two_imaginary_blocks_ahead(monkeypatch):
     # the memory bound: when block i is projected, the imaginary parts of
     # blocks i + 1 and i + 2 at most have been drawn besides its own.  The
@@ -500,6 +529,7 @@ def test_radius_lower_draws_at_most_two_imaginary_blocks_ahead(monkeypatch):
     assert all(drawn <= i + 3 for i, drawn in enumerate(imaginary_drawn)), imaginary_drawn
 
 
+@pytest.mark.per_family
 def test_radius_lower_holds_its_bits_under_frequent_thread_switches(rng):
     # a short switch interval interleaves the drawing thread and the
     # caller at many more points; every call keeps the reference's bits
@@ -518,6 +548,7 @@ def test_radius_lower_holds_its_bits_under_frequent_thread_switches(rng):
     assert threading.active_count() == threads
 
 
+@pytest.mark.per_family
 def test_radius_lower_joins_a_lone_last_row_to_its_block():
     # the reference's best sample is the last of BLOCK + 1, whose projection
     # alone rounds differently from the block's on some OpenBLAS kernels
@@ -533,6 +564,7 @@ def test_radius_lower_joins_a_lone_last_row_to_its_block():
     assert a_numerical_radius_lower(ctx, t, samples, seed) == float(quot[-1])
 
 
+@pytest.mark.per_family
 def test_radius_lower_is_invariant_under_weight_scaling(rng):
     # the sample floor scales with the weight: c A keeps every sample and
     # gives the bound of A, at weights far below and above 1
@@ -547,6 +579,7 @@ def test_radius_lower_is_invariant_under_weight_scaling(rng):
         assert got == pytest.approx(value, rel=1e-12)
 
 
+@pytest.mark.per_family
 def test_radius_lower_drops_samples_below_the_global_floor(rng, monkeypatch):
     # samples shrunk 1e13-fold fall below 1e-24 times the largest |y|^2
     # and are dropped, at a weight of 3e-25 as at any scale; of the three
@@ -565,12 +598,14 @@ def test_radius_lower_drops_samples_below_the_global_floor(rng, monkeypatch):
     assert a_numerical_radius_lower(ctx, t, samples, seed=4) == value < every
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize("weight,match", [(np.zeros((3, 3)), "rank zero")])
 def test_radius_lower_raises_on_degenerate_weights(weight, match):
     with pytest.raises(DegenerateContext, match=match):
         a_numerical_radius_lower(make_context(weight), np.eye(3), 2 * _SAMPLE_BLOCK + 100, seed=4)
 
 
+@pytest.mark.per_family
 @pytest.mark.parametrize("samples", [0, -3, True, np.bool_(True), 2.5, "5", None])
 def test_radius_lower_rejects_bad_sample_counts(samples):
     ctx = make_context(np.eye(2))
@@ -578,12 +613,14 @@ def test_radius_lower_rejects_bad_sample_counts(samples):
         a_numerical_radius_lower(ctx, np.eye(2), samples)
 
 
+@pytest.mark.per_family
 def test_radius_lower_takes_numpy_sample_counts(rng):
     ctx = random_context(rng, 3)
     t = cgauss(rng, 3, 3)
     assert a_numerical_radius_lower(ctx, t, np.int64(700), 3) == a_numerical_radius_lower(ctx, t, 700, 3)
 
 
+@pytest.mark.per_family
 def test_radius_lower_holds_one_real_buffer_of_samples(rng):
     # 10000 x 127 float64 real parts are the floor; whole complex arrays
     # of the samples would need several times that
