@@ -34,8 +34,8 @@ parameters take seven uniforms (:func:`_draw_params`); an operator ``n x
 n`` normals, ``deg + 1`` real ones (``a_commuting``) or two ``n x n``
 blocks (``a_selfadjoint``, ``a_positive``); ``values`` a count of 1 to 5
 (2 for ``jensen``) and the values; ``r`` one uniform; a vector ``n``
-normals.  A unit vector of seminorm at most 1e-8 is redrawn from the
-stream's next ``n`` blocks, up to 256 tries.
+normals, scaled to unit seminorm in reduced coordinates; one of seminorm
+at most 1e-8 is redrawn from the stream's next ``n`` blocks, up to 256 tries.
 
 Passes.  A pass draws at most ``_CHUNK_ENTRIES`` stacked matrix entries
 per operand: ``_CHUNK_ENTRIES // n**2`` trials at dimension ``n``, at
@@ -84,7 +84,8 @@ from .matio import (
     params_from_obj,
     params_to_obj,
 )
-from .semihilbert import SemiInnerContext, _a_form, make_context, rank_contexts, stack_contexts
+from .semihilbert import SemiInnerContext, _inner, _reduced_rows, make_context
+from .semihilbert import rank_contexts, stack_contexts
 
 A_KINDS = ("identity", "diagonal", "dense_psd", "rank_deficient")
 T_KINDS = ("dense", "a_commuting", "a_selfadjoint", "a_positive")
@@ -402,15 +403,20 @@ def _operators(groups, spec: GenSpec, t_kind: str, z) -> np.ndarray:
     return spec.scale * (core + 0.5 * kern)
 
 
-def _unit_vectors(a, z, key, crc: int, ks, label: int) -> np.ndarray:
-    """The rows of ``z`` scaled to unit seminorm, row ``i`` under the weight ``a[i]``.
+def _unit_vectors(groups, z, key, crc: int, ks, label: int) -> np.ndarray:
+    """The rows of ``z`` scaled to unit seminorm, each under its rank group's context.
 
-    A row whose seminorm is at most 1e-8 is first redrawn from the next
-    blocks of its stream ``label``, up to 256 tries in all.
+    The seminorm is ``sqrt(x~* x~)``, a BLAS product: ``np.linalg.norm``
+    squares in numpy's SIMD loops, whose bits change with the dispatch
+    level.  A row whose seminorm is at most 1e-8 is first redrawn from the
+    next blocks of its stream ``label``, up to 256 tries in all.
     """
     v, n = z.copy(), z.shape[1]
+    norms = np.empty(len(z))
     for attempt in range(1, 257):
-        norms = np.sqrt(np.maximum(_a_form(a, v, v).real, 0.0))
+        for idx, ctx in groups:
+            reduced = _reduced_rows(ctx, v[idx])
+            norms[idx] = np.sqrt(_inner(reduced, reduced).real)
         low = np.flatnonzero(norms <= 1e-8)
         if not len(low):
             return v / norms[:, None]
@@ -473,7 +479,7 @@ def _build(gen: GenSpec, iid: str, key, crc: int, ks, draws, params, randomize_p
         elif name == "r":
             ops[name] = _uniform(u[:, 0, 0], 0.0, 2.5)
         elif name == "e" or iid == "holder_mccarthy":
-            ops[name] = _unit_vectors(_per_trial(groups, "a"), z, key, crc, ks, label)
+            ops[name] = _unit_vectors(groups, z, key, crc, ks, label)
         else:
             with np.errstate(over="ignore"):  # a non-finite vector's trial is skipped
                 ops[name] = gen.scale * z

@@ -84,6 +84,8 @@ from .linalg import (
 )
 from .semihilbert import (
     SemiInnerContext,
+    _inner,
+    _reduced_rows,
     is_a_positive,
     op_seminorm,
     preserves_kernel,
@@ -318,13 +320,9 @@ def _each(fn, *stacks):
     return np.split(fn(np.concatenate(stacks)), len(stacks))
 
 
-# Reduced vectors hold one row per trial: ``<x, y>_A`` is ``y~* x~`` and
-# ``||x||_A`` is the Euclidean norm of ``x~``.
-
-
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``<x, y>_A = y~* x~`` of each pair of rows of reduced vectors."""
-    return (y.conj()[:, None, :] @ x[:, :, None])[:, 0, 0]
+# Reduced vectors hold one row per trial: ``<x, y>_A`` is ``y~* x~``
+# (:func:`~aradius.semihilbert._inner`) and ``||x||_A`` is the Euclidean
+# norm of ``x~``.
 
 
 def _form(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -1043,6 +1041,11 @@ def _evaluate_stacked(inequality_id: str, ctx, ops: Mapping, params: SimpleNames
     # reductions replace them.
     hyp, inter = entry.check(ctx, ops) if entry.check else (True, {})
     hyp = np.full(k, hyp)
+    if vecs:
+        # a zero stands in under a rank-zero weight, as the 1x1 zero below
+        # does for the operators
+        v = _reduced_rows(ctx, np.stack([ops[name] for name in vecs]))
+        ops.update(zip(vecs, v if ctx.rank else np.zeros(v.shape[:2] + (1,))))
     if mats:
         if len(mats) > 1:  # row j * k + i is trial i's weight, for matrix operand j
             ctx = SemiInnerContext(*(np.vstack([f] * len(mats)) for f in (ctx.a, ctx.v_r, ctx.lam)))
@@ -1059,12 +1062,6 @@ def _evaluate_stacked(inequality_id: str, ctx, ops: Mapping, params: SimpleNames
             raise DomainViolation(f"{inequality_id!r}: a reduced operand is not finite")
         ops.update(zip(mats, _Factors.of(reduced).split(len(mats))))
         inter = {"scale": np.max([ops[name].norm for name in mats], axis=0), **inter}
-    if vecs:
-        # Lambda^{1/2} V_r* v, whose Euclidean norm is ||v||_A; a zero
-        # stands in under a rank-zero weight.
-        v = np.stack([ops[name] for name in vecs])
-        red = ctx.sqrt_lam[:k] * (_adj(ctx.v_r[:k]) @ v[..., None])[..., 0]
-        ops.update(zip(vecs, red if ctx.rank else np.zeros(v.shape[:2] + (1,))))
     lhs, rhs, more = entry.fn(ops, params)
     rel_slack = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
     inter.update(more)
@@ -1188,15 +1185,16 @@ def _stationary_point(lu, lv):
     return (np.log(lv / lu) + 2.0 * lv) / (2.0 * (lu + lv))
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _refined_alpha_min(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimizer and minimum of ``(u^(2 t) + v^(2 (1-t))) / 2`` on ``[0, 1]``, per entry.
 
     The objective is convex.  Where both norms are positive and on the
     same side of 1, its stationary point clipped to ``[0, 1]`` is the
     candidate; elsewhere the objective is monotone and ``t = 0`` is.  An
-    endpoint replaces the candidate only where strictly lower.  Equal
-    positive norms pin ``t = 1/2`` exactly.
+    endpoint replaces the candidate only where strictly lower; one that
+    overflows loses, since ``f(1/2) <= max(u, v)``.  Norms equal to
+    ``1e-14`` relative, at any scale, pin ``t = 1/2`` exactly.
     """
 
     def f(t):
@@ -1210,7 +1208,7 @@ def _refined_alpha_min(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
     for t in (0.0, 1.0):
         lower = f(t) < best
         lam, best = np.where(lower, t, lam), np.where(lower, f(t), best)
-    equal = positive & (np.abs(u - v) <= 1e-14 * np.maximum(1.0, np.maximum(u, v)))
+    equal = positive & (np.abs(u - v) <= 1e-14 * np.maximum(u, v))
     return np.where(equal, 0.5, lam), np.where(equal, 0.5 * (u + v), best)
 
 
@@ -1255,18 +1253,14 @@ def optimize_params(
 ) -> BoundReport:
     """Minimize an operator bound's right side over a finite parameter grid.
 
-    Only parameters the id actually consumes are swept.  For ``mohd1``
-    the right side is monotone in ``beta`` (nondecreasing toward the
-    ``beta -> inf`` limit), so only the endpoints of the beta range are
-    evaluated.  The grid is evaluated in batches of at most
-    ``_CHUNK_ENTRIES`` stacked matrix entries (``_CHUNK_ENTRIES //
-    dim**2`` combinations, at least one); the first combination with the
-    smallest right side wins.
+    Only parameters the id actually consumes are swept.  The grid is
+    evaluated in batches of at most ``_CHUNK_ENTRIES`` stacked matrix
+    entries (``_CHUNK_ENTRIES // dim**2`` combinations, at least one); the
+    first combination with the smallest right side wins.
     """
     entry = registry_entry(inequality_id)
     if entry.kind not in ("matrix", "single", "product"):
         raise DomainViolation("optimize_params handles operator bounds only")
-    axes: dict[str, tuple] = {}
     pools = {
         "alpha": tuple(grid.alphas),
         "beta": tuple(grid.betas),
@@ -1275,15 +1269,10 @@ def optimize_params(
         "lam": tuple(grid.lams),
         "p": tuple(grid.ps),
     }
-    for name in entry.params:
-        vals = pools[name]
-        if name == "beta" and inequality_id == "mohd1" and len(vals) > 2:
-            vals = (min(vals), max(vals))
-        axes[name] = vals
-    names = tuple(axes)
+    names = entry.params
     combos = [
         BoundParams(**dict(zip(names, combo)))
-        for combo in _cartesian(*(axes[n] for n in names))
+        for combo in _cartesian(*(pools[n] for n in names))
     ]
     reports: list[BoundReport] = []
     size = max(1, _CHUNK_ENTRIES // ctx.dim**2)

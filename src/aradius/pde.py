@@ -34,8 +34,8 @@ from .linalg import DomainError, as_integer, classical_numerical_radius, spectra
 from .semihilbert import (
     DegenerateContext,
     SemiInnerContext,
+    _reduced_rows,
     _sampled_radius,
-    _seminorms,
     make_context,
     reduce,
     vec_seminorm,
@@ -138,9 +138,10 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     reports the radius ``w_{A_h}(T_h^{-1})`` alongside.  The radius can
     undercut the norm, which is why only the norm inequality is asserted.
     ``samples > 0`` adds ``radius_inverse_sampled``, a 10000-draw lower
-    bound for the radius.  A singular ``T_h``, or a weight with a
-    numerically zero eigenvalue (whose A-adjoint ``pinv(A_h) T_h* A_h`` is
-    then singular), raises :class:`SingularOperator`.
+    bound for the radius.  :class:`SingularOperator` is raised for a
+    singular ``T_h``, and for a weight with a numerically zero eigenvalue:
+    ``T_h^{-1}`` need not map ``ker(A_h)`` into itself, and then the ratios
+    ``||T_h^{-1} f||_{A_h} / ||f||_{A_h}`` are unbounded.
 
     The right-hand sides are drawn as one ``(samples, 2, n)`` array (each
     sample's real part, then its imaginary part), and the solves and both
@@ -161,9 +162,8 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     if samples < 0:
         raise InvalidSpec(f"samples must be nonnegative, got {samples}")
     t_h, _, ctx = _solve_context(spec)
-    # the A-adjoint pinv(A) T_h* A is singular exactly when the weight is
     if ctx.rank < spec.n_points:
-        raise SingularOperator("adjoint operator is numerically singular")
+        raise SingularOperator("weight is singular, and T_h^{-1} need not map ker(A_h) into itself")
     # the sampled radius's draws start here and overlap the work below
     with _sampled_radius(ctx, 10000, seed) if samples else nullcontext() as sampled_radius:
         t_inv = np.linalg.inv(t_h)
@@ -173,10 +173,10 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
         # each sample draws its real part, then its imaginary part
         parts = np.random.default_rng(seed).standard_normal((samples, 2, spec.n_points))
         f = parts[:, 0] + 1j * parts[:, 1]
-        nf = _seminorms(ctx.a, f)
+        nf = np.linalg.norm(_reduced_rows(ctx, f), axis=1)
         live = nf >= 1e-12 * np.sqrt(ctx.lam.max())
         u = (t_inv @ f[live, :, None])[:, :, 0]
-        worst = float(np.max(_seminorms(ctx.a, u) / nf[live], initial=0.0))
+        worst = float(np.max(np.linalg.norm(_reduced_rows(ctx, u), axis=1) / nf[live], initial=0.0))
         inter = {
             "radius_inverse": radius_inv,
             "seminorm_inverse": norm_inv,
@@ -250,12 +250,9 @@ def richardson_contraction(
     if n0 < 1e-12 * np.sqrt(ctx.lam.max()):
         e = np.ones(ctx.dim, dtype=np.complex128)
         n0 = vec_seminorm(ctx, e)
-    errors = []
-    with np.errstate(over="ignore", invalid="ignore"):  # _seminorms rejects overflows
-        for _ in range(iterations):
-            e = m @ e
-            errors.append(e)
-    ratios = (_seminorms(ctx.a, np.array(errors)) / n0).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # _reduced_rows rejects overflows
+        errors = [e := m @ e for _ in range(iterations)]
+    ratios = (np.linalg.norm(_reduced_rows(ctx, np.array(errors)), axis=1) / n0).tolist()
     monotone = all(
         b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip([1.0] + ratios[:-1], ratios)
     )

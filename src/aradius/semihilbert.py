@@ -9,14 +9,16 @@ radius.
 Every weighted quantity is evaluated through one similarity reduction.
 With ``A = V_r Lambda V_r*`` restricted to its ``r`` kept eigenpairs,
 ``T~ = Lambda^{1/2} V_r* T V_r Lambda^{-1/2}`` is the ``r x r`` matrix of
-``A^{1/2} T pinv(A^{1/2})`` on ``ran(A)``.  The weighted seminorm and
-radius of ``T`` are the classical spectral norm and numerical radius of
-``T~``.  The reduction of ``T^#`` is ``T~*``, and those of ``T^# T`` and
-``T T^#`` are ``T~* T~`` and ``T~ T~*``, with no hypothesis.  When the
-left factor maps ``ker(A)`` into itself, the reduction of ``S T`` is
-``S~ T~``; and a block matrix over ``diag(A, A)`` reduces to the block
-matrix of the reduced blocks.  So downstream checkers work on ``r x r``
-matrices only.
+``A^{1/2} T pinv(A^{1/2})`` on ``ran(A)``, and ``x~ = Lambda^{1/2} V_r* x``
+holds the coordinates of ``A^{1/2} x``: ``<x, y>_A = y~* x~``, ``||x||_A =
+|x~|``, and the kernel of the rank decision has seminorm zero.  The
+weighted seminorm and radius of ``T`` are the classical spectral norm and
+numerical radius of ``T~``.  The reduction of ``T^#`` is ``T~*``, and
+those of ``T^# T`` and ``T T^#`` are ``T~* T~`` and ``T~ T~*``, with no
+hypothesis.  When the left factor maps ``ker(A)`` into itself, the
+reduction of ``S T`` is ``S~ T~``; and a block matrix over ``diag(A, A)``
+reduces to the block matrix of the reduced blocks.  So downstream
+checkers work on ``r x r`` matrices and length-``r`` vectors only.
 
 Trial axis: :func:`rank_contexts` factors a stack of weights in one
 eigensolve, one context per rank whose arrays carry a leading trial axis
@@ -36,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    PSD_CLAMP_RTOL,
     DimensionMismatch,
     DomainError,
     _hermitian_eig,
@@ -131,13 +134,14 @@ def make_context(a) -> SemiInnerContext:
     """Validate a weight matrix and factor it.
 
     The input must be square, Hermitian within tolerance, and PSD up to
-    an eigenvalue undershoot of ``1e-9`` times the spectral radius.  The
-    factors come from a single eigendecomposition and one rank decision
-    (eigenvalues above :data:`RANK_TOL` times the largest), so the
-    identities ``P = A pinv(A) = pinv(A) A = V_r V_r*`` and
-    ``A = V_r diag(lam) V_r*`` hold to rounding.  A rank-zero weight
-    keeps an ``n x 0`` factor, whose pseudoinverse and projection are
-    zero.  This is :func:`rank_contexts` on a stack of one.
+    an eigenvalue undershoot of :data:`~aradius.linalg.PSD_CLAMP_RTOL`
+    times the spectral radius.  The factors come from a single
+    eigendecomposition and one rank decision (eigenvalues above
+    :data:`RANK_TOL` times the largest), so the identities ``P = A pinv(A)
+    = pinv(A) A = V_r V_r*`` and ``A = V_r diag(lam) V_r*`` hold to
+    rounding.  A rank-zero weight keeps an ``n x 0`` factor, whose
+    pseudoinverse and projection are zero.  This is :func:`rank_contexts`
+    on a stack of one.
     """
     return _factor(as_matrix(a, square=True)[None])[0][1].trial(0)
 
@@ -161,7 +165,7 @@ def _factor(mats: np.ndarray) -> list[tuple[list[int], SemiInnerContext]]:
     # gives every factor bit for bit (persisted cases replay exactly).
     sym, vals, vecs = _hermitian_eig(mats)
     top = np.abs(vals).max(axis=-1)
-    negative = vals[:, 0] < -1e-9 * top
+    negative = vals[:, 0] < -PSD_CLAMP_RTOL * top
     if negative.any():
         first = vals[np.argmax(negative), 0]
         raise NotPositive(f"weight has negative eigenvalue {first:.3e}")
@@ -195,31 +199,31 @@ def stack_contexts(ctxs: Sequence[SemiInnerContext]) -> SemiInnerContext:
     )
 
 
-def _a_form(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``y_i* A_i x_i`` for the rows of stacks ``(k, n)``, under one weight or one per row."""
-    return (y.conj()[:, None, :] @ (a @ x[:, :, None]))[:, 0, 0]
+def _reduced_rows(ctx: SemiInnerContext, x: np.ndarray) -> np.ndarray:
+    """``x~ = Lambda^{1/2} V_r* x`` of each finite row of ``x``, bitwise what the row gives alone.
 
-
-def _seminorms(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``||x_i||_{A_i}`` of finite rows weighted as by :func:`_a_form`; each form must be real to rounding."""
+    Under a context stacked ``k`` deep, the last two axes of ``x`` are
+    ``(k, n)`` and row ``i`` takes weight ``i``.
+    """
     if not np.all(np.isfinite(x)):
         raise DomainError("vector contains non-finite entries")
-    q = _a_form(a, x, x)
-    if np.any(np.abs(q.imag) > 1e-10 * np.maximum(1.0, np.abs(q))):
-        raise ValueError("quadratic form unexpectedly non-real")
-    return np.sqrt(np.maximum(q.real, 0.0))
+    return ctx.sqrt_lam * (ctx.v_r.conj().swapaxes(-1, -2) @ x[..., None])[..., 0]
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``<x, y>_A = y~* x~`` of each pair of rows of reduced vectors."""
+    return (y.conj()[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 def semi_inner(ctx: SemiInnerContext, x, y) -> complex:
     """Semi-inner product ``<x, y>_A = <A x, y>``, conjugate-linear in ``y``."""
-    xv = as_vector(x, dim=ctx.dim)
-    yv = as_vector(y, dim=ctx.dim)
-    return complex(_a_form(ctx.a, xv[None], yv[None])[0])
+    xr, yr = (_reduced_rows(ctx, as_vector(v, dim=ctx.dim)[None]) for v in (x, y))
+    return complex(_inner(xr, yr)[0])
 
 
 def vec_seminorm(ctx: SemiInnerContext, x) -> float:
-    """Seminorm ``||x||_A``; the quadratic form must be real to rounding."""
-    return float(_seminorms(ctx.a, as_vector(x, dim=ctx.dim)[None])[0])
+    """Seminorm ``||x||_A``, the Euclidean norm of the reduced vector."""
+    return float(np.linalg.norm(_reduced_rows(ctx, as_vector(x, dim=ctx.dim)[None]), axis=1)[0])
 
 
 def a_adjoint(ctx: SemiInnerContext, t) -> np.ndarray:

@@ -39,11 +39,13 @@ from aradius import (
     is_a_selfadjoint,
     make_context,
     preserves_kernel,
+    rank_contexts,
     registry_entry,
     registry_ids,
     replay,
     run_campaign,
     stack_contexts,
+    vec_seminorm,
 )
 from aradius.inequalities import _checked_columns, _report, _trial_params
 from aradius.linalg import _GRID_BYTES
@@ -418,23 +420,28 @@ def test_a_unit_vector_redraws_from_the_next_blocks_of_its_stream():
     key, crc, ks = fuzz_mod._key(gen.seed), fuzz_mod._crc("buz_half"), range(3, 8)
     ((ctx, _, _),) = _draw_chunk(gen, "buz_half", [3], None, False)
     z = _stream(key, crc, ks, {4: range(3)})[4][1].copy()
-    z[:2] = 0.0  # the first tries of trials 3 and 4 have seminorm 0
-    got = fuzz_mod._unit_vectors(np.array([ctx.a] * 5), z, key, crc, ks, 4)
+    # the first tries of trials 3 and 4 have seminorm 0: a zero, and a
+    # vector in the kernel of the context
+    z[0] = 0.0
+    z[1] = z[1] - ctx.range_proj @ z[1]
+    # two rank groups of the same weight, trials interleaved
+    groups = [([0, 2, 4], stack_contexts([ctx] * 3)), ([1, 3], stack_contexts([ctx] * 2))]
+    got = fuzz_mod._unit_vectors(groups, z, key, crc, ks, 4)
     # the second try takes blocks 3 to 5 of the same stream
     again = _stream(key, crc, [3, 4], {4: range(3, 6)})[4][1]
     for v, want in zip(got, np.concatenate([again, z[2:]])):
-        norm = np.sqrt(np.vdot(want, ctx.a @ want).real)
-        assert v.tobytes() == (want / norm).tobytes()
-        assert np.vdot(v, ctx.a @ v).real == pytest.approx(1.0, abs=1e-12)
+        reduced = ctx.sqrt_lam * (ctx.v_r.conj().T @ want)
+        assert v.tobytes() == (want / np.sqrt(np.vdot(reduced, reduced).real)).tobytes()
+        assert vec_seminorm(ctx, v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_a_unit_vector_gives_up_after_256_tries(monkeypatch):
     calls = []
     real = fuzz_mod._blocks
     monkeypatch.setattr(fuzz_mod, "_blocks", lambda *a: calls.append(a) or real(*a))
-    ctx = make_context(np.zeros((2, 2)))
+    groups = rank_contexts(np.zeros((1, 2, 2)))
     with pytest.raises(DomainViolation, match="unit vector"):
-        fuzz_mod._unit_vectors(ctx.a[None], np.ones((1, 2), complex), (1, 2), 3, [0], 4)
+        fuzz_mod._unit_vectors(groups, np.ones((1, 2), complex), (1, 2), 3, [0], 4)
     assert len(calls) == 255
 
 

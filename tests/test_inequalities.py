@@ -847,6 +847,22 @@ def test_critical_point_formula_cross_check(rng):
         assert t0 == pytest.approx(t_grid, abs=1e-4)
 
 
+def test_optimizer_equal_norm_shortcut_is_relative(identity_ctx):
+    # distinct norms far below 1 are no tie: the minimum is the dense grid's
+    # (the shortcut would give t = 1/2 and 1.5 s); equal ones pin t = 1/2
+    # at any scale
+    eye = np.eye(3)
+    s = 2.0**-66
+    lam, bound = optimize_refined_alpha_bound(identity_ctx, s * eye, 2.0 * s * eye)
+    grid = np.linspace(0.0, 1.0, 200_001)
+    f = 0.5 * (s ** (2 * grid) + (2.0 * s) ** (2 * (1 - grid)))
+    assert lam == pytest.approx(float(grid[np.argmin(f)]), abs=1e-4)
+    assert bound == pytest.approx(float(np.min(f)), rel=1e-9)
+    for scale in (1e-300, 2.0**-66, 1.0, 2.0**66, 1e300):
+        u = op_seminorm(identity_ctx, scale * eye)
+        assert optimize_refined_alpha_bound(identity_ctx, scale * eye, scale * eye) == (0.5, u)
+
+
 def test_optimize_params_single_point_matches_direct(rng):
     ctx, x, y = _random_pair(rng)
     grid = ParamGrid(lams=(0.4,))

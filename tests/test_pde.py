@@ -31,6 +31,7 @@ from aradius import (
     make_context,
     op_seminorm,
     preconditioner_report,
+    preserves_kernel,
     richardson_contraction,
     stability_report,
     truncation_error,
@@ -250,10 +251,30 @@ def test_half_sum_bound_is_the_inverse_seminorm(n):
 
 def test_stability_report_rejects_a_weight_that_vanishes_at_a_node():
     # a(x) = (x - 1/2)^2 is positive at every midpoint but zero at the node
-    # x_5 = 1/2, so A_h, and with it the A-adjoint of T_h, is singular
+    # x_5 = 1/2, so A_h is singular
     spec = EllipticSpec(n_points=9, coeff_a=(0.25, -1.0, 1.0), coeff_c=0.0)
     assert assemble_fd(spec)[1][4, 4] == 0.0
     with pytest.raises(SingularOperator):
+        stability_report(spec)
+
+
+def test_a_weight_that_vanishes_at_a_node_leaves_the_solve_unbounded():
+    # why stability_report rejects such a weight: T_h^{-1} does not map
+    # ker(A_h) into itself, so the seminorm of its reduction is exceeded by
+    # a right-hand side close to the kernel
+    spec = EllipticSpec(n_points=7, coeff_a=(0.25, -1.0, 1.0), coeff_c=1.0)
+    t_h, a_h = assemble_fd(spec)
+    assert a_h[3, 3] == 0.0
+    ctx = make_context(a_h)
+    t_inv = np.linalg.inv(t_h)
+    assert ctx.rank == 6 and not preserves_kernel(ctx, t_inv)
+    reduced = op_seminorm(ctx, t_inv)
+    assert reduced == pytest.approx(0.4668, abs=1e-4)
+    f = np.eye(7)[3] + 1e-3 * np.eye(7)[0]
+    ratio = vec_seminorm(ctx, t_inv @ f) / vec_seminorm(ctx, f)
+    assert ratio == pytest.approx(34.47, abs=1e-2)
+    assert ratio > 70 * reduced
+    with pytest.raises(SingularOperator, match="ker"):
         stability_report(spec)
 
 

@@ -19,6 +19,7 @@ from aradius import (
     a_numerical_radius,
     a_numerical_radius_lower,
     check_mixed_schwarz,
+    check_vector_lemma,
     classical_numerical_radius,
     is_a_positive,
     is_a_selfadjoint,
@@ -204,23 +205,65 @@ def test_semi_inner_matches_quadratic_form(rng):
 
 @pytest.mark.per_family
 @pytest.mark.parametrize("n", [1, 2, 127])
-def test_a_form_is_bitwise_a_vdot_per_vector(n):
-    # one weight for all rows, or one per row; x = y and x != y
+def test_reduced_rows_are_bitwise_one_vector_at_a_time(n):
+    # one weight for all rows, or one per row (a stacked context), against a
+    # matrix-vector product per vector; then the public forms built on them
+    rng = np.random.default_rng(n)
+    ctxs = [random_context(rng, n, rank=max(1, n - 1)) for _ in range(5)]
+    x, y = cgauss(rng, 5, n), cgauss(rng, 5, n)
+    for ctx, each in ((ctxs[0], ctxs[:1] * 5), (stack_contexts(ctxs), ctxs)):
+        want = np.array([c.sqrt_lam * (c.v_r.conj().T @ row) for c, row in zip(each, x)])
+        assert semihilbert_mod._reduced_rows(ctx, x).tobytes() == want.tobytes()
+    ctx = ctxs[0]
+    for i in range(5):
+        xr, yr = (ctx.sqrt_lam * (ctx.v_r.conj().T @ v[i]) for v in (x, y))
+        assert vec_seminorm(ctx, x[i]) == np.linalg.norm(xr[None], axis=1)[0]
+        assert semi_inner(ctx, x[i], y[i]) == complex(np.vdot(yr, xr))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_reduced_forms_are_the_ambient_forms_of_full_rank_weights(n):
     rng = np.random.default_rng(n)
     ctx = random_context(rng, n)
-    per_row = np.array([random_psd(rng, n) for _ in range(5)])
-    x, y = cgauss(rng, 5, n), cgauss(rng, 5, n)
-    for a in (ctx.a, per_row):
-        weights = [a if a.ndim == 2 else a[i] for i in range(5)]
-        for xs, ys in ((x, x), (x, y)):
-            want = [np.vdot(ys[i], w @ xs[i]) for i, w in enumerate(weights)]
-            assert semihilbert_mod._a_form(a, xs, ys).tobytes() == np.array(want).tobytes()
-        forms = [np.vdot(x[i], w @ x[i]).real for i, w in enumerate(weights)]
-        want = np.sqrt(np.maximum(forms, 0.0))
-        assert semihilbert_mod._seminorms(a, x).tobytes() == want.tobytes()
-    for i in range(5):
-        assert semi_inner(ctx, x[i], y[i]) == complex(np.vdot(y[i], ctx.a @ x[i]))
-        assert vec_seminorm(ctx, x[i]) == np.sqrt(np.vdot(x[i], ctx.a @ x[i]).real)
+    assert ctx.rank == n
+    x, y = cgauss(rng, 8, n), cgauss(rng, 8, n)
+    norms = np.linalg.norm(semihilbert_mod._reduced_rows(ctx, x), axis=1)
+    for i in range(8):
+        nx = np.sqrt(np.vdot(x[i], ctx.a @ x[i]).real)
+        ny = np.sqrt(np.vdot(y[i], ctx.a @ y[i]).real)
+        assert norms[i] == pytest.approx(nx, rel=1e-12)
+        assert vec_seminorm(ctx, x[i]) == pytest.approx(nx, rel=1e-12)
+        assert abs(semi_inner(ctx, x[i], y[i]) - np.vdot(y[i], ctx.a @ x[i])) <= 1e-12 * nx * ny
+
+
+def test_vec_seminorm_and_the_checkers_agree_on_unit_vectors():
+    # the rank decision drops the eigenvalue 9e-11, so [0, 1] spans the
+    # kernel and a vector of unit seminorm passes the checkers' unit test
+    ctx = make_context(np.diag([1.0, 9e-11]))
+    assert ctx.rank == 1
+    assert vec_seminorm(ctx, [0.0, 1.0]) == 0.0
+    e = np.array([1e-3, 1.0]) / vec_seminorm(ctx, [1e-3, 1.0])
+    assert vec_seminorm(ctx, e) == 1.0
+    rep = check_vector_lemma(ctx, "buz_half", [1.0, 0.5], [0.25, 1.0], e)
+    assert rep.lhs <= rep.rhs
+
+
+@pytest.mark.per_family
+def test_seminorms_of_vectors_near_the_kernel_scale_at_extreme_scales():
+    # a rank-2 weight on C^4 in a random basis, and vectors that are a kernel
+    # part plus 1e-9 times a range part: the ambient form x* A x is then
+    # dominated by rounding, and its imaginary part by nothing real
+    rng = np.random.default_rng(27)
+    q = np.linalg.qr(cgauss(rng, 4, 4))[0]
+    a = (q[:, :2] * [1.0, 2.0]) @ q[:, :2].conj().T
+    x = cgauss(rng, 200, 2) @ q[:, 2:].T + 1e-9 * cgauss(rng, 200, 2) @ q[:, :2].T
+    ctx = make_context(a)
+    base = [vec_seminorm(ctx, v) for v in x]
+    for j in (-35, 0, 35):
+        scaled = make_context(4.0**j * a)
+        for v, norm in zip(x, base):
+            assert vec_seminorm(scaled, v) == pytest.approx(2.0**j * norm, rel=1e-15)
+            assert vec_seminorm(ctx, 2.0**j * v) == pytest.approx(2.0**j * norm, rel=1e-15)
 
 
 def test_kernel_vector_has_zero_seminorm(rng):
