@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .inequalities import BoundParams, BoundReport, _report
-from .linalg import DomainError, as_integer, classical_numerical_radius, spectral_norm
+from .linalg import DIM_CAP, DomainError, as_integer, classical_numerical_radius, spectral_norm
 from .semihilbert import (
     DegenerateContext,
     SemiInnerContext,
@@ -98,12 +98,26 @@ def assemble_fd(spec: EllipticSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(T_h, A_h)``: the real symmetric tridiagonal operator and
     ``A_h = diag(a(x_j))``.  Raises :class:`InvalidSpec` when fewer than
-    two interior points are requested, ellipticity fails at a midpoint,
-    or an entry of ``T_h`` or ``A_h`` overflows.
+    two or more than ``DIM_CAP`` interior points are requested (before
+    anything is allocated), ellipticity fails at a midpoint, or an entry
+    of ``T_h`` or ``A_h`` overflows.
     """
+    n = spec.n_points
+    if n > DIM_CAP:
+        raise InvalidSpec(f"{n} interior points exceed the dense cap {DIM_CAP}")
+    diag, off, a_x = _stencil(spec)
+    t_h = np.zeros((n, n))
+    t_h[np.arange(n), np.arange(n)] = diag
+    t_h[np.arange(n - 1), np.arange(1, n)] = off
+    t_h[np.arange(1, n), np.arange(n - 1)] = off
+    return t_h, np.diag(a_x)
+
+
+def _stencil(spec: EllipticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``T_h``'s diagonal and off-diagonal, and ``a`` on the grid, checked as in :func:`assemble_fd`."""
     if spec.n_points < 2:
         raise InvalidSpec("assembly needs at least 2 interior points")
-    n, h = spec.n_points, spec.h
+    h = spec.h
     x = spec.grid()
     with np.errstate(over="ignore", invalid="ignore"):
         a_mid = spec.a_of(np.concatenate(([x[0] - 0.5 * h], x + 0.5 * h)))
@@ -114,11 +128,7 @@ def assemble_fd(spec: EllipticSpec) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidSpec("diffusion coefficient must be positive on the domain")
     if not np.isfinite(np.concatenate([a_x, diag, off])).all():
         raise InvalidSpec("the discrete operator or weight overflows")
-    t_h = np.zeros((n, n))
-    t_h[np.arange(n), np.arange(n)] = diag
-    t_h[np.arange(n - 1), np.arange(1, n)] = off
-    t_h[np.arange(1, n), np.arange(n - 1)] = off
-    return t_h, np.diag(a_x)
+    return diag, off, a_x
 
 
 def _solve_context(spec: EllipticSpec):
@@ -149,14 +159,14 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     alone gives.  A right-hand side with ``||f||_{A_h}`` below ``1e-12``
     times the square root of the weight's largest eigenvalue is skipped;
     the floor scales with the weight, so the ratio does not.
-    The sampled radius draws on a helper thread from the start of the
-    call, so the inverse, its seminorm, its kernel radius and the
-    right-hand sides overlap the draws, and projects through the diagonal
-    ``A_h`` by column selection (see
-    :func:`~aradius.semihilbert.a_numerical_radius_lower`).  Its memory
-    floor is its one ``(10000, n)`` array of real parts; the kernel radius,
-    computed while that array is held, solves its grid in 1 MiB slices.
-    ``samples == 0`` starts no thread.
+    The sampled radius draws its samples in the same layout, in blocks,
+    on a helper thread started at the top of the call: the inverse, its
+    seminorm, its kernel radius and the right-hand sides overlap the draws
+    of its first two blocks, and the projection of each block through the
+    diagonal ``A_h`` by column selection overlaps the draws of the next
+    (see :func:`~aradius.semihilbert.a_numerical_radius_lower`).  It holds
+    a few blocks, not its 10000 samples; the kernel radius solves its grid
+    in 1 MiB slices.  ``samples == 0`` starts no thread.
     """
     samples = as_integer("samples", samples, InvalidSpec)
     if samples < 0:
@@ -291,11 +301,12 @@ def preconditioner_report(
 def truncation_error(spec: EllipticSpec) -> float:
     """Max-norm consistency defect of the stencil against ``u = sin(pi x)``.
 
-    Maps the interval to ``[0, 1]`` internally, applies ``T_h`` to the
-    sampled ``sin(pi s)``, and compares with the continuous
-    ``-(a u')' + c u`` sampled on the grid.
+    Maps the interval to ``[0, 1]`` internally, applies the stencil of
+    ``T_h`` to the sampled ``sin(pi s)`` in ``O(n)`` memory, at any grid
+    size, and compares with the continuous ``-(a u')' + c u`` sampled on
+    the grid.
     """
-    t_h, _ = assemble_fd(spec)
+    diag, off, a_x = _stencil(spec)
     lo, hi = spec.domain
     width = hi - lo
     x = spec.grid()
@@ -303,10 +314,12 @@ def truncation_error(spec: EllipticSpec) -> float:
     u = np.sin(np.pi * s)
     du = np.cos(np.pi * s) * np.pi / width
     d2u = -np.sin(np.pi * s) * (np.pi / width) ** 2
-    a_x = spec.a_of(x)
     da_x = npoly.polyval(x, npoly.polyder(list(spec.coeff_a)))
     continuous = -(da_x * du + a_x * d2u) + spec.coeff_c * u
-    return float(np.max(np.abs(t_h @ u - continuous)))
+    t_u = diag * u
+    t_u[:-1] += off * u[1:]
+    t_u[1:] += off * u[:-1]
+    return float(np.max(np.abs(t_u - continuous)))
 
 
 def refined_specs(spec: EllipticSpec, levels: int = 3) -> list[EllipticSpec]:

@@ -70,10 +70,9 @@ RANK_TOL = 1e-10
 #: :func:`is_a_selfadjoint` and :func:`is_a_positive`.
 STRUCTURE_RTOL = 1e-8
 
-#: Rows of samples whose real, and then imaginary, parts
-#: :func:`a_numerical_radius_lower` draws in one task of its worker thread,
-#: and whose imaginary parts it then projects and reduces at once (the
-#: last block may hold one more).
+#: Samples that :func:`a_numerical_radius_lower` draws in one task of its
+#: worker thread and then projects and reduces at once (the last block may
+#: hold one more).
 _SAMPLE_BLOCK = 512
 
 
@@ -269,25 +268,24 @@ def a_numerical_radius_lower(
     ``|y* T~ y| / |y|^2``, which is ``|<Tx, x>_A| / ||x||_A^2`` for ``x`` the
     projection of ``g`` onto ``ran(A)``.  Deterministic for a fixed seed.
 
-    The stream holds every real part, then every imaginary part.  The one
-    worker of a thread pool, started before ``T`` is reduced and joined
-    within the call, draws it in blocks of :data:`_SAMPLE_BLOCK` rows (the
-    last may hold one more; a normal stream gives the same values drawn
-    whole or in pieces).  It copies the real blocks into one
-    ``(samples, dim)`` float array that the calling thread allocated, the
-    memory floor of the function, and then draws each imaginary block at
-    most two blocks ahead of the one being used.  The calling thread
-    projects and reduces each block as it arrives, so the arithmetic
-    overlaps the drawing and no ``(samples, dim)`` complex array is ever
-    made.  It does all of the arithmetic and re-raises what a draw
-    raises; no thread outlives the call.  When every column of ``V_r``
-    holds one nonzero entry and that entry is exactly ``+-1`` (a diagonal
-    weight), ``g V_r*`` is taken by column selection, which equals the
-    product bit for bit: its other terms are exact zeros.  A sample whose
-    ``|y|^2`` is at most ``1e-24`` times the largest over all samples, or
-    the weight's largest eigenvalue if that is larger, is dropped.  So the
-    floor scales with the weight, and ``c A`` gives the bound of ``A`` for
-    any ``c > 0``.
+    The stream holds each sample's real part, then its imaginary part.
+    The one worker of a thread pool, started before ``T`` is reduced and
+    joined within the call, draws it in blocks of :data:`_SAMPLE_BLOCK`
+    samples (the last may hold one more; a normal stream gives the same
+    values drawn whole or in pieces), at most two blocks ahead of the one
+    being used.  The calling thread projects and reduces each block as it
+    arrives, so its arithmetic on one block overlaps the drawing of the
+    next.  It does all of the arithmetic and re-raises what a draw raises;
+    no thread outlives the call.  The memory is a few blocks for any
+    ``samples``: no ``(samples, dim)`` array is ever made.
+
+    When every column of ``V_r`` holds one nonzero entry and that entry is
+    exactly ``+-1`` (a diagonal weight), ``g V_r*`` is taken by column
+    selection, which equals the product bit for bit: its other terms are
+    exact zeros.  A sample whose ``|y|^2`` is at most ``1e-24`` times the
+    largest over all samples, or the weight's largest eigenvalue if that
+    is larger, is dropped.  So the floor scales with the weight, and
+    ``c A`` gives the bound of ``A`` for any ``c > 0``.
     """
     if ctx.rank == 0:
         raise DegenerateContext("weight has rank zero")
@@ -303,12 +301,11 @@ def _sampled_radius(ctx: SemiInnerContext, samples: int, seed):
     """Draw the samples of :func:`a_numerical_radius_lower` on a one-worker executor.
 
     Yields ``radius(tilde)``, the bound of the operator whose reduction is
-    ``tilde``, to be called at most once.  The worker runs its tasks in the
-    order submitted: on entry, the fill of ``real``, then the first two
-    imaginary blocks, so work done before that call overlaps them.  The
-    caller submits block ``i + 2`` as it takes block ``i``, so at most two
-    imaginary blocks are drawn ahead of the one in use.  On exit the draws
-    not yet started are cancelled and the worker is joined.
+    ``tilde``, to be called at most once.  The worker draws the blocks in
+    the order submitted: the first two on entry, so work done before that
+    call overlaps them, and block ``i + 2`` when the caller takes block
+    ``i``.  So at most two blocks are drawn ahead of the one in use.  On
+    exit the draws not yet started are cancelled and the worker is joined.
     """
     # imported here: every other caller of the package would pay its
     # import time and memory
@@ -321,27 +318,27 @@ def _sampled_radius(ctx: SemiInnerContext, samples: int, seed):
         slice(lo, lo + _SAMPLE_BLOCK if lo + _SAMPLE_BLOCK < samples - 1 else samples)
         for lo in range(0, max(samples - 1, 1), _SAMPLE_BLOCK)
     ]
-    real = np.empty((samples, ctx.dim))
 
     def draw(block: slice) -> np.ndarray:
-        return rng.standard_normal((block.stop - block.start, ctx.dim))
+        # each sample's real part, then its imaginary part
+        return rng.standard_normal((block.stop - block.start, 2, ctx.dim))
 
-    def fill() -> None:
-        for block in blocks:
-            real[block] = draw(block)
+    def complex_samples(parts: np.ndarray) -> np.ndarray:
+        # formed on the calling thread: the worker then holds one array per
+        # block, so the peak memory does not depend on thread timing
+        return parts[:, 0] + 1j * parts[:, 1]
 
     def radius(tilde: np.ndarray) -> float:
         project = _projection(ctx)
         numer = np.empty(samples)
         norms_sq = np.empty(samples)
-        filled.result()
         for i, block in enumerate(blocks):
             if i + 2 < len(blocks):
                 ahead.append(pool.submit(draw, blocks[i + 2]))
             # no name holds the drawn block or the complex samples, so each
             # is freed as soon as it has been used
             norms_sq[block], numer[block] = _quotients(
-                project(real[block] + 1j * ahead.pop(0).result()), tilde
+                project(complex_samples(ahead.pop(0).result())), tilde
             )
         keep = norms_sq > 1e-24 * max(float(ctx.lam.max()), float(norms_sq.max()))
         if not np.any(keep):
@@ -350,7 +347,6 @@ def _sampled_radius(ctx: SemiInnerContext, samples: int, seed):
 
     pool = ThreadPoolExecutor(max_workers=1)
     try:
-        filled = pool.submit(fill)
         ahead = [pool.submit(draw, block) for block in blocks[:2]]
         yield radius
     finally:

@@ -108,14 +108,15 @@ def within(seconds: float, fn, *args):
 def radius_lower_reference(ctx, t, samples: int, seed: int):
     """The sampled A-radius lower bound from whole-array draws, one sample at a time.
 
-    It draws every real part, then every imaginary part, and takes each
-    sample's quotient in a loop.  Only the two projections stay products
-    of all samples at once: numpy multiplies a single row by a
-    matrix-vector product, which can round differently.  Returns the
-    bound and how many samples were kept.
+    It draws each sample's real part, then its imaginary part, as one
+    ``(samples, 2, dim)`` array, and takes each sample's quotient in a
+    loop.  Only the two projections stay products of all samples at once:
+    numpy multiplies a single row by a matrix-vector product, which can
+    round differently.  Returns the bound and how many samples were kept.
     """
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((samples, ctx.dim)) + 1j * rng.standard_normal((samples, ctx.dim))
+    parts = rng.standard_normal((samples, 2, ctx.dim))
+    g = parts[:, 0] + 1j * parts[:, 1]
     y = (g @ ctx.v_r.conj()) * ctx.sqrt_lam
     ty = y @ reduce(ctx, t).T
     norms_sq = np.array([np.sum(np.abs(row) ** 2) for row in y])

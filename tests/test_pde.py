@@ -9,6 +9,7 @@ eigenvector whose consistency defect is computable in closed form.
 import csv
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import aradius.pde as pde_mod
 import aradius.semihilbert as semihilbert_mod
 from aradius import (
+    DIM_CAP,
     ConvergenceFailure,
     DegenerateContext,
     DomainError,
@@ -126,6 +128,14 @@ def test_assemble_rejects_an_operator_that_overflows(spec):
         preconditioner_report(spec, "jacobi")
 
 
+def test_assemble_rejects_more_points_than_the_dense_cap():
+    # T_h is dense, so a grid past DIM_CAP raises before anything is
+    # allocated, as every other entry point does past the cap
+    with pytest.raises(InvalidSpec, match="cap"):
+        assemble_fd(EllipticSpec(n_points=DIM_CAP + 1))
+    assert assemble_fd(EllipticSpec(n_points=DIM_CAP))[0].shape == (DIM_CAP, DIM_CAP)
+
+
 def test_assemble_constant_coefficient_stencil():
     t_h, a_h = assemble_fd(CONST)
     scaled = t_h * CONST.h**2
@@ -186,6 +196,19 @@ def test_truncation_error_constant_coefficient_closed_form():
 )
 def test_consistency_order_is_second(spec):
     assert 1.7 <= consistency_order(spec) <= 2.3
+
+
+def test_consistency_order_applies_the_stencil_in_linear_memory():
+    # eight levels reach 1151 points, past DIM_CAP: a dense T_h there
+    # would take 10.6 MB
+    tracemalloc.start()
+    try:
+        order = consistency_order(EllipticSpec(n_points=8), levels=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.7 <= order <= 2.3
+    assert peak < 2**20
 
 
 def test_refined_specs_halve_h():
