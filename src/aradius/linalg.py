@@ -199,15 +199,15 @@ def _hermitian_eig(mats: np.ndarray):
 
 
 def psd_power(m, p: float) -> np.ndarray:
-    """Spectral power ``m**p`` of a PSD matrix, ``p >= 0``.
+    """Spectral power ``m**p`` of a PSD matrix, ``p`` finite and ``>= 0``.
 
     Eigenvalues below ``-PSD_CLAMP_RTOL`` times the spectral radius are a
     domain error; small negatives from rounding are clamped.  Zero
     eigenvalues map to zero for every ``p`` including ``p == 0``, so
     ``m**0`` is the orthogonal projection onto the range of ``m``.
     """
-    if p < 0.0:
-        raise ValueError("power must be nonnegative")
+    if not 0.0 <= p < np.inf:
+        raise ValueError("power must be finite and nonnegative")
     vals, vecs = _hermitian_eig(as_matrix(m, square=True))[1:]
     if float(vals[0]) < -PSD_CLAMP_RTOL * float(np.max(np.abs(vals))):
         raise NotPSD(f"eigenvalue {vals[0]:.3e} below PSD clamp threshold")

@@ -23,17 +23,24 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .inequalities import BoundParams, BoundReport, _report
-from .linalg import DIM_CAP, DomainError, as_integer, classical_numerical_radius, spectral_norm
+from .linalg import (
+    DIM_CAP,
+    DomainError,
+    as_integer,
+    as_matrix,
+    classical_numerical_radius,
+    spectral_norm,
+)
 from .semihilbert import (
     DegenerateContext,
     SemiInnerContext,
+    _check_dim,
     _reduced_rows,
     _sampled_radius,
     make_context,
@@ -61,7 +68,8 @@ class EllipticSpec:
     ``coeff_a`` holds ascending polynomial coefficients of the diffusion
     coefficient; the default ``(1, 0, 1)`` is ``1 + x^2``.  Ellipticity
     (``a > 0``) is enforced at the grid midpoints on construction of the
-    discrete operator.
+    discrete operator.  ``n_points`` is at most ``2**20``, so a run of
+    dyadic refinements stops before its grids outgrow memory.
     """
 
     n_points: int = 8
@@ -70,8 +78,8 @@ class EllipticSpec:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        if as_integer("n_points", self.n_points, InvalidSpec) < 1:
-            raise InvalidSpec("n_points must be at least 1")
+        if not 1 <= as_integer("n_points", self.n_points, InvalidSpec) <= 2**20:
+            raise InvalidSpec(f"n_points must be between 1 and 2**20, got {self.n_points}")
         if not (self.coeff_a and np.all(np.isfinite(self.coeff_a))):
             raise InvalidSpec("coeff_a must have at least one coefficient, all finite")
         if not (np.isfinite(self.coeff_c) and self.coeff_c >= 0.0):
@@ -159,14 +167,11 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     alone gives.  A right-hand side with ``||f||_{A_h}`` below ``1e-12``
     times the square root of the weight's largest eigenvalue is skipped;
     the floor scales with the weight, so the ratio does not.
-    The sampled radius draws its samples in the same layout, in blocks,
-    on a helper thread started at the top of the call: the inverse, its
-    seminorm, its kernel radius and the right-hand sides overlap the draws
-    of its first two blocks, and the projection of each block through the
-    diagonal ``A_h`` by column selection overlaps the draws of the next
-    (see :func:`~aradius.semihilbert.a_numerical_radius_lower`).  It holds
-    a few blocks, not its 10000 samples; the kernel radius solves its grid
-    in 1 MiB slices.  ``samples == 0`` starts no thread.
+    The sampled radius draws its samples in the same layout, in reduced
+    coordinates, in blocks on a helper thread that is joined before the
+    call returns (see :func:`~aradius.semihilbert.a_numerical_radius_lower`).
+    It holds a few blocks, not its 10000 samples; the kernel radius solves
+    its grid in 1 MiB slices.  ``samples == 0`` starts no thread.
     """
     samples = as_integer("samples", samples, InvalidSpec)
     if samples < 0:
@@ -174,27 +179,25 @@ def stability_report(spec: EllipticSpec, samples: int = 100, seed: int = 0) -> B
     t_h, _, ctx = _solve_context(spec)
     if ctx.rank < spec.n_points:
         raise SingularOperator("weight is singular, and T_h^{-1} need not map ker(A_h) into itself")
-    # the sampled radius's draws start here and overlap the work below
-    with _sampled_radius(ctx, 10000, seed) if samples else nullcontext() as sampled_radius:
-        t_inv = np.linalg.inv(t_h)
-        tilde = reduce(ctx, t_inv)
-        norm_inv = spectral_norm(tilde)
-        radius_inv = classical_numerical_radius(tilde)
-        # each sample draws its real part, then its imaginary part
-        parts = np.random.default_rng(seed).standard_normal((samples, 2, spec.n_points))
-        f = parts[:, 0] + 1j * parts[:, 1]
-        nf = np.linalg.norm(_reduced_rows(ctx, f), axis=1)
-        live = nf >= 1e-12 * np.sqrt(ctx.lam.max())
-        u = (t_inv @ f[live, :, None])[:, :, 0]
-        worst = float(np.max(np.linalg.norm(_reduced_rows(ctx, u), axis=1) / nf[live], initial=0.0))
-        inter = {
-            "radius_inverse": radius_inv,
-            "seminorm_inverse": norm_inv,
-            "sampled_amplification": worst,
-            "h": spec.h,
-        }
-        if samples:
-            inter["radius_inverse_sampled"] = sampled_radius(tilde)
+    t_inv = np.linalg.inv(t_h)
+    tilde = reduce(ctx, t_inv)
+    norm_inv = spectral_norm(tilde)
+    radius_inv = classical_numerical_radius(tilde)
+    # each sample draws its real part, then its imaginary part
+    parts = np.random.default_rng(seed).standard_normal((samples, 2, spec.n_points))
+    f = parts[:, 0] + 1j * parts[:, 1]
+    nf = np.linalg.norm(_reduced_rows(ctx, f), axis=1)
+    live = nf >= 1e-12 * np.sqrt(ctx.lam.max())
+    u = (t_inv @ f[live, :, None])[:, :, 0]
+    worst = float(np.max(np.linalg.norm(_reduced_rows(ctx, u), axis=1) / nf[live], initial=0.0))
+    inter = {
+        "radius_inverse": radius_inv,
+        "seminorm_inverse": norm_inv,
+        "sampled_amplification": worst,
+        "h": spec.h,
+    }
+    if samples:
+        inter["radius_inverse_sampled"] = _sampled_radius(ctx, tilde, 10000, seed)
     return _report("pde_stability", worst, norm_inv, inter, True, BoundParams())
 
 
@@ -239,14 +242,17 @@ def richardson_contraction(
     rank-zero weight raises :class:`~aradius.semihilbert.DegenerateContext`,
     and a ``P`` whose smallest singular value is at most ``1e-12`` times its
     largest (a zero ``P`` too) :class:`SingularPreconditioner`, at any scale.
+    ``T`` and ``P`` are checked as :func:`~aradius.semihilbert.reduce`
+    checks an operator: square, finite, and of the weight's dimension.
     """
     iterations = as_integer("iterations", iterations, InvalidSpec)
     if iterations < 1:
         raise InvalidSpec("iterations must be at least 1")
     if ctx.rank == 0:
         raise DegenerateContext("weight has rank zero")
-    t = np.asarray(t, dtype=np.complex128)
-    p = np.asarray(p, dtype=np.complex128)
+    t, p = (as_matrix(m, square=True) for m in (t, p))
+    _check_dim(ctx, t)
+    _check_dim(ctx, p)
     svals = np.linalg.svd(p, compute_uv=False)
     if svals[-1] <= 1e-12 * svals[0]:
         raise SingularPreconditioner("preconditioner is numerically singular")

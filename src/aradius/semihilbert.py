@@ -31,7 +31,6 @@ per trial.  The other functions take one weight and one operator.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,7 +70,7 @@ RANK_TOL = 1e-10
 STRUCTURE_RTOL = 1e-8
 
 #: Samples that :func:`a_numerical_radius_lower` draws in one task of its
-#: worker thread and then projects and reduces at once (the last block may
+#: worker thread and then scales and reduces at once (the last block may
 #: hold one more).
 _SAMPLE_BLOCK = 512
 
@@ -263,55 +262,47 @@ def a_numerical_radius_lower(
 ) -> float:
     """Sampled lower bound for the A-numerical radius.
 
-    Draws ``samples`` complex Gaussian vectors ``g``, maps each to
-    ``y = Lambda^{1/2} V_r* g`` (so ``|y| = ||g||_A``) and maximizes
-    ``|y* T~ y| / |y|^2``, which is ``|<Tx, x>_A| / ||x||_A^2`` for ``x`` the
-    projection of ``g`` onto ``ran(A)``.  Deterministic for a fixed seed.
+    Draws ``samples`` complex Gaussian vectors ``z`` in ``C^rank`` and
+    maximizes ``|y* T~ y| / |y|^2`` over ``y = Lambda^{1/2} z``.  ``V_r``
+    has orthonormal columns, so ``z`` has the law of ``V_r* g`` for ``g``
+    complex Gaussian in ``C^n``: ``y`` is ``x~`` for ``x`` the projection
+    of ``g`` onto ``ran(A)``, and the quotient is ``|<Tx, x>_A| /
+    ||x||_A^2``.  Deterministic for a fixed seed.
 
-    The stream holds each sample's real part, then its imaginary part.
-    The one worker of a thread pool, started before ``T`` is reduced and
-    joined within the call, draws it in blocks of :data:`_SAMPLE_BLOCK`
-    samples (the last may hold one more; a normal stream gives the same
-    values drawn whole or in pieces), at most two blocks ahead of the one
-    being used.  The calling thread projects and reduces each block as it
-    arrives, so its arithmetic on one block overlaps the drawing of the
-    next.  It does all of the arithmetic and re-raises what a draw raises;
-    no thread outlives the call.  The memory is a few blocks for any
-    ``samples``: no ``(samples, dim)`` array is ever made.
-
-    When every column of ``V_r`` holds one nonzero entry and that entry is
-    exactly ``+-1`` (a diagonal weight), ``g V_r*`` is taken by column
-    selection, which equals the product bit for bit: its other terms are
-    exact zeros.  A sample whose ``|y|^2`` is at most ``1e-24`` times the
-    largest over all samples, or the weight's largest eigenvalue if that
-    is larger, is dropped.  So the floor scales with the weight, and
-    ``c A`` gives the bound of ``A`` for any ``c > 0``.
+    The stream holds each sample's real part, then its imaginary part,
+    drawn in blocks by :func:`_sampled_radius`; the memory is a few blocks
+    for any ``samples``.  A sample whose ``|y|^2`` is at most ``1e-24``
+    times the largest over all samples, or the weight's largest eigenvalue
+    if that is larger, is dropped.  So the floor scales with the weight,
+    and ``c A`` gives the bound of ``A`` for any ``c > 0``.
     """
     if ctx.rank == 0:
         raise DegenerateContext("weight has rank zero")
     samples = as_integer("samples", samples, ValueError)
     if samples < 1:
         raise ValueError("samples must be positive")
-    with _sampled_radius(ctx, samples, seed) as radius:
-        return radius(reduce(ctx, t))
+    return _sampled_radius(ctx, reduce(ctx, t), samples, seed)
 
 
-@contextmanager
-def _sampled_radius(ctx: SemiInnerContext, samples: int, seed):
-    """Draw the samples of :func:`a_numerical_radius_lower` on a one-worker executor.
+def _sampled_radius(ctx: SemiInnerContext, tilde: np.ndarray, samples: int, seed) -> float:
+    """The bound of :func:`a_numerical_radius_lower` for the reduction ``tilde``.
 
-    Yields ``radius(tilde)``, the bound of the operator whose reduction is
-    ``tilde``, to be called at most once.  The worker draws the blocks in
-    the order submitted: the first two on entry, so work done before that
-    call overlaps them, and block ``i + 2`` when the caller takes block
-    ``i``.  So at most two blocks are drawn ahead of the one in use.  On
-    exit the draws not yet started are cancelled and the worker is joined.
+    The one worker of a thread pool draws the blocks of
+    :data:`_SAMPLE_BLOCK` samples in the order submitted: the first two at
+    once, and block ``i + 2`` when the caller takes block ``i``, so at most
+    two are drawn ahead of the one in use (a normal stream gives the same
+    values drawn whole or in pieces).  The calling thread forms, scales and
+    reduces each block as it arrives, so its arithmetic on one block
+    overlaps the drawing of the next.  It does all of the arithmetic and
+    re-raises what a draw raises; before it returns or raises, the draws
+    not yet started are cancelled and the worker is joined.
     """
     # imported here: every other caller of the package would pay its
     # import time and memory
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(seed)
+    sqrt_lam = ctx.sqrt_lam
     # a lone last row joins the block before it: numpy multiplies a
     # single row by a matrix-vector product, which rounds differently
     blocks = [
@@ -321,36 +312,30 @@ def _sampled_radius(ctx: SemiInnerContext, samples: int, seed):
 
     def draw(block: slice) -> np.ndarray:
         # each sample's real part, then its imaginary part
-        return rng.standard_normal((block.stop - block.start, 2, ctx.dim))
+        return rng.standard_normal((block.stop - block.start, 2, ctx.rank))
 
-    def complex_samples(parts: np.ndarray) -> np.ndarray:
+    def scaled(parts: np.ndarray) -> np.ndarray:
         # formed on the calling thread: the worker then holds one array per
         # block, so the peak memory does not depend on thread timing
-        return parts[:, 0] + 1j * parts[:, 1]
+        return (parts[:, 0] + 1j * parts[:, 1]) * sqrt_lam
 
-    def radius(tilde: np.ndarray) -> float:
-        project = _projection(ctx)
-        numer = np.empty(samples)
-        norms_sq = np.empty(samples)
-        for i, block in enumerate(blocks):
-            if i + 2 < len(blocks):
-                ahead.append(pool.submit(draw, blocks[i + 2]))
-            # no name holds the drawn block or the complex samples, so each
-            # is freed as soon as it has been used
-            norms_sq[block], numer[block] = _quotients(
-                project(complex_samples(ahead.pop(0).result())), tilde
-            )
-        keep = norms_sq > 1e-24 * max(float(ctx.lam.max()), float(norms_sq.max()))
-        if not np.any(keep):
-            raise DegenerateContext("no sample survived seminorm normalization")
-        return float(np.max(numer[keep] / norms_sq[keep]))
-
+    numer = np.empty(samples)
+    norms_sq = np.empty(samples)
     pool = ThreadPoolExecutor(max_workers=1)
     try:
         ahead = [pool.submit(draw, block) for block in blocks[:2]]
-        yield radius
+        for i, block in enumerate(blocks):
+            if i + 2 < len(blocks):
+                ahead.append(pool.submit(draw, blocks[i + 2]))
+            # no name holds the drawn block or the scaled samples, so each
+            # is freed as soon as it has been used
+            norms_sq[block], numer[block] = _quotients(scaled(ahead.pop(0).result()), tilde)
     finally:
         pool.shutdown(cancel_futures=True)
+    keep = norms_sq > 1e-24 * max(float(ctx.lam.max()), float(norms_sq.max()))
+    if not np.any(keep):
+        raise DegenerateContext("no sample survived seminorm normalization")
+    return float(np.max(numer[keep] / norms_sq[keep]))
 
 
 def _quotients(y: np.ndarray, tilde: np.ndarray):
@@ -365,25 +350,6 @@ def _quotients(y: np.ndarray, tilde: np.ndarray):
     return norms_sq, np.abs(np.sum(np.conj(y, out=y) * ty, axis=1))
 
 
-def _projection(ctx: SemiInnerContext):
-    """``g -> (g @ conj(V_r)) * sqrt_lam`` on a block of samples ``g``.
-
-    A ``V_r`` whose every column holds one nonzero entry, exactly ``+-1``,
-    selects and signs columns of ``g`` instead: every other term of the
-    product is an exact zero, so the two agree bit for bit under any BLAS
-    kernel.  ``np.take`` keeps the result C-ordered, as the product's is;
-    the later product with ``T~`` rounds differently on other layouts.
-    """
-    nonzero = ctx.v_r != 0
-    rows = np.argmax(nonzero, axis=0)
-    entries = ctx.v_r[rows, np.arange(ctx.rank)]
-    if (nonzero.sum(axis=0) == 1).all() and np.isin(entries, (-1.0, 1.0)).all():
-        coef = entries.real * ctx.sqrt_lam
-        return lambda g: np.take(g, rows, axis=1) * coef
-    v_conj = ctx.v_r.conj()
-    return lambda g: (g @ v_conj) * ctx.sqrt_lam
-
-
 def a_abs_power(ctx: SemiInnerContext, t, p: float) -> np.ndarray:
     """Power ``|T|_A ** p`` of the A-absolute value, pulled back from the reduction.
 
@@ -392,8 +358,8 @@ def a_abs_power(ctx: SemiInnerContext, t, p: float) -> np.ndarray:
     of :func:`aradius.linalg.psd_power`.  For ``p == 2`` and invertible
     ``A`` this reproduces ``T^# T`` exactly.
     """
-    if p < 0.0:
-        raise ValueError("power must be nonnegative")
+    if not 0.0 <= p < np.inf:
+        raise ValueError("power must be finite and nonnegative")
     tilde = reduce(ctx, t)
     if not ctx.rank:
         return np.zeros((ctx.dim, ctx.dim), dtype=np.complex128)

@@ -108,16 +108,16 @@ def within(seconds: float, fn, *args):
 def radius_lower_reference(ctx, t, samples: int, seed: int):
     """The sampled A-radius lower bound from whole-array draws, one sample at a time.
 
-    It draws each sample's real part, then its imaginary part, as one
-    ``(samples, 2, dim)`` array, and takes each sample's quotient in a
-    loop.  Only the two projections stay products of all samples at once:
+    It draws each sample's real part, then its imaginary part, in reduced
+    coordinates as one ``(samples, 2, rank)`` array, scales the complex
+    samples by ``sqrt_lam``, and takes each sample's quotient in a loop.
+    Only the product with the reduction stays one product of all samples:
     numpy multiplies a single row by a matrix-vector product, which can
     round differently.  Returns the bound and how many samples were kept.
     """
     rng = np.random.default_rng(seed)
-    parts = rng.standard_normal((samples, 2, ctx.dim))
-    g = parts[:, 0] + 1j * parts[:, 1]
-    y = (g @ ctx.v_r.conj()) * ctx.sqrt_lam
+    parts = rng.standard_normal((samples, 2, ctx.rank))
+    y = (parts[:, 0] + 1j * parts[:, 1]) * ctx.sqrt_lam
     ty = y @ reduce(ctx, t).T
     norms_sq = np.array([np.sum(np.abs(row) ** 2) for row in y])
     numer = np.array([np.abs(np.sum(np.conj(row) * trow)) for row, trow in zip(y, ty)])

@@ -16,6 +16,7 @@ from aradius import (
     NonSquare,
     NotHermitian,
     NotPSD,
+    a_abs_power,
     a_numerical_radius,
     antidiagonal_radius,
     as_matrix,
@@ -170,6 +171,15 @@ def test_hermitian_eig_tolerance_holds_at_extreme_scales(scale):
 def test_psd_power_rejects_indefinite():
     with pytest.raises(NotPSD):
         psd_power(np.diag([1.0, -1.0]), 0.5)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, -0.5])
+def test_powers_must_be_finite_and_nonnegative(p):
+    m = np.diag([1.0, 2.0, 0.5])
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        psd_power(m, p)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        a_abs_power(make_context(m), np.eye(3), p)
 
 
 @pytest.mark.parametrize("m", [np.stack([np.eye(3)] * 2), np.eye(3)[None], np.eye(3)[0]])

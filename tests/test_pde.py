@@ -18,11 +18,12 @@ import aradius.pde as pde_mod
 import aradius.semihilbert as semihilbert_mod
 from aradius import (
     DIM_CAP,
-    ConvergenceFailure,
     DegenerateContext,
+    DimensionMismatch,
     DomainError,
     EllipticSpec,
     InvalidSpec,
+    NonSquare,
     SingularOperator,
     SingularPreconditioner,
     a_adjoint,
@@ -211,6 +212,18 @@ def test_consistency_order_applies_the_stencil_in_linear_memory():
     assert peak < 2**20
 
 
+def test_spec_caps_the_grid_so_refinements_stop():
+    # each refinement doubles the grid; past 2**20 points the spec itself
+    # raises, so a long run of levels stops before it allocates anything
+    assert EllipticSpec(n_points=2**20).n_points == 2**20
+    with pytest.raises(InvalidSpec, match="n_points"):
+        EllipticSpec(n_points=2**20 + 1)
+    with pytest.raises(InvalidSpec, match="n_points"):
+        refined_specs(EllipticSpec(n_points=8), levels=40)
+    with pytest.raises(InvalidSpec, match="n_points"):
+        consistency_order(EllipticSpec(n_points=8), levels=40)
+
+
 def test_refined_specs_halve_h():
     specs = refined_specs(EllipticSpec(n_points=8), levels=3)
     assert [s.n_points for s in specs] == [8, 17, 35]
@@ -341,7 +354,6 @@ def _amplification_reference(spec, samples, seed):
 @pytest.mark.per_family
 @pytest.mark.parametrize("n", [8, 9, 31, 64, 127])
 def test_stability_report_is_bitwise_the_per_sample_loop(n):
-    # the diagonal weight A_h takes the sampled radius's column selection
     for k, (coeff_a, coeff_c) in enumerate(_COEFFS):
         spec = EllipticSpec(n_points=n, coeff_a=coeff_a, coeff_c=coeff_c)
         t_h, a_h = assemble_fd(spec)
@@ -371,15 +383,25 @@ def test_stability_report_reduces_the_inverse_once(monkeypatch):
         assert len(reduced) == 1
 
 
-def test_stability_report_joins_its_drawing_thread_when_the_radius_fails(monkeypatch):
-    # the sampled radius's draws start before the kernel radius, which
-    # fails here; the call raises and leaves no thread behind
-    def failing(m):
-        raise ConvergenceFailure("radius eigensolve failed")
+class _RadiusBroke(Exception):
+    pass
 
-    monkeypatch.setattr(pde_mod, "classical_numerical_radius", failing)
+
+def test_stability_report_joins_its_drawing_thread_when_the_radius_fails(monkeypatch):
+    # the sampled radius fails on its second block while its drawing
+    # thread runs ahead; the call raises and leaves no thread behind
+    quotients = semihilbert_mod._quotients
+    calls = []
+
+    def failing(y, tilde):
+        calls.append(1)
+        if len(calls) == 2:
+            raise _RadiusBroke("sampled radius broke")
+        return quotients(y, tilde)
+
+    monkeypatch.setattr(semihilbert_mod, "_quotients", failing)
     threads = threading.active_count()
-    with pytest.raises(ConvergenceFailure):
+    with pytest.raises(_RadiusBroke):
         within(30.0, stability_report, EllipticSpec(n_points=127), 100, 1)
     assert threading.active_count() == threads
 
@@ -475,6 +497,26 @@ def test_singular_preconditioner_detected():
     t = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(SingularPreconditioner):
         richardson_contraction(ctx, t, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "t,p,error",
+    [
+        (np.eye(3), np.full((3, 3), np.nan), DomainError),
+        (np.full((3, 3), np.inf), np.eye(3), DomainError),
+        (np.eye(3), np.eye(2), DimensionMismatch),
+        (np.eye(2), np.eye(3), DimensionMismatch),
+        (np.eye(3), np.ones((3, 4)), NonSquare),
+        (np.ones((3, 4)), np.eye(3), NonSquare),
+    ],
+    ids=["nan-p", "inf-t", "small-p", "small-t", "wide-p", "wide-t"],
+)
+def test_richardson_contraction_validates_its_operators(t, p, error):
+    # each is checked as reduce checks an operator, before any solve
+    ctx = make_context(np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(error) as info:
+        richardson_contraction(ctx, t, p)
+    assert type(info.value) is error
 
 
 def test_preconditioner_singularity_floor_is_relative():
